@@ -29,7 +29,7 @@ import numpy as np
 from . import jets, tod
 from .errors import DomainError, RodDataError
 from .jets import Jet2
-from .tod import MetricJet, TwoFormJet
+from .tod import JetMatrix
 
 CHART = ("psi", "phi", "r", "theta")
 
@@ -44,22 +44,6 @@ class FlatCkyParams:
     def __post_init__(self):
         if self.k1 == 0 and self.k2 == 0:
             raise RodDataError("family constants must not both vanish")
-
-
-@dataclass(frozen=True)
-class CoframeJet:
-    """Orthonormal coframe rows as jets, same chart layout as MetricJet."""
-
-    coords: tuple
-    rows: list
-    base: tuple
-
-    @property
-    def order(self):
-        return self.rows[0][0].order
-
-    def values(self):
-        return np.array([[self.rows[a][m].value for m in range(4)] for a in range(4)])
 
 
 def flat_coframe(r, theta, order=2):
@@ -79,18 +63,18 @@ def flat_coframe(r, theta, order=2):
         [zero, zero, zero, half],
         [zero, half * jets.sin(tj), zero, zero],
     ]
-    return CoframeJet(coords=CHART, rows=rows, base=(float(r), float(theta)))
+    return JetMatrix(coords=CHART, comp=rows, base=(float(r), float(theta)))
 
 
 def flat_metric(r, theta, order=2):
     """Flat metric jets assembled from the coframe; positively oriented."""
     cf = flat_coframe(r, theta, order)
     comp = [
-        [sum((cf.rows[a][i] * cf.rows[a][j] for a in range(4)),
+        [sum((cf.comp[a][i] * cf.comp[a][j] for a in range(4)),
              Jet2.const(0.0, order)) for j in range(4)]
         for i in range(4)
     ]
-    return MetricJet(coords=CHART, comp=comp, base=cf.base, orientation=1)
+    return JetMatrix(coords=CHART, comp=comp, base=cf.base, orientation=1)
 
 
 def wedge(u, v):
@@ -110,18 +94,16 @@ def wedge_pairing(om, eta):
 
 def selfdual_basis(coframe):
     """The three self-dual two-forms of the coframe, norm squared 4 each."""
-    e = coframe.rows
+    e = coframe.comp
 
     def combine(m, n, sign):
-        return [[m[i][j] + sign * n[i][j] for j in range(4)] for i in range(4)]
-
-    def pack(comp):
-        return TwoFormJet(coords=coframe.coords, comp=comp, base=coframe.base)
+        comp = [[m[i][j] + sign * n[i][j] for j in range(4)] for i in range(4)]
+        return JetMatrix(coords=coframe.coords, comp=comp, base=coframe.base)
 
     w1 = combine(wedge(e[0], e[1]), wedge(e[2], e[3]), 1)
     w2 = combine(wedge(e[1], e[2]), wedge(e[0], e[3]), 1)
     w3 = combine(wedge(e[1], e[3]), wedge(e[0], e[2]), -1)
-    return pack(w1), pack(w2), pack(w3)
+    return w1, w2, w3
 
 
 def flat_cky(params, r, theta, order=2):
@@ -137,7 +119,7 @@ def flat_cky(params, r, theta, order=2):
         [a1 * w1.comp[i][j] + a3 * w3.comp[i][j] for j in range(4)]
         for i in range(4)
     ]
-    return TwoFormJet(coords=CHART, comp=comp, base=cf.base)
+    return JetMatrix(coords=CHART, comp=comp, base=cf.base)
 
 
 def flat_norm_squared(params, r, theta):
@@ -153,7 +135,7 @@ def tod_cky_candidate(rods, rho, zeta, order=2):
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
     comp = [[z * c for c in row] for row in om.comp]
-    return TwoFormJet(coords=om.coords, comp=comp, base=om.base)
+    return JetMatrix(coords=om.coords, comp=comp, base=om.base)
 
 
 def _frame_components(rods, r, theta, st, ct, center):

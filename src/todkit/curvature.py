@@ -1,7 +1,7 @@
 """Curvature of a metric jet and the derived spectral checks.
 
-Everything is evaluated pointwise from a MetricJet whose components are
-2-jets in the two essential coordinates; derivatives along the Killing
+Everything is evaluated pointwise from a tod.JetMatrix whose components
+are 2-jets in the two essential coordinates; derivatives along the Killing
 directions are structurally zero, so arrays are padded accordingly.
 
 Conventions: R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + ..., Ricci is
@@ -18,7 +18,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import SignatureError, SpectrumError
+from .errors import SignatureError
 
 _EPS4 = np.zeros((4, 4, 4, 4))
 for _p in permutations(range(4)):
@@ -242,7 +242,7 @@ def scalar_laplacian(pack, f_jet):
 
 
 def covariant_two_form_derivative(pack, form):
-    """nabla_a Z_bc from a TwoFormJet, shape (4, 4, 4)."""
+    """nabla_a Z_bc from a two-form JetMatrix, shape (4, 4, 4)."""
     Z = form.values()
     dZ = _pad_first(form.d1())
     return (

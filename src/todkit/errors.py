@@ -35,7 +35,7 @@ class RodDataError(TodkitError):
 
 
 class InversionError(TodkitError):
-    """Newton inversion of the coordinate map failed to converge.
+    """Coordinate-map inversion failed: Newton stalled or the Jacobian is singular.
 
     The last residual is kept so reports can quote how far off it ended.
     """
@@ -55,3 +55,7 @@ class SignatureError(TodkitError):
 
 class SpectrumError(TodkitError):
     """Eigenvalue structure did not match the expected pattern."""
+
+
+class CertificateError(TodkitError):
+    """A certificate that the theory guarantees did not hold."""

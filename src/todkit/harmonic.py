@@ -177,6 +177,18 @@ def build_h(rods, rho, zeta, order=4):
 # Ward coordinates
 
 
+def _nut_terms(rods, rho, zeta, order):
+    """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order."""
+    r = Jet2.seed(float(rho), 0, order)
+    terms = []
+    for z_i, a_i in zip(rods.zs, rods.weights):
+        shift = float(zeta) - float(z_i)
+        s = Jet2.seed(shift, 1, order)
+        at, R = _halflog_ratio(r, s, shift)
+        terms.append((float(a_i), s, at, R))
+    return terms
+
+
 def ward_coords(rods, rho, zeta, order=4):
     """Jets of z = rho V_rho / 2 and x = -V_zeta / 2.
 
@@ -185,14 +197,11 @@ def ward_coords(rods, rho, zeta, order=4):
     """
     if not rho > 0:
         raise AxisEvaluationError(f"ward coordinates need rho > 0, got {rho}")
-    r = Jet2.seed(float(rho), 0, order)
     zj = Jet2.const(0.0, order)
     xj = Jet2.const(0.0, order)
-    for z_i, a_i in zip(rods.zs, rods.weights):
-        s = Jet2.seed(float(zeta) - float(z_i), 1, order)
-        at, R = _halflog_ratio(r, s, float(zeta) - float(z_i))
-        zj = zj + float(a_i) * R
-        xj = xj + float(a_i) * at
+    for a_i, _, at, R in _nut_terms(rods, rho, zeta, order):
+        zj = zj + a_i * R
+        xj = xj + a_i * at
     return zj, xj
 
 
@@ -227,7 +236,8 @@ def ward_inverse(rods, z_target, x_target, guess, tol=1e-12, max_iter=60):
 
 
 def toda_residual(rods, rho, zeta):
-    """Residual u_xx + (e^u)_zz for u = 2 log rho as a function of (z, x)."""
+    """Residual u_xx + (e^u)_zz for u = 2 log rho as a function of (z, x),
+    with rho(z, x) from the closed-form order-2 inverse in jets.invert_map."""
     Zj, Xj = ward_coords(rods, rho, zeta, order=2)
     P, _ = jets.invert_map(Zj, Xj, float(rho), float(zeta))
     u = 2 * jets.log(P)

@@ -4,9 +4,10 @@ A ``Jet2`` carries the raw partial derivatives of a scalar field of two
 variables at a point, up to a fixed total order.  Raw means the entry at
 ``(i, j)`` is ``d^{i+j} f / dx^i dy^j`` itself, not divided by factorials,
 so arithmetic uses Leibniz rules with binomial weights.  Coefficients may
-be floats or ``fractions.Fraction``; the exact-rational mode supports the
-ring operations only (add, sub, mul, div), which is all the classification
-needs.
+be floats or ``fractions.Fraction`` (ring operations only); classification
+builds no ``Fraction`` jets, and ``Fraction`` scalars reach jets only through
+exact ``PdParams`` coefficients in ``pd_metric``.  ``invert_map`` is
+closed-form at order 2.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import DomainError, SingularPointError
+from .errors import DomainError, InversionError, SingularPointError
 
 # ---------------------------------------------------------------------------
 # index bookkeeping, precomputed per order
@@ -103,13 +104,6 @@ class Jet2:
         if order > self.order:
             raise ValueError("cannot truncate upward")
         return Jet2(order, self.c[: len(_pairs(order))])
-
-    def pad(self, order):
-        """Extend to a higher order with zero (unknown) top coefficients."""
-        if order < self.order:
-            return self.truncate(order)
-        extra = len(_pairs(order)) - len(self.c)
-        return Jet2(order, self.c + [0] * extra)
 
     def derivative(self, var):
         """Jet of the partial derivative with respect to var, one order lower."""
@@ -320,38 +314,33 @@ def compose2(F, P, Q):
 
 
 def invert_map(Z, X, rho0, zeta0):
-    """Invert the jet map (rho, zeta) -> (Z, X) around a base point.
+    """Invert the jet map (rho, zeta) -> (Z, X) around a base point, to order 2.
 
-    Z and X are jets at (rho0, zeta0).  Returns jets (P, Q) in the image
-    variables such that Z(P, Q) and X(P, Q) reproduce the identity to the
-    working order.  Newton iteration in the jet ring; the residual is
-    checked at the end rather than trusting an iteration-count argument.
+    Z and X are jets of order at least 2 at (rho0, zeta0).  Returns order-2
+    jets (P, Q) of rho and zeta in the image variables.  By the inverse
+    function theorem their first derivatives are K = J^-1, J the Jacobian
+    of (Z, X), and their second derivatives are
+    -K[a, b] H_b[k, l] K[k, i] K[l, j] with H_b the Hessian of Z or X.
     """
-    n = Z.order
-    z0, x0 = Z.value, X.value
-    z_id = Jet2.seed(z0, 0, n)
-    x_id = Jet2.seed(x0, 1, n)
-    Zr = Z.derivative(0).pad(n)
-    Zz = Z.derivative(1).pad(n)
-    Xr = X.derivative(0).pad(n)
-    Xz = X.derivative(1).pad(n)
-    P = Jet2.const(rho0, n)
-    Q = Jet2.const(zeta0, n)
-    for _ in range(n + 3):
-        Fz = compose2(Z, P, Q) - z_id
-        Fx = compose2(X, P, Q) - x_id
-        a = compose2(Zr, P, Q)
-        b = compose2(Zz, P, Q)
-        c = compose2(Xr, P, Q)
-        d = compose2(Xz, P, Q)
-        det = a * d - b * c
-        P = P - (Fz * d - b * Fx) / det
-        Q = Q - (a * Fx - Fz * c) / det
-    res_z = compose2(Z, P, Q) - z_id
-    res_x = compose2(X, P, Q) - x_id
-    scale = max(abs(z0), abs(x0), 1.0)
-    resid = max(max(abs(v) for v in res_z.c), max(abs(v) for v in res_x.c))
-    if resid > 1e-9 * scale:
-        from .errors import InversionError
-        raise InversionError(resid, f"jet map inversion residual {resid:.3e}")
-    return P, Q
+    if Z.order < 2 or X.order < 2:
+        raise ValueError("map inversion needs jets of order at least 2")
+    a, b = Z.partial(1, 0), Z.partial(0, 1)
+    c, d = X.partial(1, 0), X.partial(0, 1)
+    det = a * d - b * c
+    if det == 0:
+        raise InversionError(math.inf, "singular Jacobian in invert_map")
+    K = ((d / det, -b / det), (-c / det, a / det))
+
+    def pulled(F, i, j):
+        # H_F[k, l] K[k, i] K[l, j]; the Hessian entry (k, l) is the raw
+        # partial with 2 - k - l derivatives in rho and k + l in zeta
+        return sum(F.partial(2 - k - l, k + l) * K[k][i] * K[l][j]
+                   for k in (0, 1) for l in (0, 1))
+
+    def inverse(value, ka, kb):
+        partials = {(0, 0): value, (1, 0): ka, (0, 1): kb}
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            partials[(2 - i - j, i + j)] = -(ka * pulled(Z, i, j) + kb * pulled(X, i, j))
+        return Jet2.from_partials(partials, 2)
+
+    return inverse(rho0, *K[0]), inverse(zeta0, *K[1])

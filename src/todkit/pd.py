@@ -30,9 +30,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .errors import DomainError, RodDataError, SignatureError
+from .errors import CertificateError, DomainError, RodDataError, SignatureError
 from .jets import Jet2
-from .tod import MetricJet
+from .tod import JetMatrix
 
 _EXACT = (int, Fraction)
 
@@ -45,6 +45,10 @@ def _is_integer(x, tol=1e-9):
 
 def _det2(u, v):
     return u[0] * v[1] - u[1] * v[0]
+
+
+def _roots_text(roots):
+    return "(" + ", ".join(str(r) for r in roots) + ")"
 
 
 @dataclass(frozen=True)
@@ -151,7 +155,7 @@ def pd_metric(params, p, q, order=4):
         (zero, zero, g_pp, zero),
         (zero, zero, zero, g_qq),
     )
-    return MetricJet(coords=("tau", "phi", "p", "q"), comp=comp,
+    return JetMatrix(coords=("tau", "phi", "p", "q"), comp=comp,
                      base=(p, q), orientation=1)
 
 
@@ -225,19 +229,21 @@ def pd_regularity(params, tol=1e-9):
     # degenerates (reciprocal root pairs)
     m_simp = _ratio(p3 * p3 - p2 * p2, 1 - p2 * p2 * p3 * p3)
     n_simp = _ratio(p1 * p1 - p2 * p2, 1 - p1 * p1 * p2 * p2)
+
+    def _certify_closed(name, solved, closed):
+        if params.is_exact:
+            agrees = solved == closed
+        else:
+            agrees = abs(solved - closed) <= 1e-8 * max(1.0, abs(closed))
+        if not agrees:
+            raise CertificateError(f"{name} = {solved} disagrees with its closed form "
+                                   f"{closed} for roots {_roots_text(params.roots)}")
+
     if m_simp is not None and not _zero(d34) and eps is not None \
             and epsbar is not None and abs(float(eps * epsbar)) > 1e-12:
-        ratio = m_raw / (eps * epsbar)
-        if params.is_exact:
-            assert ratio == m_simp
-        else:
-            assert abs(ratio - m_simp) <= 1e-8 * max(1.0, abs(m_simp))
+        _certify_closed("m / (eps epsbar)", m_raw / (eps * epsbar), m_simp)
     if n_simp is not None and eps is not None and n_raw is not None:
-        prod = n_raw * eps
-        if params.is_exact:
-            assert prod == n_simp
-        else:
-            assert abs(prod - n_simp) <= 1e-8 * max(1.0, abs(n_simp))
+        _certify_closed("n eps", n_raw * eps, n_simp)
 
     def _is_one(x):
         if x is None:
@@ -295,9 +301,7 @@ def pd_selfdual_check(params, tol=1e-10):
             "eps_closed": eps_closed,
             "eps_gap": _ratio((1 - p2 * p2) * (1 + p1 * p1), den),
         })
-        assert pair_residual <= tol
-        if eps_closed is not None and reg.eps is not None:
-            assert abs(float(reg.eps - eps_closed)) <= tol
+        name, solved, closed = "eps", reg.eps, eps_closed
     else:
         # case b: p2 = 1/p1, p4 = 1/p3
         ratio = -params.quartic_prime(p1) / params.quartic_prime(p2)
@@ -313,9 +317,14 @@ def pd_selfdual_check(params, tol=1e-10):
             "epsbar_closed": epsbar_closed,
             "epsbar_gap": _ratio((p1 * p1 - 1) * (1 + p3 * p3), den),
         })
-        assert pair_residual <= tol
-        if epsbar_closed is not None and reg.epsbar is not None:
-            assert abs(float(reg.epsbar - epsbar_closed)) <= tol
+        name, solved, closed = "epsbar", reg.epsbar, epsbar_closed
+    where = f"case {out['case']}, roots {_roots_text(params.roots)}"
+    if not pair_residual <= tol:
+        raise CertificateError(f"{where}: opposite-pair identity residual "
+                               f"{pair_residual:.3e} exceeds {tol}")
+    if closed is not None and solved is not None and not abs(float(solved - closed)) <= tol:
+        raise CertificateError(f"{where}: {name} = {solved} disagrees with its "
+                               f"closed form {closed}")
     return out
 
 
@@ -390,25 +399,27 @@ def pd_scan(case, samples=1000, seed=7):
             admissible += 1
             continue
         if case == "i":
-            assert -1 < reg.n < 0
+            holds = -1 < reg.n < 0
             cert = "n strictly between -1 and 0"
         elif case == "ii":
-            assert reg.epsbar > 1
+            holds = reg.epsbar > 1
             cert = "epsbar exceeds 1"
         elif case == "iii":
             # sorted negative roots with product one force |p1 p2| > 1,
             # so the curvature bound crosses the rectangle and cuts off
             # the corner fixed point before any lattice count applies
             p1, p2, p3 = roots[0], roots[1], roots[2]
-            assert p3 * p3 < p2 * p2 < p1 * p1
-            assert p1 * p1 * p2 * p2 > 1
+            holds = p3 * p3 < p2 * p2 < p1 * p1 and p1 * p1 * p2 * p2 > 1
             cert = "curvature bound inside the rectangle, corner cut off"
         elif case == "a":
-            assert reg.collinear_34 and 0 < reg.eps < 1
+            holds = reg.collinear_34 and 0 < reg.eps < 1
             cert = "rods 3 and 4 opposite, eps below 1"
         else:
-            assert reg.collinear_12 and reg.epsbar > 1
+            holds = reg.collinear_12 and reg.epsbar > 1
             cert = "rods 1 and 2 opposite, epsbar exceeds 1"
+        if not holds:
+            raise CertificateError(f"case {case}, roots {_roots_text(roots)}: certificate "
+                                   f"'{cert}' does not hold")
         certificates[cert] = certificates.get(cert, 0) + 1
     return PdScanResult(case=case, samples=samples, attempts=attempts,
                         admissible=admissible, certificates=certificates,

@@ -46,14 +46,15 @@ class TodFields:
 
 
 @dataclass(frozen=True)
-class MetricJet:
-    """Metric components as jets in the two essential coordinates.
+class JetMatrix:
+    """A 4x4 matrix of jets in the two essential coordinates.
 
-    Components are indexed by the chart ordering in coords; the first two
-    directions are Killing directions, so all derivatives are taken with
-    respect to the trailing pair.  orientation is the sign of the chart
-    volume form relative to the convention in which the fundamental form
-    squares to a positive top form.
+    comp holds metric components, two-form components, or coframe rows
+    (row a, chart column m), indexed by the chart ordering in coords; the
+    first two directions are Killing directions, so all derivatives are
+    taken with respect to the trailing pair.  orientation is the sign of
+    the chart volume form relative to the convention in which the
+    fundamental form squares to a positive top form; only metrics use it.
     """
 
     coords: tuple
@@ -65,60 +66,20 @@ class MetricJet:
     def order(self):
         return self.comp[0][0].order
 
+    def _partials(self, i, j):
+        return np.array([[e.partial(i, j) for e in row] for row in self.comp], dtype=float)
+
     def values(self):
-        return np.array([[self.comp[i][j].value for j in range(4)] for i in range(4)])
+        return self._partials(0, 0)
 
     def d1(self):
         """First derivatives, shape (2, 4, 4), essential directions only."""
-        out = np.zeros((2, 4, 4))
-        for k, key in enumerate(((1, 0), (0, 1))):
-            for i in range(4):
-                for j in range(4):
-                    out[k, i, j] = self.comp[i][j].partial(*key)
-        return out
+        return np.array([self._partials(1, 0), self._partials(0, 1)])
 
     def d2(self):
         """Second derivatives, shape (2, 2, 4, 4)."""
-        out = np.zeros((2, 2, 4, 4))
-        keys = {(0, 0): (2, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 2)}
-        for (p, q), key in keys.items():
-            for i in range(4):
-                for j in range(4):
-                    out[p, q, i, j] = self.comp[i][j].partial(*key)
-        return out
-
-
-@dataclass(frozen=True)
-class TwoFormJet:
-    """Antisymmetric two-form components as jets, same layout as MetricJet."""
-
-    coords: tuple
-    comp: list
-    base: tuple
-
-    @property
-    def order(self):
-        return self.comp[0][1].order
-
-    def values(self):
-        return np.array([[self.comp[i][j].value for j in range(4)] for i in range(4)])
-
-    def d1(self):
-        out = np.zeros((2, 4, 4))
-        for k, key in enumerate(((1, 0), (0, 1))):
-            for i in range(4):
-                for j in range(4):
-                    out[k, i, j] = self.comp[i][j].partial(*key)
-        return out
-
-    def d2(self):
-        out = np.zeros((2, 2, 4, 4))
-        keys = {(0, 0): (2, 0), (0, 1): (1, 1), (1, 0): (1, 1), (1, 1): (0, 2)}
-        for (p, q), key in keys.items():
-            for i in range(4):
-                for j in range(4):
-                    out[p, q, i, j] = self.comp[i][j].partial(*key)
-        return out
+        mixed = self._partials(1, 1)
+        return np.array([[self._partials(2, 0), mixed], [mixed, self._partials(0, 2)]])
 
 
 # ---------------------------------------------------------------------------
@@ -133,42 +94,34 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     rho = float(rho)
     zeta = float(zeta)
     c = float(rods.c)
-    r = Jet2.seed(rho, 0, order)
-    radii = []
-    shifts = []
+    terms = harmonic._nut_terms(rods, rho, zeta, order)
     A = Jet2.const(0.0, order)
     B = Jet2.const(0.0, order)
     C = Jet2.const(0.0, order)
     T = Jet2.const(0.0, order)
-    for z_i, a_i in zip(rods.zs, rods.weights):
-        a_i = float(a_i)
-        s = Jet2.seed(zeta - float(z_i), 1, order)
-        at, R = harmonic._halflog_ratio(r, s, zeta - float(z_i))
-        radii.append(R)
-        shifts.append(s)
+    # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
+    # R^2 cancel exactly, leaving gap-squared weighted sums (with P) that
+    # keep full relative precision in the far field
+    P = Jet2.const(0.0, order)
+    for a_i, s, at, R in terms:
         A = A + a_i * R
         B = B + a_i / R
         C = C + a_i * (s / R)
         T = T + a_i * at
+        P = P + a_i * s * R
     K = Jet2.const(0.0, order)
     M = Jet2.const(0.0, order)
-    for i in range(len(radii)):
-        for j in range(i + 1, len(radii)):
+    for i, (a_i, s_i, _, R_i) in enumerate(terms):
+        for j in range(i + 1, len(terms)):
+            a_j, s_j, _, R_j = terms[j]
             gap = float(rods.zs[j]) - float(rods.zs[i])
-            pair = (float(rods.weights[i]) * float(rods.weights[j]) * gap * gap) / (
-                radii[i] * radii[j]
-            )
+            pair = (a_i * a_j * gap * gap) / (R_i * R_j)
             K = K - pair
-            M = M + pair * (shifts[i] + shifts[j])
+            M = M + pair * (s_i + s_j)
+    r = Jet2.seed(rho, 0, order)
     den = B * B * (r * r) + C * C
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
-    # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
-    # R^2 cancel exactly, leaving gap-squared weighted sums that keep
-    # full relative precision in the far field
-    P = Jet2.const(0.0, order)
-    for a_i, s, R in zip(rods.weights, shifts, radii):
-        P = P + float(a_i) * s * R
     gamma = float(harmonic.gauge_value(rods))
     F = -(A * M + P * K + gamma * den) / den / c
     return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
@@ -197,7 +150,7 @@ def tod_metric(fields, order=None):
         [zero, zero, e2nu, zero],
         [zero, zero, zero, e2nu],
     ]
-    return MetricJet(coords=("tau", "y", "rho", "zeta"), comp=comp,
+    return JetMatrix(coords=("tau", "y", "rho", "zeta"), comp=comp,
                      base=fields.point, orientation=1)
 
 
@@ -228,7 +181,7 @@ def fundamental_form(fields, order=None):
         [-w_tr, -w_yr, zero, zero],
         [-w_tz, -w_yz, zero, zero],
     ]
-    return TwoFormJet(coords=("tau", "y", "rho", "zeta"), comp=comp, base=fields.point)
+    return JetMatrix(coords=("tau", "y", "rho", "zeta"), comp=comp, base=fields.point)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +221,7 @@ def eh_closed_form(a, r, theta, order=2):
         [zero, zero, g_rr, zero],
         [zero, zero, zero, g_hh],
     ]
-    return MetricJet(coords=("tau", "phi", "r", "theta"), comp=comp,
+    return JetMatrix(coords=("tau", "phi", "r", "theta"), comp=comp,
                      base=(float(r), float(theta)), orientation=-1)
 
 

@@ -11,7 +11,7 @@ from todkit import tod
 from todkit.errors import SignatureError
 from todkit.harmonic import RodData
 from todkit.jets import Jet2
-from todkit.tod import MetricJet, TwoFormJet
+from todkit.tod import JetMatrix
 
 
 def eh_rods():
@@ -26,7 +26,7 @@ def cky_candidate(fields, order=2):
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
     comp = [[z * c for c in row] for row in om.comp]
-    return TwoFormJet(coords=om.coords, comp=comp, base=om.base)
+    return JetMatrix(coords=om.coords, comp=comp, base=om.base)
 
 
 def tod_pack(rods, rho, zeta):
@@ -82,12 +82,12 @@ class TestDualityMachinery:
         bad = [row[:] for row in flat]
         bad[0][0] = Jet2.const(-1.0, order)
         with pytest.raises(SignatureError):
-            cv.curvature_pack(MetricJet(coords=("a", "b", "c", "d"), comp=bad,
+            cv.curvature_pack(JetMatrix(coords=("a", "b", "c", "d"), comp=bad,
                                         base=(0.0, 0.0)))
         asym = [row[:] for row in flat]
         asym[0][1] = Jet2.const(0.5, order)
         with pytest.raises(SignatureError):
-            cv.curvature_pack(MetricJet(coords=("a", "b", "c", "d"), comp=asym,
+            cv.curvature_pack(JetMatrix(coords=("a", "b", "c", "d"), comp=asym,
                                         base=(0.0, 0.0)))
 
 
@@ -218,6 +218,6 @@ class TestConformalKillingYano:
         res_plain, _ = cv.cky_residual(pack, om)
         z2 = (f.z * f.z).truncate(2)
         comp = [[z2 * c for c in row] for row in om.comp]
-        res_sq, _ = cv.cky_residual(pack, TwoFormJet(om.coords, comp, om.base))
+        res_sq, _ = cv.cky_residual(pack, JetMatrix(om.coords, comp, om.base))
         assert res_plain > 1e-2
         assert res_sq > 1e-2

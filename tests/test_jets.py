@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from todkit import jets
-from todkit.errors import DomainError, SingularPointError
+from todkit.errors import DomainError, InversionError, SingularPointError
 from todkit.jets import Jet2
 
 from fd import check_jet_against_fd
@@ -210,3 +210,16 @@ class TestComposition:
         z0, x0 = Zj.value, Xj.value
         assert check_jet_against_fd(P.truncate(2), lambda a, b: inverse(a, b)[0], z0, x0) < 1e-5
         assert check_jet_against_fd(Q.truncate(2), lambda a, b: inverse(a, b)[1], z0, x0) < 1e-5
+
+    def test_invert_singular_jacobian(self):
+        r = Jet2.seed(1.3, 0, 2)
+        z = Jet2.seed(0.4, 1, 2)
+        Z = jets.sqrt(r * r + z * z)
+        with pytest.raises(InversionError):
+            jets.invert_map(Z, Z, 1.3, 0.4)
+
+    def test_invert_needs_order_two(self):
+        Z = Jet2.seed(1.3, 0, 1)
+        X = Jet2.seed(0.4, 1, 1)
+        with pytest.raises(ValueError):
+            jets.invert_map(Z, X, 1.3, 0.4)

@@ -1,13 +1,14 @@
 """Tests for the quartic-root family: metric, rod relations, scans, corner limit."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from todkit import curvature, pd
-from todkit.errors import DomainError, RodDataError, SignatureError
+from todkit import cli, curvature, pd
+from todkit.errors import CertificateError, DomainError, RodDataError, SignatureError
 
 F = Fraction
 
@@ -222,6 +223,22 @@ class TestScans:
         first = pd.pd_scan("iii", samples=30, seed=5)
         second = pd.pd_scan("iii", samples=30, seed=5)
         assert first.attempts == second.attempts
+
+    def test_failed_certificate_is_an_error(self, monkeypatch, capsys):
+        # a corner coefficient outside (-1, 0) breaks the case i certificate
+        real = pd.pd_regularity
+
+        def broken(params, tol=1e-9):
+            return dataclasses.replace(real(params, tol), ok=False, n=0.5)
+
+        monkeypatch.setattr(pd, "pd_regularity", broken)
+        with pytest.raises(CertificateError):
+            pd.pd_scan("i", samples=5, seed=3)
+        code = cli.main(["pd", "scan", "--case", "i", "--samples", "5"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("evaluation error:")
+        assert "n strictly between -1 and 0" in err
 
 
 class TestCornerLimit:
