@@ -117,12 +117,24 @@ def curvature_pack(metric):
     )
 
 
+def _raise_all(gi, T):
+    """T^abcd = g^ae g^bf g^cg g^dh T_efgh, one index at a time.
+
+    Each pass is one matrix product that raises the leading index, which
+    the transpose then moves to the back; four passes restore the order.
+    """
+    up = T
+    for _ in range(4):
+        up = (gi @ up.reshape(4, 64)).reshape(4, 4, 4, 4).transpose(1, 2, 3, 0)
+    return up
+
+
 def invariant_norms(pack):
     """Frobenius norms of Riemann, Ricci and Weyl with indices raised."""
     gi = pack.ginv
 
     def norm4(T):
-        up = np.einsum("ae,bf,cg,dh,efgh->abcd", gi, gi, gi, gi, T)
+        up = _raise_all(gi, T)
         return float(np.sqrt(abs(np.einsum("abcd,abcd->", up, T))))
 
     ric2 = np.einsum("ae,bf,ef,ab->", gi, gi, pack.ricci, pack.ricci)
@@ -200,11 +212,10 @@ def weyl_split(pack, pair_tol=0.05):
     simple eigenvalue of the self-dual block when the other two form a
     pair, else None.
     """
-    gi = pack.ginv
-    cup = np.einsum("ae,bf,efcd->abcd", gi, gi, pack.weyl)
-    plus, minus = dual_bases(pack)
-    m_plus = np.einsum("iab,abcd,ce,df,jef->ij", plus, cup, gi, gi, plus) / 8.0
-    m_minus = np.einsum("iab,abcd,ce,df,jef->ij", minus, cup, gi, gi, minus) / 8.0
+    cup = _raise_all(pack.ginv, pack.weyl).reshape(16, 16)
+    plus, minus = (basis.reshape(3, 16) for basis in dual_bases(pack))
+    m_plus = plus @ cup @ plus.T / 8.0
+    m_minus = minus @ cup @ minus.T / 8.0
     eigs_plus = np.linalg.eigvalsh(0.5 * (m_plus + m_plus.T))
     eigs_minus = np.linalg.eigvalsh(0.5 * (m_minus + m_minus.T))
     lam = _simple_eigenvalue(eigs_plus, pair_tol)

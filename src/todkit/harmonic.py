@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from . import jets
@@ -100,6 +101,11 @@ class RodData:
             return self.scale
         return float(min(zb - za for za, zb in zip(self.zs, self.zs[1:])))
 
+    @cached_property
+    def gauge_constant(self):
+        """The resolved H gauge constant, computed once by gauge_value."""
+        return gauge_value(self)
+
     @property
     def is_exact(self):
         return _is_exact(self.c, *self.zs, *self.weights) and (
@@ -167,7 +173,7 @@ def build_v(rods, rho, zeta, order=4):
 
 def build_h(rods, rho, zeta, order=4):
     """Jet of H = sum a_i H0(rho, zeta - z_i) + gauge constant."""
-    acc = Jet2.const(float(gauge_value(rods)), order)
+    acc = Jet2.const(float(rods.gauge_constant), order)
     for z_i, a_i in zip(rods.zs, rods.weights):
         acc = acc + float(a_i) * h0_jet(rho, float(zeta) - float(z_i), order)
     return acc
@@ -321,7 +327,7 @@ class AxisProfile:
 def axis_profile(rods):
     """Slopes and nut values of f plus the resolved H gauge constant."""
     slopes, values = _slopes_values(rods)
-    return AxisProfile(rods, slopes, values, gauge_value(rods))
+    return AxisProfile(rods, slopes, values, rods.gauge_constant)
 
 
 def gauge_value(rods):

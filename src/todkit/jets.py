@@ -8,6 +8,15 @@ be floats or ``fractions.Fraction`` (ring operations only); classification
 builds no ``Fraction`` jets, and ``Fraction`` scalars reach jets only through
 exact ``PdParams`` coefficients in ``pd_metric``.  ``invert_map`` is
 closed-form at order 2.
+
+Products and quotients of two jets run through straight-line kernels, one
+``mul`` and one ``div`` per order, generated from the Leibniz plan the first
+time that order is used (never at import).  Each kernel coefficient is the
+plan's sum in the plan's term order with the plan's ``(w * a) * b``
+grouping (a weight of 1 left out, which is exact) and a leading ``0 +``,
+so every coefficient, signed zeros included, is bit-identical to an
+accumulating loop over the plan; tests/test_jets.py keeps that loop as the
+reference.
 """
 
 from __future__ import annotations
@@ -50,6 +59,53 @@ def _mul_plan(order):
     return _MUL_PLAN[order]
 
 
+def _kernel_source(order):
+    """Source of the straight-line Leibniz product and quotient at an order.
+
+    Every coefficient is the plan's sum in the plan's term order, written
+    ``0 + w * a * b + ...`` so that it rounds exactly as the accumulating
+    loop ``s = 0; s += w * a * b`` does, signed zeros included.  A weight
+    of 1 is left out: multiplying by the integer 1 is exact.
+    """
+    plan = _mul_plan(order)
+    n = len(plan)
+
+    def unpack(v):
+        return "    " + "".join(f"{v}{k}, " for k in range(n)) + f"= {v}"
+
+    def total(terms):
+        parts = [f"{x}{i} * {y}{j}" if w == 1 else f"{w} * {x}{i} * {y}{j}"
+                 for x, i, y, j, w in terms]
+        return " + ".join(["0"] + parts)
+
+    lines = ["def mul(a, b):", unpack("a"), unpack("b"), "    return ["]
+    lines += [f"        {total(('a', pa, 'b', pb, w) for pa, pb, w in terms)},"
+              for terms in plan]
+    lines += ["    ]", "", "def div(f, g):", unpack("f"), unpack("g")]
+    for k, terms in enumerate(plan):
+        # the (k, slot-0) term holds the unknown h[k] with weight 1; every
+        # other term only uses slots computed before
+        known = total(("h", ph, "g", pg, w) for ph, pg, w in terms if ph != k)
+        lines.append(f"    h{k} = (f{k} - ({known})) / g0")
+    lines.append("    return [" + ", ".join(f"h{k}" for k in range(n)) + "]")
+    return "\n".join(lines) + "\n"
+
+
+class _Kernels(dict):
+    """order -> (mul, div) on coefficient lists, generated on first use."""
+
+    def __missing__(self, order):
+        namespace = {}
+        exec(compile(_kernel_source(order), f"<jet kernels, order {order}>", "exec"),
+             namespace)
+        self[order] = kernels = (namespace["mul"], namespace["div"])
+        return kernels
+
+
+_KERNELS = _Kernels()
+_SCALARS = (int, float, Fraction)
+
+
 class Jet2:
     """Jet of a two-variable scalar field at a point."""
 
@@ -67,7 +123,7 @@ class Jet2:
     def const(cls, value, order):
         c = [0] * len(_pairs(order))
         c[0] = value
-        return cls(order, c)
+        return _jet(order, c)
 
     @classmethod
     def seed(cls, value, var, order):
@@ -76,7 +132,7 @@ class Jet2:
         c[0] = value
         if order >= 1:
             c[_POS[order][(1, 0) if var == 0 else (0, 1)]] = 1
-        return cls(order, c)
+        return _jet(order, c)
 
     @classmethod
     def from_partials(cls, partials, order):
@@ -103,7 +159,7 @@ class Jet2:
     def truncate(self, order):
         if order > self.order:
             raise ValueError("cannot truncate upward")
-        return Jet2(order, self.c[: len(_pairs(order))])
+        return _jet(order, self.c[: len(_pairs(order))])
 
     def derivative(self, var):
         """Jet of the partial derivative with respect to var, one order lower."""
@@ -115,88 +171,87 @@ class Jet2:
         for (i, j) in _pairs(out):
             key = (i + 1, j) if var == 0 else (i, j + 1)
             c.append(self.c[pos[key]])
-        return Jet2(out, c)
+        return _jet(out, c)
 
     def __repr__(self):
         return f"Jet2(order={self.order}, value={self.c[0]!r})"
 
     # -- ring operations ----------------------------------------------------
+    #
+    # Exact-type checks for jets and floats come first: they are nearly
+    # every operand, and isinstance against Fraction goes through its ABC.
 
     def _coerce(self, other):
+        """Coefficients of other as a jet of this order; None for other types."""
         if isinstance(other, Jet2):
             if other.order != self.order:
                 raise ValueError("jet order mismatch")
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return Jet2.const(other, self.order)
+            return other.c
+        if type(other) is float or isinstance(other, _SCALARS):
+            c = [0] * len(self.c)
+            c[0] = other
+            return c
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.order, [a + b for a, b in zip(self.c, o.c)])
+        if type(other) is Jet2 and other.order == self.order:
+            o = other.c
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        return _jet(self.order, [a + b for a, b in zip(self.c, o)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.order, [a - b for a, b in zip(self.c, o.c)])
+        if type(other) is Jet2 and other.order == self.order:
+            o = other.c
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        return _jet(self.order, [a - b for a, b in zip(self.c, o)])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Jet2(self.order, [b - a for a, b in zip(self.c, o.c)])
+        if type(other) is Jet2 and other.order == self.order:
+            o = other.c
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        return _jet(self.order, [b - a for a, b in zip(self.c, o)])
 
     def __neg__(self):
-        return Jet2(self.order, [-a for a in self.c])
+        return _jet(self.order, [-a for a in self.c])
 
     def __mul__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return Jet2(self.order, [a * other for a in self.c])
+        if type(other) is Jet2 and other.order == self.order:
+            return _jet(self.order, _KERNELS[self.order][0](self.c, other.c))
+        if type(other) is float or isinstance(other, _SCALARS):
+            return _jet(self.order, [a * other for a in self.c])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.c, o.c
-        out = []
-        for terms in _mul_plan(self.order):
-            s = 0
-            for pa, pb, w in terms:
-                s += w * a[pa] * b[pb]
-            out.append(s)
-        return Jet2(self.order, out)
+        return _jet(self.order, _KERNELS[self.order][0](self.c, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, float, Fraction)):
-            return Jet2(self.order, [a / other for a in self.c])
+        if type(other) is Jet2 and other.order == self.order:
+            return _jet(self.order, _quotient(self.order, self.c, other.c))
+        if type(other) is float or isinstance(other, _SCALARS):
+            return _jet(self.order, [a / other for a in self.c])
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.c[0] == 0:
-            raise SingularPointError("division by jet with zero value term")
-        f, g = self.c, o.c
-        h = [0] * len(f)
-        plan = _mul_plan(self.order)
-        for k in range(len(f)):
-            # Leibniz sum for (h*g) at slot k; the (k, slot-0) term holds the
-            # unknown h[k] with weight 1, everything earlier is already known.
-            s = 0
-            for ph, pg, w in plan[k]:
-                if ph != k:
-                    s += w * h[ph] * g[pg]
-            h[k] = (f[k] - s) / g[0]
-        return Jet2(self.order, h)
+        return _jet(self.order, _quotient(self.order, self.c, o))
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o.__truediv__(self)
+        return _jet(self.order, _quotient(self.order, o, self.c))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -212,6 +267,23 @@ class Jet2:
         return out
 
 
+_new = object.__new__
+
+
+def _jet(order, c):
+    """A Jet2 around a fresh coefficient list known to fit the order."""
+    jet = _new(Jet2)
+    jet.order = order
+    jet.c = c
+    return jet
+
+
+def _quotient(order, f, g):
+    if g[0] == 0:
+        raise SingularPointError("division by jet with zero value term")
+    return _KERNELS[order][1](f, g)
+
+
 # ---------------------------------------------------------------------------
 # composition with univariate functions
 
@@ -222,7 +294,7 @@ def compose(jet, derivs):
     term; the jet multiplications carry all the chain-rule combinatorics.
     """
     n = jet.order
-    delta = Jet2(n, list(jet.c))
+    delta = _jet(n, list(jet.c))
     delta.c[0] = 0
     acc = Jet2.const(derivs[n] / math.factorial(n), n)
     for k in range(n - 1, -1, -1):
@@ -293,9 +365,9 @@ def compose2(F, P, Q):
     n = F.order
     if P.order != n or Q.order != n:
         raise ValueError("jet order mismatch in composition")
-    dP = Jet2(n, list(P.c))
+    dP = _jet(n, list(P.c))
     dP.c[0] = 0
-    dQ = Jet2(n, list(Q.c))
+    dQ = _jet(n, list(Q.c))
     dQ.c[0] = 0
     # powers of dP and dQ up to the order; dP^i dQ^j vanishes for i+j > n
     pows_p = [Jet2.const(1, n)]

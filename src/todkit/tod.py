@@ -122,7 +122,7 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     den = B * B * (r * r) + C * C
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
-    gamma = float(harmonic.gauge_value(rods))
+    gamma = float(rods.gauge_constant)
     F = -(A * M + P * K + gamma * den) / den / c
     return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from todkit import cky
 from todkit import curvature as cv
 from todkit import tod
 from todkit.errors import SignatureError
@@ -221,3 +222,44 @@ class TestConformalKillingYano:
         res_sq, _ = cv.cky_residual(pack, JetMatrix(om.coords, comp, om.base))
         assert res_plain > 1e-2
         assert res_sq > 1e-2
+
+
+def einsum_norms(pack):
+    """Reference: the one-call five-operand contractions for the norms."""
+    gi = pack.ginv
+
+    def norm4(T):
+        up = np.einsum("ae,bf,cg,dh,efgh->abcd", gi, gi, gi, gi, T)
+        return float(np.sqrt(abs(np.einsum("abcd,abcd->", up, T))))
+
+    return {"riemann": norm4(pack.riemann), "weyl": norm4(pack.weyl)}
+
+
+def einsum_blocks(pack):
+    """Reference: the one-call five-operand contractions for the Weyl blocks."""
+    gi = pack.ginv
+    cup = np.einsum("ae,bf,efcd->abcd", gi, gi, pack.weyl)
+    return [np.einsum("iab,abcd,ce,df,jef->ij", basis, cup, gi, gi, basis) / 8.0
+            for basis in cv.dual_bases(pack)]
+
+
+class TestContractionChains:
+    """The pairwise contraction chains agree with the single einsum calls."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: tod_pack(eh_rods(), 0.9, 0.3),
+        lambda: tod_pack(skew_rods(), 0.7, -0.4),
+        lambda: cv.curvature_pack(cky.flat_metric(1.3, 0.7)),
+    ], ids=["eh", "skew", "flat"])
+    def test_matches_einsum(self, make):
+        pack = make()
+        norms = cv.invariant_norms(pack)
+        for key, want in einsum_norms(pack).items():
+            assert abs(norms[key] - want) <= 1e-13 * want
+        split = cv.weyl_split(pack)
+        plus, minus = einsum_blocks(pack)
+        # both blocks are relative to the whole Weyl operator: on the
+        # closed-form data the anti-self-dual block is rounding noise
+        scale = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
+        assert np.max(np.abs(split.m_plus - plus)) <= 1e-13 * scale
+        assert np.max(np.abs(split.m_minus - minus)) <= 1e-13 * scale

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from todkit import harmonic
+from todkit import harmonic, tod
 from todkit.errors import AxisEvaluationError, NutProximityError, RodDataError
 from todkit.harmonic import RodData, axis_profile, build_h, build_v
 
@@ -60,6 +60,20 @@ class TestRodData:
     def test_exactness_flag(self):
         assert eh_rods_exact().is_exact
         assert not eh_rods().is_exact
+
+    def test_gauge_resolved_once(self, monkeypatch):
+        calls = []
+        resolve = harmonic.gauge_value
+        monkeypatch.setattr(harmonic, "gauge_value",
+                            lambda rods: calls.append(rods) or resolve(rods))
+        rods = skew_rods()
+        want = resolve(rods)
+        tod.tod_fields(rods, 0.7, -0.4, order=2)
+        tod.tod_fields(rods, 1.1, 0.3, order=0)
+        build_h(rods, 0.7, -0.4, order=2)
+        assert axis_profile(rods).gauge == rods.gauge_constant == want
+        assert calls == [rods]
+        assert eh_rods(gauge=0.3).gauge_constant == 0.3
 
 
 class TestSingleNut:

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import math
+import operator
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +78,128 @@ class TestRingOps:
         w = (x * y + Fraction(1, 7)) / (x - y)
         assert isinstance(w.value, Fraction)
         assert w.value == (Fraction(2, 15) + Fraction(1, 7)) / Fraction(-1, 15)
+
+
+def plan_mul(a, b):
+    """Reference: the accumulating plan loop behind the generated product."""
+    out = []
+    for terms in jets._mul_plan(a.order):
+        s = 0
+        for pa, pb, w in terms:
+            s += w * a.c[pa] * b.c[pb]
+        out.append(s)
+    return out
+
+
+def plan_div(f, g):
+    """Reference: the accumulating plan loop behind the generated quotient."""
+    h = [0] * len(f.c)
+    plan = jets._mul_plan(f.order)
+    for k in range(len(f.c)):
+        s = 0
+        for ph, pg, w in plan[k]:
+            if ph != k:
+                s += w * h[ph] * g.c[pg]
+        h[k] = (f.c[k] - s) / g.c[0]
+    return h
+
+
+def assert_identical(got, want):
+    """Same type and value per coefficient, and the same sign on zeros."""
+    assert len(got) == len(want)
+    for u, v in zip(got, want):
+        assert type(u) is type(v)
+        assert u == v
+        if isinstance(v, float):
+            assert math.copysign(1.0, u) == math.copysign(1.0, v)
+
+
+def random_coefficients(kind, n, rng):
+    if kind == "float":
+        return [float(x) for x in rng.standard_normal(n)]
+    if kind == "float64":
+        return list(rng.standard_normal(n))
+    return [Fraction(int(p), int(q))
+            for p, q in zip(rng.integers(-9, 10, n), rng.integers(1, 10, n))]
+
+
+class TestKernels:
+    """The generated straight-line kernels round exactly as the plan loops."""
+
+    @pytest.mark.parametrize("kind", ["float", "float64", "fraction"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_bit_identical_to_plan_loops(self, order, kind):
+        rng = np.random.default_rng(order * 10 + len(kind))
+        n = len(jets._pairs(order))
+        for _ in range(10):
+            a = Jet2(order, random_coefficients(kind, n, rng))
+            b = Jet2(order, random_coefficients(kind, n, rng))
+            b.c[0] = abs(b.c[0]) + 1
+            assert_identical((a * b).c, plan_mul(a, b))
+            assert_identical((a / b).c, plan_div(a, b))
+
+    def test_signed_zeros(self):
+        a = Jet2(2, [-0.0, 1.0, -0.0, 0.5, -0.0, 2.0])
+        b = Jet2(2, [1.5, -0.0, 0.0, -2.0, 0.0, -0.0])
+        for x, y in ((a, b), (b, a), (a, a)):
+            assert_identical((x * y).c, plan_mul(x, y))
+        quotient = (a / b).c
+        assert_identical(quotient, plan_div(a, b))
+        # the loops' leading 0 + turns a lone -0.0 product into +0.0, while
+        # a -0.0 numerator divides to -0.0: both signs occur
+        assert math.copysign(1.0, (a * b).c[0]) == 1.0
+        assert math.copysign(1.0, quotient[0]) == -1.0
+
+    def test_kernels_are_built_on_first_use(self):
+        probe = ("import todkit.jets as j; assert not j._KERNELS; "
+                 "x = j.Jet2.seed(1.0, 0, 3); x * x; assert list(j._KERNELS) == [3]")
+        src = str(Path(jets.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": src})
+
+
+class TestOperandContract:
+    """Exact-type fast paths keep the behaviour of the general path."""
+
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.truediv])
+    def test_order_mismatch(self, op):
+        low = Jet2.seed(1.5, 0, 2)
+        high = Jet2.seed(2.5, 1, 3)
+        for x, y in ((low, high), (high, low)):
+            with pytest.raises(ValueError):
+                op(x, y)
+
+    def test_zero_value_divisor(self):
+        zero = Jet2.seed(0.0, 0, 3)
+        for numerator in (Jet2.const(1.0, 3), 1.0, 2, Fraction(1, 3)):
+            with pytest.raises(SingularPointError):
+                numerator / zero
+
+    def test_foreign_operands(self):
+        x = Jet2.seed(1.0, 0, 2)
+        with pytest.raises(TypeError):
+            x * "x"
+        with pytest.raises(TypeError):
+            x + [1]
+
+    @pytest.mark.parametrize("scalar", [Fraction(2, 7), np.float64(-1.25), 0.75, -0.0, 3])
+    def test_scalar_operands(self, scalar):
+        # a scalar acts as the constant jet it used to be promoted to
+        a = Jet2(3, [1.0, -0.0, 2.0, 0.5, 0.0, 1.0, -3.0, 0.25, -0.0, 4.0])
+        const = Jet2.const(scalar, 3).c
+        assert_identical((a + scalar).c, [x + y for x, y in zip(a.c, const)])
+        assert_identical((a - scalar).c, [x - y for x, y in zip(a.c, const)])
+        assert_identical((a * scalar).c, [x * scalar for x in a.c])
+        # numpy hands the reflected operations a Python float
+        left = float(scalar) if isinstance(scalar, np.floating) else scalar
+        const = Jet2.const(left, 3).c
+        assert_identical((scalar + a).c, [x + y for x, y in zip(a.c, const)])
+        assert_identical((scalar - a).c, [y - x for x, y in zip(a.c, const)])
+        assert_identical((scalar * a).c, [x * left for x in a.c])
+        assert_identical((scalar / a).c, plan_div(Jet2.const(left, 3), a))
+        if scalar != 0:
+            assert_identical((a / scalar).c, [x / scalar for x in a.c])
 
 
 class TestElementary:
