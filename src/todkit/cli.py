@@ -143,19 +143,11 @@ def _skip(name, location):
             "tolerance": None, "location": location}
 
 
-def make_report(suite, checks, input_hash, seed):
-    summary = {"pass": 0, "fail": 0, "skip": 0}
-    for entry in checks:
-        summary[entry["status"]] += 1
-    return {
-        "schema": SCHEMA,
-        "suite": suite,
-        "status": "fail" if summary["fail"] else "pass",
-        "checks": checks,
-        "summary": summary,
-        "metadata": {"input_sha256": input_hash, "seed": seed,
-                     "version": __version__},
-    }
+def _write_report(out, fields, seed=None, **metadata):
+    """Emit one report: the schema tag, the command's fields and metadata."""
+    report = {"schema": SCHEMA, **fields,
+              "metadata": {"seed": seed, "version": __version__, **metadata}}
+    _emit(render_report(report), out)
 
 
 def render_report(report):
@@ -190,16 +182,31 @@ def sample_interior(data, count, rng):
 
 
 class _Worst:
-    """Track the largest residual and where it happened."""
+    """The worst residual of each declared check and where it happened.
 
-    def __init__(self):
-        self.value = 0.0
-        self.location = ""
+    push(location, **residuals) keeps, per name, the largest value seen,
+    a NaN counting as the largest of all, so that the check fails where
+    it happened; on a tie the later point wins.  checks() returns the
+    entries in declared order and skips() the same names as skips.
+    """
 
-    def push(self, value, location):
-        if value >= self.value:
-            self.value = float(value)
-            self.location = location
+    def __init__(self, *names):
+        self.worst = dict.fromkeys(names, (0.0, ""))
+
+    def push(self, location, **residuals):
+        for name, value in residuals.items():
+            if value >= self.worst[name][0] or math.isnan(value):
+                self.worst[name] = (float(value), location)
+
+    def checks(self, tols, good=None):
+        return [_check(name, value, tols[name], location, good)
+                for name, (value, location) in self.worst.items()]
+
+    def skips(self, location):
+        return [_skip(name, location) for name in self.worst]
+
+
+SINGLE_NUT = "degenerate single-nut data"
 
 
 # ---------------------------------------------------------------------------
@@ -207,227 +214,170 @@ class _Worst:
 
 
 def suite_fields(data, seed, tols):
+    worst = _Worst("killing_det", "harmonic_v", "conjugate_pair", "toda",
+                   "norm_identity")
     if data.n == 1:
         cert = classify.verify_n1_degenerate(rods=data)
-        checks = [{
+        return [{
             "name": "w_identically_zero", "status": "fail",
             "measured": cert["max_abs_w_jet"], "tolerance": None,
             "location": f"W jets vanish on a grid of {cert['points']} points; "
                         "single-nut data gives a degenerate metric",
-        }]
-        for name in ("killing_det", "harmonic_v", "conjugate_pair", "toda",
-                     "norm_identity", "positivity"):
-            checks.append(_skip(name, "degenerate single-nut data"))
-        return checks
+        }] + worst.skips(SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 
     rng = np.random.default_rng(seed)
-    points = sample_interior(data, 25, rng)
-    det_w = _Worst()
-    harm_w = _Worst()
-    conj_w = _Worst()
-    toda_w = _Worst()
-    norm_w = _Worst()
-    positive = _Worst()
-    min_field = math.inf
-    for rho, zeta in points:
+    min_field, min_loc = math.inf, ""
+    for rho, zeta in sample_interior(data, 25, rng):
         loc = _loc(rho, zeta)
         f = tod.tod_fields(data, rho, zeta, order=3)
-        g = tod.tod_metric(f)
-        gv = g.values()
+        gv = tod.tod_metric(f).values()
         det = gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[0, 1]
-        det_w.push(abs(det - rho * rho) / (rho * rho), loc)
-
         v = harmonic.build_v(data, rho, zeta, order=2)
         terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
-        harm_w.push(abs(sum(terms)) / sum(abs(t) for t in terms), loc)
-
         h = harmonic.build_h(data, rho, zeta, order=2)
         scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
-        conj_w.push(abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale, loc)
-        conj_w.push(abs(h.partial(0, 1) - rho * v.partial(1, 0)) / scale, loc)
-
-        toda_w.push(abs(harmonic.toda_residual(data, rho, zeta)), loc)
-
         om = tod.fundamental_form(f, order=1).values()
         gi = np.linalg.inv(gv)
         norm_sq = float(np.einsum("ab,cd,ac,bd->", om, om, gi, gi))
-        norm_w.push(abs(norm_sq - 4.0) / 4.0, loc)
-
+        worst.push(
+            loc,
+            killing_det=abs(det - rho * rho) / (rho * rho),
+            harmonic_v=abs(sum(terms)) / sum(abs(t) for t in terms),
+            conjugate_pair=abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
+            toda=abs(harmonic.toda_residual(data, rho, zeta)),
+            norm_identity=abs(norm_sq - 4.0) / 4.0)
+        worst.push(loc, conjugate_pair=abs(h.partial(0, 1)
+                                           - rho * v.partial(1, 0)) / scale)
         low = min(f.W.value, f.e2nu.value)
         if low < min_field:
-            min_field = low
-            positive.push(0.0, loc)
-
-    checks = [
-        _check("killing_det", det_w.value, tols["killing_det"], det_w.location),
-        _check("harmonic_v", harm_w.value, tols["harmonic_v"], harm_w.location),
-        _check("conjugate_pair", conj_w.value, tols["conjugate_pair"],
-               conj_w.location),
-        _check("toda", toda_w.value, tols["toda"], toda_w.location),
-        _check("norm_identity", norm_w.value, tols["norm_identity"],
-               norm_w.location),
-        _check("positivity", min_field, 0.0, positive.location,
-               good=min_field > 0.0),
-    ]
-    return checks
+            min_field, min_loc = low, loc
+    return worst.checks(tols) + [_check("positivity", min_field, 0.0, min_loc,
+                                        good=min_field > 0.0)]
 
 
 def suite_curvature(data, seed, tols):
+    worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
+                   "conformal_factor")
     if data.n == 1:
-        return [_skip(name, "degenerate single-nut data")
-                for name in ("ricci_ratio", "weyl_spectrum", "lambda_z3",
-                             "conformal_factor")]
+        return worst.skips(SINGLE_NUT)
     rng = np.random.default_rng(seed)
-    points = sample_interior(data, 20, rng)
     c = float(data.c)
-    ricci_w = _Worst()
-    spec_w = _Worst()
-    lam_w = _Worst()
-    conf_w = _Worst()
-    for rho, zeta in points:
+    for rho, zeta in sample_interior(data, 20, rng):
         loc = _loc(rho, zeta)
         f = tod.tod_fields(data, rho, zeta, order=4)
         pack = curvature.curvature_pack(tod.tod_metric(f))
         norms = curvature.invariant_norms(pack)
-        ricci_w.push(norms["ricci"] / norms["riemann"], loc)
-
+        ricci = norms["ricci"] / norms["riemann"]
         split = curvature.weyl_split(pack)
         lam = split.lam
         if lam is None:
-            spec_w.push(math.inf, loc)
+            worst.push(loc, ricci_ratio=ricci, weyl_spectrum=math.inf)
             continue
         want = np.sort(np.array([lam, -lam / 2, -lam / 2]))
-        spec_w.push(np.max(np.abs(np.sort(split.eigs_plus) - want))
-                    / abs(lam), loc)
-        z = f.z.value
-        lam_w.push(abs(lam * z ** 3 + 2 * c) / abs(2 * c), loc)
-
         omega = 1 / f.z.truncate(2)
         lap = curvature.scalar_laplacian(pack, omega)
         want_lap = -2 * c * omega.value ** 4
-        conf_w.push(abs(lap - want_lap) / abs(want_lap), loc)
-
-    return [
-        _check("ricci_ratio", ricci_w.value, tols["ricci_ratio"],
-               ricci_w.location),
-        _check("weyl_spectrum", spec_w.value, tols["weyl_spectrum"],
-               spec_w.location),
-        _check("lambda_z3", lam_w.value, tols["lambda_z3"], lam_w.location),
-        _check("conformal_factor", conf_w.value, tols["conformal_factor"],
-               conf_w.location),
-    ]
+        worst.push(
+            loc, ricci_ratio=ricci,
+            weyl_spectrum=np.max(np.abs(np.sort(split.eigs_plus) - want))
+            / abs(lam),
+            lambda_z3=abs(lam * f.z.value ** 3 + 2 * c) / abs(2 * c),
+            conformal_factor=abs(lap - want_lap) / abs(want_lap))
+    return worst.checks(tols)
 
 
 def suite_rods(data, seed, tols):
-    checks = []
+    junctions = _Worst("gl2z")
+    ok = True
     try:
         reports = rods.gl2z_compatibility(data)
     except RodDataError as exc:
-        checks.append(_check("gl2z", math.inf, tols["gl2z"], str(exc),
-                             good=False))
-    else:
-        worst = _Worst()
-        ok = True
-        for rep in reports:
-            loc = f"junction {rep.middle}"
-            if rep.singular:
-                worst.push(math.inf, loc + " (singular basis)")
-                ok = False
-                continue
-            level = float(rep.level)
-            sign = float(rep.sign)
-            dev = max(abs(level - round(level)),
-                      min(abs(sign - 1.0), abs(sign + 1.0)))
-            worst.push(dev, loc)
-            ok = ok and rep.ok
-        checks.append(_check("gl2z", worst.value, tols["gl2z"],
-                             worst.location, good=ok))
+        junctions.push(str(exc), gl2z=math.inf)
+        reports, ok = (), False
+    for rep in reports:
+        loc = f"junction {rep.middle}"
+        if rep.singular:
+            junctions.push(loc + " (singular basis)", gl2z=math.inf)
+            ok = False
+            continue
+        level = float(rep.level)
+        sign = float(rep.sign)
+        junctions.push(loc, gl2z=max(abs(level - round(level)),
+                                     min(abs(sign - 1.0), abs(sign + 1.0))))
+        ok = ok and rep.ok
+    checks = junctions.checks(tols, good=ok)
 
-    worst = _Worst()
-    for index in range(data.n + 1):
-        rep = rods.conical_check(data, index)
-        worst.push(abs(rep.limit - 1.0), f"rod {index}")
-    checks.append(_check("conical", worst.value, tols["conical"],
-                         worst.location))
+    conical = _Worst("conical")
+    if data.n == 1:
+        checks += conical.skips(SINGLE_NUT)
+    else:
+        for index in range(data.n + 1):
+            rep = rods.conical_check(data, index)
+            conical.push(f"rod {index}", conical=abs(rep.limit - 1.0))
+        checks += conical.checks(tols)
 
     try:
-        klass = rods.asymptotic_class(data)
+        label, good = rods.asymptotic_class(data).label, True
     except RodDataError as exc:
-        checks.append(_check("asymptotic_class", None, None, str(exc),
-                             good=False))
-    else:
-        checks.append(_check("asymptotic_class", None, None, klass.label,
-                             good=True))
-    return checks
+        label, good = str(exc), False
+    return checks + [_check("asymptotic_class", None, None, label, good)]
 
 
 def suite_cky(data, seed, tols):
     rng = np.random.default_rng(seed)
-    flat_w = _Worst()
-    formula_w = _Worst()
+    flat = _Worst("flat_family_residual", "flat_norm_formula")
     for _ in range(8):
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         params = FlatCkyParams(k1=math.cos(ang), k2=math.sin(ang))
         r = float(rng.uniform(0.4, 3.0))
         theta = float(rng.uniform(0.25, math.pi - 0.25))
-        loc = f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}"
         pack = curvature.curvature_pack(cky.flat_metric(r, theta))
         Z = cky.flat_cky(params, r, theta)
         residual, _ = curvature.cky_residual(pack, Z)
-        flat_w.push(residual, loc)
         Zv = Z.values()
         norm_sq = float(np.einsum("ab,cd,ac,bd->", Zv, Zv,
                                   pack.ginv, pack.ginv))
         want = cky.flat_norm_squared(params, r, theta)
-        formula_w.push(abs(norm_sq - want) / max(abs(want), 1.0), loc)
-    checks = [
-        _check("flat_family_residual", flat_w.value,
-               tols["flat_family_residual"], flat_w.location),
-        _check("flat_norm_formula", formula_w.value,
-               tols["flat_norm_formula"], formula_w.location),
-    ]
+        flat.push(f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}",
+                  flat_family_residual=residual,
+                  flat_norm_formula=abs(norm_sq - want) / max(abs(want), 1.0))
+    checks = flat.checks(tols)
 
+    candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
-        checks.append(_skip("candidate_residual", "degenerate single-nut data"))
-        checks.append(_skip("candidate_killing", "degenerate single-nut data"))
-        checks.append(_skip("decay_exponent", "single-nut norm check only"))
-        return checks
-
-    cand_w = _Worst()
-    kill_w = _Worst()
+        return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
     for rho, zeta in sample_interior(data, 12, rng):
-        loc = _loc(rho, zeta)
         f = tod.tod_fields(data, rho, zeta, order=3)
         pack = curvature.curvature_pack(tod.tod_metric(f))
         Z = cky.tod_cky_candidate(data, rho, zeta)
         residual, xi = curvature.cky_residual(pack, Z)
-        cand_w.push(residual, loc)
-        kill_w.push(max(float(np.max(np.abs(xi - np.array([1.0, 0, 0, 0])))),
-                        curvature.killing_residual(pack, xi)), loc)
-    checks.append(_check("candidate_residual", cand_w.value,
-                         tols["candidate_residual"], cand_w.location))
-    checks.append(_check("candidate_killing", kill_w.value,
-                         tols["candidate_killing"], kill_w.location))
+        candidate.push(
+            _loc(rho, zeta), candidate_residual=residual,
+            candidate_killing=max(
+                float(np.max(np.abs(xi - np.array([1.0, 0, 0, 0])))),
+                curvature.killing_residual(pack, xi)))
+    return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
 
-    kappa = sum(float(data.weights[i]) * float(data.weights[j])
-                * (float(data.zs[j]) - float(data.zs[i])) ** 2
-                for i in range(data.n) for j in range(i + 1, data.n))
-    if abs(float(data.c) + kappa) > 1e-9 * kappa:
-        checks.append(_skip("decay_exponent",
-                            "needs c = -sum a_i a_j (z_j - z_i)^2 "
-                            "(standard asymptotic cone)"))
-        return checks
+
+def _decay_entry(data, tols):
+    """The two-form decay rate in the far field, or why it cannot be fitted."""
+    name = "decay_exponent"
+    if data.n == 1:
+        return _skip(name, "single-nut norm check only")
+    c, _, nuts = data.floats
+    kappa = sum(a_i * a_j * (z_j - z_i) ** 2
+                for i, (z_i, a_i) in enumerate(nuts) for z_j, a_j in nuts[i + 1:])
+    if abs(c + kappa) > 1e-9 * kappa:
+        return _skip(name, "needs c = -sum a_i a_j (z_j - z_i)^2 "
+                           "(standard asymptotic cone)")
     report = cky.cky_decay_check(data, list(DECAY_RADII))
     if report["chart_limited"]:
-        checks.append(_skip("decay_exponent",
-                            "nonzero centered third moment: polar chart "
-                            "is not the fast-rate chart"))
-    else:
-        checks.append(_check("decay_exponent",
-                             abs(report["exponent"] + 2.0),
-                             tols["decay_exponent"],
-                             f"r in [{DECAY_RADII[0]:g}, {DECAY_RADII[-1]:g}]"))
-    return checks
+        return _skip(name, "nonzero centered third moment: polar chart "
+                           "is not the fast-rate chart")
+    if report["exponent"] is None:
+        return _skip(name, "deviation at rounding level at every radius")
+    return _check(name, abs(report["exponent"] + 2.0), tols[name],
+                  f"r in [{DECAY_RADII[0]:g}, {DECAY_RADII[-1]:g}]")
 
 
 SUITES = {
@@ -500,9 +450,14 @@ def cmd_verify(args):
     checks = []
     for name in names:
         checks.extend(SUITES[name](data, args.seed, tols))
-    report = make_report(args.suite, checks, input_hash, args.seed)
-    _emit(render_report(report), args.out)
-    return 1 if report["status"] == "fail" else 0
+    summary = {"pass": 0, "fail": 0, "skip": 0}
+    for entry in checks:
+        summary[entry["status"]] += 1
+    status = "fail" if summary["fail"] else "pass"
+    _write_report(args.out, {"suite": args.suite, "status": status,
+                             "checks": checks, "summary": summary},
+                  args.seed, input_sha256=input_hash)
+    return 1 if status == "fail" else 0
 
 
 def _branch_entry(branch):
@@ -519,8 +474,7 @@ def _branch_entry(branch):
 def cmd_classify(args):
     result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
                                         asymptotics=args.asymptotics)
-    report = {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "command": "classify",
         "n_max": result.n_max,
         "l_bound": result.l_bound,
@@ -529,16 +483,14 @@ def cmd_classify(args):
         "branches": [_branch_entry(b) for b in result.branches],
         "summary": {"branches": len(result.branches),
                     "admissible": len(result.survivors)},
-        "metadata": {"seed": None, "version": __version__},
-    }
-    _emit(render_report(report), args.out)
+    })
     return 0
 
 
 def _pd_params(args):
-    if getattr(args, "roots", None):
+    if args.roots:
         roots = tuple(float(r) for r in args.roots)
-    elif getattr(args, "case", None):
+    elif args.case:
         if args.u is None or args.v is None:
             raise RodDataError("--case needs --u and --v")
         roots = pd.selfdual_roots(args.case, args.u, args.v)
@@ -552,8 +504,7 @@ def cmd_pd_check(args):
     reg = pd.pd_regularity(params)
     verdict = "flat" if params.flat else (
         "selfdual" if params.selfdual else "generic")
-    report = {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "command": "pd check",
         "roots": _plain(params.roots),
         "verdict": verdict,
@@ -566,39 +517,30 @@ def cmd_pd_check(args):
         "n_raw": _plain(reg.n_raw),
         "collinear_12": reg.collinear_12,
         "collinear_34": reg.collinear_34,
-        "metadata": {"seed": None, "version": __version__},
-    }
-    _emit(render_report(report), args.out)
+    })
     return 0
 
 
 def cmd_pd_scan(args):
     result = pd.pd_scan(args.case, samples=args.samples, seed=args.seed)
-    report = {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "command": "pd scan",
         "case": result.case,
         "samples": result.samples,
         "attempts": result.attempts,
         "admissible": result.admissible,
         "certificates": _plain(result.certificates),
-        "metadata": {"seed": result.seed, "version": __version__},
-    }
-    _emit(render_report(report), args.out)
+    }, result.seed)
     return 1 if result.admissible else 0
 
 
 def cmd_pd_selfdual(args):
     params = _pd_params(args)
-    certificate = pd.pd_selfdual_check(params)
-    report = {
-        "schema": SCHEMA,
+    _write_report(args.out, {
         "command": "pd selfdual",
         "roots": _plain(params.roots),
-        "certificate": _plain(certificate),
-        "metadata": {"seed": None, "version": __version__},
-    }
-    _emit(render_report(report), args.out)
+        "certificate": _plain(pd.pd_selfdual_check(params)),
+    })
     return 0
 
 
@@ -612,58 +554,57 @@ def build_parser():
         description="verification toolkit for toric half-flat instanton "
                     "metrics built from rod data")
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
 
-    build = sub.add_parser("build", help="sample metric fields to CSV")
+    build = sub.add_parser("build", parents=[out],
+                           help="sample metric fields to CSV")
     build.add_argument("rod_file")
     build.add_argument("--grid", default="20x20", help="rho x zeta counts")
     build.add_argument("--rho-range", default=None, metavar="LO:HI")
     build.add_argument("--zeta-range", default=None, metavar="LO:HI")
-    build.add_argument("--out", default="-")
     build.set_defaults(func=cmd_build)
 
-    verify = sub.add_parser("verify", help="run invariant suites")
+    verify = sub.add_parser("verify", parents=[out],
+                            help="run invariant suites")
     verify.add_argument("rod_file")
     verify.add_argument("--suite", default="all",
                         choices=("fields", "curvature", "rods", "cky", "all"))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE", help="override one tolerance")
-    verify.add_argument("--out", default="-")
     verify.set_defaults(func=cmd_verify)
 
-    cls = sub.add_parser("classify", help="admissible rod structure search")
+    cls = sub.add_parser("classify", parents=[out],
+                         help="admissible rod structure search")
     cls.add_argument("--nmax", type=int, default=4)
     cls.add_argument("--lmax", type=int, default=12)
     cls.add_argument("--asymptotics", default="ale", choices=("ale", "af"))
-    cls.add_argument("--out", default="-")
     cls.set_defaults(func=cmd_classify)
 
     pdp = sub.add_parser("pd", help="quartic-root family checks")
     pdsub = pdp.add_subparsers(dest="pd_command", required=True)
+    roots = argparse.ArgumentParser(add_help=False, parents=[out])
+    roots.add_argument("--roots", nargs=4, type=float)
+    roots.add_argument("--case", choices=("a", "b"))
+    roots.add_argument("--u", type=float)
+    roots.add_argument("--v", type=float)
 
-    check = pdsub.add_parser("check", help="regularity of one root set")
-    check.add_argument("--roots", nargs=4, type=float)
-    check.add_argument("--case", choices=("a", "b"))
-    check.add_argument("--u", type=float)
-    check.add_argument("--v", type=float)
-    check.add_argument("--out", default="-")
-    check.set_defaults(func=cmd_pd_check)
+    pdsub.add_parser("check", parents=[roots],
+                     help="regularity of one root set").set_defaults(
+                         func=cmd_pd_check)
 
-    scan = pdsub.add_parser("scan", help="sampled non-regularity scan")
+    scan = pdsub.add_parser("scan", parents=[out],
+                            help="sampled non-regularity scan")
     scan.add_argument("--case", required=True,
                       choices=("i", "ii", "iii", "a", "b"))
     scan.add_argument("--samples", type=int, default=1000)
     scan.add_argument("--seed", type=int, default=7)
-    scan.add_argument("--out", default="-")
     scan.set_defaults(func=cmd_pd_scan)
 
-    sd = pdsub.add_parser("selfdual", help="palindromic root certificates")
-    sd.add_argument("--roots", nargs=4, type=float)
-    sd.add_argument("--case", choices=("a", "b"))
-    sd.add_argument("--u", type=float)
-    sd.add_argument("--v", type=float)
-    sd.add_argument("--out", default="-")
-    sd.set_defaults(func=cmd_pd_selfdual)
+    pdsub.add_parser("selfdual", parents=[roots],
+                     help="palindromic root certificates").set_defaults(
+                         func=cmd_pd_selfdual)
 
     return parser
 
@@ -675,7 +616,9 @@ def main(argv=None):
     except RodDataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except TodkitError as exc:
+    except (TodkitError, ArithmeticError) as exc:
+        # ArithmeticError: valid but extreme rod data can under- or
+        # overflow a float power deep in the jet arithmetic
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,9 +53,5 @@ class SignatureError(TodkitError):
     """Metric is not positive definite where it was required to be."""
 
 
-class SpectrumError(TodkitError):
-    """Eigenvalue structure did not match the expected pattern."""
-
-
 class CertificateError(TodkitError):
     """A certificate that the theory guarantees did not hold."""

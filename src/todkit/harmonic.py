@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import jets
 from .errors import (
@@ -37,6 +38,14 @@ def _is_exact(*values):
 
 # ---------------------------------------------------------------------------
 # rod data
+
+
+class FloatRods(NamedTuple):
+    """Float copies of rod data for the per-point code."""
+
+    c: float
+    gauge: float      # the resolved H gauge constant
+    nuts: tuple       # (z_i, a_i) pairs in nut order
 
 
 @dataclass(frozen=True)
@@ -90,12 +99,12 @@ class RodData:
     def span(self):
         return self.zs[-1] - self.zs[0]
 
-    @property
+    @cached_property
     def scale(self):
         s = float(self.span)
         return s if s > 0 else 1.0
 
-    @property
+    @cached_property
     def min_gap(self):
         if self.n < 2:
             return self.scale
@@ -105,6 +114,17 @@ class RodData:
     def gauge_constant(self):
         """The resolved H gauge constant, computed once by gauge_value."""
         return gauge_value(self)
+
+    @cached_property
+    def floats(self):
+        """c, the resolved gauge and the nuts converted to float once.
+
+        Per-point code reads only this view; the exact paths (axis
+        profiles, rod vectors, classification) keep the exact values.
+        """
+        return FloatRods(float(self.c), float(self.gauge_constant),
+                         tuple((float(z), float(a))
+                               for z, a in zip(self.zs, self.weights)))
 
     @property
     def is_exact(self):
@@ -126,9 +146,10 @@ class RodData:
             raise AxisEvaluationError(f"rho = {rho} is not interior")
         if rho < rho_min:
             raise AxisEvaluationError(f"rho = {rho} below rho_min = {rho_min}")
-        for z in self.zs:
-            if math.hypot(float(rho), float(zeta) - float(z)) < r_nut:
-                raise NutProximityError(f"point within {r_nut} of nut at z = {z}")
+        for k, (z, _) in enumerate(self.floats.nuts):
+            if math.hypot(float(rho), float(zeta) - z) < r_nut:
+                raise NutProximityError(
+                    f"point within {r_nut} of nut at z = {self.zs[k]}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,16 +187,16 @@ def h0_jet(rho, zeta, order=4):
 def build_v(rods, rho, zeta, order=4):
     """Jet of V = sum a_i V0(rho, zeta - z_i)."""
     acc = Jet2.const(0.0, order)
-    for z_i, a_i in zip(rods.zs, rods.weights):
-        acc = acc + float(a_i) * v0_jet(rho, float(zeta) - float(z_i), order)
+    for z_i, a_i in rods.floats.nuts:
+        acc = acc + a_i * v0_jet(rho, float(zeta) - z_i, order)
     return acc
 
 
 def build_h(rods, rho, zeta, order=4):
     """Jet of H = sum a_i H0(rho, zeta - z_i) + gauge constant."""
-    acc = Jet2.const(float(rods.gauge_constant), order)
-    for z_i, a_i in zip(rods.zs, rods.weights):
-        acc = acc + float(a_i) * h0_jet(rho, float(zeta) - float(z_i), order)
+    acc = Jet2.const(rods.floats.gauge, order)
+    for z_i, a_i in rods.floats.nuts:
+        acc = acc + a_i * h0_jet(rho, float(zeta) - z_i, order)
     return acc
 
 
@@ -187,11 +208,11 @@ def _nut_terms(rods, rho, zeta, order):
     """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order."""
     r = Jet2.seed(float(rho), 0, order)
     terms = []
-    for z_i, a_i in zip(rods.zs, rods.weights):
-        shift = float(zeta) - float(z_i)
+    for z_i, a_i in rods.floats.nuts:
+        shift = float(zeta) - z_i
         s = Jet2.seed(shift, 1, order)
         at, R = _halflog_ratio(r, s, shift)
-        terms.append((float(a_i), s, at, R))
+        terms.append((a_i, s, at, R))
     return terms
 
 

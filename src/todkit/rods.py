@@ -151,13 +151,15 @@ def zero_slope_jump(rods, i):
     return -(2 * f_i * gap - f_i * f_i * (1 / sl_hi - 1 / sl_lo)) / rods.c
 
 
-def conical_check(rods, rod_index, zeta=None, h0=1e-2, levels=7):
+def conical_check(rods, rod_index, zeta=None, h0=4e-2, levels=7):
     """Extrapolated conical limit of rod rod_index; one means no defect.
 
     The quotient e^{-2nu} (S_rho^2 + S_zeta^2) / (4 S) with S the squared
-    length of the rod vector is sampled on h = rho^2 = h0, h0/2, ... and
-    extrapolated to the axis by Neville's scheme; the quotient is
-    analytic in h so the extrapolation converges fast.
+    length of the rod vector is sampled on h = rho^2 = H, H/2, ... with
+    H = h0 min_gap^2 and extrapolated to the axis by Neville's scheme; the
+    quotient is analytic in h so the extrapolation converges fast.
+    Heights relative to the nut spacing make the limit independent of
+    the homothety scale of the rod data.
     """
     prof = axis_profile(rods)
     vecs = rod_vectors(rods)
@@ -166,9 +168,10 @@ def conical_check(rods, rod_index, zeta=None, h0=1e-2, levels=7):
     if zeta is None:
         zeta = float(prof._rod_point(rod_index))
     v0, v1 = float(vecs[rod_index][0]), float(vecs[rod_index][1])
+    top = h0 * rods.min_gap ** 2
     heights, values = [], []
     for k in range(levels):
-        h = h0 * 0.5 ** k
+        h = top * 0.5 ** k
         f = tod.tod_fields(rods, math.sqrt(h), zeta, order=1)
         g = tod.tod_metric(f)
         S = (v0 * v0) * g.comp[0][0] + (2 * v0 * v1) * g.comp[0][1] \

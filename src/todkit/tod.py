@@ -93,7 +93,7 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
         raise AxisEvaluationError(f"tod_fields needs rho > 0, got {rho}")
     rho = float(rho)
     zeta = float(zeta)
-    c = float(rods.c)
+    c, gamma, nuts = rods.floats
     terms = harmonic._nut_terms(rods, rho, zeta, order)
     A = Jet2.const(0.0, order)
     B = Jet2.const(0.0, order)
@@ -114,7 +114,7 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     for i, (a_i, s_i, _, R_i) in enumerate(terms):
         for j in range(i + 1, len(terms)):
             a_j, s_j, _, R_j = terms[j]
-            gap = float(rods.zs[j]) - float(rods.zs[i])
+            gap = nuts[j][0] - nuts[i][0]
             pair = (a_i * a_j * gap * gap) / (R_i * R_j)
             K = K - pair
             M = M + pair * (s_i + s_j)
@@ -122,7 +122,6 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     den = B * B * (r * r) + C * C
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
-    gamma = float(rods.gauge_constant)
     F = -(A * M + P * K + gamma * den) / den / c
     return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
 

@@ -1,10 +1,11 @@
 """Tests for rod-file ingestion, the verify suites, and report plumbing."""
 
 import json
+import math
 
 import pytest
 
-from todkit import cli
+from todkit import cli, tod
 from todkit.errors import RodDataError
 
 EH_DOC = {
@@ -19,6 +20,14 @@ def write_rod_file(tmp_path, doc, name="rods.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+SINGLE_NUT_DOC = {"c": "-1/4", "rods": [{"z": "0", "a": "1"}]}
+
+
+def rod_doc(data):
+    return {"c": data.c,
+            "rods": [{"z": z, "a": a} for z, a in zip(data.zs, data.weights)]}
 
 
 def run(args, capsys):
@@ -107,6 +116,37 @@ class TestBuild:
             assert abs(row[6] - (-2 * (-1 / 16) / row[5] ** 3)) < 1e-12
 
 
+class TestWorst:
+    def test_declared_order_and_ties(self):
+        worst = cli._Worst("b", "a")
+        worst.push("p1", a=0.5, b=0.0)
+        worst.push("p2", a=0.5)
+        worst.push("p3", b=2e-12)
+        checks = worst.checks({"a": 0.1, "b": 1e-12})
+        assert [(ch["name"], ch["status"], ch["measured"], ch["location"])
+                for ch in checks] == [("b", "fail", 2e-12, "p3"),
+                                      ("a", "fail", 0.5, "p2")]
+        assert worst.checks({"a": 1.0, "b": 1.0}, good=False)[1]["status"] \
+            == "fail"
+        assert worst.skips("why") == [cli._skip("b", "why"),
+                                      cli._skip("a", "why")]
+
+    def test_nan_residual_fails_where_it_happened(self):
+        worst = cli._Worst("a")
+        worst.push("p1", a=0.5)
+        worst.push("p2", a=float("nan"))
+        worst.push("p3", a=0.7)
+        [entry] = worst.checks({"a": 1.0})
+        assert entry["status"] == "fail"
+        assert entry["location"] == "p2"
+        assert math.isnan(entry["measured"])
+
+    def test_nothing_pushed_reads_zero(self):
+        [entry] = cli._Worst("a").checks({"a": 0.0})
+        assert (entry["measured"], entry["location"], entry["status"]) \
+            == (0.0, "", "pass")
+
+
 class TestVerify:
     def test_eh_all_pass(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
@@ -146,6 +186,43 @@ class TestVerify:
         assert first["status"] == "fail"
         assert first["measured"] == 0.0
         assert all(ch["status"] == "skip" for ch in report["checks"][1:])
+
+    def test_single_nut_all_suites_report(self, tmp_path, capsys):
+        # every suite skips what single-nut data cannot support, so the
+        # run ends in a report instead of a conical evaluation error
+        path = write_rod_file(tmp_path, SINGLE_NUT_DOC)
+        code, out, _ = run(["verify", path, "--suite", "all"], capsys)
+        assert code == 1
+        by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        assert by_name["w_identically_zero"]["status"] == "fail"
+        assert by_name["conical"] == cli._skip("conical", cli.SINGLE_NUT)
+
+    def test_degenerate_decay_fit_is_a_located_skip(self, tmp_path, capsys):
+        # at this scale the candidate matches the flat member to rounding
+        # at every radius, so the fit has no exponent to report
+        path = write_rod_file(tmp_path, rod_doc(tod.eh_rod_data(0.01)))
+        code, out, _ = run(["verify", path, "--suite", "cky"], capsys)
+        assert code == 0
+        by_name = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        assert by_name["decay_exponent"] == cli._skip(
+            "decay_exponent", "deviation at rounding level at every radius")
+
+    @pytest.mark.parametrize("doc", [
+        EH_DOC,
+        SINGLE_NUT_DOC,
+        {"c": -0.3, "rods": [{"z": -1.0, "a": 0.2}, {"z": 0.2, "a": 0.5},
+                             {"z": 0.9, "a": 0.3}]},
+        {"c": -1e-300, "rods": [{"z": -1e-160, "a": 0.5},
+                                {"z": 1e-160, "a": 0.5}]},
+        {"c": -1e200, "rods": [{"z": -1e100, "a": 0.5},
+                               {"z": 1e100, "a": 0.5}]},
+    ], ids=["two-nut", "single-nut", "skew", "tiny", "huge"])
+    @pytest.mark.parametrize("command", [["verify"], ["build", "--grid", "3x3"]])
+    def test_valid_rod_data_never_raises(self, tmp_path, capsys, doc, command):
+        path = write_rod_file(tmp_path, doc)
+        code, _, err = run([command[0], path, *command[1:]], capsys)
+        assert code in (0, 1)
+        assert not err or err.startswith("evaluation error:")
 
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)

@@ -76,6 +76,28 @@ class TestRodData:
         assert eh_rods(gauge=0.3).gauge_constant == 0.3
 
 
+    def test_per_point_code_reads_the_float_view(self, monkeypatch):
+        exact, twin = eh_rods_exact(), eh_rods()
+        point = (0.3, 0.1)
+        exact.interior_check(*point)
+
+        def refuse(*args):
+            raise AssertionError("exact arithmetic on the per-point path")
+
+        monkeypatch.setattr(Fraction, "__float__", refuse)
+        monkeypatch.setattr(Fraction, "__sub__", refuse)
+        exact.interior_check(*point)
+        for order in (0, 3):
+            got = tod.tod_fields(exact, *point, order=order)
+            want = tod.tod_fields(twin, *point, order=order)
+            for name in ("W", "F", "e2nu", "z", "x"):
+                assert getattr(got, name).c == getattr(want, name).c
+        assert build_v(exact, *point).c == build_v(twin, *point).c
+        assert build_h(exact, *point).c == build_h(twin, *point).c
+        assert harmonic.toda_residual(exact, *point) \
+            == harmonic.toda_residual(twin, *point)
+
+
 class TestSingleNut:
     """Worked values at (rho, zeta) = (3, 4), R = 5."""
 

@@ -99,6 +99,16 @@ class TestConicalLimits:
             rep = rodmod.conical_check(data, i)
             assert abs(rep.limit - 1.0) < 1e-6, (i, rep.limit)
 
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+    @pytest.mark.parametrize("make", [tod.eh_rod_data, skew_rods])
+    def test_rescaled_data(self, make, alpha):
+        # sample heights follow the nut spacing, so a homothety of the rod
+        # data leaves every limit at one
+        data = tod.rescale(make(), alpha)
+        for i in range(data.n + 1):
+            rep = rodmod.conical_check(data, i)
+            assert abs(rep.limit - 1.0) < 1e-9, (i, rep.limit)
+
     def test_gauge_invariance(self):
         a = rodmod.conical_check(skew_rods(), 2)
         b = rodmod.conical_check(skew_rods(gauge=0.37), 2)
