@@ -402,9 +402,21 @@ def _parse_range(text, fallback):
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError:
         raise RodDataError(f"range must hold numbers, got {text!r}")
+    if not math.isfinite(hi - lo):
+        # also catches a width beyond the float range, which np.linspace
+        # would turn into NaN grid points
+        raise RodDataError(f"range must be finite, got {text!r}")
     if not lo < hi:
         raise RodDataError(f"range must be increasing, got {text!r}")
     return lo, hi
+
+
+def _at_least(flag, value, low):
+    if value < low:
+        raise RodDataError(f"{flag} must be at least {low}, got {value}")
+
+
+_CSV_ROW = ",".join(["%.16e"] * 7)
 
 
 def cmd_build(args):
@@ -422,20 +434,24 @@ def cmd_build(args):
         args.zeta_range,
         (float(data.zs[0]) - 0.5 * scale, float(data.zs[-1]) + 0.5 * scale))
     c = float(data.c)
+    # the whole grid in one pass, rho-major; each point's floats are the
+    # ones its own tod_fields call would give
+    rho = np.repeat(np.linspace(rho_lo, rho_hi, nr), nz)
+    zeta = np.tile(np.linspace(zeta_lo, zeta_hi, nz), nr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # float arithmetic overflows to inf silently; numpy would warn
+        f = tod.tod_fields(data, rho, zeta, order=0)
     lines = ["rho,zeta,W,F,e2nu,z,lambda"]
-    for rho in np.linspace(rho_lo, rho_hi, nr):
-        for zeta in np.linspace(zeta_lo, zeta_hi, nz):
-            data.interior_check(rho, zeta)
-            f = tod.tod_fields(data, float(rho), float(zeta), order=0)
-            lam = -2.0 * c / f.z.value ** 3
-            row = (rho, zeta, f.W.value, f.F.value, f.e2nu.value,
-                   f.z.value, lam)
-            lines.append(",".join(format(v, ".16e") for v in row))
+    for row in zip(*(v.tolist() for v in (rho, zeta, f.W.value, f.F.value,
+                                           f.e2nu.value, f.z.value))):
+        lam = -2.0 * c / row[-1] ** 3
+        lines.append(_CSV_ROW % (*row, lam))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_verify(args):
+    _at_least("--seed", args.seed, 0)
     data, input_hash = load_rod_file(args.rod_file)
     tols = dict(DEFAULT_TOLS)
     for override in args.tol:
@@ -446,6 +462,9 @@ def cmd_verify(args):
             tols[name] = float(value)
         except ValueError:
             raise RodDataError(f"tolerance must be a number, got {override!r}")
+        if not (math.isfinite(tols[name]) and tols[name] >= 0):
+            raise RodDataError(
+                f"tolerance must be finite and at least 0, got {override!r}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
     checks = []
     for name in names:
@@ -472,6 +491,7 @@ def _branch_entry(branch):
 
 
 def cmd_classify(args):
+    _at_least("--nmax", args.nmax, 1)
     result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
                                         asymptotics=args.asymptotics)
     _write_report(args.out, {
@@ -522,6 +542,8 @@ def cmd_pd_check(args):
 
 
 def cmd_pd_scan(args):
+    _at_least("--samples", args.samples, 1)
+    _at_least("--seed", args.seed, 0)
     result = pd.pd_scan(args.case, samples=args.samples, seed=args.seed)
     _write_report(args.out, {
         "command": "pd scan",

@@ -10,6 +10,11 @@ with V = sum_i a_i V0(rho, zeta - z_i) and H the conjugate potential
 log ratio is always evaluated as 2 artanh(zeta/R) through the
 cancellation-free branch log((R + |zeta|)/rho), so jets stay accurate
 both near the axis and far out.
+
+``ward_coords``, ``RodData.interior_check`` and the per-nut terms behind
+them (and ``tod.tod_fields``) take rho and zeta either as numbers or as
+float arrays of one shape, one entry per point; see ``jets`` for how
+array jets round.
 """
 
 from __future__ import annotations
@@ -19,6 +24,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
+
+import numpy as np
 
 from . import jets
 from .errors import (
@@ -34,6 +41,19 @@ _EXACT = (int, Fraction)
 
 def _is_exact(*values):
     return all(isinstance(v, _EXACT) for v in values)
+
+
+def _coordinate(x):
+    """A point coordinate as a float, or a point set as a float64 array."""
+    return x.astype(float, copy=False) if type(x) is np.ndarray else float(x)
+
+
+def _off_axis(rho):
+    """The first rho that is not > 0 (an array in point order), or None."""
+    if type(rho) is not np.ndarray:
+        return None if rho > 0 else rho
+    bad = ~(rho > 0)
+    return float(rho[bad.argmax()]) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +157,24 @@ class RodData:
         return sum(a * z for a, z in zip(self.weights, self.zs))
 
     def interior_check(self, rho, zeta, rho_min=None, r_nut=None):
-        """Reject points on the axis or inside a nut exclusion ball."""
+        """Reject points on the axis or inside a nut exclusion ball.
+
+        Point arrays raise at their first failing point, in array order,
+        with the message that point gives on its own.
+        """
         if rho_min is None:
             rho_min = 1e-8 * self.scale
         if r_nut is None:
             r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
+        if type(rho) is np.ndarray:
+            # np.hypot may differ from math.hypot in the last bit, so it
+            # only picks suspects (with a wide margin) for the exact test
+            suspect = ~(rho > 0) | (rho < rho_min)
+            for z, _ in self.floats.nuts:
+                suspect |= np.hypot(rho, zeta - z) < 2 * r_nut
+            for k in np.flatnonzero(suspect):
+                self.interior_check(float(rho[k]), float(zeta[k]), rho_min, r_nut)
+            return
         if not rho > 0:
             raise AxisEvaluationError(f"rho = {rho} is not interior")
         if rho < rho_min:
@@ -157,11 +190,17 @@ class RodData:
 
 
 def _halflog_ratio(r, z, zeta):
-    """Jet of artanh(zeta/R) = (1/2) log((R+zeta)/(R-zeta)), branch-stable."""
+    """Jet of artanh(zeta/R) = (1/2) log((R+zeta)/(R-zeta)), branch-stable.
+
+    Evaluated as sign * log((R + sign * zeta)/r), sign the sign of zeta
+    (+1 at zeta = 0), per point for an array zeta.
+    """
     R = jets.sqrt(r * r + z * z)
-    if zeta >= 0:
-        return jets.log((R + z) / r), R
-    return -jets.log((R - z) / r), R
+    if type(zeta) is np.ndarray:
+        sign = np.where(zeta >= 0, 1.0, -1.0)
+    else:
+        sign = 1.0 if zeta >= 0 else -1.0
+    return jets.log((R + z * sign) / r) * sign, R
 
 
 def v0_jet(rho, zeta, order=4):
@@ -206,10 +245,11 @@ def build_h(rods, rho, zeta, order=4):
 
 def _nut_terms(rods, rho, zeta, order):
     """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order."""
-    r = Jet2.seed(float(rho), 0, order)
+    r = Jet2.seed(_coordinate(rho), 0, order)
+    zeta = _coordinate(zeta)
     terms = []
     for z_i, a_i in rods.floats.nuts:
-        shift = float(zeta) - z_i
+        shift = zeta - z_i
         s = Jet2.seed(shift, 1, order)
         at, R = _halflog_ratio(r, s, shift)
         terms.append((a_i, s, at, R))
@@ -222,8 +262,9 @@ def ward_coords(rods, rho, zeta, order=4):
     For rod sums these collapse to z = sum a_i R_i and
     x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
     """
-    if not rho > 0:
-        raise AxisEvaluationError(f"ward coordinates need rho > 0, got {rho}")
+    bad = _off_axis(rho)
+    if bad is not None:
+        raise AxisEvaluationError(f"ward coordinates need rho > 0, got {bad}")
     zj = Jet2.const(0.0, order)
     xj = Jet2.const(0.0, order)
     for a_i, _, at, R in _nut_terms(rods, rho, zeta, order):

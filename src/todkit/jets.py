@@ -9,6 +9,20 @@ builds no ``Fraction`` jets, and ``Fraction`` scalars reach jets only through
 exact ``PdParams`` coefficients in ``pd_metric``.  ``invert_map`` is
 closed-form at order 2.
 
+Coefficients may also be float64 arrays over a set of points, so that one
+pass of the same kernels evaluates a whole point set (vectorised Taylor
+propagation); an array is then a per-point scalar too.  Elementwise ``+``,
+``-``, ``*`` and ``/`` round exactly as the float operations do, so every
+point gets the bits it would get alone.  The value-term derivative lists
+of ``log`` and ``sqrt`` are made point by point with ``math``, because
+numpy's vectorised ``log`` and ``power`` may differ from libm in the last
+bit depending on CPU features.  A quotient, ``log`` or ``sqrt`` rejects
+the whole set if any point has a zero divisor or a non-positive argument.
+Where float arithmetic overflows silently to inf or NaN, numpy warns;
+``todkit build`` evaluates under ``np.errstate`` to keep the float
+behaviour.  Keep the jet on the left of an array operand: ``ndarray op
+Jet2`` is numpy's elementwise operation over the jet, not a jet operation.
+
 Products and quotients of two jets run through straight-line kernels, one
 ``mul`` and one ``div`` per order, generated from the Leibniz plan the first
 time that order is used (never at import).  Each kernel coefficient is the
@@ -23,6 +37,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import DomainError, InversionError, SingularPointError
 
@@ -103,7 +119,7 @@ class _Kernels(dict):
 
 
 _KERNELS = _Kernels()
-_SCALARS = (int, float, Fraction)
+_SCALARS = (int, float, Fraction, np.ndarray)
 
 
 class Jet2:
@@ -241,6 +257,9 @@ class Jet2:
         if type(other) is Jet2 and other.order == self.order:
             return _jet(self.order, _quotient(self.order, self.c, other.c))
         if type(other) is float or isinstance(other, _SCALARS):
+            if type(other) is np.ndarray and not other.all():
+                # a float coefficient list raises here; numpy would warn
+                raise ZeroDivisionError("float division by zero")
             return _jet(self.order, [a / other for a in self.c])
         o = self._coerce(other)
         if o is None:
@@ -279,7 +298,8 @@ def _jet(order, c):
 
 
 def _quotient(order, f, g):
-    if g[0] == 0:
+    g0 = g[0]
+    if g0 == 0 if type(g0) is not np.ndarray else not g0.all():
         raise SingularPointError("division by jet with zero value term")
     return _KERNELS[order][1](f, g)
 
@@ -307,29 +327,49 @@ def exp(jet):
     return compose(jet, [v] * (jet.order + 1))
 
 
-def log(jet):
+def _positive_terms(func, terms, jet):
+    """terms(v, order) at the value term v, which must be positive.
+
+    An array value fails at its first point with v <= 0 (NaN passes, as it
+    does for a float) and otherwise gets terms point by point, stacked.
+    """
     v = jet.value
-    if v <= 0:
-        raise DomainError("log", v)
+    if type(v) is not np.ndarray:
+        if v <= 0:
+            raise DomainError(func, v)
+        return terms(v, jet.order)
+    bad = v <= 0
+    if bad.any():
+        raise DomainError(func, float(v[bad.argmax()]))
+    points = v.tolist()
+    return [np.array(d) for d in zip(*map(terms, points, [jet.order] * len(points)))]
+
+
+def _log_terms(v, order):
     d = [math.log(v)]
-    for k in range(1, jet.order + 1):
+    for k in range(1, order + 1):
         d.append((-1) ** (k - 1) * math.factorial(k - 1) / v ** k)
-    return compose(jet, d)
+    return d
 
 
-def sqrt(jet):
-    v = jet.value
-    if v <= 0:
-        raise DomainError("sqrt", v)
+def _sqrt_terms(v, order):
     s = math.sqrt(v)
     d = [s]
     coef = 0.5
     power = 1
-    for k in range(1, jet.order + 1):
+    for k in range(1, order + 1):
         d.append(coef * s / v ** power)
         coef *= 0.5 - k
         power += 1
-    return compose(jet, d)
+    return d
+
+
+def log(jet):
+    return compose(jet, _positive_terms("log", _log_terms, jet))
+
+
+def sqrt(jet):
+    return compose(jet, _positive_terms("sqrt", _sqrt_terms, jet))
 
 
 def sin(jet):

@@ -86,13 +86,19 @@ class JetMatrix:
 
 
 def tod_fields(rods, rho, zeta, order=4, check_interior=True):
-    """Metric fields W, e^2nu, F and Ward coordinates z, x as jets."""
+    """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
+
+    rho and zeta may be float arrays of one shape: the jets then carry one
+    coefficient per point, each bit-identical to that point's own call.
+    """
     if check_interior:
         rods.interior_check(rho, zeta)
-    elif not rho > 0:
-        raise AxisEvaluationError(f"tod_fields needs rho > 0, got {rho}")
-    rho = float(rho)
-    zeta = float(zeta)
+    else:
+        bad = harmonic._off_axis(rho)
+        if bad is not None:
+            raise AxisEvaluationError(f"tod_fields needs rho > 0, got {bad}")
+    rho = harmonic._coordinate(rho)
+    zeta = harmonic._coordinate(zeta)
     c, gamma, nuts = rods.floats
     terms = harmonic._nut_terms(rods, rho, zeta, order)
     A = Jet2.const(0.0, order)

@@ -2,7 +2,9 @@
 
 import json
 import math
+import warnings
 
+import numpy as np
 import pytest
 
 from todkit import cli, tod
@@ -114,6 +116,96 @@ class TestBuild:
         for line in out.strip().splitlines()[1:]:
             row = [float(v) for v in line.split(",")]
             assert abs(row[6] - (-2 * (-1 / 16) / row[5] ** 3)) < 1e-12
+
+
+def per_point_csv(data, nr, nz, rho_range, zeta_range):
+    """The build CSV from one tod_fields call per grid point."""
+    c = float(data.c)
+    lines = ["rho,zeta,W,F,e2nu,z,lambda"]
+    for rho in np.linspace(*rho_range, nr):
+        for zeta in np.linspace(*zeta_range, nz):
+            f = tod.tod_fields(data, float(rho), float(zeta), order=0)
+            lam = -2.0 * c / f.z.value ** 3
+            row = (rho, zeta, f.W.value, f.F.value, f.e2nu.value, f.z.value, lam)
+            lines.append(",".join(format(v, ".16e") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+TINY_DOC = {"c": -1e-300, "rods": [{"z": -1e-160, "a": 0.5},
+                                   {"z": 1e-160, "a": 0.5}]}
+HUGE_DOC = {"c": -1e200, "rods": [{"z": -1e100, "a": 0.5},
+                                  {"z": 1e100, "a": 0.5}]}
+SKEW_DOC = {"c": -0.3, "rods": [{"z": -1.0, "a": 0.2}, {"z": 0.2, "a": 0.5},
+                                {"z": 0.9, "a": 0.3}]}
+
+
+class TestBatchedBuild:
+    """build evaluates its grid in one pass, byte for byte as point by point."""
+
+    @pytest.mark.parametrize("doc, scale", [(EH_DOC, 1.0), (SKEW_DOC, 1.0),
+                                            (HUGE_DOC, 1e100)],
+                             ids=["two-nut", "skew", "huge"])
+    def test_csv_matches_point_loop(self, tmp_path, capsys, doc, scale):
+        path = write_rod_file(tmp_path, doc)
+        rho_range = (0.05 * scale, 2.0 * scale)
+        zeta_range = (-1.3 * scale, 1.1 * scale)
+        code, out, err = run(["build", path, "--grid", "7x9",
+                              f"--rho-range={rho_range[0]!r}:{rho_range[1]!r}",
+                              f"--zeta-range={zeta_range[0]!r}:{zeta_range[1]!r}"],
+                             capsys)
+        assert (code, err) == (0, "")
+        data, _ = cli.load_rod_file(path)
+        assert out == per_point_csv(data, 7, 9, rho_range, zeta_range)
+
+    def test_underflow_is_one_evaluation_error(self, tmp_path, capsys):
+        # z^3 underflows to 0 in the lambda column; no partial CSV, and
+        # the batch's silent overflows to inf raise no numpy warning
+        path = write_rod_file(tmp_path, TINY_DOC)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["build", path, "--grid", "40x40"], capsys)
+        assert caught == []
+        assert code == 1
+        assert out == ""
+        assert err == "evaluation error: float division by zero\n"
+
+    @pytest.mark.parametrize("args, message", [
+        (["--rho-range=0:1"], "rho = 0.0 is not interior"),
+        (["--grid", "3x3", "--rho-range=1e-8:1", "--zeta-range=-0.2500000001:0.25"],
+         "point within 5e-07 of nut at z = -1/4"),
+    ], ids=["axis", "nut-ball"])
+    def test_first_bad_grid_point(self, tmp_path, capsys, args, message):
+        path = write_rod_file(tmp_path, EH_DOC)
+        code, out, err = run(["build", path, *args], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"evaluation error: {message}\n"
+
+
+class TestInputErrors:
+    """Bad numbers on the command line exit 2 before any work is done."""
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "--nmax", "0"],
+        ["pd", "scan", "--case", "ii", "--samples", "-3"],
+        ["pd", "scan", "--case", "ii", "--samples", "0"],
+        ["pd", "scan", "--case", "ii", "--seed", "-1"],
+        ["verify", "ROD", "--seed", "-1"],
+        ["build", "ROD", "--rho-range=0.1:inf"],
+        ["build", "ROD", "--rho-range=0.1:nan"],
+        ["build", "ROD", "--zeta-range=-1e308:1.7e308"],
+        ["verify", "ROD", "--tol", "ricci_ratio=nan"],
+        ["verify", "ROD", "--tol", "ricci_ratio=inf"],
+        ["verify", "ROD", "--tol", "ricci_ratio=-1e-7"],
+    ])
+    def test_exit_two(self, tmp_path, capsys, args):
+        path = write_rod_file(tmp_path, EH_DOC)
+        argv = [path if a == "ROD" else a for a in args]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(argv, capsys)
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err.startswith("input error:") and err.count("\n") == 1
 
 
 class TestWorst:

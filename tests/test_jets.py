@@ -202,6 +202,82 @@ class TestOperandContract:
             assert_identical((a / scalar).c, [x / scalar for x in a.c])
 
 
+def point_of(jet, k):
+    """The scalar jet of point k of an array jet."""
+    return Jet2(jet.order, [c[k] if isinstance(c, np.ndarray) else c for c in jet.c])
+
+
+def assert_point_bits(batch, point, k):
+    """Coefficient k of the batch jet has the bits of the point jet's."""
+    for b, p in zip(batch.c, point.c):
+        got = b[k] if isinstance(b, np.ndarray) else b
+        assert float(got).hex() == float(p).hex()
+
+
+class TestArrayCoefficients:
+    """A float64 array coefficient is a per-point scalar; each point keeps its bits."""
+
+    POINTS = 64
+
+    def random_batch(self, order, rng):
+        n = len(jets._pairs(order))
+        coeffs = [rng.standard_normal(self.POINTS) for _ in range(n)]
+        for c in coeffs:
+            c[rng.integers(0, self.POINTS, 4)] = -0.0
+        return Jet2(order, coeffs)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    def test_ring_ops_pointwise(self, order):
+        rng = np.random.default_rng(40 + order)
+        a, b = self.random_batch(order, rng), self.random_batch(order, rng)
+        b.c[0] = np.abs(b.c[0]) + 1
+        field = rng.standard_normal(self.POINTS)
+        ops = [lambda x, y, f: x + y, lambda x, y, f: x - y,
+               lambda x, y, f: x * y, lambda x, y, f: x / y,
+               lambda x, y, f: 2.5 - x, lambda x, y, f: 1.5 / y,
+               lambda x, y, f: -x * 0.5, lambda x, y, f: x * f + f,
+               lambda x, y, f: x / f, lambda x, y, f: x ** 3]
+        for op in ops:
+            batch = op(a, b, field)
+            for k in range(self.POINTS):
+                point = op(point_of(a, k), point_of(b, k), float(field[k]))
+                assert_point_bits(batch, point, k)
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
+    def test_log_sqrt_pointwise(self, func, order):
+        rng = np.random.default_rng(50 + order)
+        a = self.random_batch(order, rng)
+        a.c[0] = np.exp(rng.uniform(-30, 30, self.POINTS))
+        batch = func(a)
+        for k in range(self.POINTS):
+            assert_point_bits(batch, func(point_of(a, k)), k)
+
+    def test_zero_divisor_anywhere(self):
+        one = Jet2.const(1.0, 2)
+        for zero in (0.0, -0.0):
+            g = Jet2.seed(np.array([1.0, zero, 2.0]), 0, 2)
+            for numerator in (one, 1.0, Jet2.seed(np.ones(3), 1, 2)):
+                with pytest.raises(SingularPointError):
+                    numerator / g
+            with pytest.raises(ZeroDivisionError):
+                one / np.array([1.0, zero])
+
+    @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
+    def test_domain_anywhere(self, func):
+        for bad in (0.0, -0.0, -2.0):
+            x = Jet2.seed(np.array([1.0, 3.0, bad, -5.0]), 0, 3)
+            with pytest.raises(DomainError) as err:
+                func(x)
+            assert err.value.value == bad   # the first bad point
+
+    def test_nan_is_not_a_domain_error(self):
+        # a float NaN passes the v <= 0 test; so does a NaN point
+        x = Jet2.seed(np.array([float("nan"), 4.0]), 0, 1)
+        assert jets.sqrt(x).c[0][1] == 2.0
+        assert math.isnan(jets.log(x).c[0][0])
+
+
 class TestElementary:
     """Elementary functions against hand-derived values."""
 
