@@ -105,7 +105,7 @@ def slope_data(rods):
             levels.append((slopes[j - 1] + slopes[j + 1]) / slopes[j])
         try:
             _, beta = rodsmod.express_in_basis(vecs[j - 1], vecs[j], vecs[j + 1])
-            signs.append(F(-beta) if rods.is_exact else -beta)
+            signs.append(F(-beta))
         except RodDataError:
             signs.append(None)
     return SlopeData(n=rods.n, slopes=slopes, values=values, gaps=gaps,

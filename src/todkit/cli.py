@@ -438,9 +438,7 @@ def cmd_build(args):
     # ones its own tod_fields call would give
     rho = np.repeat(np.linspace(rho_lo, rho_hi, nr), nz)
     zeta = np.tile(np.linspace(zeta_lo, zeta_hi, nz), nr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # float arithmetic overflows to inf silently; numpy would warn
-        f = tod.tod_fields(data, rho, zeta, order=0)
+    f = tod.tod_fields(data, rho, zeta, order=0)
     lines = ["rho,zeta,W,F,e2nu,z,lambda"]
     for row in zip(*(v.tolist() for v in (rho, zeta, f.W.value, f.F.value,
                                            f.e2nu.value, f.z.value))):

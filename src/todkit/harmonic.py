@@ -39,8 +39,10 @@ from .jets import Jet2
 _EXACT = (int, Fraction)
 
 
-def _is_exact(*values):
-    return all(isinstance(v, _EXACT) for v in values)
+def tolerance_slack(values):
+    """0 if every value is exact (int or Fraction), else 1: the factor on
+    every tolerance a data object applies, so exact data gets tolerance 0."""
+    return 0 if all(isinstance(v, _EXACT) for v in values) else 1
 
 
 def _coordinate(x):
@@ -76,7 +78,8 @@ class RodData:
     'symmetric', which picks the constant making the two semi-infinite
     axis constants satisfy F_first = -F_last.  mode 'ale' enforces
     sum(a_i) = 1; 'general' drops that one check (used e.g. to probe that
-    the Toda identity holds for any harmonic V).
+    the Toda identity holds for any harmonic V).  Every number must be
+    finite; slack is 0 when all are exact (see tolerance_slack).
     """
 
     c: object
@@ -84,6 +87,7 @@ class RodData:
     weights: tuple
     gauge: object = "symmetric"
     mode: str = "ale"
+    slack: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zs", tuple(self.zs))
@@ -94,6 +98,13 @@ class RodData:
             raise RodDataError("need at least one nut")
         if len(self.zs) != len(self.weights):
             raise RodDataError("nut and weight counts differ")
+        numbers = (self.c, *self.zs, *self.weights)
+        if self.gauge != "symmetric":
+            numbers += (self.gauge,)
+        for v in numbers:
+            if not (isinstance(v, _EXACT) or math.isfinite(v)):
+                raise RodDataError(f"rod data must be finite, got {v!r}")
+        object.__setattr__(self, "slack", tolerance_slack(numbers))
         if not self.c < 0:
             raise RodDataError(f"c must be negative, got {self.c!r}")
         for za, zb in zip(self.zs, self.zs[1:]):
@@ -104,11 +115,7 @@ class RodData:
                 raise RodDataError("weights must be positive")
         if self.mode == "ale":
             total = sum(self.weights)
-            if _is_exact(*self.weights):
-                ok = total == 1
-            else:
-                ok = abs(float(total) - 1.0) < 1e-12
-            if not ok:
+            if not abs(total - 1) <= 1e-12 * self.slack:
                 raise RodDataError(f"ALE data needs weights summing to 1, got {total}")
 
     @property
@@ -148,9 +155,7 @@ class RodData:
 
     @property
     def is_exact(self):
-        return _is_exact(self.c, *self.zs, *self.weights) and (
-            self.gauge == "symmetric" or _is_exact(self.gauge)
-        )
+        return self.slack == 0
 
     def centroid(self):
         """Weight-averaged nut position sum a_i z_i (ALE weights sum to 1)."""

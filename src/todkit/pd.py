@@ -19,27 +19,25 @@ with integer m, n and eps = epsbar = 1.  The solved coefficients obey
     n eps            = (p1^2 - p2^2)/(1 - p1^2 p2^2)
 
 and the scans certify that no root pattern meets all the conditions.
+Exact (int or Fraction) roots give exact vectors and coefficients, and
+every tolerance of the checks is then zero, on the same code path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import jets
 from .errors import CertificateError, DomainError, RodDataError, SignatureError
+from .harmonic import tolerance_slack
 from .jets import Jet2
 from .tod import JetMatrix
 
-_EXACT = (int, Fraction)
-
 
 def _is_integer(x, tol=1e-9):
-    if isinstance(x, _EXACT):
-        return Fraction(x).denominator == 1
     return abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
@@ -53,10 +51,12 @@ def _roots_text(roots):
 
 @dataclass(frozen=True)
 class PdParams:
-    """Root data of the structure function, roots increasing, product one."""
+    """Root data of the structure function, roots increasing, product one;
+    slack (see harmonic.tolerance_slack) makes exact roots compare exactly."""
 
     roots: tuple
-    a0: float = 1.0
+    a0: object = 1
+    slack: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.roots) != 4:
@@ -65,23 +65,20 @@ class PdParams:
             raise RodDataError("roots must be strictly increasing")
         if not self.a0 > 0:
             raise RodDataError("leading coefficient must be positive")
+        object.__setattr__(self, "slack", tolerance_slack((*self.roots, self.a0)))
         prod = self.roots[0] * self.roots[1] * self.roots[2] * self.roots[3]
-        if self.is_exact:
-            if prod != 1:
-                raise RodDataError("root product must be one")
-        elif abs(prod - 1.0) > 1e-8:
+        if not abs(prod - 1) <= 1e-8 * self.slack:
             raise RodDataError("root product must be one")
 
     @classmethod
-    def normalized(cls, roots, a0=1.0):
+    def normalized(cls, roots, a0=1):
         prod = abs(roots[0] * roots[1] * roots[2] * roots[3])
         scale = prod ** 0.25
         return cls(roots=tuple(sorted(r / scale for r in roots)), a0=a0)
 
     @property
     def is_exact(self):
-        return all(isinstance(r, _EXACT) for r in self.roots) and isinstance(
-            self.a0, _EXACT)
+        return self.slack == 0
 
     @property
     def coefficients(self):
@@ -95,16 +92,12 @@ class PdParams:
     @property
     def selfdual(self):
         a0, a1, _, a3 = self.coefficients
-        if self.is_exact:
-            return a3 == a1
-        return abs(a3 - a1) <= 1e-12 * max(1.0, abs(a3), abs(a1), a0)
+        return abs(a3 - a1) <= self.slack * 1e-12 * max(1.0, abs(a3), abs(a1), a0)
 
     @property
     def flat(self):
         a0, a1, _, a3 = self.coefficients
-        if self.is_exact:
-            return a3 == 0 and a1 == 0
-        return max(abs(a3), abs(a1)) <= 1e-12 * max(1.0, a0)
+        return max(abs(a3), abs(a1)) <= self.slack * 1e-12 * max(1.0, a0)
 
     @property
     def rectangle_ok(self):
@@ -166,14 +159,13 @@ def pd_rod_vectors(params):
     l4 on q = p2.  Exact root data gives exact vectors.
     """
     p1, p2, p3, _ = params.roots
-    two = 2 if params.is_exact else 2.0
     dp2 = params.quartic_prime(p2)
     dp3 = params.quartic_prime(p3)
     dq1 = params.quartic_prime(p1)
-    l1 = (two * p2 * p2 / dp2, two / dp2)
-    l2 = (two / dq1, two * p1 * p1 / dq1)
-    l3 = (two * p3 * p3 / dp3, two / dp3)
-    l4 = (two / dp2, two * p2 * p2 / dp2)
+    l1 = (2 * p2 * p2 / dp2, 2 / dp2)
+    l2 = (2 / dq1, 2 * p1 * p1 / dq1)
+    l3 = (2 * p3 * p3 / dp3, 2 / dp3)
+    l4 = (2 / dp2, 2 * p2 * p2 / dp2)
     return (l1, l2, l3, l4)
 
 
@@ -207,9 +199,7 @@ def pd_regularity(params, tol=1e-9):
     d34 = _det2(l3, l4)
 
     def _zero(d):
-        if params.is_exact:
-            return d == 0
-        return abs(d) <= 1e-14 * scale * scale
+        return abs(d) <= params.slack * 1e-14 * scale * scale
 
     eps = m_raw = None
     if not _zero(d12):
@@ -221,9 +211,7 @@ def pd_regularity(params, tol=1e-9):
         n_raw = _det2(l2, l4) / d23
 
     def _ratio(num, den):
-        if params.is_exact:
-            return num / den if den != 0 else None
-        return num / den if abs(den) > 1e-12 * max(1.0, abs(num)) else None
+        return num / den if abs(den) > params.slack * 1e-12 * max(1.0, abs(num)) else None
 
     # the closed forms lose meaning exactly where the relation basis
     # degenerates (reciprocal root pairs)
@@ -231,11 +219,7 @@ def pd_regularity(params, tol=1e-9):
     n_simp = _ratio(p1 * p1 - p2 * p2, 1 - p1 * p1 * p2 * p2)
 
     def _certify_closed(name, solved, closed):
-        if params.is_exact:
-            agrees = solved == closed
-        else:
-            agrees = abs(solved - closed) <= 1e-8 * max(1.0, abs(closed))
-        if not agrees:
+        if not abs(solved - closed) <= params.slack * 1e-8 * max(1.0, abs(closed)):
             raise CertificateError(f"{name} = {solved} disagrees with its closed form "
                                    f"{closed} for roots {_roots_text(params.roots)}")
 
@@ -245,12 +229,10 @@ def pd_regularity(params, tol=1e-9):
     if n_simp is not None and eps is not None and n_raw is not None:
         _certify_closed("n eps", n_raw * eps, n_simp)
 
+    tol = tol * params.slack
+
     def _is_one(x):
-        if x is None:
-            return False
-        if params.is_exact:
-            return x == 1
-        return abs(x - 1) <= tol
+        return x is not None and abs(x - 1) <= tol
     ok = (_is_one(eps) and _is_one(epsbar)
           and m_raw is not None and _is_integer(m_raw, tol)
           and n_raw is not None and _is_integer(n_raw, tol))

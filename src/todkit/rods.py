@@ -10,14 +10,15 @@ components these are
 with F_i the rod constant of the twist field and f_i the constant value
 of the axis profile.  Per rod the conical limit equals one for any rod
 data; what can fail, and what the classification turns on, is the
-integer compatibility of consecutive vectors at the junctions.
+integer compatibility of consecutive vectors at the junctions.  Exact
+rod data gives exact vectors, and the integrality tests then run with
+tolerance zero on the same code path as float data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import tod
 from .errors import RodDataError
@@ -69,7 +70,7 @@ class RodStructure:
 
 
 def rod_vectors(rods):
-    """Period vectors of all n+1 rods, exact for exact rod data."""
+    """Period vectors of all n+1 rods, in exact arithmetic for exact rod data."""
     prof = axis_profile(rods)
     vecs = []
     for i, slope in enumerate(prof.slopes):
@@ -95,7 +96,7 @@ def express_in_basis(target, a, b):
 
 
 def _near_int(value, tol):
-    return abs(value - round(value)) < tol
+    return abs(value - round(value)) <= tol
 
 
 def gl2z_compatibility(rods, tol=1e-9):
@@ -106,7 +107,7 @@ def gl2z_compatibility(rods, tol=1e-9):
     reported either way.
     """
     vecs = rod_vectors(rods)
-    exact = rods.is_exact
+    tol = tol * rods.slack
     reports = []
     for j in range(1, rods.n):
         try:
@@ -116,10 +117,7 @@ def gl2z_compatibility(rods, tol=1e-9):
                                           ok=False, singular=True))
             continue
         eps = -beta
-        if exact:
-            ok = Fraction(alpha).denominator == 1 and abs(eps) == 1
-        else:
-            ok = _near_int(alpha, tol) and min(abs(eps - 1), abs(eps + 1)) < tol
+        ok = _near_int(alpha, tol) and min(abs(eps - 1), abs(eps + 1)) <= tol
         reports.append(JunctionReport(middle=j, level=alpha, sign=eps, ok=ok))
     return tuple(reports)
 
@@ -216,16 +214,11 @@ def asymptotic_class(rods, tol=1e-9):
         images.append((M[0][0] * v[0] + M[0][1] * v[1],
                        M[1][0] * v[0] + M[1][1] * v[1]))
         entries.extend(images[-1])
-    if rods.is_exact:
-        if any(Fraction(e).denominator != 1 for e in entries):
-            raise RodDataError("normalized lattice data is not integral")
-        M = tuple(tuple(int(x) for x in row) for row in M)
-        images = [tuple(int(x) for x in im) for im in images]
-    else:
-        if any(not _near_int(float(e), tol) for e in entries):
-            raise RodDataError("normalized lattice data is not integral")
-        M = tuple(tuple(round(float(x)) for x in row) for row in M)
-        images = [tuple(round(float(x)) for x in im) for im in images]
+    tol = tol * rods.slack
+    if not all(_near_int(e, tol) for e in entries):
+        raise RodDataError("normalized lattice data is not integral")
+    M = tuple(tuple(round(x) for x in row) for row in M)
+    images = [tuple(round(x) for x in im) for im in images]
     p_raw, q_raw = images[-1]
     p = abs(p_raw)
     if p == 0:

@@ -85,6 +85,9 @@ class JetMatrix:
 # ---------------------------------------------------------------------------
 
 
+# float arithmetic overflows silently; on point arrays numpy would warn
+# where the per-point call does not
+@np.errstate(over="ignore", invalid="ignore")
 def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
 

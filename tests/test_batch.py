@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -80,6 +81,19 @@ class TestBatchMatchesPoints:
             point = tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=order)
             for name in ("W", "e2nu", "F", "z", "x"):
                 assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
+
+    def test_extreme_scale_is_silent(self):
+        # the float arithmetic overflows here; the batch stays as silent
+        # as each point's own call and keeps its bits (NaN included)
+        rods = RodData(c=-1e-300, zs=(-1e-160, 1e-160), weights=(0.5, 0.5))
+        rho, zeta = np.array([1e-160, 3e-160]), np.array([0.5e-160, -2e-160])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = tod.tod_fields(rods, rho, zeta, order=1)
+            for k in range(len(rho)):
+                point = tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=1)
+                for name in ("W", "e2nu", "F", "z", "x"):
+                    assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("make, radii", CASES[:2])

@@ -45,6 +45,14 @@ class TestSlopeData:
         assert data.levels == (F(0),)
         assert data.signs == (F(3, 2),)
 
+    def test_float_signs_are_their_binary_values(self):
+        rods = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
+        vecs = rodsmod.rod_vectors(rods)
+        signs = classify.slope_data(rods).signs
+        for j, sign in enumerate(signs, start=1):
+            _, beta = rodsmod.express_in_basis(vecs[j - 1], vecs[j], vecs[j + 1])
+            assert type(sign) is Fraction and sign == F(-beta)
+
     def test_steep_integer_levels(self):
         data = classify.slope_data(steep_exact())
         assert data.levels == (F(1), F(1))

@@ -207,6 +207,27 @@ class TestInputErrors:
         assert (code, out) == (2, "")
         assert err.startswith("input error:") and err.count("\n") == 1
 
+    # json reads NaN, Infinity and -Infinity; rod data must be finite
+    @pytest.mark.parametrize("doc", [
+        {**EH_DOC, "c": -math.inf},
+        {**EH_DOC, "rods": [{"z": -math.inf, "a": 0.5}, {"z": 0.25, "a": 0.5}]},
+        {**EH_DOC, "rods": [{"z": math.nan, "a": 1.0}]},
+        {**EH_DOC, "mode": "general",
+         "rods": [{"z": -0.25, "a": 0.5}, {"z": 0.25, "a": math.inf}]},
+        {**EH_DOC, "gauge": {"h_constant": math.nan}},
+        {**EH_DOC, "gauge": {"h_constant": math.inf}},
+    ], ids=["c", "z", "z-nan", "a", "gauge-nan", "gauge-inf"])
+    @pytest.mark.parametrize("command", ["verify", "build"])
+    def test_non_finite_rod_file(self, tmp_path, capsys, doc, command):
+        path = write_rod_file(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run([command, path], capsys)
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: rod data must be finite")
+        assert err.count("\n") == 1
+
 
 class TestWorst:
     def test_declared_order_and_ties(self):

@@ -14,6 +14,8 @@ from todkit.harmonic import RodData, axis_profile, build_h, build_v
 
 from fd import check_jet_against_fd
 
+F = Fraction
+
 
 def eh_rods(gauge="symmetric"):
     """Two equal nuts at +-1/4 with c = -1/16."""
@@ -45,6 +47,18 @@ class TestRodData:
             RodData(c=-1.0, zs=(0.0, 1.0), weights=(0.5, -0.5))
         with pytest.raises(RodDataError):
             RodData(c=-1.0, zs=(0.0, 1.0), weights=(0.4, 0.4))
+
+    @pytest.mark.parametrize("kwargs, ok", [
+        (dict(c=F(-1, 16), zs=(F(-1, 4), F(1, 4)),
+              weights=(F(1, 2), F(1, 2) + F(1, 10**30))), False),
+        (dict(c=-1 / 16, zs=(-0.25, 0.25), weights=(0.5, 0.5 + 1e-13)), True),
+    ], ids=["exact-near-miss", "float-within-tol"])
+    def test_weight_sum_tolerance_zero_when_exact(self, kwargs, ok):
+        if ok:
+            assert not RodData(**kwargs).is_exact
+        else:
+            with pytest.raises(RodDataError, match="summing to 1"):
+                RodData(**kwargs)
 
     def test_general_mode_skips_weight_sum(self):
         rods = RodData(c=-1.0, zs=(0.0, 1.0), weights=(0.4, 0.4), mode="general")

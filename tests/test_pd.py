@@ -28,6 +28,31 @@ class TestParams:
         with pytest.raises(RodDataError):
             pd.PdParams((0.2, 0.4, 2.0, 6.0))
 
+    @pytest.mark.parametrize("roots, ok", [
+        ((F(1, 5), F(2, 5), F(2), F(25, 4) * (1 + F(1, 10**30))), False),
+        ((0.2, 0.4, 2.0, 6.25 * (1 + 1e-10)), True),
+    ], ids=["exact-near-miss", "float-within-tol"])
+    def test_root_product_tolerance_zero_when_exact(self, roots, ok):
+        if ok:
+            assert not pd.PdParams(roots).is_exact
+        else:
+            with pytest.raises(RodDataError, match="root product"):
+                pd.PdParams(roots)
+
+    def test_default_a0_keeps_exact_roots_exact(self):
+        default = pd.PdParams((F(1, 5), F(2, 5), F(2), F(25, 4)))
+        assert default.is_exact
+        vecs = pd.pd_rod_vectors(default)
+        assert vecs == pd.pd_rod_vectors(spot_exact())
+        assert vecs[0] == (F(20, 117), F(125, 117))
+        assert all(isinstance(x, Fraction) for vec in vecs for x in vec)
+        assert pd.pd_regularity(default).m_raw == pd.pd_regularity(spot_exact()).m_raw
+
+    def test_default_a0_keeps_float_bits(self):
+        def bits(params):
+            return [x.hex() for vec in pd.pd_rod_vectors(params) for x in vec]
+        assert bits(spot_float()) == bits(pd.PdParams(SPOT, a0=1.0))
+
     def test_ordering_guard(self):
         with pytest.raises(RodDataError):
             pd.PdParams((0.4, 0.2, 2.0, 6.25))

@@ -33,6 +33,20 @@ def perturbed_eh():
     return RodData(c=-1 / 16, zs=(-0.25, 0.25), weights=(0.4, 0.6))
 
 
+def tilted_eh(d):
+    """The two-nut benchmark with weights 1/2 -+ d, exact for a Fraction d:
+    its junction level and sign sit about 4 d from -2 and 1."""
+    if isinstance(d, Fraction):
+        return RodData(c=F(-1, 16), zs=(F(-1, 4), F(1, 4)),
+                       weights=(F(1, 2) - d, F(1, 2) + d))
+    return RodData(c=-1 / 16, zs=(-0.25, 0.25), weights=(0.5 - d, 0.5 + d))
+
+
+# an exact near miss fails; its float twin inside the tolerance passes
+NEAR_MISS = [pytest.param(F(1, 10**30), False, id="exact-near-miss"),
+             pytest.param(1e-12, True, id="float-within-tol")]
+
+
 class TestRodVectors:
     def test_benchmark_exact(self):
         vecs = rodmod.rod_vectors(eh_exact())
@@ -176,6 +190,13 @@ class TestJunctions:
         with pytest.raises(RodDataError):
             rodmod.express_in_basis((1, 0), (1, 1), (2, 2))
 
+    @pytest.mark.parametrize("d, ok", NEAR_MISS)
+    def test_tolerance_zero_when_exact(self, d, ok):
+        rep = rodmod.gl2z_compatibility(tilted_eh(d))[0]
+        assert 0 < abs(rep.level + 2) < 1e-11
+        assert 0 < abs(rep.sign - 1) < 1e-11
+        assert rep.ok is ok
+
 
 class TestAsymptoticClass:
     def test_benchmark_lens(self):
@@ -196,6 +217,14 @@ class TestAsymptoticClass:
         data = RodData(c=F(-1, 4), zs=(F(0),), weights=(F(1),))
         with pytest.raises(RodDataError):
             rodmod.asymptotic_class(data)
+
+    @pytest.mark.parametrize("d, ok", NEAR_MISS)
+    def test_tolerance_zero_when_exact(self, d, ok):
+        if ok:
+            assert rodmod.asymptotic_class(tilted_eh(d)).label == "L(2,1)"
+        else:
+            with pytest.raises(RodDataError, match="not integral"):
+                rodmod.asymptotic_class(tilted_eh(d))
 
 
 class TestAxisLimits:
