@@ -66,12 +66,12 @@ def flat_coframe(r, theta, order=2):
     return JetMatrix(coords=CHART, comp=rows, base=(float(r), float(theta)))
 
 
-def flat_metric(r, theta, order=2):
-    """Flat metric jets assembled from the coframe; positively oriented."""
-    cf = flat_coframe(r, theta, order)
+def flat_metric(r, theta):
+    """Flat metric order-2 jets assembled from the coframe; positively oriented."""
+    cf = flat_coframe(r, theta, 2)
     comp = [
         [sum((cf.comp[a][i] * cf.comp[a][j] for a in range(4)),
-             Jet2.const(0.0, order)) for j in range(4)]
+             Jet2.const(0.0, 2)) for j in range(4)]
         for i in range(4)
     ]
     return JetMatrix(coords=CHART, comp=comp, base=cf.base, orientation=1)

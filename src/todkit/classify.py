@@ -172,26 +172,22 @@ def admissible_family_member(gap=F(1, 2), c=None):
     return RodData(c=F(c), zs=(-gap / 2, gap / 2), weights=(F(1, 2), F(1, 2)))
 
 
-def verify_n1_degenerate(rods=None, n_rho=6, n_zeta=6):
+def verify_n1_degenerate(rods=None):
     """Certificate that single-nut data has identically vanishing W.
 
     The resummed numerator of W is a sum over nut pairs and is empty for
-    one nut, so W is exactly zero on the whole grid, jets included.
+    one nut, so W is exactly zero on the whole 6x6 grid, jets included.
     """
     if rods is None:
         rods = RodData(c=F(-1, 4), zs=(F(0),), weights=(F(1),))
     if rods.n != 1:
         raise RodDataError("certificate applies to single-nut data")
     worst = 0.0
-    points = 0
-    for i in range(n_rho):
-        for k in range(n_zeta):
-            rho = 0.1 * 2.0 ** i
-            zeta = -2.0 + 4.0 * k / max(n_zeta - 1, 1)
-            fields = tod.tod_fields(rods, rho, zeta)
+    for i in range(6):
+        for k in range(6):
+            fields = tod.tod_fields(rods, 0.1 * 2.0 ** i, -2.0 + 4.0 * k / 5)
             worst = max(worst, max(abs(v) for v in fields.W.partials().values()))
-            points += 1
-    return {"degenerate": worst == 0.0, "max_abs_w_jet": worst, "points": points}
+    return {"degenerate": worst == 0.0, "max_abs_w_jet": worst, "points": 36}
 
 
 def _sign_patterns(n):

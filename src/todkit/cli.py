@@ -290,7 +290,7 @@ def suite_rods(data, seed, tols):
     junctions = _Worst("gl2z")
     ok = True
     try:
-        reports = rods.gl2z_compatibility(data)
+        reports = rods.gl2z_compatibility(data, tol=tols["gl2z"])
     except RodDataError as exc:
         junctions.push(str(exc), gl2z=math.inf)
         reports, ok = (), False

@@ -204,7 +204,7 @@ class WeylSplit:
     lam: float | None
 
 
-def weyl_split(pack, pair_tol=0.05):
+def weyl_split(pack):
     """Duality blocks of the Weyl operator on unit-normalized two-forms.
 
     The matrices represent F -> (1/2) C F; with the basis normalization
@@ -218,13 +218,14 @@ def weyl_split(pack, pair_tol=0.05):
     m_minus = minus @ cup @ minus.T / 8.0
     eigs_plus = np.linalg.eigvalsh(0.5 * (m_plus + m_plus.T))
     eigs_minus = np.linalg.eigvalsh(0.5 * (m_minus + m_minus.T))
-    lam = _simple_eigenvalue(eigs_plus, pair_tol)
+    lam = _simple_eigenvalue(eigs_plus)
     return WeylSplit(m_plus=m_plus, m_minus=m_minus, eigs_plus=eigs_plus,
                      eigs_minus=eigs_minus, lam=lam)
 
 
-def _simple_eigenvalue(eigs, pair_tol):
-    """The eigenvalue separated from the other two, or None."""
+def _simple_eigenvalue(eigs):
+    """The eigenvalue separated from the other two by at least 20 times
+    their spread, or None."""
     scale = float(np.max(np.abs(eigs)))
     if scale == 0.0:
         return None
@@ -234,7 +235,7 @@ def _simple_eigenvalue(eigs, pair_tol):
         simple, spread, sep = eigs[0], gap_high, gap_low
     else:
         simple, spread, sep = eigs[2], gap_low, gap_high
-    if sep <= 0 or spread > pair_tol * sep:
+    if sep <= 0 or spread > 0.05 * sep:
         return None
     return float(simple)
 

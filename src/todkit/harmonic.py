@@ -45,6 +45,11 @@ def tolerance_slack(values):
     return 0 if all(isinstance(v, _EXACT) for v in values) else 1
 
 
+def _rational(v):
+    """An int (not a bool) as a Fraction; anything else unchanged."""
+    return Fraction(v) if isinstance(v, int) and not isinstance(v, bool) else v
+
+
 def _coordinate(x):
     """A point coordinate as a float, or a point set as a float64 array."""
     return x.astype(float, copy=False) if type(x) is np.ndarray else float(x)
@@ -79,7 +84,8 @@ class RodData:
     axis constants satisfy F_first = -F_last.  mode 'ale' enforces
     sum(a_i) = 1; 'general' drops that one check (used e.g. to probe that
     the Toda identity holds for any harmonic V).  Every number must be
-    finite; slack is 0 when all are exact (see tolerance_slack).
+    finite; an int is stored as a Fraction, and slack is 0 when all are
+    exact (see tolerance_slack).
     """
 
     c: object
@@ -90,8 +96,10 @@ class RodData:
     slack: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "zs", tuple(self.zs))
-        object.__setattr__(self, "weights", tuple(self.weights))
+        # int inputs are stored as Fractions, so that exact data stays
+        # exact through every division (rod vectors, axis constants)
+        object.__setattr__(self, "zs", tuple(map(_rational, self.zs)))
+        object.__setattr__(self, "weights", tuple(map(_rational, self.weights)))
         if self.mode not in ("ale", "general"):
             raise RodDataError(f"unknown mode {self.mode!r}")
         if len(self.zs) == 0:
@@ -117,6 +125,9 @@ class RodData:
             total = sum(self.weights)
             if not abs(total - 1) <= 1e-12 * self.slack:
                 raise RodDataError(f"ALE data needs weights summing to 1, got {total}")
+        # c and gauge after the checks, whose messages show the input
+        object.__setattr__(self, "c", _rational(self.c))
+        object.__setattr__(self, "gauge", _rational(self.gauge))
 
     @property
     def n(self):
@@ -278,19 +289,20 @@ def ward_coords(rods, rho, zeta, order=4):
     return zj, xj
 
 
-def ward_inverse(rods, z_target, x_target, guess, tol=1e-12, max_iter=60):
-    """Invert (rho, zeta) -> (z, x) by Newton from a half-plane guess."""
+def ward_inverse(rods, z_target, x_target, guess):
+    """Invert (rho, zeta) -> (z, x) by Newton from a half-plane guess, to
+    1e-12 relative in at most 60 steps."""
     rho, zeta = float(guess[0]), float(guess[1])
     scale = max(abs(z_target), abs(x_target), 1.0)
     last = math.inf
-    for _ in range(max_iter):
+    for _ in range(60):
         if rho <= 0:
             rho = 1e-12 * rods.scale
         zj, xj = ward_coords(rods, rho, zeta, order=1)
         dz = zj.value - z_target
         dx = xj.value - x_target
         last = max(abs(dz), abs(dx))
-        if last < tol * scale:
+        if last < 1e-12 * scale:
             return rho, zeta
         a, b = zj.partial(1, 0), zj.partial(0, 1)
         c, d = xj.partial(1, 0), xj.partial(0, 1)

@@ -3,11 +3,13 @@
 A ``Jet2`` carries the raw partial derivatives of a scalar field of two
 variables at a point, up to a fixed total order.  Raw means the entry at
 ``(i, j)`` is ``d^{i+j} f / dx^i dy^j`` itself, not divided by factorials,
-so arithmetic uses Leibniz rules with binomial weights.  Coefficients may
-be floats or ``fractions.Fraction`` (ring operations only); classification
-builds no ``Fraction`` jets, and ``Fraction`` scalars reach jets only through
-exact ``PdParams`` coefficients in ``pd_metric``.  ``invert_map`` is
-closed-form at order 2.
+so arithmetic uses Leibniz rules with binomial weights.  Coefficients are
+floats: a scalar operand of ``+ - * /`` must be an ``int``, a ``float`` or
+a float array, and any other type, ``fractions.Fraction`` included, raises
+``TypeError`` on either side.  Exact arithmetic stays with the rod data,
+the axis profiles, the rod vectors, the classification and the ``pd``
+roots; ``pd_metric`` converts exact coefficients to float before it builds
+jets.  ``invert_map`` is closed-form at order 2.
 
 Coefficients may also be float64 arrays over a set of points, so that one
 pass of the same kernels evaluates a whole point set (vectorised Taylor
@@ -19,7 +21,7 @@ numpy's vectorised ``log`` and ``power`` may differ from libm in the last
 bit depending on CPU features.  A quotient, ``log`` or ``sqrt`` rejects
 the whole set if any point has a zero divisor or a non-positive argument.
 Where float arithmetic overflows silently to inf or NaN, numpy warns;
-``todkit build`` evaluates under ``np.errstate`` to keep the float
+``tod.tod_fields`` evaluates under ``np.errstate`` to keep the float
 behaviour.  Keep the jet on the left of an array operand: ``ndarray op
 Jet2`` is numpy's elementwise operation over the jet, not a jet operation.
 
@@ -36,7 +38,6 @@ reference.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -119,7 +120,7 @@ class _Kernels(dict):
 
 
 _KERNELS = _Kernels()
-_SCALARS = (int, float, Fraction, np.ndarray)
+_SCALARS = (int, float, np.ndarray)
 
 
 class Jet2:
@@ -195,7 +196,7 @@ class Jet2:
     # -- ring operations ----------------------------------------------------
     #
     # Exact-type checks for jets and floats come first: they are nearly
-    # every operand, and isinstance against Fraction goes through its ABC.
+    # every operand.
 
     def _coerce(self, other):
         """Coefficients of other as a jet of this order; None for other types."""

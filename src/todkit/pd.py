@@ -71,10 +71,10 @@ class PdParams:
             raise RodDataError("root product must be one")
 
     @classmethod
-    def normalized(cls, roots, a0=1):
+    def normalized(cls, roots):
         prod = abs(roots[0] * roots[1] * roots[2] * roots[3])
         scale = prod ** 0.25
-        return cls(roots=tuple(sorted(r / scale for r in roots)), a0=a0)
+        return cls(roots=tuple(sorted(r / scale for r in roots)))
 
     @property
     def is_exact(self):
@@ -106,16 +106,21 @@ class PdParams:
         return max(abs(p2), abs(p3)) * max(abs(p1), abs(p2)) <= 1
 
     def quartic(self, x):
-        a0, a1, a2, a3 = self.coefficients
-        return (((x * a0 + a3) * x + a2) * x + a1) * x + a0
+        return _quartic(self.coefficients, x)
 
     def quartic_prime(self, x):
         a0, a1, a2, a3 = self.coefficients
         return ((x * 4 * a0 + 3 * a3) * x + 2 * a2) * x + a1
 
 
+def _quartic(a, x):
+    """F(x) by Horner's rule from the coefficients (a0, a1, a2, a3)."""
+    return (((x * a[0] + a[3]) * x + a[2]) * x + a[1]) * x + a[0]
+
+
 def pd_metric(params, p, q, order=4):
-    """Metric jets at an interior point of the (p, q) rectangle."""
+    """Metric jets at an interior point of the (p, q) rectangle; exact
+    coefficients are converted to float once, since jets are float."""
     r1, r2, r3, _ = (float(r) for r in params.roots)
     p = float(p)
     q = float(q)
@@ -125,8 +130,9 @@ def pd_metric(params, p, q, order=4):
         raise DomainError("pd_metric", q, "q must lie between the lower roots")
     pj = Jet2.seed(p, 0, order)
     qj = Jet2.seed(q, 1, order)
-    P = params.quartic(pj)
-    Q = params.quartic(qj)
+    coefficients = tuple(float(a) for a in params.coefficients)
+    P = _quartic(coefficients, pj)
+    Q = _quartic(coefficients, qj)
     if not P.value > 0 or not Q.value < 0:
         raise DomainError("pd_metric", (p, q), "structure function signs")
     one = Jet2.const(1.0, order)
@@ -184,7 +190,7 @@ class PdRegularity:
     ok: bool
 
 
-def pd_regularity(params, tol=1e-9):
+def pd_regularity(params):
     """Solve both corner relations and cross-check the closed forms.
 
     Collinear basis pairs leave the affected relation unsolved (None);
@@ -229,7 +235,7 @@ def pd_regularity(params, tol=1e-9):
     if n_simp is not None and eps is not None and n_raw is not None:
         _certify_closed("n eps", n_raw * eps, n_simp)
 
-    tol = tol * params.slack
+    tol = 1e-9 * params.slack
 
     def _is_one(x):
         return x is not None and abs(x - 1) <= tol
@@ -256,9 +262,10 @@ def selfdual_roots(case, u, v):
     raise RodDataError(f"unknown self-dual case {case!r}")
 
 
-def pd_selfdual_check(params, tol=1e-10):
+def pd_selfdual_check(params):
     """Certificates for palindromic root sets: one rod pair is exactly
-    opposite and the surviving corner coefficient cannot reach one."""
+    opposite and the surviving corner coefficient cannot reach one; both
+    identities must hold to 1e-10."""
     if not params.selfdual:
         raise RodDataError("root set is not palindromic")
     p1, p2, p3, _ = params.roots
@@ -301,10 +308,11 @@ def pd_selfdual_check(params, tol=1e-10):
         })
         name, solved, closed = "epsbar", reg.epsbar, epsbar_closed
     where = f"case {out['case']}, roots {_roots_text(params.roots)}"
-    if not pair_residual <= tol:
+    if not pair_residual <= 1e-10:
         raise CertificateError(f"{where}: opposite-pair identity residual "
-                               f"{pair_residual:.3e} exceeds {tol}")
-    if closed is not None and solved is not None and not abs(float(solved - closed)) <= tol:
+                               f"{pair_residual:.3e} exceeds 1e-10")
+    if closed is not None and solved is not None \
+            and not abs(float(solved - closed)) <= 1e-10:
         raise CertificateError(f"{where}: {name} = {solved} disagrees with its "
                                f"closed form {closed}")
     return out

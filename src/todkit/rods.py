@@ -149,13 +149,15 @@ def zero_slope_jump(rods, i):
     return -(2 * f_i * gap - f_i * f_i * (1 / sl_hi - 1 / sl_lo)) / rods.c
 
 
-def conical_check(rods, rod_index, zeta=None, h0=4e-2, levels=7):
+def conical_check(rods, rod_index, levels=7):
     """Extrapolated conical limit of rod rod_index; one means no defect.
 
     The quotient e^{-2nu} (S_rho^2 + S_zeta^2) / (4 S) with S the squared
-    length of the rod vector is sampled on h = rho^2 = H, H/2, ... with
-    H = h0 min_gap^2 and extrapolated to the axis by Neville's scheme; the
-    quotient is analytic in h so the extrapolation converges fast.
+    length of the rod vector is sampled above one point of the rod (its
+    middle, or one span beyond the end nut of a semi-infinite rod) on
+    h = rho^2 = H, H/2, ... with H = 0.04 min_gap^2 and extrapolated to
+    the axis by Neville's scheme; the quotient is analytic in h so the
+    extrapolation converges fast.
     Heights relative to the nut spacing make the limit independent of
     the homothety scale of the rod data.
     """
@@ -163,10 +165,9 @@ def conical_check(rods, rod_index, zeta=None, h0=4e-2, levels=7):
     vecs = rod_vectors(rods)
     if not 0 <= rod_index < len(vecs):
         raise RodDataError(f"rod index {rod_index} out of range")
-    if zeta is None:
-        zeta = float(prof._rod_point(rod_index))
+    zeta = float(prof._rod_point(rod_index))
     v0, v1 = float(vecs[rod_index][0]), float(vecs[rod_index][1])
-    top = h0 * rods.min_gap ** 2
+    top = 4e-2 * rods.min_gap ** 2
     heights, values = [], []
     for k in range(levels):
         h = top * 0.5 ** k
@@ -192,7 +193,7 @@ def _neville_zero(hs, ys):
     return t[0]
 
 
-def asymptotic_class(rods, tol=1e-9):
+def asymptotic_class(rods):
     """Lens label read off in the basis normalized by the two end rods.
 
     The unique GL(2, Z) matrix sending v_0 to (0, 1) and v_1 to (1, 0)
@@ -214,7 +215,7 @@ def asymptotic_class(rods, tol=1e-9):
         images.append((M[0][0] * v[0] + M[0][1] * v[1],
                        M[1][0] * v[0] + M[1][1] * v[1]))
         entries.extend(images[-1])
-    tol = tol * rods.slack
+    tol = 1e-9 * rods.slack
     if not all(_near_int(e, tol) for e in entries):
         raise RodDataError("normalized lattice data is not integral")
     M = tuple(tuple(round(x) for x in row) for row in M)

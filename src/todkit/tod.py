@@ -135,20 +135,15 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
 
 
-def tod_metric(fields, order=None):
-    """Assemble the metric jets from the fields; needs W > 0."""
+def tod_metric(fields):
+    """Assemble the metric jets from the fields, at their order; needs W > 0."""
     W, F, e2nu = fields.W, fields.F, fields.e2nu
     if not W.value > 0:
         raise DegenerateMetricError(f"W = {W.value} is not positive")
     if not e2nu.value > 0:
         raise DegenerateMetricError(f"e^2nu = {e2nu.value} is not positive")
-    m = order if order is not None else W.order
-    W = W.truncate(m)
-    F = F.truncate(m)
-    e2nu = e2nu.truncate(m)
-    rho = fields.point[0]
-    r = Jet2.seed(rho, 0, m)
-    zero = Jet2.const(0.0, m)
+    r = Jet2.seed(fields.point[0], 0, W.order)
+    zero = Jet2.const(0.0, W.order)
     g_tt = 1 / W
     g_ty = F / W
     g_yy = W * (r * r) + F * F / W
@@ -196,14 +191,14 @@ def fundamental_form(fields, order=None):
 # the closed-form benchmark metric
 
 
-def eh_rod_data(a=1.0, gauge="symmetric"):
+def eh_rod_data(a=1.0):
     """Rod data of the benchmark two-nut metric with bolt parameter a."""
     q = a * a / 4
-    return RodData(c=-(a ** 4) / 16, zs=(-q, q), weights=(0.5, 0.5), gauge=gauge)
+    return RodData(c=-(a ** 4) / 16, zs=(-q, q), weights=(0.5, 0.5))
 
 
-def eh_closed_form(a, r, theta, order=2):
-    """Closed-form benchmark metric jets in the chart (tau, phi, r, theta).
+def eh_closed_form(a, r, theta):
+    """Closed-form benchmark metric order-2 jets in the chart (tau, phi, r, theta).
 
     g = f (r^2/4)(dtau + cos t dphi)^2 + dr^2/f + (r^2/4)(dt^2 + sin^2 t dphi^2)
     with f = 1 - (a/r)^4.  The chart is negatively oriented relative to
@@ -211,9 +206,9 @@ def eh_closed_form(a, r, theta, order=2):
     """
     if not r > a:
         raise DomainError("eh_closed_form", r, f"r = {r} not outside the bolt radius {a}")
-    rj = Jet2.seed(float(r), 0, order)
-    tj = Jet2.seed(float(theta), 1, order)
-    f = 1 - (Jet2.const(float(a), order) / rj) ** 4
+    rj = Jet2.seed(float(r), 0, 2)
+    tj = Jet2.seed(float(theta), 1, 2)
+    f = 1 - (Jet2.const(float(a), 2) / rj) ** 4
     quarter = rj * rj * 0.25
     ct = jets.cos(tj)
     st = jets.sin(tj)
@@ -222,7 +217,7 @@ def eh_closed_form(a, r, theta, order=2):
     g_pp = f * quarter * ct * ct + quarter * st * st
     g_rr = 1 / f
     g_hh = quarter
-    zero = Jet2.const(0.0, order)
+    zero = Jet2.const(0.0, 2)
     comp = [
         [g_tt, g_tp, zero, zero],
         [g_tp, g_pp, zero, zero],

@@ -1,7 +1,9 @@
 """Tests for rod-file ingestion, the verify suites, and report plumbing."""
 
+import itertools
 import json
 import math
+import random
 import warnings
 
 import numpy as np
@@ -260,7 +262,66 @@ class TestWorst:
             == (0.0, "", "pass")
 
 
+# the skew three-nut file: float data, every junction off the lattice
+SKEW_FILE_DOC = {"c": -0.3, "rods": [{"z": -1.0, "a": 0.3}, {"z": 0.2, "a": 0.4},
+                                     {"z": 0.9, "a": 0.3}]}
+
+
+def sixteen_nut_doc(rng):
+    """Float ALE data with 16 uneven nuts: gaps and raw weights uniform on
+    [0.5, 1.5], weights normalised to sum 1, standard-cone c."""
+    zs = list(itertools.accumulate((rng.uniform(0.5, 1.5) for _ in range(15)),
+                                   initial=0.0))
+    zs = [z - (zs[0] + zs[-1]) / 2 for z in zs]
+    raw = [rng.uniform(0.5, 1.5) for _ in range(16)]
+    total = sum(raw)
+    weights = [a / total for a in raw]
+    c = -sum(weights[i] * weights[j] * (zs[j] - zs[i]) ** 2
+             for i in range(16) for j in range(i + 1, 16))
+    return {"c": c, "rods": [{"z": z, "a": a} for z, a in zip(zs, weights)]}
+
+
+def assert_status_follows_tolerance(entry):
+    """A check with numeric measured and tolerance passes exactly when
+    measured <= tolerance; positivity is the one lower bound."""
+    measured, tol = entry["measured"], entry["tolerance"]
+    if type(measured) in (int, float) and type(tol) in (int, float):
+        want = measured > tol if entry["name"] == "positivity" else measured <= tol
+        assert (entry["status"] == "pass") == want, entry
+
+
 class TestVerify:
+    @pytest.mark.parametrize("suite", list(cli.SUITES))
+    @pytest.mark.parametrize("doc", [SKEW_FILE_DOC, sixteen_nut_doc(random.Random(7))],
+                             ids=["skew", "sixteen-nut"])
+    def test_tolerances_are_applied(self, tmp_path, capsys, doc, suite):
+        # at the defaults, and with each --tol set one ulp above and one
+        # ulp below what its check measured
+        path = write_rod_file(tmp_path, doc)
+
+        def checks(overrides):
+            args = ["verify", path, "--suite", suite]
+            for name, tol in overrides:
+                args += ["--tol", f"{name}={tol!r}"]
+            _, out, _ = run(args, capsys)
+            return json.loads(out)["checks"]
+
+        default = checks(())
+        measured = {ch["name"]: ch["measured"] for ch in default
+                    if ch["name"] in cli.DEFAULT_TOLS and ch["status"] != "skip"
+                    and math.isfinite(ch["measured"])}
+        assert measured
+        above = [(name, math.nextafter(m, math.inf)) for name, m in measured.items()]
+        below = [(name, math.nextafter(m, -math.inf))
+                 for name, m in measured.items() if m > 0]
+        for overrides in ((), above, below):
+            entries = checks(overrides) if overrides else default
+            for entry in entries:
+                assert_status_follows_tolerance(entry)
+            tols = {ch["name"]: ch["tolerance"] for ch in entries}
+            assert all(tols[name] == tol for name, tol in overrides)
+            assert [ch["measured"] for ch in entries] == [ch["measured"] for ch in default]
+
     def test_eh_all_pass(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
         code, out, _ = run(["verify", path, "--suite", "all"], capsys)

@@ -71,14 +71,6 @@ class TestRingOps:
         assert abs((x ** 5).value - 32.0) < 1e-12
         assert abs((x ** 5).partial(1, 0) - 80.0) < 1e-12
 
-    def test_rational_ring(self):
-        # exact mode: add/sub/mul/div stay in the rationals
-        x = Jet2.seed(Fraction(1, 3), 0, 2)
-        y = Jet2.seed(Fraction(2, 5), 1, 2)
-        w = (x * y + Fraction(1, 7)) / (x - y)
-        assert isinstance(w.value, Fraction)
-        assert w.value == (Fraction(2, 15) + Fraction(1, 7)) / Fraction(-1, 15)
-
 
 def plan_mul(a, b):
     """Reference: the accumulating plan loop behind the generated product."""
@@ -172,7 +164,7 @@ class TestOperandContract:
 
     def test_zero_value_divisor(self):
         zero = Jet2.seed(0.0, 0, 3)
-        for numerator in (Jet2.const(1.0, 3), 1.0, 2, Fraction(1, 3)):
+        for numerator in (Jet2.const(1.0, 3), 1.0, 2):
             with pytest.raises(SingularPointError):
                 numerator / zero
 
@@ -183,7 +175,15 @@ class TestOperandContract:
         with pytest.raises(TypeError):
             x + [1]
 
-    @pytest.mark.parametrize("scalar", [Fraction(2, 7), np.float64(-1.25), 0.75, -0.0, 3])
+    def test_fraction_operands_raise(self):
+        # jets are float: an exact scalar is converted before it meets a jet
+        x = Jet2.seed(0.5, 0, 2)
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            for left, right in ((x, Fraction(1, 3)), (Fraction(1, 3), x)):
+                with pytest.raises(TypeError):
+                    op(left, right)
+
+    @pytest.mark.parametrize("scalar", [np.float64(-1.25), 0.75, -0.0, 3])
     def test_scalar_operands(self, scalar):
         # a scalar acts as the constant jet it used to be promoted to
         a = Jet2(3, [1.0, -0.0, 2.0, 0.5, 0.0, 1.0, -3.0, 0.25, -0.0, 4.0])

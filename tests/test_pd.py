@@ -102,6 +102,20 @@ class TestMetric:
             target = -params.quartic(p) * params.quartic(q) / (p - q) ** 4
             assert abs(det - target) <= 1e-12 * abs(target)
 
+    def test_exact_roots_give_float_jets(self):
+        # pd_metric converts exact coefficients to float once; the jets
+        # hold floats (and the integer zeros of Jet2.const) and match the
+        # float twin of the root set
+        for p, q in ((0.9, 0.3), (0.5, 0.25), (1.8, 0.21)):
+            got = pd.pd_metric(spot_exact(), p, q)
+            want = pd.pd_metric(spot_float(), p, q)
+            for row, want_row in zip(got.comp, want.comp):
+                for jet, ref in zip(row, want_row):
+                    assert all(type(v) is float or (type(v) is int and v == 0)
+                               for v in jet.c)
+                    for u, v in zip(jet.c, ref.c):
+                        assert abs(u - v) <= 1e-14 * abs(v)
+
     def test_riemannian_signature(self):
         g = pd.pd_metric(spot_float(), 0.9, 0.3).values()
         assert np.all(np.linalg.eigvalsh(g) > 0)
@@ -253,8 +267,8 @@ class TestScans:
         # a corner coefficient outside (-1, 0) breaks the case i certificate
         real = pd.pd_regularity
 
-        def broken(params, tol=1e-9):
-            return dataclasses.replace(real(params, tol), ok=False, n=0.5)
+        def broken(params):
+            return dataclasses.replace(real(params), ok=False, n=0.5)
 
         monkeypatch.setattr(pd, "pd_regularity", broken)
         with pytest.raises(CertificateError):

@@ -60,6 +60,21 @@ class TestRodVectors:
         for v in rodmod.rod_vectors(skew_rods()):
             assert isinstance(v[0], float)
 
+    def test_int_data_is_exact(self):
+        # int inputs are stored as Fractions, so the junction test runs
+        # exactly on exact vectors, as it does for the same Fractions
+        ints = RodData(c=-3, zs=(0, 1, 3, 6), weights=(1, 1, 1, 1), mode="general")
+        fracs = RodData(c=F(-3), zs=(F(0), F(1), F(3), F(6)),
+                        weights=(F(1),) * 4, mode="general")
+        assert ints == fracs
+        for v in rodmod.rod_vectors(ints):
+            assert isinstance(v[0], Fraction)
+        reports = rodmod.gl2z_compatibility(ints)
+        assert reports == rodmod.gl2z_compatibility(fracs)
+        # level -1 and sign 1 exactly; rounded floats missed by an ulp
+        assert (reports[1].level, reports[1].sign, reports[1].ok) == (-1, 1, True)
+        assert ints.floats == fracs.floats
+
     def test_structure_bundle(self):
         st = rodmod.rod_structure(eh_exact())
         assert len(st.vectors) == 3
