@@ -27,9 +27,8 @@ def main():
     print(f"  junction levels {sd.levels}, signs {sd.signs}")
 
     # Numerical cross-checks on the member: conical limits and the lens.
-    for i in range(member.n + 1):
-        rep = rods.conical_check(member, i)
-        print(f"  rod {i}: conical limit {rep.limit:.12f}")
+    for rep in rods.conical_check(member):
+        print(f"  rod {rep.rod}: conical limit {rep.limit:.12f}")
     gl = rods.gl2z_compatibility(member)
     print(f"  junction matrices integral: {all(r.ok for r in gl)}")
     print(f"  asymptotic lattice {rods.asymptotic_class(member).label}")

@@ -50,9 +50,8 @@ def main():
 
     # Rod-by-rod regularity: each conical limit is 1, ends give a lens.
     print("\nconical limits:")
-    for i in range(data.n + 1):
-        rep = rods.conical_check(data, i)
-        print(f"  rod {i}: limit = {rep.limit:.12f}")
+    for rep in rods.conical_check(data):
+        print(f"  rod {rep.rod}: limit = {rep.limit:.12f}")
     vs = rods.rod_vectors(data)
     print(f"  rod vectors {vs} with v_0 + v_2 = 2 v_1")
     print(f"  asymptotic lattice {rods.asymptotic_class(data).label}")

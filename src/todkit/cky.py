@@ -14,7 +14,7 @@ the two-parameter family
 in the self-dual basis w1, w2, w3 built from the coframe; k1 = 0 gives the
 parallel member.  On a rod metric the candidate is z times the fundamental
 form, its norm is 2z exactly, and far from the nuts it approaches a
-member of the flat family at the rate r^-2, which decay_check measures
+member of the flat family at the rate r^-2, which cky_decay_check measures
 by a log-log fit in the asymptotic chart rho = r^2 sin t / 4,
 zeta = r^2 cos t / 4.
 """
@@ -129,9 +129,13 @@ def flat_norm_squared(params, r, theta):
                   - 2.0 * k1 * k2 * r * r * math.cos(theta))
 
 
-def tod_cky_candidate(rods, rho, zeta, order=2):
-    """z times the fundamental form; |Z|^2 = 4 z^2 by the norm identity."""
-    fields = tod.tod_fields(rods, rho, zeta, order=order + 1)
+def tod_cky_candidate(fields, order=2):
+    """z times the fundamental form; |Z|^2 = 4 z^2 by the norm identity.
+
+    fields is a tod.TodFields of order at least order + 1, since the form
+    carries first derivatives of the Ward coordinates; the candidate
+    comes out at order.
+    """
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
     comp = [[z * c for c in row] for row in om.comp]
@@ -150,12 +154,12 @@ def _frame_components(rods, r, theta, st, ct, center):
     flat metric but has negative Jacobian determinant, so the self-dual
     candidate lands on the image of the displayed family under the fiber
     swap psi <-> phi, an orientation-reversing isometry of the model; the
-    matching in decay_check reads the family constants off the swapped
+    matching in cky_decay_check reads the family constants off the swapped
     slots.
     """
     rho = r * r * st / 4.0
     zeta = center + r * r * ct / 4.0
-    Z = tod_cky_candidate(rods, rho, zeta, order=0).values()
+    Z = tod_cky_candidate(tod.tod_fields(rods, rho, zeta, order=1), order=0).values()
     jac = np.zeros((4, 4))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0

@@ -55,12 +55,12 @@ def _coordinate(x):
     return x.astype(float, copy=False) if type(x) is np.ndarray else float(x)
 
 
-def _off_axis(rho):
-    """The first rho that is not > 0 (an array in point order), or None."""
-    if type(rho) is not np.ndarray:
-        return None if rho > 0 else rho
-    bad = ~(rho > 0)
-    return float(rho[bad.argmax()]) if bad.any() else None
+def _first_nonpositive(x):
+    """The first value of x that is not > 0 (an array in point order), or None."""
+    if type(x) is not np.ndarray:
+        return None if x > 0 else x
+    bad = ~(x > 0)
+    return float(x[bad.argmax()]) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -172,16 +172,16 @@ class RodData:
         """Weight-averaged nut position sum a_i z_i (ALE weights sum to 1)."""
         return sum(a * z for a, z in zip(self.weights, self.zs))
 
-    def interior_check(self, rho, zeta, rho_min=None, r_nut=None):
+    def interior_check(self, rho, zeta, rho_min=None):
         """Reject points on the axis or inside a nut exclusion ball.
 
-        Point arrays raise at their first failing point, in array order,
-        with the message that point gives on its own.
+        The ball radius is 1e-6 of the smallest nut gap (of the scale for
+        one nut).  Point arrays raise at their first failing point, in
+        array order, with the message that point gives on its own.
         """
         if rho_min is None:
             rho_min = 1e-8 * self.scale
-        if r_nut is None:
-            r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
+        r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
         if type(rho) is np.ndarray:
             # np.hypot may differ from math.hypot in the last bit, so it
             # only picks suspects (with a wide margin) for the exact test
@@ -189,7 +189,7 @@ class RodData:
             for z, _ in self.floats.nuts:
                 suspect |= np.hypot(rho, zeta - z) < 2 * r_nut
             for k in np.flatnonzero(suspect):
-                self.interior_check(float(rho[k]), float(zeta[k]), rho_min, r_nut)
+                self.interior_check(float(rho[k]), float(zeta[k]), rho_min)
             return
         if not rho > 0:
             raise AxisEvaluationError(f"rho = {rho} is not interior")
@@ -278,7 +278,7 @@ def ward_coords(rods, rho, zeta, order=4):
     For rod sums these collapse to z = sum a_i R_i and
     x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
     """
-    bad = _off_axis(rho)
+    bad = _first_nonpositive(rho)
     if bad is not None:
         raise AxisEvaluationError(f"ward coordinates need rho > 0, got {bad}")
     zj = Jet2.const(0.0, order)
@@ -320,11 +320,14 @@ def ward_inverse(rods, z_target, x_target, guess):
     raise InversionError(last)
 
 
-def toda_residual(rods, rho, zeta):
+def toda_residual(fields):
     """Residual u_xx + (e^u)_zz for u = 2 log rho as a function of (z, x),
-    with rho(z, x) from the closed-form order-2 inverse in jets.invert_map."""
-    Zj, Xj = ward_coords(rods, rho, zeta, order=2)
-    P, _ = jets.invert_map(Zj, Xj, float(rho), float(zeta))
+    with rho(z, x) from the closed-form order-2 inverse in jets.invert_map.
+
+    fields is a tod.TodFields of order at least 2 at one point; only its
+    Ward coordinates z, x and its point are read.
+    """
+    P, _ = jets.invert_map(fields.z, fields.x, *fields.point)
     u = 2 * jets.log(P)
     e_u = P * P
     return u.partial(0, 2) + e_u.partial(2, 0)

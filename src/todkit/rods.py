@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import tod
 from .errors import RodDataError
 from .harmonic import axis_profile
@@ -149,38 +151,43 @@ def zero_slope_jump(rods, i):
     return -(2 * f_i * gap - f_i * f_i * (1 / sl_hi - 1 / sl_lo)) / rods.c
 
 
-def conical_check(rods, rod_index, levels=7):
-    """Extrapolated conical limit of rod rod_index; one means no defect.
+@np.errstate(over="ignore", invalid="ignore")
+def conical_check(rods, levels=7):
+    """Extrapolated conical limits of all n+1 rods, in rod order; one means
+    no defect.
 
     The quotient e^{-2nu} (S_rho^2 + S_zeta^2) / (4 S) with S the squared
-    length of the rod vector is sampled above one point of the rod (its
+    length of the rod vector is sampled above one point of each rod (its
     middle, or one span beyond the end nut of a semi-infinite rod) on
     h = rho^2 = H, H/2, ... with H = 0.04 min_gap^2 and extrapolated to
     the axis by Neville's scheme; the quotient is analytic in h so the
     extrapolation converges fast.
     Heights relative to the nut spacing make the limit independent of
-    the homothety scale of the rod data.
+    the homothety scale of the rod data.  All rods x levels points are
+    evaluated in one array pass; each sample keeps the bits, and each
+    failing point the error, of its own per-point evaluation.
     """
     prof = axis_profile(rods)
     vecs = rod_vectors(rods)
-    if not 0 <= rod_index < len(vecs):
-        raise RodDataError(f"rod index {rod_index} out of range")
-    zeta = float(prof._rod_point(rod_index))
-    v0, v1 = float(vecs[rod_index][0]), float(vecs[rod_index][1])
+    zetas = [float(prof._rod_point(i)) for i in range(len(vecs))]
     top = 4e-2 * rods.min_gap ** 2
-    heights, values = [], []
-    for k in range(levels):
-        h = top * 0.5 ** k
-        f = tod.tod_fields(rods, math.sqrt(h), zeta, order=1)
-        g = tod.tod_metric(f)
-        S = (v0 * v0) * g.comp[0][0] + (2 * v0 * v1) * g.comp[0][1] \
-            + (v1 * v1) * g.comp[1][1]
-        grad2 = S.partial(1, 0) ** 2 + S.partial(0, 1) ** 2
-        heights.append(h)
-        values.append(grad2 / (4.0 * S.value * f.e2nu.value))
-    return ConicalReport(rod=rod_index, zeta=zeta,
-                         limit=_neville_zero(heights, values),
-                         heights=tuple(heights), values=tuple(values))
+    heights = tuple(top * 0.5 ** k for k in range(levels))
+    f = tod.tod_fields(rods, np.tile([math.sqrt(h) for h in heights], len(vecs)),
+                       np.repeat(zetas, levels), order=1)
+    g = tod.tod_metric(f)
+    v0, v1 = (np.repeat([float(v[k]) for v in vecs], levels) for k in (0, 1))
+    # jets on the left: an array on the left would map over the jet
+    S = g.comp[0][0] * (v0 * v0) + g.comp[0][1] * (2 * v0 * v1) \
+        + g.comp[1][1] * (v1 * v1)
+    # the quotient in float arithmetic, point by point, as a lone point
+    # computes it (a float power or division raises where numpy warns)
+    values = [(s_r ** 2 + s_z ** 2) / (4.0 * s * e)
+              for s_r, s_z, s, e in zip(*(x.tolist() for x in (
+                  S.partial(1, 0), S.partial(0, 1), S.value, f.e2nu.value)))]
+    rows = [tuple(values[k:k + levels]) for k in range(0, len(values), levels)]
+    return tuple(ConicalReport(rod=i, zeta=zeta, limit=_neville_zero(heights, row),
+                               heights=heights, values=row)
+                 for i, (zeta, row) in enumerate(zip(zetas, rows)))
 
 
 def _neville_zero(hs, ys):

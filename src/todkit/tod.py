@@ -34,7 +34,14 @@ from .jets import Jet2
 
 @dataclass(frozen=True)
 class TodFields:
-    """Jets of the metric fields at one interior point."""
+    """Jets of the metric fields at a point or a point set.
+
+    point is (rho, zeta) as floats, or as float arrays of one shape whose
+    entries are the points; every jet then carries one coefficient array
+    over the set.  The fields fix the metric (tod_metric), the Toda
+    identity (harmonic.toda_residual) and the fundamental form, so checks
+    at a point read one TodFields instead of evaluating their own.
+    """
 
     W: Jet2
     e2nu: Jet2
@@ -97,7 +104,7 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     if check_interior:
         rods.interior_check(rho, zeta)
     else:
-        bad = harmonic._off_axis(rho)
+        bad = harmonic._first_nonpositive(rho)
         if bad is not None:
             raise AxisEvaluationError(f"tod_fields needs rho > 0, got {bad}")
     rho = harmonic._coordinate(rho)
@@ -135,13 +142,19 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
 
 
+# the float semantics of tod_fields, on point sets too
+@np.errstate(over="ignore", invalid="ignore")
 def tod_metric(fields):
-    """Assemble the metric jets from the fields, at their order; needs W > 0."""
+    """Assemble the metric jets from the fields, at their order.
+
+    Needs W > 0 and e^2nu > 0; on a point set each check raises at its
+    first failing point, with the message that point gives on its own.
+    """
     W, F, e2nu = fields.W, fields.F, fields.e2nu
-    if not W.value > 0:
-        raise DegenerateMetricError(f"W = {W.value} is not positive")
-    if not e2nu.value > 0:
-        raise DegenerateMetricError(f"e^2nu = {e2nu.value} is not positive")
+    for name, jet in (("W", W), ("e^2nu", e2nu)):
+        bad = harmonic._first_nonpositive(jet.value)
+        if bad is not None:
+            raise DegenerateMetricError(f"{name} = {bad} is not positive")
     r = Jet2.seed(fields.point[0], 0, W.order)
     zero = Jet2.const(0.0, W.order)
     g_tt = 1 / W

@@ -174,7 +174,7 @@ def test_criterion_04_algebraic_identities():
                 abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
                 abs(h.partial(0, 1) - rho * v.partial(1, 0)) / scale)
 
-            Z = cky.tod_cky_candidate(data, rho, zeta, order=0).values()
+            Z = cky.tod_cky_candidate(f, order=0).values()
             gi = np.linalg.inv(gv)
             norm_sq = float(np.einsum("ab,cd,ac,bd->", Z, Z, gi, gi))
             z2 = f.z.value ** 2
@@ -241,8 +241,7 @@ def test_criterion_06_classification():
 def test_criterion_07_conical_and_lattice():
     data = eh_rods()
     worst = 0.0
-    for i in range(data.n + 1):
-        rep = rodmod.conical_check(data, i)
+    for rep in rodmod.conical_check(data):
         worst = max(worst, abs(rep.limit - 1.0))
     vs = rodmod.rod_vectors(data)
     linear = all(vs[0][k] + vs[2][k] == 2 * vs[1][k] for k in range(2))
@@ -292,8 +291,8 @@ def test_criterion_09_conformal_killing_forms():
     data = eh_rods()
     worst_cand = 0.0
     for rho, zeta in tod_points(rng, data, 20):
-        _, pack = tod_pack(data, rho, zeta)
-        Z = cky.tod_cky_candidate(data, rho, zeta, order=2)
+        f, pack = tod_pack(data, rho, zeta)
+        Z = cky.tod_cky_candidate(f, order=2)
         res, xi = curvature.cky_residual(pack, Z)
         worst_cand = max(worst_cand, res)
         worst_cand = max(worst_cand,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from todkit import harmonic, tod
-from todkit.errors import AxisEvaluationError
+from todkit.errors import AxisEvaluationError, DegenerateMetricError
 from todkit.harmonic import RodData
 
 ORDERS = [0, 1, 2, 3, 4]
@@ -95,6 +95,23 @@ class TestBatchMatchesPoints:
                 for name in ("W", "e2nu", "F", "z", "x"):
                     assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
 
+    @pytest.mark.parametrize("make, radii", CASES + [pytest.param(
+        lambda: RodData(c=-1e-300, zs=(-1e-150, 1e-150), weights=(0.5, 0.5)),
+        (0.4, 1.7), id="underflowing")])
+    def test_tod_metric(self, make, radii):
+        # NaN where the float arithmetic gives it, with no numpy warning
+        rods = make()
+        rho, zeta = sample_points(rods, radii)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = tod.tod_metric(tod.tod_fields(rods, rho, zeta, order=1))
+            for k in range(len(rho)):
+                point = tod.tod_metric(
+                    tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=1))
+                for b_row, p_row in zip(batch.comp, point.comp):
+                    for b, p in zip(b_row, p_row):
+                        assert_point_of_batch(b, p, k)
+
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("make, radii", CASES[:2])
     def test_ward_coords(self, make, radii, order):
@@ -135,6 +152,14 @@ class TestBatchRejects:
         r_nut = 1e-6 * rods.min_gap
         rho = np.array([r_nut * (1 + 1e-15), r_nut, 0.5])
         rods.interior_check(rho, np.array([-0.25, -0.25, 0.0]))
+
+    def test_metric_first_failure(self):
+        # single-nut data: W vanishes at every point
+        rods = RodData(c=-0.25, zs=(0.0,), weights=(1.0,))
+        f = tod.tod_fields(rods, np.array([0.5, 1.0]), np.array([0.3, -0.2]), order=1)
+        with pytest.raises(DegenerateMetricError) as batch:
+            tod.tod_metric(f)
+        assert str(batch.value) == "W = 0.0 is not positive"
 
     def test_off_axis_without_interior_check(self):
         rods = skew_three_nut()

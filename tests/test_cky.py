@@ -170,7 +170,7 @@ class TestCandidate:
         rods = eh_rods()
         f = tod.tod_fields(rods, WP_RHO, 0.0, order=3)
         pack = curvature.curvature_pack(tod.tod_metric(f))
-        Z = cky.tod_cky_candidate(rods, WP_RHO, 0.0)
+        Z = cky.tod_cky_candidate(f)
         assert abs(form_norm_sq(pack, Z) - 1.0) < 1e-12
 
     def test_norm_identity_random_rods(self):
@@ -186,7 +186,7 @@ class TestCandidate:
                 zeta = float(rng.uniform(-3, 3))
                 f = tod.tod_fields(rods, rho, zeta, order=3)
                 pack = curvature.curvature_pack(tod.tod_metric(f))
-                Z = cky.tod_cky_candidate(rods, rho, zeta)
+                Z = cky.tod_cky_candidate(f)
                 got = form_norm_sq(pack, Z)
                 want = 4.0 * f.z.value ** 2
                 assert abs(got - want) < 1e-11 * want
@@ -196,7 +196,7 @@ class TestCandidate:
         rho, zeta = 0.8, 0.4
         f = tod.tod_fields(rods, rho, zeta, order=3)
         pack = curvature.curvature_pack(tod.tod_metric(f))
-        Z = cky.tod_cky_candidate(rods, rho, zeta)
+        Z = cky.tod_cky_candidate(f)
         omega = 2.0 / math.sqrt(form_norm_sq(pack, Z))
         assert abs(omega - 1.0 / f.z.value) < 1e-13 / f.z.value
 
@@ -213,7 +213,7 @@ class TestCandidate:
                 continue
             f = tod.tod_fields(rods, rho, zeta, order=3)
             pack = curvature.curvature_pack(tod.tod_metric(f))
-            Z = cky.tod_cky_candidate(rods, rho, zeta)
+            Z = cky.tod_cky_candidate(f)
             res, xi = curvature.cky_residual(pack, Z)
             assert res < 1e-8
             assert np.max(np.abs(xi - np.array([1.0, 0.0, 0.0, 0.0]))) < 1e-8

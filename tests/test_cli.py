@@ -5,6 +5,7 @@ import json
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,6 +323,26 @@ class TestVerify:
             assert all(tols[name] == tol for name, tol in overrides)
             assert [ch["measured"] for ch in entries] == [ch["measured"] for ch in default]
 
+    @pytest.mark.parametrize("weights", [
+        ("2/5", "3/5"),
+        (str(Fraction(1, 2) - Fraction(1, 10**30)),
+         str(Fraction(1, 2) + Fraction(1, 10**30))),
+    ], ids=["off-lattice", "near-miss"])
+    @pytest.mark.parametrize("overrides", [[], ["--tol", "gl2z=10"]],
+                             ids=["default", "override"])
+    def test_gl2z_on_exact_data(self, tmp_path, capsys, weights, overrides):
+        # exact data is compared with tolerance 0, and the report says so
+        doc = {"c": "-1/16", "rods": [{"z": "-1/4", "a": weights[0]},
+                                      {"z": "1/4", "a": weights[1]}]}
+        path = write_rod_file(tmp_path, doc)
+        _, out, _ = run(["verify", path, "--suite", "rods", *overrides], capsys)
+        checks = json.loads(out)["checks"]
+        for entry in checks:
+            assert_status_follows_tolerance(entry)
+        gl2z = next(ch for ch in checks if ch["name"] == "gl2z")
+        assert (gl2z["tolerance"], gl2z["status"]) == (0.0, "fail")
+        assert gl2z["measured"] > 0
+
     def test_eh_all_pass(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
         code, out, _ = run(["verify", path, "--suite", "all"], capsys)
@@ -391,7 +412,8 @@ class TestVerify:
         {"c": -1e200, "rods": [{"z": -1e100, "a": 0.5},
                                {"z": 1e100, "a": 0.5}]},
     ], ids=["two-nut", "single-nut", "skew", "tiny", "huge"])
-    @pytest.mark.parametrize("command", [["verify"], ["build", "--grid", "3x3"]])
+    @pytest.mark.parametrize("command", [["verify"], ["build", "--grid", "3x3"],
+                                         ["verify", "--suite", "rods"]])
     def test_valid_rod_data_never_raises(self, tmp_path, capsys, doc, command):
         path = write_rod_file(tmp_path, doc)
         code, _, err = run([command[0], path, *command[1:]], capsys)

@@ -108,8 +108,8 @@ class TestRodData:
                 assert getattr(got, name).c == getattr(want, name).c
         assert build_v(exact, *point).c == build_v(twin, *point).c
         assert build_h(exact, *point).c == build_h(twin, *point).c
-        assert harmonic.toda_residual(exact, *point) \
-            == harmonic.toda_residual(twin, *point)
+        assert harmonic.toda_residual(tod.tod_fields(exact, *point, order=2)) \
+            == harmonic.toda_residual(tod.tod_fields(twin, *point, order=2))
 
 
 class TestSingleNut:
@@ -248,13 +248,15 @@ class TestWard:
     def test_toda_residual(self):
         rods = eh_rods()
         for rho, zeta in ((0.6, 0.0), (1.1, 0.8), (2.0, -1.5)):
-            assert abs(harmonic.toda_residual(rods, rho, zeta)) < 1e-8
+            f = tod.tod_fields(rods, rho, zeta, order=2)
+            assert abs(harmonic.toda_residual(f)) < 1e-8
 
     def test_toda_holds_for_any_harmonic_v(self):
         # weights deliberately not summing to 1
         rods = RodData(c=-1.0, zs=(-0.5, 0.7), weights=(0.8, 0.9), mode="general")
         for rho, zeta in ((0.8, 0.2), (1.5, -0.4)):
-            assert abs(harmonic.toda_residual(rods, rho, zeta)) < 1e-8
+            f = tod.tod_fields(rods, rho, zeta, order=2)
+            assert abs(harmonic.toda_residual(f)) < 1e-8
 
 
 class TestAxisProfile:

@@ -1,6 +1,8 @@
 """Tests for rod vectors, jumps, conical limits, and junction reports."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -27,6 +29,31 @@ def steep_exact():
     # three nuts, no zero-slope rod
     return RodData(c=F(-1, 2), zs=(F(-1), F(0), F(1)),
                    weights=(F(1, 4), F(1, 2), F(1, 4)))
+
+
+def sixteen_nut_rods():
+    """Float data with 16 uneven nuts and weights."""
+    rng = random.Random(7)
+    zs = tuple(itertools.accumulate((rng.uniform(0.5, 1.5) for _ in range(15)),
+                                    initial=0.0))
+    raw = [rng.uniform(0.5, 1.5) for _ in range(16)]
+    return RodData(c=-1.0, zs=zs, weights=tuple(a / sum(raw) for a in raw))
+
+
+def underflowing_rods():
+    """Nuts at -+1e-150 with c = -1e-300: every conical sample is NaN, with
+    no numpy warning, as for a lone point."""
+    return RodData(c=-1e-300, zs=(-1e-150, 1e-150), weights=(0.5, 0.5))
+
+
+def conical_quotient(data, v0, v1, rho, zeta):
+    """The conical quotient for rod vector (v0, v1) at one point, from that
+    point's own fields."""
+    f = tod.tod_fields(data, rho, zeta, order=1)
+    g = tod.tod_metric(f)
+    S = (v0 * v0) * g.comp[0][0] + (2 * v0 * v1) * g.comp[0][1] \
+        + (v1 * v1) * g.comp[1][1]
+    return (S.partial(1, 0) ** 2 + S.partial(0, 1) ** 2) / (4 * S.value * f.e2nu.value)
 
 
 def perturbed_eh():
@@ -117,15 +144,13 @@ class TestJumps:
 class TestConicalLimits:
     def test_benchmark_all_rods(self):
         data = tod.eh_rod_data()
-        for i in range(3):
-            rep = rodmod.conical_check(data, i)
+        for i, rep in enumerate(rodmod.conical_check(data)):
             assert abs(rep.limit - 1.0) < 1e-6, (i, rep.limit)
 
     def test_generic_rods(self):
         # per rod the limit is one for any data; only junctions can fail
         data = skew_rods()
-        for i in range(4):
-            rep = rodmod.conical_check(data, i)
+        for i, rep in enumerate(rodmod.conical_check(data)):
             assert abs(rep.limit - 1.0) < 1e-6, (i, rep.limit)
 
     @pytest.mark.parametrize("alpha", [1e-4, 1e-2, 1.0, 1e2, 1e4])
@@ -134,33 +159,54 @@ class TestConicalLimits:
         # sample heights follow the nut spacing, so a homothety of the rod
         # data leaves every limit at one
         data = tod.rescale(make(), alpha)
-        for i in range(data.n + 1):
-            rep = rodmod.conical_check(data, i)
+        for i, rep in enumerate(rodmod.conical_check(data)):
             assert abs(rep.limit - 1.0) < 1e-9, (i, rep.limit)
 
     def test_gauge_invariance(self):
-        a = rodmod.conical_check(skew_rods(), 2)
-        b = rodmod.conical_check(skew_rods(gauge=0.37), 2)
+        a = rodmod.conical_check(skew_rods())[2]
+        b = rodmod.conical_check(skew_rods(gauge=0.37))[2]
         assert abs(a.limit - b.limit) < 1e-9
 
     def test_wrong_normalization_detected(self):
         # scaling the rod vector by s scales the limit by s^2
         data = tod.eh_rod_data()
-        rep = rodmod.conical_check(data, 0)
+        rep = rodmod.conical_check(data)[0]
         vec = rodmod.rod_vectors(data)[0]
         prof = axis_profile(data)
         zeta = float(prof._rod_point(0))
         v0, v1 = 1.1 * float(vec[0]), 1.1 * float(vec[1])
         h = 1e-4
-        f = tod.tod_fields(data, math.sqrt(h), zeta, order=1)
-        g = tod.tod_metric(f)
-        S = (v0 * v0) * g.comp[0][0] + (2 * v0 * v1) * g.comp[0][1] \
-            + (v1 * v1) * g.comp[1][1]
-        q = (S.partial(1, 0) ** 2 + S.partial(0, 1) ** 2) / (4 * S.value * f.e2nu.value)
+        q = conical_quotient(data, v0, v1, math.sqrt(h), zeta)
         assert abs(q - 1.21) < 1e-2
 
+    @pytest.mark.parametrize("make", [tod.eh_rod_data, skew_rods, sixteen_nut_rods,
+                                      underflowing_rods])
+    def test_values_match_per_point_loop(self, make):
+        # one array pass over all rods x levels gives every sample the
+        # bits of its own per-point evaluation
+        data = make()
+        prof = axis_profile(data)
+        top = 4e-2 * data.min_gap ** 2
+        heights = tuple(top * 0.5 ** k for k in range(7))
+        reports = rodmod.conical_check(data)
+        assert len(reports) == data.n + 1
+        for i, (rep, vec) in enumerate(zip(reports, rodmod.rod_vectors(data))):
+            zeta = float(prof._rod_point(i))
+            v0, v1 = float(vec[0]), float(vec[1])
+            want = tuple(conical_quotient(data, v0, v1, math.sqrt(h), zeta)
+                         for h in heights)
+            assert (rep.rod, rep.zeta, rep.heights) == (i, zeta, heights)
+            assert [v.hex() for v in rep.values] == [v.hex() for v in want]
+
+    def test_failing_sample_raises_as_alone(self):
+        # with c = -1 a sample's denominator underflows to zero: a lone
+        # point's float division raises, so the array pass does too
+        data = RodData(c=-1.0, zs=(-1e-150, 1e-150), weights=(0.5, 0.5))
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            rodmod.conical_check(data)
+
     def test_samples_recorded(self):
-        rep = rodmod.conical_check(tod.eh_rod_data(), 1, levels=5)
+        rep = rodmod.conical_check(tod.eh_rod_data(), levels=5)[1]
         assert len(rep.heights) == 5
         assert rep.heights[0] == 1e-2
 
