@@ -68,8 +68,10 @@ def main():
     slope = np.polyfit(np.log(rs), np.log(ws), 1)[0]
     print(f"\nfar-field W slope against the flat radius: {slope:.6f}")
 
-    v = harmonic.build_v(data, 1e4, 0.3, order=0).value
-    v0 = harmonic.v0_jet(1e4, 0.3, order=0).value
+    # the single-nut model: one nut of weight 1 at the centroid 0
+    model = harmonic.RodData(c=data.c, zs=(0.0,), weights=(1.0,))
+    v = harmonic.potentials(tod.tod_fields(data, 1e4, 0.3, order=0))[0].value
+    v0 = harmonic.potentials(tod.tod_fields(model, 1e4, 0.3, order=0))[0].value
     print(f"potential minus single-nut model at rho = 1e4: {abs(v - v0):.2e}")
 
 

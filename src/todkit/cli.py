@@ -115,10 +115,14 @@ def load_rod_file(path):
 
 
 def _plain(value):
+    """value as JSON data: Fractions and unknown objects as strings, and a
+    NaN or an infinity as the string of its json token ("NaN",
+    "Infinity", "-Infinity"), since the bare token is not JSON."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, np.floating):
-        return float(value)
+    if isinstance(value, (float, np.floating)):
+        value = float(value)
+        return value if math.isfinite(value) else json.dumps(value)
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, (list, tuple)):
@@ -134,7 +138,7 @@ def _check(name, measured, tolerance, location="", good=None):
     if good is None:
         good = measured <= tolerance
     return {"name": name, "status": "pass" if good else "fail",
-            "measured": _plain(measured), "tolerance": _plain(tolerance),
+            "measured": measured, "tolerance": tolerance,
             "location": location}
 
 
@@ -147,11 +151,11 @@ def _write_report(out, fields, seed=None, **metadata):
     """Emit one report: the schema tag, the command's fields and metadata."""
     report = {"schema": SCHEMA, **fields,
               "metadata": {"seed": seed, "version": __version__, **metadata}}
-    _emit(render_report(report), out)
+    _emit(render_report(_plain(report)), out)
 
 
 def render_report(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _emit(text, out):
@@ -232,9 +236,8 @@ def suite_fields(data, seed, tols):
         f = tod.tod_fields(data, rho, zeta, order=3)
         gv = tod.tod_metric(f).values()
         det = gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[0, 1]
-        v = harmonic.build_v(data, rho, zeta, order=2)
+        v, h = harmonic.potentials(f)
         terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
-        h = harmonic.build_h(data, rho, zeta, order=2)
         scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
         om = tod.fundamental_form(f, order=1).values()
         gi = np.linalg.inv(gv)
@@ -481,11 +484,11 @@ def cmd_verify(args):
 def _branch_entry(branch):
     return {
         "n": branch.n,
-        "pattern": _plain(branch.pattern),
+        "pattern": branch.pattern,
         "status": branch.status,
         "junction": branch.junction,
         "certificate": branch.certificate,
-        "details": _plain(branch.details),
+        "details": branch.details,
     }
 
 
@@ -525,15 +528,15 @@ def cmd_pd_check(args):
         "selfdual" if params.selfdual else "generic")
     _write_report(args.out, {
         "command": "pd check",
-        "roots": _plain(params.roots),
+        "roots": params.roots,
         "verdict": verdict,
         "regular": reg.ok,
-        "eps": _plain(reg.eps),
-        "epsbar": _plain(reg.epsbar),
-        "m": _plain(reg.m),
-        "n": _plain(reg.n),
-        "m_raw": _plain(reg.m_raw),
-        "n_raw": _plain(reg.n_raw),
+        "eps": reg.eps,
+        "epsbar": reg.epsbar,
+        "m": reg.m,
+        "n": reg.n,
+        "m_raw": reg.m_raw,
+        "n_raw": reg.n_raw,
         "collinear_12": reg.collinear_12,
         "collinear_34": reg.collinear_34,
     })
@@ -550,7 +553,7 @@ def cmd_pd_scan(args):
         "samples": result.samples,
         "attempts": result.attempts,
         "admissible": result.admissible,
-        "certificates": _plain(result.certificates),
+        "certificates": result.certificates,
     }, result.seed)
     return 1 if result.admissible else 0
 
@@ -559,8 +562,8 @@ def cmd_pd_selfdual(args):
     params = _pd_params(args)
     _write_report(args.out, {
         "command": "pd selfdual",
-        "roots": _plain(params.roots),
-        "certificate": _plain(pd.pd_selfdual_check(params)),
+        "roots": params.roots,
+        "certificate": pd.pd_selfdual_check(params),
     })
     return 0
 

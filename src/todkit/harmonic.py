@@ -11,10 +11,13 @@ log ratio is always evaluated as 2 artanh(zeta/R) through the
 cancellation-free branch log((R + |zeta|)/rho), so jets stay accurate
 both near the axis and far out.
 
-``ward_coords``, ``RodData.interior_check`` and the per-nut terms behind
-them (and ``tod.tod_fields``) take rho and zeta either as numbers or as
-float arrays of one shape, one entry per point; see ``jets`` for how
-array jets round.
+Every field at a point is a sum over the same per-nut jets R_i and
+artanh(s_i/R_i), s_i = zeta - z_i, and ``_nut_terms`` is the one place
+that evaluates them.  ``tod.tod_fields`` keeps them in its ``TodFields``,
+``potentials`` reads V and H off those fields, and ``ward_coords`` sums
+them into the Ward coordinates.  These, and ``RodData.interior_check``,
+take rho and zeta either as numbers or as float arrays of one shape, one
+entry per point; see ``jets`` for how array jets round.
 """
 
 from __future__ import annotations
@@ -202,7 +205,7 @@ class RodData:
 
 
 # ---------------------------------------------------------------------------
-# single-nut potentials
+# per-nut jets, the potentials and the Ward coordinates
 
 
 def _halflog_ratio(r, z, zeta):
@@ -219,49 +222,16 @@ def _halflog_ratio(r, z, zeta):
     return jets.log((R + z * sign) / r) * sign, R
 
 
-def v0_jet(rho, zeta, order=4):
-    """Jet of V0 at an interior point (rho > 0)."""
-    if not rho > 0:
-        raise AxisEvaluationError(f"V0 needs rho > 0, got rho = {rho}")
-    r = Jet2.seed(float(rho), 0, order)
-    z = Jet2.seed(float(zeta), 1, order)
-    at, R = _halflog_ratio(r, z, float(zeta))
-    return 2 * R - 2 * z * at
-
-
-def h0_jet(rho, zeta, order=4):
-    """Jet of the conjugate single-nut potential H0."""
-    if not rho > 0:
-        raise AxisEvaluationError(f"H0 needs rho > 0, got rho = {rho}")
-    r = Jet2.seed(float(rho), 0, order)
-    z = Jet2.seed(float(zeta), 1, order)
-    at, R = _halflog_ratio(r, z, float(zeta))
-    return z * R + r * r * at
-
-
-def build_v(rods, rho, zeta, order=4):
-    """Jet of V = sum a_i V0(rho, zeta - z_i)."""
-    acc = Jet2.const(0.0, order)
-    for z_i, a_i in rods.floats.nuts:
-        acc = acc + a_i * v0_jet(rho, float(zeta) - z_i, order)
-    return acc
-
-
-def build_h(rods, rho, zeta, order=4):
-    """Jet of H = sum a_i H0(rho, zeta - z_i) + gauge constant."""
-    acc = Jet2.const(rods.floats.gauge, order)
-    for z_i, a_i in rods.floats.nuts:
-        acc = acc + a_i * h0_jet(rho, float(zeta) - z_i, order)
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# Ward coordinates
-
-
 def _nut_terms(rods, rho, zeta, order):
-    """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order."""
-    r = Jet2.seed(_coordinate(rho), 0, order)
+    """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order.
+
+    The one per-nut evaluation; it needs rho > 0 at every point.
+    """
+    rho = _coordinate(rho)
+    bad = _first_nonpositive(rho)
+    if bad is not None:
+        raise AxisEvaluationError(f"per-nut jets need rho > 0, got {bad}")
+    r = Jet2.seed(rho, 0, order)
     zeta = _coordinate(zeta)
     terms = []
     for z_i, a_i in rods.floats.nuts:
@@ -272,15 +242,29 @@ def _nut_terms(rods, rho, zeta, order):
     return terms
 
 
+def potentials(fields):
+    """Jets of V and its conjugate H at the order of a tod.TodFields.
+
+    V = sum a_i V0(rho, s_i) and H = gauge + sum a_i H0(rho, s_i), summed
+    in nut order from the per-nut terms the fields hold, so no nut is
+    evaluated twice.
+    """
+    order = fields.z.order
+    r = Jet2.seed(fields.point[0], 0, order)
+    V = Jet2.const(0.0, order)
+    H = Jet2.const(fields.rods.floats.gauge, order)
+    for a_i, s, at, R in fields.terms:
+        V = V + a_i * (2 * R - 2 * s * at)
+        H = H + a_i * (s * R + r * r * at)
+    return V, H
+
+
 def ward_coords(rods, rho, zeta, order=4):
     """Jets of z = rho V_rho / 2 and x = -V_zeta / 2.
 
     For rod sums these collapse to z = sum a_i R_i and
     x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
     """
-    bad = _first_nonpositive(rho)
-    if bad is not None:
-        raise AxisEvaluationError(f"ward coordinates need rho > 0, got {bad}")
     zj = Jet2.const(0.0, order)
     xj = Jet2.const(0.0, order)
     for a_i, _, at, R in _nut_terms(rods, rho, zeta, order):

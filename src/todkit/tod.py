@@ -38,9 +38,11 @@ class TodFields:
 
     point is (rho, zeta) as floats, or as float arrays of one shape whose
     entries are the points; every jet then carries one coefficient array
-    over the set.  The fields fix the metric (tod_metric), the Toda
-    identity (harmonic.toda_residual) and the fundamental form, so checks
-    at a point read one TodFields instead of evaluating their own.
+    over the set.  terms are the per-nut jets the fields were summed from
+    (see harmonic._nut_terms).  The fields fix the metric (tod_metric), the
+    potentials V and H (harmonic.potentials), the Toda identity
+    (harmonic.toda_residual) and the fundamental form, so checks at a
+    point read one TodFields instead of evaluating their own.
     """
 
     W: Jet2
@@ -50,6 +52,7 @@ class TodFields:
     x: Jet2
     rods: RodData = field(repr=False, default=None)
     point: tuple = None
+    terms: list = field(repr=False, default=None)
 
 
 @dataclass(frozen=True)
@@ -103,10 +106,6 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     """
     if check_interior:
         rods.interior_check(rho, zeta)
-    else:
-        bad = harmonic._first_nonpositive(rho)
-        if bad is not None:
-            raise AxisEvaluationError(f"tod_fields needs rho > 0, got {bad}")
     rho = harmonic._coordinate(rho)
     zeta = harmonic._coordinate(zeta)
     c, gamma, nuts = rods.floats
@@ -139,7 +138,8 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
     F = -(A * M + P * K + gamma * den) / den / c
-    return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods, point=(rho, zeta))
+    return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods,
+                     point=(rho, zeta), terms=terms)
 
 
 # the float semantics of tod_fields, on point sets too

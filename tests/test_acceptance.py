@@ -21,6 +21,7 @@ from todkit import cky, classify, curvature, harmonic, pd, rods as rodmod, tod
 from todkit.errors import TodkitError
 from todkit.harmonic import RodData
 
+import reference_potentials
 from fd import check_jet_against_fd
 
 RADII = [100.0 * 100.0 ** (i / 4) for i in range(5)]
@@ -163,11 +164,10 @@ def test_criterion_04_algebraic_identities():
             det = gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[0, 1]
             worst_det = max(worst_det, abs(det - rho * rho) / (rho * rho))
 
-            v = harmonic.build_v(data, rho, zeta, order=2)
+            v, h = harmonic.potentials(f)
             terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
             worst_harm = max(worst_harm,
                              abs(sum(terms)) / sum(abs(t) for t in terms))
-            h = harmonic.build_h(data, rho, zeta, order=2)
             scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
             worst_conj = max(
                 worst_conj,
@@ -318,8 +318,8 @@ def test_criterion_10_asymptotic_decay():
         f = tod.tod_fields(data, rho, zeta, order=0)
         ws.append(f.W.value)
         z_err.append(abs(f.z.value / big_r - 1.0))
-        v = harmonic.build_v(data, rho, zeta, order=0).value
-        v0 = harmonic.v0_jet(rho, zeta, order=0).value
+        v = harmonic.potentials(f)[0].value
+        v0 = reference_potentials.v0_jet(rho, zeta, order=0).value
         v_ratio.append(abs(v - v0) / math.log(big_r))
     slope = float(np.polyfit(np.log(rs), np.log(ws), 1)[0])
     report = cky.cky_decay_check(data, RADII, theta=theta)
@@ -339,6 +339,7 @@ def test_criterion_11_finite_difference_audit():
     for data in (eh_rods(), skew_rods()):
         for rho, zeta in tod_points(rng, data, 8):
             f = tod.tod_fields(data, rho, zeta, order=2)
+            v, h = harmonic.potentials(f)
             probes = (
                 (f.W, lambda a, b, d=data:
                     tod.tod_fields(d, a, b, order=0).W.value),
@@ -348,10 +349,10 @@ def test_criterion_11_finite_difference_audit():
                     tod.tod_fields(d, a, b, order=0).e2nu.value),
                 (f.z, lambda a, b, d=data:
                     tod.tod_fields(d, a, b, order=0).z.value),
-                (harmonic.build_v(data, rho, zeta, order=2),
-                 lambda a, b, d=data: harmonic.build_v(d, a, b, order=0).value),
-                (harmonic.build_h(data, rho, zeta, order=2),
-                 lambda a, b, d=data: harmonic.build_h(d, a, b, order=0).value),
+                (v, lambda a, b, d=data: harmonic.potentials(
+                    tod.tod_fields(d, a, b, order=0))[0].value),
+                (h, lambda a, b, d=data: harmonic.potentials(
+                    tod.tod_fields(d, a, b, order=0))[1].value),
             )
             for jet, fn in probes:
                 worst = max(worst, check_jet_against_fd(jet, fn, rho, zeta))

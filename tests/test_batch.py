@@ -14,6 +14,8 @@ from todkit import harmonic, tod
 from todkit.errors import AxisEvaluationError, DegenerateMetricError
 from todkit.harmonic import RodData
 
+import reference_potentials
+
 ORDERS = [0, 1, 2, 3, 4]
 
 
@@ -81,6 +83,23 @@ class TestBatchMatchesPoints:
             point = tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=order)
             for name in ("W", "e2nu", "F", "z", "x"):
                 assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("make, radii", CASES)
+    def test_potentials_match_reference(self, make, radii, order):
+        # V and H read off the fields, for the point set and for each
+        # point alone, carry the bits of the nut-by-nut reference sums
+        rods = make()
+        rho, zeta = sample_points(rods, radii)
+        batch = harmonic.potentials(tod.tod_fields(rods, rho, zeta, order=order))
+        for k in range(len(rho)):
+            r, z = float(rho[k]), float(zeta[k])
+            point = harmonic.potentials(tod.tod_fields(rods, r, z, order=order))
+            want = (reference_potentials.build_v(rods, r, z, order),
+                    reference_potentials.build_h(rods, r, z, order))
+            for b, p, w in zip(batch, point, want):
+                assert_point_of_batch(b, w, k)
+                assert_point_of_batch(p, w, k)
 
     def test_extreme_scale_is_silent(self):
         # the float arithmetic overflows here; the batch stays as silent

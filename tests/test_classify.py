@@ -201,3 +201,14 @@ class TestCorroboration:
         assert all(r.ok for r in reports)
         assert reports[0].level == 2
         assert reports[0].sign == 1
+
+
+class TestDegenerateCertificateCost:
+    def test_one_array_call(self, monkeypatch):
+        calls = []
+        fields = tod.tod_fields
+        monkeypatch.setattr(tod, "tod_fields",
+                            lambda *args, **kw: calls.append(1) or fields(*args, **kw))
+        cert = classify.verify_n1_degenerate()
+        assert cert["points"] == 36
+        assert len(calls) == 1

@@ -532,3 +532,73 @@ class TestPd:
         code, _, err = run(["pd", "selfdual", "--case", "a"], capsys)
         assert code == 2
         assert "--u" in err
+
+
+def strict_json(text):
+    """Parse a report as RFC 8259 JSON: a bare NaN or Infinity token raises."""
+    def refuse(token):
+        raise ValueError(f"non-JSON token {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+# valid ALE data whose conical samples all underflow to NaN
+UNDERFLOW_DOC = {"c": -1e-300, "rods": [{"z": -1e-150, "a": 0.5},
+                                        {"z": 1e-150, "a": 0.5}]}
+
+
+class TestStrictJson:
+    def test_non_finite_values_are_strings(self):
+        plain = cli._plain({"a": math.nan, "b": [math.inf, np.float64(-math.inf)],
+                            "c": 1.5, "d": np.float64(2.0)})
+        assert plain == {"a": "NaN", "b": ["Infinity", "-Infinity"],
+                         "c": 1.5, "d": 2.0}
+        with pytest.raises(ValueError):
+            cli.render_report({"a": math.nan})
+
+    def test_nan_measured(self, tmp_path, capsys):
+        path = write_rod_file(tmp_path, UNDERFLOW_DOC)
+        code, out, _ = run(["verify", path, "--suite", "rods"], capsys)
+        assert code == 1
+        by_name = {ch["name"]: ch for ch in strict_json(out)["checks"]}
+        assert by_name["conical"]["measured"] == "NaN"
+        assert by_name["conical"]["status"] == "fail"
+
+    def test_infinite_measured(self, tmp_path, capsys, monkeypatch):
+        def no_basis(rods, tol):
+            raise RodDataError("basis vectors are collinear")
+        monkeypatch.setattr(cli.rods, "gl2z_compatibility", no_basis)
+        path = write_rod_file(tmp_path, EH_DOC)
+        code, out, _ = run(["verify", path, "--suite", "rods"], capsys)
+        assert code == 1
+        by_name = {ch["name"]: ch for ch in strict_json(out)["checks"]}
+        assert by_name["gl2z"]["measured"] == "Infinity"
+        assert by_name["gl2z"]["status"] == "fail"
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "ROD_FILE", "--suite", "all"],
+        ["classify", "--nmax", "6"],
+        ["pd", "check", "--roots", "0.2", "0.4", "2.0", "6.25"],
+        ["pd", "check", "--case", "a", "--u", "0.3", "--v", "0.6"],
+        ["pd", "scan", "--case", "ii", "--samples", "100", "--seed", "42"],
+        ["pd", "selfdual", "--case", "a", "--u", "0.3", "--v", "0.6"],
+        ["pd", "selfdual", "--case", "b", "--u", "-2.5", "--v", "0.7"],
+    ], ids=["verify", "classify", "pd-check-roots", "pd-check-case",
+            "pd-scan", "pd-selfdual-a", "pd-selfdual-b"])
+    def test_reports_are_strict_json(self, tmp_path, capsys, args):
+        path = write_rod_file(tmp_path, EH_DOC)
+        args = [path if a == "ROD_FILE" else a for a in args]
+        code, out, _ = run(args, capsys)
+        assert code in (0, 1)
+        assert strict_json(out)["schema"] == cli.SCHEMA
+
+
+class TestFieldsSuiteCost:
+    def test_one_nut_pass_per_point(self, tmp_path, monkeypatch):
+        # 25 points, each nut's sqrt and log evaluated once per point
+        data, _ = cli.load_rod_file(write_rod_file(tmp_path, EH_DOC))
+        calls = []
+        halflog = cli.harmonic._halflog_ratio
+        monkeypatch.setattr(cli.harmonic, "_halflog_ratio",
+                            lambda *args: calls.append(1) or halflog(*args))
+        cli.suite_fields(data, 0, cli.DEFAULT_TOLS)
+        assert len(calls) == 25 * 2

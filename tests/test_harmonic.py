@@ -10,7 +10,7 @@ import pytest
 
 from todkit import harmonic, tod
 from todkit.errors import AxisEvaluationError, NutProximityError, RodDataError
-from todkit.harmonic import RodData, axis_profile, build_h, build_v
+from todkit.harmonic import RodData, axis_profile
 
 from fd import check_jet_against_fd
 
@@ -32,6 +32,31 @@ def eh_rods_exact():
 
 def skew_rods():
     return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
+
+
+def potentials(rods, rho, zeta, order=4):
+    """The V and H jets at one point, read off the fields there."""
+    return harmonic.potentials(tod.tod_fields(rods, rho, zeta, order))
+
+
+def v_jet(rods, rho, zeta, order=4):
+    return potentials(rods, rho, zeta, order)[0]
+
+
+def h_jet(rods, rho, zeta, order=4):
+    return potentials(rods, rho, zeta, order)[1]
+
+
+# one nut of weight 1 at 0 and gauge 0: V = V0 and H = H0
+UNIT_NUT = RodData(c=-1.0, zs=(0.0,), weights=(1.0,), gauge=0.0)
+
+
+def unit_v0(rho, zeta, order=4):
+    return v_jet(UNIT_NUT, rho, zeta, order)
+
+
+def unit_h0(rho, zeta, order=4):
+    return h_jet(UNIT_NUT, rho, zeta, order)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +109,7 @@ class TestRodData:
         want = resolve(rods)
         tod.tod_fields(rods, 0.7, -0.4, order=2)
         tod.tod_fields(rods, 1.1, 0.3, order=0)
-        build_h(rods, 0.7, -0.4, order=2)
+        h_jet(rods, 0.7, -0.4, order=2)
         assert axis_profile(rods).gauge == rods.gauge_constant == want
         assert calls == [rods]
         assert eh_rods(gauge=0.3).gauge_constant == 0.3
@@ -106,8 +131,8 @@ class TestRodData:
             want = tod.tod_fields(twin, *point, order=order)
             for name in ("W", "F", "e2nu", "z", "x"):
                 assert getattr(got, name).c == getattr(want, name).c
-        assert build_v(exact, *point).c == build_v(twin, *point).c
-        assert build_h(exact, *point).c == build_h(twin, *point).c
+        assert v_jet(exact, *point).c == v_jet(twin, *point).c
+        assert h_jet(exact, *point).c == h_jet(twin, *point).c
         assert harmonic.toda_residual(tod.tod_fields(exact, *point, order=2)) \
             == harmonic.toda_residual(tod.tod_fields(twin, *point, order=2))
 
@@ -116,21 +141,21 @@ class TestSingleNut:
     """Worked values at (rho, zeta) = (3, 4), R = 5."""
 
     def test_v0_value(self):
-        v = harmonic.v0_jet(3.0, 4.0)
+        v = unit_v0(3.0, 4.0)
         assert abs(v.value - (10 - 4 * math.log(9))) < 1e-13
 
     def test_v0_zetazeta(self):
         # d2 V0 / dzeta2 = -2 / R
-        v = harmonic.v0_jet(3.0, 4.0)
+        v = unit_v0(3.0, 4.0)
         assert abs(v.partial(0, 2) + 2 / 5) < 1e-13
 
     def test_h0_value(self):
-        h = harmonic.h0_jet(3.0, 4.0)
+        h = unit_h0(3.0, 4.0)
         assert abs(h.value - (20 + 4.5 * math.log(9))) < 1e-13
 
     def test_even_in_zeta(self):
-        up = harmonic.v0_jet(1.7, 0.6)
-        dn = harmonic.v0_jet(1.7, -0.6)
+        up = unit_v0(1.7, 0.6)
+        dn = unit_v0(1.7, -0.6)
         assert abs(up.value - dn.value) < 1e-14
         assert abs(up.partial(0, 1) + dn.partial(0, 1)) < 1e-13
 
@@ -139,7 +164,7 @@ class TestSingleNut:
         zeta = 0.8
         g0 = 2 * zeta - zeta * math.log(4 * zeta * zeta)
         for rho in (1e-3, 1e-4):
-            v = harmonic.v0_jet(rho, zeta)
+            v = unit_v0(rho, zeta)
             rest = v.value - zeta * math.log(rho * rho) - g0
             assert abs(rest) < 10 * rho * rho
 
@@ -156,12 +181,12 @@ class TestSingleNut:
         for _ in range(20):
             rho = float(rng.uniform(0.3, 4.0))
             zeta = float(rng.uniform(-3.0, 3.0))
-            jet = harmonic.v0_jet(rho, zeta)
+            jet = unit_v0(rho, zeta)
             assert check_jet_against_fd(jet, val, rho, zeta) < 1e-6
 
     def test_axis_error(self):
         with pytest.raises(AxisEvaluationError):
-            harmonic.v0_jet(0.0, 1.0)
+            unit_v0(0.0, 1.0)
 
 
 class TestPotentials:
@@ -169,7 +194,7 @@ class TestPotentials:
         # axisymmetric Laplacian V_rr + V_r / r + V_zz = 0
         for rods in (eh_rods(), skew_rods()):
             for rho, zeta in ((0.7, 0.1), (2.5, -1.3), (0.05, 3.0)):
-                v = build_v(rods, rho, zeta)
+                v = v_jet(rods, rho, zeta)
                 resid = v.partial(2, 0) + v.partial(1, 0) / rho + v.partial(0, 2)
                 scale = abs(v.partial(2, 0)) + abs(v.partial(0, 2)) + 1.0
                 assert abs(resid) / scale < 1e-12
@@ -178,8 +203,8 @@ class TestPotentials:
         # H_rho = -rho V_zeta and H_zeta = rho V_rho
         for rods in (eh_rods(), skew_rods()):
             rho, zeta = 3.0, 4.0
-            v = build_v(rods, rho, zeta)
-            h = build_h(rods, rho, zeta)
+            v = v_jet(rods, rho, zeta)
+            h = h_jet(rods, rho, zeta)
             s1 = abs(h.partial(1, 0) + rho * v.partial(0, 1))
             s2 = abs(h.partial(0, 1) - rho * v.partial(1, 0))
             scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
@@ -192,7 +217,7 @@ class TestPotentials:
         for _ in range(25):
             rho = float(rng.uniform(0.1, 3.0))
             zeta = float(rng.uniform(-2.0, 2.0))
-            v = build_v(rods, rho, zeta, order=2)
+            v = v_jet(rods, rho, zeta, order=2)
             expected = -sum(
                 2 * a / math.hypot(rho, zeta - z)
                 for a, z in zip(rods.weights, rods.zs)
@@ -207,9 +232,20 @@ class TestPotentials:
         for Rbig in (1e3, 1e5):
             theta = 1.1
             rho, zeta = Rbig * math.sin(theta), Rbig * math.cos(theta)
-            v = build_v(rods, rho, zeta, order=0)
-            v0 = harmonic.v0_jet(rho, zeta - zb, order=0)
+            v = v_jet(rods, rho, zeta, order=0)
+            v0 = unit_v0(rho, zeta - zb, order=0)
             assert abs(v.value - v0.value) < 5 * math.log(Rbig)
+
+    @pytest.mark.parametrize("make", [eh_rods_exact, skew_rods])
+    def test_truncation(self, make):
+        # V and H read off order-3 fields carry, up to order 2, the bits
+        # of the order-2 call (verify's fields suite relies on it)
+        rods = make()
+        for rho, zeta in ((0.7, 0.1), (2.5, -1.3), (0.05, 3.0), (0.3, -0.25)):
+            for high, low in zip(potentials(rods, rho, zeta, 3),
+                                 potentials(rods, rho, zeta, 2)):
+                assert [float(v).hex() for v in high.truncate(2).c] \
+                    == [float(v).hex() for v in low.c]
 
 
 class TestWard:
@@ -225,7 +261,7 @@ class TestWard:
     def test_matches_v_derivatives(self):
         rods = eh_rods()
         rho, zeta = 0.9, 0.4
-        v = build_v(rods, rho, zeta)
+        v = v_jet(rods, rho, zeta)
         zj, xj = harmonic.ward_coords(rods, rho, zeta)
         assert abs(zj.value - rho * v.partial(1, 0) / 2) < 1e-12
         assert abs(xj.value + v.partial(0, 1) / 2) < 1e-12
@@ -276,14 +312,14 @@ class TestAxisProfile:
         prof = axis_profile(rods)
         for zeta in (-2.0, -0.2, 0.5, 1.8):
             rho = 1e-5
-            v = build_v(rods, rho, zeta, order=0)
+            v = v_jet(rods, rho, zeta, order=0)
             g = v.value - prof.f(zeta) * math.log(rho * rho)
             assert abs(g - prof.g(zeta)) < 1e-8
 
     def test_h_axis_limit(self):
         # H0 -> zeta |zeta| as rho -> 0
         for zeta in (0.7, -1.2):
-            h = harmonic.h0_jet(1e-6, zeta, order=0)
+            h = unit_h0(1e-6, zeta, order=0)
             assert abs(h.value - zeta * abs(zeta)) < 1e-10
 
     def test_eh_middle_rod_h(self):
@@ -292,7 +328,7 @@ class TestAxisProfile:
         prof = axis_profile(rods)
         for zeta in (-0.2, 0.0, 0.15):
             assert abs(prof.h(zeta) - (zeta / 2 + 0.3)) < 1e-14
-        hz = build_h(rods, 1e-6, 0.1, order=0)
+        hz = h_jet(rods, 1e-6, 0.1, order=0)
         assert abs(hz.value - (0.05 + 0.3)) < 1e-10
 
     def test_f_constant_is_constant(self):

@@ -15,6 +15,7 @@ from todkit.errors import (
 from todkit.harmonic import RodData
 from todkit.jets import Jet2
 
+import reference_potentials
 from fd import check_jet_against_fd
 
 WP_RHO = math.sqrt(3) / 4
@@ -32,10 +33,10 @@ def literal_field_jets(rods, rho, zeta, order=2):
     """The quotient formulas evaluated directly from potential jets.
 
     Independent of the resummed route used in tod_fields: everything is
-    built from build_v / build_h derivative jets.
+    built from the nut-by-nut reference V and H derivative jets.
     """
-    V = harmonic.build_v(rods, rho, zeta, order + 2)
-    H = harmonic.build_h(rods, rho, zeta, order)
+    V = reference_potentials.build_v(rods, rho, zeta, order + 2)
+    H = reference_potentials.build_h(rods, rho, zeta, order)
     Vr = V.derivative(0)
     Vz = V.derivative(1)
     Vzz = Vz.derivative(1)
