@@ -222,10 +222,11 @@ def suite_fields(data, seed, tols):
                    "norm_identity")
     if data.n == 1:
         cert = classify.verify_n1_degenerate(rods=data)
+        found = "vanish" if cert["degenerate"] else "are not all zero"
         return [{
             "name": "w_identically_zero", "status": "fail",
             "measured": cert["max_abs_w_jet"], "tolerance": None,
-            "location": f"W jets vanish on a grid of {cert['points']} points; "
+            "location": f"W jets {found} on a grid of {cert['points']} points; "
                         "single-nut data gives a degenerate metric",
         }] + worst.skips(SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 

@@ -83,11 +83,7 @@ class PdParams:
     @property
     def coefficients(self):
         """(a0, a1, a2, a3); the constant term equals a0 by the root product."""
-        p1, p2, p3, p4 = self.roots
-        a3 = -self.a0 * (p1 + p2 + p3 + p4)
-        a2 = self.a0 * (p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4)
-        a1 = -self.a0 * (p1 * p2 * p3 + p1 * p2 * p4 + p1 * p3 * p4 + p2 * p3 * p4)
-        return (self.a0, a1, a2, a3)
+        return _coefficients(self.a0, *self.roots)
 
     @property
     def selfdual(self):
@@ -109,13 +105,50 @@ class PdParams:
         return _quartic(self.coefficients, x)
 
     def quartic_prime(self, x):
-        a0, a1, a2, a3 = self.coefficients
-        return ((x * 4 * a0 + 3 * a3) * x + 2 * a2) * x + a1
+        return _quartic_prime(self.coefficients, x)
+
+
+# The formulas below use operators only, so each takes exact or float
+# scalars as well as float64 root columns (one entry per root set): the
+# per-row scan kernel shares them with the scalar path.
+
+def _coefficients(a0, p1, p2, p3, p4):
+    a3 = -a0 * (p1 + p2 + p3 + p4)
+    a2 = a0 * (p1 * p2 + p1 * p3 + p1 * p4 + p2 * p3 + p2 * p4 + p3 * p4)
+    a1 = -a0 * (p1 * p2 * p3 + p1 * p2 * p4 + p1 * p3 * p4 + p2 * p3 * p4)
+    return (a0, a1, a2, a3)
 
 
 def _quartic(a, x):
     """F(x) by Horner's rule from the coefficients (a0, a1, a2, a3)."""
     return (((x * a[0] + a[3]) * x + a[2]) * x + a[1]) * x + a[0]
+
+
+def _quartic_prime(a, x):
+    a0, a1, a2, a3 = a
+    return ((x * 4 * a0 + 3 * a3) * x + 2 * a2) * x + a1
+
+
+def _rod_vectors(a, p1, p2, p3):
+    dp2 = _quartic_prime(a, p2)
+    dp3 = _quartic_prime(a, p3)
+    dq1 = _quartic_prime(a, p1)
+    l1 = (2 * p2 * p2 / dp2, 2 / dp2)
+    l2 = (2 / dq1, 2 * p1 * p1 / dq1)
+    l3 = (2 * p3 * p3 / dp3, 2 / dp3)
+    l4 = (2 / dp2, 2 * p2 * p2 / dp2)
+    return (l1, l2, l3, l4)
+
+
+def _solve(la, lb, lc, d):
+    """(e, k) with lc = -e la + k lb, given d = det(la, lb) != 0."""
+    return -_det2(lc, lb) / d, _det2(la, lc) / d
+
+
+def _closed_forms(p1, p2, p3):
+    """(numerator, denominator) of m / (eps epsbar) and of n eps."""
+    return ((p3 * p3 - p2 * p2, 1 - p2 * p2 * p3 * p3),
+            (p1 * p1 - p2 * p2, 1 - p1 * p1 * p2 * p2))
 
 
 def pd_metric(params, p, q, order=4):
@@ -164,15 +197,7 @@ def pd_rod_vectors(params):
     Order along the boundary: l1 on p = p2, l2 on q = p1, l3 on p = p3,
     l4 on q = p2.  Exact root data gives exact vectors.
     """
-    p1, p2, p3, _ = params.roots
-    dp2 = params.quartic_prime(p2)
-    dp3 = params.quartic_prime(p3)
-    dq1 = params.quartic_prime(p1)
-    l1 = (2 * p2 * p2 / dp2, 2 / dp2)
-    l2 = (2 / dq1, 2 * p1 * p1 / dq1)
-    l3 = (2 * p3 * p3 / dp3, 2 / dp3)
-    l4 = (2 / dp2, 2 * p2 * p2 / dp2)
-    return (l1, l2, l3, l4)
+    return _rod_vectors(params.coefficients, *params.roots[:3])
 
 
 @dataclass(frozen=True)
@@ -209,20 +234,19 @@ def pd_regularity(params):
 
     eps = m_raw = None
     if not _zero(d12):
-        eps = -_det2(l3, l2) / d12
-        m_raw = _det2(l1, l3) / d12
+        eps, m_raw = _solve(l1, l2, l3, d12)
     epsbar = n_raw = None
     if not _zero(d23):
-        epsbar = -_det2(l4, l3) / d23
-        n_raw = _det2(l2, l4) / d23
+        epsbar, n_raw = _solve(l2, l3, l4, d23)
 
     def _ratio(num, den):
         return num / den if abs(den) > params.slack * 1e-12 * max(1.0, abs(num)) else None
 
     # the closed forms lose meaning exactly where the relation basis
     # degenerates (reciprocal root pairs)
-    m_simp = _ratio(p3 * p3 - p2 * p2, 1 - p2 * p2 * p3 * p3)
-    n_simp = _ratio(p1 * p1 - p2 * p2, 1 - p1 * p1 * p2 * p2)
+    m_form, n_form = _closed_forms(p1, p2, p3)
+    m_simp = _ratio(*m_form)
+    n_simp = _ratio(*n_form)
 
     def _certify_closed(name, solved, closed):
         if not abs(solved - closed) <= params.slack * 1e-8 * max(1.0, abs(closed)):
@@ -318,36 +342,116 @@ def pd_selfdual_check(params):
     return out
 
 
-def _sample_roots(case, rng):
-    """One sampling attempt; None when the draw violates the rectangle
-    or degenerates."""
-    if case in ("i", "ii", "iii"):
-        signs = {"i": (1, 1, 1, 1), "ii": (-1, -1, 1, 1),
-                 "iii": (-1, -1, -1, -1)}[case]
-        mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=4))
-        vals = sorted(s * m for s, m in zip(signs, mags))
-        prod = abs(vals[0] * vals[1] * vals[2] * vals[3])
-        roots = tuple(v / prod ** 0.25 for v in vals)
-        gaps = min(roots[i + 1] - roots[i] for i in range(3))
-        if gaps < 1e-3:
-            return None
-        if case != "iii" and max(abs(roots[1]), abs(roots[2])) * max(abs(roots[0]), abs(roots[1])) >= 1:
+def _regularity_rows(roots):
+    """pd_regularity of every row of a float (k, 4) root array in one pass.
+
+    Returns a PdRegularity whose fields are arrays over the rows, NaN
+    where pd_regularity gives None, and the mask of rows whose solved
+    coefficients disagree with their closed forms, on which pd_regularity
+    raises CertificateError.  Float roots have tolerance slack one; the
+    formulas are the scalar path's, only its branches become masks.
+    """
+    p1, p2, p3, p4 = roots.T
+    # collinear rows divide by zero; the masks below discard those values
+    with np.errstate(all="ignore"):
+        vecs = _rod_vectors(_coefficients(1, p1, p2, p3, p4), p1, p2, p3)
+        l1, l2, l3, l4 = vecs
+        scale = np.max(np.abs(vecs), axis=(0, 1))
+        d12 = _det2(l1, l2)
+        d23 = _det2(l2, l3)
+        d34 = _det2(l3, l4)
+
+        def _zero(d):
+            return np.abs(d) <= 1e-14 * scale * scale
+
+        def _ratio(num, den):
+            defined = np.abs(den) > 1e-12 * np.maximum(1.0, np.abs(num))
+            return np.where(defined, num / den, np.nan), defined
+
+        def _disagrees(solved, closed):
+            return ~(np.abs(solved - closed) <= 1e-8 * np.maximum(1.0, np.abs(closed)))
+
+        def _is_one(x):
+            return np.abs(x - 1) <= 1e-9
+
+        def _is_integer(x):
+            return np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(1.0, np.abs(x))
+
+        c12, c23, c34 = _zero(d12), _zero(d23), _zero(d34)
+        eps, m_raw = (np.where(c12, np.nan, x) for x in _solve(l1, l2, l3, d12))
+        epsbar, n_raw = (np.where(c23, np.nan, x) for x in _solve(l2, l3, l4, d23))
+        m_form, n_form = _closed_forms(p1, p2, p3)
+        m, m_defined = _ratio(*m_form)
+        n, n_defined = _ratio(*n_form)
+        solved = ~c12 & ~c23
+        checks_m = m_defined & ~c34 & solved & (np.abs(eps * epsbar) > 1e-12)
+        disagrees = checks_m & _disagrees(m_raw / (eps * epsbar), m)
+        disagrees |= n_defined & solved & _disagrees(n_raw * eps, n)
+        ok = _is_one(eps) & _is_one(epsbar) & _is_integer(m_raw) & _is_integer(n_raw)
+        reg = PdRegularity(vectors=vecs, eps=eps, epsbar=epsbar,
+                           m_raw=m_raw, n_raw=n_raw, m=m, n=n,
+                           collinear_12=c12, collinear_34=c34,
+                           end_det=_det2(l4, l1), ok=ok)
+    return reg, disagrees
+
+
+_SIGNS = {"i": (1, 1, 1, 1), "ii": (-1, -1, 1, 1), "iii": (-1, -1, -1, -1)}
+
+
+def _draw_roots(case, rng, k):
+    """k sampling attempts in stream order: a (k, 4) root array and the
+    mask of attempts that respect the rectangle and do not degenerate."""
+    if case in _SIGNS:
+        mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(k, 4)))
+        vals = np.sort(mags * np.array(_SIGNS[case]), axis=1)
+        prod = np.abs(vals[:, 0] * vals[:, 1] * vals[:, 2] * vals[:, 3])
+        # scalar pow: the array np.power differs in the last bit
+        roots = vals / np.array([x ** 0.25 for x in prod.tolist()])[:, None]
+        keep = ~(np.min(np.diff(roots, axis=1), axis=1) < 1e-3)
+        if case != "iii":
             # all-negative quadruples never pass this filter; they are
             # kept and rejected through their corner certificate instead
-            return None
-        return roots
+            r = np.abs(roots)
+            keep &= ~(np.maximum(r[:, 1], r[:, 2]) * np.maximum(r[:, 0], r[:, 1]) >= 1)
+        return roots, keep
     if case == "a":
-        u, v = sorted(np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=2)))
-        if v - u < 1e-3 or 1 / v - v < 1e-3:
-            return None
-        return (u, v, 1 / v, 1 / u)
-    if case == "b":
-        u = -math.exp(rng.uniform(math.log(1.05), math.log(20.0)))
-        v = math.exp(rng.uniform(math.log(0.02), math.log(0.95)))
-        if abs(u) * v >= 1 - 1e-6 or v - 1 / u < 1e-3 or 1 / v - v < 1e-3:
-            return None
-        return (u, 1 / u, v, 1 / v)
-    raise RodDataError(f"unknown scan case {case!r}")
+        u, v = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=(k, 2))),
+                       axis=1).T
+        keep = ~((v - u < 1e-3) | (1 / v - v < 1e-3))
+        return np.stack([u, v, 1 / v, 1 / u], axis=1), keep
+    # case b: math.exp, since np.exp differs from it in the last bit
+    lo = np.array([math.log(1.05), math.log(0.02)])
+    hi = np.array([math.log(20.0), math.log(0.95)])
+    draws = lo + (hi - lo) * rng.random((k, 2))
+    u, v = np.array([[math.exp(x) for x in row] for row in draws.T.tolist()])
+    u = -u
+    keep = ~((np.abs(u) * v >= 1 - 1e-6) | (v - 1 / u < 1e-3) | (1 / v - v < 1e-3))
+    return np.stack([u, 1 / u, v, 1 / v], axis=1), keep
+
+
+def _corner_cut_off(reg, roots):
+    # sorted negative roots with product one force |p1 p2| > 1, so the
+    # curvature bound crosses the rectangle and cuts off the corner
+    # fixed point before any lattice count applies
+    p1, p2, p3 = roots[:, 0], roots[:, 1], roots[:, 2]
+    return (p3 * p3 < p2 * p2) & (p2 * p2 < p1 * p1) & (p1 * p1 * p2 * p2 > 1)
+
+
+# scan case -> (rejection certificate, the rows where it holds)
+_CERTIFICATES = {
+    "i": ("n strictly between -1 and 0",
+          lambda reg, roots: (-1 < reg.n) & (reg.n < 0)),
+    "ii": ("epsbar exceeds 1", lambda reg, roots: reg.epsbar > 1),
+    "iii": ("curvature bound inside the rectangle, corner cut off", _corner_cut_off),
+    "a": ("rods 3 and 4 opposite, eps below 1",
+          lambda reg, roots: reg.collinear_34 & (0 < reg.eps) & (reg.eps < 1)),
+    "b": ("rods 1 and 2 opposite, epsbar exceeds 1",
+          lambda reg, roots: reg.collinear_12 & (reg.epsbar > 1)),
+}
+
+# Attempts drawn and certified per array pass: bounds the scan's memory
+# whatever the sample count.
+_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -368,49 +472,52 @@ def pd_scan(case, samples=1000, seed=7):
     negative lower pair, the curvature bound cutting off the corner for
     all-negative roots, and the opposite rod pair with eps (or epsbar)
     away from one in the palindromic cases.
+
+    Attempts are drawn in blocks of _BLOCK and certified as arrays, row
+    by row equal to drawing and certifying one attempt at a time.  The
+    blocks consume the Generator exactly as per-attempt draws would:
+    ``uniform(size=(k, 4))`` (k, 2 in case a) is k draws of 4 (or 2)
+    values, and case b's alternating scalar draws are the columns of
+    ``lo + (hi - lo) * random((k, 2))``.  Where numpy's array functions
+    round differently from the scalar ones (``prod ** 0.25``, and case
+    b's ``math.exp``), the scalar function runs per row.  Attempts are
+    counted up to the one that completes the requested samples, at most
+    200 * samples + 1000.  A sample that breaks PdParams, the closed
+    forms or its certificate raises the error the scalar path raises,
+    for the first such sample in draw order.
     """
+    if case not in _CERTIFICATES:
+        raise RodDataError(f"unknown scan case {case!r}")
+    cert, holds = _CERTIFICATES[case]
     rng = np.random.default_rng(seed)
     admissible = 0
-    certificates = {}
+    certified = 0
     attempts = 0
-    accepted = 0
     limit = 200 * samples + 1000
-    while accepted < samples:
-        attempts += 1
-        if attempts > limit:
+    while admissible + certified < samples:
+        if attempts == limit:
             raise RodDataError("sampling failed to reach the requested count")
-        roots = _sample_roots(case, rng)
-        if roots is None:
-            continue
-        accepted += 1
-        params = PdParams(roots=roots)
-        reg = pd_regularity(params)
-        if reg.ok:
-            admissible += 1
-            continue
-        if case == "i":
-            holds = -1 < reg.n < 0
-            cert = "n strictly between -1 and 0"
-        elif case == "ii":
-            holds = reg.epsbar > 1
-            cert = "epsbar exceeds 1"
-        elif case == "iii":
-            # sorted negative roots with product one force |p1 p2| > 1,
-            # so the curvature bound crosses the rectangle and cuts off
-            # the corner fixed point before any lattice count applies
-            p1, p2, p3 = roots[0], roots[1], roots[2]
-            holds = p3 * p3 < p2 * p2 < p1 * p1 and p1 * p1 * p2 * p2 > 1
-            cert = "curvature bound inside the rectangle, corner cut off"
-        elif case == "a":
-            holds = reg.collinear_34 and 0 < reg.eps < 1
-            cert = "rods 3 and 4 opposite, eps below 1"
-        else:
-            holds = reg.collinear_12 and reg.epsbar > 1
-            cert = "rods 1 and 2 opposite, epsbar exceeds 1"
-        if not holds:
-            raise CertificateError(f"case {case}, roots {_roots_text(roots)}: certificate "
+        k = min(_BLOCK, limit - attempts)
+        roots, keep = _draw_roots(case, rng, k)
+        rows = np.flatnonzero(keep)[:samples - admissible - certified]
+        done = admissible + certified + len(rows) == samples
+        attempts += int(rows[-1]) + 1 if done else k
+        roots = roots[rows]
+        reg, disagrees = _regularity_rows(roots)
+        p1, p2, p3, p4 = roots.T
+        params_ok = (p1 < p2) & (p2 < p3) & (p3 < p4) \
+            & (np.abs(p1 * p2 * p3 * p4 - 1) <= 1e-8)
+        failed = ~params_ok | disagrees | ~(reg.ok | holds(reg, roots))
+        if failed.any():
+            bad = tuple(roots[failed.argmax()].tolist())
+            # the scalar path raises the PdParams or closed-form error
+            pd_regularity(PdParams(roots=bad))
+            raise CertificateError(f"case {case}, roots {_roots_text(bad)}: certificate "
                                    f"'{cert}' does not hold")
-        certificates[cert] = certificates.get(cert, 0) + 1
+        regular = int(np.count_nonzero(reg.ok))
+        admissible += regular
+        certified += len(rows) - regular
+    certificates = {cert: certified} if certified else {}
     return PdScanResult(case=case, samples=samples, attempts=attempts,
                         admissible=admissible, certificates=certificates,
                         seed=seed)

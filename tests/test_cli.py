@@ -382,6 +382,23 @@ class TestVerify:
         assert first["measured"] == 0.0
         assert all(ch["status"] == "skip" for ch in report["checks"][1:])
 
+    @pytest.mark.parametrize("doc, measured, found", [
+        (SINGLE_NUT_DOC, 0.0, "W jets vanish on a grid of 36 points"),
+        # subnormal c: A/c overflows and W = inf * 0 is NaN on the grid
+        ({"c": -1e-320, "rods": [{"z": 0.0, "a": 1.0}]}, "NaN",
+         "W jets are not all zero on a grid of 36 points"),
+    ], ids=["exact", "subnormal-c"])
+    def test_single_nut_location_follows_certificate(self, tmp_path, capsys,
+                                                      doc, measured, found):
+        path = write_rod_file(tmp_path, doc)
+        code, out, _ = run(["verify", path, "--suite", "fields"], capsys)
+        assert code == 1
+        first = json.loads(out)["checks"][0]
+        assert first["status"] == "fail"
+        assert first["measured"] == measured
+        assert first["location"] == (f"{found}; single-nut data gives a "
+                                     "degenerate metric")
+
     def test_single_nut_all_suites_report(self, tmp_path, capsys):
         # every suite skips what single-nut data cannot support, so the
         # run ends in a report instead of a conical evaluation error

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import reference_scan
 from todkit import cli, curvature, pd
 from todkit.errors import CertificateError, DomainError, RodDataError, SignatureError
 
@@ -265,12 +266,14 @@ class TestScans:
 
     def test_failed_certificate_is_an_error(self, monkeypatch, capsys):
         # a corner coefficient outside (-1, 0) breaks the case i certificate
-        real = pd.pd_regularity
+        real = pd._regularity_rows
 
-        def broken(params):
-            return dataclasses.replace(real(params), ok=False, n=0.5)
+        def broken(roots):
+            reg, disagrees = real(roots)
+            return dataclasses.replace(reg, ok=np.zeros_like(reg.ok),
+                                       n=np.full_like(reg.n, 0.5)), disagrees
 
-        monkeypatch.setattr(pd, "pd_regularity", broken)
+        monkeypatch.setattr(pd, "_regularity_rows", broken)
         with pytest.raises(CertificateError):
             pd.pd_scan("i", samples=5, seed=3)
         code = cli.main(["pd", "scan", "--case", "i", "--samples", "5"])
@@ -278,6 +281,127 @@ class TestScans:
         assert code == 1
         assert err.startswith("evaluation error:")
         assert "n strictly between -1 and 0" in err
+
+
+class TestScanFailures:
+    """A failing sample raises what the per-sample reference raises."""
+
+    @pytest.mark.parametrize("k", [1, 7, pd._BLOCK + 5])
+    def test_kth_sample_failure_names_its_roots(self, monkeypatch, k):
+        # eps above one breaks the case a certificate of the k-th sample
+        samples = pd._BLOCK + 10
+        rows, scalar = pd._regularity_rows, reference_scan.pd_regularity
+        seen = [0]
+
+        def broken_rows(roots):
+            reg, disagrees = rows(roots)
+            i = k - 1 - seen[0]
+            seen[0] += len(roots)
+            if 0 <= i < len(roots):
+                eps = reg.eps.copy()
+                eps[i] = 2.0
+                reg = dataclasses.replace(reg, eps=eps)
+            return reg, disagrees
+
+        calls = [0]
+
+        def broken_scalar(params):
+            calls[0] += 1
+            reg = scalar(params)
+            return dataclasses.replace(reg, eps=2.0) if calls[0] == k else reg
+
+        monkeypatch.setattr(pd, "_regularity_rows", broken_rows)
+        monkeypatch.setattr(reference_scan, "pd_regularity", broken_scalar)
+        with pytest.raises(CertificateError) as got:
+            pd.pd_scan("a", samples=samples, seed=4)
+        with pytest.raises(CertificateError) as want:
+            reference_scan.pd_scan("a", samples=samples, seed=4)
+        assert calls[0] == k
+        assert str(got.value) == str(want.value)
+        assert "certificate 'rods 3 and 4 opposite, eps below 1'" in str(got.value)
+
+    def test_closed_form_disagreement(self, monkeypatch):
+        real = pd._closed_forms
+
+        def shifted(p1, p2, p3):
+            (num, den), n_form = real(p1, p2, p3)
+            return (num + 1, den), n_form
+
+        monkeypatch.setattr(pd, "_closed_forms", shifted)
+        with pytest.raises(CertificateError,
+                           match="disagrees with its closed form") as got:
+            pd.pd_scan("i", samples=20, seed=2)
+        with pytest.raises(CertificateError) as want:
+            reference_scan.pd_scan("i", samples=20, seed=2)
+        assert str(got.value) == str(want.value)
+
+    def test_all_draws_rejected(self, monkeypatch):
+        drawn = []
+
+        def rejecting(case, rng, k):
+            drawn.append(k)
+            return np.zeros((k, 4)), np.zeros(k, dtype=bool)
+
+        monkeypatch.setattr(pd, "_draw_roots", rejecting)
+        with pytest.raises(RodDataError,
+                           match="sampling failed to reach the requested count"):
+            pd.pd_scan("i", samples=30, seed=0)
+        assert sum(drawn) == 200 * 30 + 1000
+        assert max(drawn) == pd._BLOCK
+
+    def test_unknown_case_draws_nothing(self, monkeypatch):
+        def drawing(case, rng, k):
+            raise AssertionError("drew attempts for an unknown case")
+
+        monkeypatch.setattr(pd, "_draw_roots", drawing)
+        with pytest.raises(RodDataError, match="unknown scan case 'z'"):
+            pd.pd_scan("z", samples=10)
+
+
+class TestScanMatchesReference:
+    """The block scan against the per-sample loop it replaced."""
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
+    def test_seeds_and_sizes(self, case):
+        for seed in range(21):
+            for samples in (1, 7, 300):
+                assert pd.pd_scan(case, samples, seed) == \
+                    reference_scan.pd_scan(case, samples, seed)
+
+    @pytest.mark.parametrize("case, samples", [
+        ("i", 1000), ("ii", 550), ("iii", 850), ("a", 1000), ("b", 1250)])
+    def test_benchmark_counts(self, case, samples):
+        for seed in (0, 51, 2 ** 31 - 1):
+            assert pd.pd_scan(case, samples, seed) == \
+                reference_scan.pd_scan(case, samples, seed)
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
+    def test_draws_match_reference_rows(self, case):
+        # scan results are counts, which a last-bit change in a root
+        # rarely moves; the roots themselves must agree bit for bit
+        for seed in (0, 1):
+            roots, keep = pd._draw_roots(case, np.random.default_rng(seed), 2000)
+            rng = np.random.default_rng(seed)
+            want = [reference_scan._sample_roots(case, rng) for _ in range(2000)]
+            assert keep.tolist() == [w is not None for w in want]
+            got = [tuple(x.hex() for x in row) for row in roots[keep].tolist()]
+            assert got == [tuple(float(x).hex() for x in w)
+                           for w in want if w is not None]
+
+    def test_block_exp_equals_row_exp(self):
+        rng = np.random.default_rng(0)
+        for width, hi in ((4, 20.0), (2, 0.95)):
+            block = rng.uniform(math.log(0.05), math.log(hi), size=(20000, width))
+            rows = np.array([np.exp(row) for row in block])
+            assert np.array_equal(np.exp(block).view(np.int64), rows.view(np.int64))
+
+    def test_fourth_root_equals_scalar_power(self):
+        # the scan takes Python float powers; the per-sample loop took
+        # np.float64 powers of the same products
+        rng = np.random.default_rng(1)
+        mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(20000, 4)))
+        prod = mags[:, 0] * mags[:, 1] * mags[:, 2] * mags[:, 3]
+        assert [x ** 0.25 for x in prod.tolist()] == [p ** 0.25 for p in prod]
 
 
 class TestCornerLimit:
