@@ -19,8 +19,11 @@ with integer m, n and eps = epsbar = 1.  The solved coefficients obey
     n eps            = (p1^2 - p2^2)/(1 - p1^2 p2^2)
 
 and the scans certify that no root pattern meets all the conditions.
-Exact (int or Fraction) roots give exact vectors and coefficients, and
-every tolerance of the checks is then zero, on the same code path.
+One kernel, _regularity_rows, decides corner regularity for a whole
+root array: float roots as float64 rows, exact (int or Fraction) roots
+as object rows, which keep exact vectors and coefficients and make
+every tolerance of the checks zero.  pd_regularity is its row 0 and
+pd_scan its blocks of sampled rows.
 """
 
 from __future__ import annotations
@@ -35,10 +38,6 @@ from .errors import CertificateError, DomainError, RodDataError, SignatureError
 from .harmonic import tolerance_slack
 from .jets import Jet2
 from .tod import JetMatrix
-
-
-def _is_integer(x, tol=1e-9):
-    return abs(x - round(x)) <= tol * max(1.0, abs(x))
 
 
 def _det2(u, v):
@@ -95,12 +94,6 @@ class PdParams:
         a0, a1, _, a3 = self.coefficients
         return max(abs(a3), abs(a1)) <= self.slack * 1e-12 * max(1.0, a0)
 
-    @property
-    def rectangle_ok(self):
-        """Whether 1 - p^2 q^2 stays nonnegative on the closed rectangle."""
-        p1, p2, p3, _ = self.roots
-        return max(abs(p2), abs(p3)) * max(abs(p1), abs(p2)) <= 1
-
     def quartic(self, x):
         return _quartic(self.coefficients, x)
 
@@ -109,8 +102,8 @@ class PdParams:
 
 
 # The formulas below use operators only, so each takes exact or float
-# scalars as well as float64 root columns (one entry per root set): the
-# per-row scan kernel shares them with the scalar path.
+# scalars as well as float64 or object root columns (one entry per root
+# set).
 
 def _coefficients(a0, p1, p2, p3, p4):
     a3 = -a0 * (p1 + p2 + p3 + p4)
@@ -129,10 +122,8 @@ def _quartic_prime(a, x):
     return ((x * 4 * a0 + 3 * a3) * x + 2 * a2) * x + a1
 
 
-def _rod_vectors(a, p1, p2, p3):
-    dp2 = _quartic_prime(a, p2)
-    dp3 = _quartic_prime(a, p3)
-    dq1 = _quartic_prime(a, p1)
+def _rod_vectors(p1, p2, p3, dq1, dp2, dp3):
+    """The four rod vectors from the roots and F' at p1, p2 and p3."""
     l1 = (2 * p2 * p2 / dp2, 2 / dp2)
     l2 = (2 / dq1, 2 * p1 * p1 / dq1)
     l3 = (2 * p3 * p3 / dp3, 2 / dp3)
@@ -197,7 +188,8 @@ def pd_rod_vectors(params):
     Order along the boundary: l1 on p = p2, l2 on q = p1, l3 on p = p3,
     l4 on q = p2.  Exact root data gives exact vectors.
     """
-    return _rod_vectors(params.coefficients, *params.roots[:3])
+    p1, p2, p3, _ = params.roots
+    return _rod_vectors(p1, p2, p3, *map(params.quartic_prime, (p1, p2, p3)))
 
 
 @dataclass(frozen=True)
@@ -220,56 +212,23 @@ def pd_regularity(params):
 
     Collinear basis pairs leave the affected relation unsolved (None);
     either way the data fails unless eps = epsbar = 1 with integer m, n.
+    The values are row 0 of _regularity_rows, read back as Python floats
+    and bools, or exact values for exact roots.  A double root raises
+    RodDataError, a solved coefficient off its closed form
+    CertificateError.
     """
-    p1, p2, p3, _ = params.roots
-    vecs = pd_rod_vectors(params)
-    l1, l2, l3, l4 = vecs
-    scale = max(abs(c) for v in vecs for c in v)
-    d12 = _det2(l1, l2)
-    d23 = _det2(l2, l3)
-    d34 = _det2(l3, l4)
+    rows = np.array([params.roots])  # float64 for float roots, else object
+    reg, faults = _regularity_rows(rows, params.a0, params.slack)
+    for bad, error in faults:
+        if bad[0]:
+            raise error(0, _roots_text(params.roots))
 
-    def _zero(d):
-        return abs(d) <= params.slack * 1e-14 * scale * scale
-
-    eps = m_raw = None
-    if not _zero(d12):
-        eps, m_raw = _solve(l1, l2, l3, d12)
-    epsbar = n_raw = None
-    if not _zero(d23):
-        epsbar, n_raw = _solve(l2, l3, l4, d23)
-
-    def _ratio(num, den):
-        return num / den if abs(den) > params.slack * 1e-12 * max(1.0, abs(num)) else None
-
-    # the closed forms lose meaning exactly where the relation basis
-    # degenerates (reciprocal root pairs)
-    m_form, n_form = _closed_forms(p1, p2, p3)
-    m_simp = _ratio(*m_form)
-    n_simp = _ratio(*n_form)
-
-    def _certify_closed(name, solved, closed):
-        if not abs(solved - closed) <= params.slack * 1e-8 * max(1.0, abs(closed)):
-            raise CertificateError(f"{name} = {solved} disagrees with its closed form "
-                                   f"{closed} for roots {_roots_text(params.roots)}")
-
-    if m_simp is not None and not _zero(d34) and eps is not None \
-            and epsbar is not None and abs(float(eps * epsbar)) > 1e-12:
-        _certify_closed("m / (eps epsbar)", m_raw / (eps * epsbar), m_simp)
-    if n_simp is not None and eps is not None and n_raw is not None:
-        _certify_closed("n eps", n_raw * eps, n_simp)
-
-    tol = 1e-9 * params.slack
-
-    def _is_one(x):
-        return x is not None and abs(x - 1) <= tol
-    ok = (_is_one(eps) and _is_one(epsbar)
-          and m_raw is not None and _is_integer(m_raw, tol)
-          and n_raw is not None and _is_integer(n_raw, tol))
-    return PdRegularity(vectors=vecs, eps=eps, epsbar=epsbar,
-                        m_raw=m_raw, n_raw=n_raw, m=m_simp, n=n_simp,
-                        collinear_12=_zero(d12), collinear_34=_zero(d34),
-                        end_det=_det2(l4, l1), ok=ok)
+    def _read(x):
+        if isinstance(x, tuple):
+            return tuple(map(_read, x))
+        x = x.tolist()[0]
+        return None if x != x else x  # NaN: the relation is unsolved
+    return PdRegularity(**{name: _read(x) for name, x in vars(reg).items()})
 
 
 def selfdual_roots(case, u, v):
@@ -342,57 +301,80 @@ def pd_selfdual_check(params):
     return out
 
 
-def _regularity_rows(roots):
-    """pd_regularity of every row of a float (k, 4) root array in one pass.
+def _regularity_rows(roots, a0=1, slack=1):
+    """Corner regularity of every row of a (k, 4) root array in one pass.
 
+    The one implementation of the regularity conditions, for pd_scan's
+    float64 blocks (tolerance slack one) and for pd_regularity's single
+    row, which is object dtype when a root is exact (Fraction): the same
+    operators then stay exact, and slack zero makes every tolerance zero.
     Returns a PdRegularity whose fields are arrays over the rows, NaN
-    where pd_regularity gives None, and the mask of rows whose solved
-    coefficients disagree with their closed forms, on which pd_regularity
-    raises CertificateError.  Float roots have tolerance slack one; the
-    formulas are the scalar path's, only its branches become masks.
+    where a relation is unsolved (pd_regularity's None), and the faults:
+    (mask, error) pairs in the order pd_regularity raises them, where
+    error(i, where) builds the exception of row i with roots text where.
+    A fault is a double root (F' exactly zero at p1, p2 or p3, so the rod
+    vectors are undefined) or a solved coefficient that disagrees with
+    its closed form.
     """
     p1, p2, p3, p4 = roots.T
-    # collinear rows divide by zero; the masks below discard those values
+
+    def _rint(x):
+        # np.rint has no object loop; floor(x + 1/2) is a nearest integer too
+        return (2 * x + 1) // 2 if x.dtype == object else np.rint(x)
+
+    # float rows with a double root divide by zero; a fault flags them
     with np.errstate(all="ignore"):
-        vecs = _rod_vectors(_coefficients(1, p1, p2, p3, p4), p1, p2, p3)
+        a = _coefficients(a0, p1, p2, p3, p4)
+        slopes = [_quartic_prime(a, x) for x in (p1, p2, p3)]
+        vecs = _rod_vectors(p1, p2, p3, *slopes)
         l1, l2, l3, l4 = vecs
         scale = np.max(np.abs(vecs), axis=(0, 1))
-        d12 = _det2(l1, l2)
-        d23 = _det2(l2, l3)
-        d34 = _det2(l3, l4)
+        d12, d23, d34 = _det2(l1, l2), _det2(l2, l3), _det2(l3, l4)
+        c12, c23, c34 = (np.abs(d) <= slack * 1e-14 * scale * scale
+                         for d in (d12, d23, d34))
 
-        def _zero(d):
-            return np.abs(d) <= 1e-14 * scale * scale
+        def _close(x, y, rtol):
+            return np.abs(x - y) <= slack * rtol * np.maximum(1.0, np.abs(y))
 
+        # rows where a quotient is undefined divide by NaN: that gives the
+        # NaN of an unsolved value, and exact rows never divide by zero
         def _ratio(num, den):
-            defined = np.abs(den) > 1e-12 * np.maximum(1.0, np.abs(num))
-            return np.where(defined, num / den, np.nan), defined
+            defined = np.abs(den) > slack * 1e-12 * np.maximum(1.0, np.abs(num))
+            return num / np.where(defined, den, np.nan), defined
 
-        def _disagrees(solved, closed):
-            return ~(np.abs(solved - closed) <= 1e-8 * np.maximum(1.0, np.abs(closed)))
+        def _certify(name, checked, solved, closed):
+            def error(i, where):
+                return CertificateError(
+                    f"{name} = {solved.tolist()[i]} disagrees with its closed form "
+                    f"{closed.tolist()[i]} for roots {where}")
+            return checked & ~_close(solved, closed, 1e-8), error
 
-        def _is_one(x):
-            return np.abs(x - 1) <= 1e-9
+        def _double_root(i, where):
+            k = int(np.argmin(np.diff(roots[i].tolist())))
+            return RodDataError(f"p{k + 1} and p{k + 2} form a double root "
+                                f"for roots {where}")
 
-        def _is_integer(x):
-            return np.abs(x - np.rint(x)) <= 1e-9 * np.maximum(1.0, np.abs(x))
-
-        c12, c23, c34 = _zero(d12), _zero(d23), _zero(d34)
-        eps, m_raw = (np.where(c12, np.nan, x) for x in _solve(l1, l2, l3, d12))
-        epsbar, n_raw = (np.where(c23, np.nan, x) for x in _solve(l2, l3, l4, d23))
+        eps, m_raw = _solve(l1, l2, l3, np.where(c12, np.nan, d12))
+        epsbar, n_raw = _solve(l2, l3, l4, np.where(c23, np.nan, d23))
+        # the closed forms lose meaning exactly where the relation basis
+        # degenerates (reciprocal root pairs)
         m_form, n_form = _closed_forms(p1, p2, p3)
         m, m_defined = _ratio(*m_form)
         n, n_defined = _ratio(*n_form)
-        solved = ~c12 & ~c23
-        checks_m = m_defined & ~c34 & solved & (np.abs(eps * epsbar) > 1e-12)
-        disagrees = checks_m & _disagrees(m_raw / (eps * epsbar), m)
-        disagrees |= n_defined & solved & _disagrees(n_raw * eps, n)
-        ok = _is_one(eps) & _is_one(epsbar) & _is_integer(m_raw) & _is_integer(n_raw)
-        reg = PdRegularity(vectors=vecs, eps=eps, epsbar=epsbar,
-                           m_raw=m_raw, n_raw=n_raw, m=m, n=n,
-                           collinear_12=c12, collinear_34=c34,
+        # a NaN (unsolved) eps or epsbar fails every comparison below; only
+        # the n check, which fails on a mismatch, needs the collinear masks
+        ee = eps * epsbar
+        checks_m = m_defined & ~c34 & (np.abs(ee.astype(float, copy=False)) > 1e-12)
+        m_solved = m_raw / np.where(checks_m, ee, np.nan)
+        faults = (((slopes[0] == 0) | (slopes[1] == 0) | (slopes[2] == 0), _double_root),
+                  _certify("m / (eps epsbar)", checks_m, m_solved, m),
+                  _certify("n eps", n_defined & ~c12 & ~c23, n_raw * eps, n))
+        ok = _close(eps, 1, 1e-9) & _close(epsbar, 1, 1e-9) \
+            & _close(_rint(m_raw), m_raw, 1e-9) & _close(_rint(n_raw), n_raw, 1e-9)
+        reg = PdRegularity(vectors=vecs, eps=eps, epsbar=epsbar, m_raw=m_raw, n_raw=n_raw,
+                           m=m, n=n, collinear_12=c12, collinear_34=c34,
                            end_det=_det2(l4, l1), ok=ok)
-    return reg, disagrees
+    return reg, faults
 
 
 _SIGNS = {"i": (1, 1, 1, 1), "ii": (-1, -1, 1, 1), "iii": (-1, -1, -1, -1)}
@@ -483,8 +465,8 @@ def pd_scan(case, samples=1000, seed=7):
     b's ``math.exp``), the scalar function runs per row.  Attempts are
     counted up to the one that completes the requested samples, at most
     200 * samples + 1000.  A sample that breaks PdParams, the closed
-    forms or its certificate raises the error the scalar path raises,
-    for the first such sample in draw order.
+    forms or its certificate raises the error pd_regularity raises on
+    it, for the first such sample in draw order.
     """
     if case not in _CERTIFICATES:
         raise RodDataError(f"unknown scan case {case!r}")
@@ -503,14 +485,15 @@ def pd_scan(case, samples=1000, seed=7):
         done = admissible + certified + len(rows) == samples
         attempts += int(rows[-1]) + 1 if done else k
         roots = roots[rows]
-        reg, disagrees = _regularity_rows(roots)
+        reg, faults = _regularity_rows(roots)
         p1, p2, p3, p4 = roots.T
         params_ok = (p1 < p2) & (p2 < p3) & (p3 < p4) \
             & (np.abs(p1 * p2 * p3 * p4 - 1) <= 1e-8)
-        failed = ~params_ok | disagrees | ~(reg.ok | holds(reg, roots))
+        failed = ~params_ok | ~(reg.ok | holds(reg, roots))
+        failed |= np.any([bad for bad, _ in faults], axis=0)
         if failed.any():
             bad = tuple(roots[failed.argmax()].tolist())
-            # the scalar path raises the PdParams or closed-form error
+            # pd_regularity raises the PdParams, double-root or closed-form error
             pd_regularity(PdParams(roots=bad))
             raise CertificateError(f"case {case}, roots {_roots_text(bad)}: certificate "
                                    f"'{cert}' does not hold")

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from todkit.errors import CertificateError, RodDataError
-from todkit.pd import PdParams, PdScanResult, _roots_text, pd_regularity
+from reference_regularity import pd_regularity
+from todkit.pd import PdParams, PdScanResult, _roots_text
 
 
 def _sample_roots(case, rng):

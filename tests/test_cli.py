@@ -550,6 +550,21 @@ class TestPd:
         assert code == 2
         assert "--u" in err
 
+    # strictly increasing roots one ulp apart: F' is exactly 0 at p1 or p2
+    @pytest.mark.parametrize("args", [
+        ["pd", "check", "--roots", "0.05", "0.05000000000000001",
+         "19.999999999999996", "20.000000000000004"],
+        ["pd", "selfdual", "--case", "a", "--u", "0.05", "--v", "0.05000000000000001"],
+    ], ids=["check", "selfdual"])
+    def test_double_root_exit_two(self, capsys, args):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(args, capsys)
+        assert caught == []
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: p1 and p2 form a double root for roots (0.05, ")
+        assert err.count("\n") == 1
+
 
 def strict_json(text):
     """Parse a report as RFC 8259 JSON: a bare NaN or Infinity token raises."""

@@ -88,10 +88,6 @@ class TestParams:
         flat = pd.PdParams((F(-2), F(-1, 2), F(1, 2), F(2)), a0=1)
         assert flat.selfdual and flat.flat
 
-    def test_rectangle_flag(self):
-        assert spot_exact().rectangle_ok
-        assert not pd.PdParams((F(-3), F(-1, 3), F(1, 2), F(2)), a0=1).rectangle_ok
-
 
 class TestMetric:
     def test_killing_determinant_identity(self):
@@ -268,10 +264,10 @@ class TestScans:
         # a corner coefficient outside (-1, 0) breaks the case i certificate
         real = pd._regularity_rows
 
-        def broken(roots):
-            reg, disagrees = real(roots)
+        def broken(roots, *args):
+            reg, faults = real(roots, *args)
             return dataclasses.replace(reg, ok=np.zeros_like(reg.ok),
-                                       n=np.full_like(reg.n, 0.5)), disagrees
+                                       n=np.full_like(reg.n, 0.5)), faults
 
         monkeypatch.setattr(pd, "_regularity_rows", broken)
         with pytest.raises(CertificateError):
@@ -293,15 +289,15 @@ class TestScanFailures:
         rows, scalar = pd._regularity_rows, reference_scan.pd_regularity
         seen = [0]
 
-        def broken_rows(roots):
-            reg, disagrees = rows(roots)
+        def broken_rows(roots, *args):
+            reg, faults = rows(roots, *args)
             i = k - 1 - seen[0]
             seen[0] += len(roots)
             if 0 <= i < len(roots):
                 eps = reg.eps.copy()
                 eps[i] = 2.0
                 reg = dataclasses.replace(reg, eps=eps)
-            return reg, disagrees
+            return reg, faults
 
         calls = [0]
 
