@@ -82,16 +82,6 @@ def wedge(u, v):
     return [[u[i] * v[j] - u[j] * v[i] for j in range(4)] for i in range(4)]
 
 
-def wedge_pairing(om, eta):
-    """Top-form coefficient of om ^ eta in the chart basis."""
-    P = om.values()
-    Q = eta.values()
-    return float(
-        P[0, 1] * Q[2, 3] - P[0, 2] * Q[1, 3] + P[0, 3] * Q[1, 2]
-        + P[1, 2] * Q[0, 3] - P[1, 3] * Q[0, 2] + P[2, 3] * Q[0, 1]
-    )
-
-
 def selfdual_basis(coframe):
     """The three self-dual two-forms of the coframe, norm squared 4 each."""
     e = coframe.comp
@@ -142,7 +132,7 @@ def tod_cky_candidate(fields, order=2):
     return JetMatrix(coords=om.coords, comp=comp, base=om.base)
 
 
-def _frame_components(rods, r, theta, st, ct, center):
+def _frame_components(fields, r, theta, st, ct):
     """Candidate two-form at radius r, in the flat-model orthonormal frame.
 
     The asymptotic chart is psi = tau, phi = y, rho = r^2 sin t / 4,
@@ -155,11 +145,9 @@ def _frame_components(rods, r, theta, st, ct, center):
     candidate lands on the image of the displayed family under the fiber
     swap psi <-> phi, an orientation-reversing isometry of the model; the
     matching in cky_decay_check reads the family constants off the swapped
-    slots.
+    slots.  fields are the order-1 fields at that point of the chart.
     """
-    rho = r * r * st / 4.0
-    zeta = center + r * r * ct / 4.0
-    Z = tod_cky_candidate(tod.tod_fields(rods, rho, zeta, order=1), order=0).values()
+    Z = tod_cky_candidate(fields, order=0).values()
     jac = np.zeros((4, 4))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0
@@ -212,6 +200,11 @@ def cky_decay_check(rods, radii, theta=1.0):
             gap = float(rods.zs[j]) - float(rods.zs[i])
             pair = float(rods.weights[i]) * float(rods.weights[j]) * gap * gap
             moment += pair * (float(rods.zs[i]) + float(rods.zs[j]) - 2.0 * center)
+    # every radius in one pass, on the chart points rho = r^2 sin t / 4,
+    # zeta = center + r^2 cos t / 4
+    rr = np.multiply(radii, radii)
+    fields = tod.tod_fields(rods, rr * st / 4.0, center + rr * ct / 4.0,
+                            order=0 if len(rods.zs) == 1 else 1)
 
     if len(rods.zs) == 1:
         # one nut: in the centered chart z = a r^2 / 4 exactly, and the
@@ -220,10 +213,7 @@ def cky_decay_check(rods, radii, theta=1.0):
         k1, k2 = -a1w / 4.0, 0.0
         params = FlatCkyParams(k1=k1, k2=k2)
         devs, rels = [], []
-        for r in radii:
-            rho = r * r * st / 4.0
-            zeta = center + r * r * ct / 4.0
-            zval = tod.tod_fields(rods, rho, zeta, order=0).z.value
+        for r, zval in zip(radii, fields.z.value.tolist()):
             model = math.sqrt(flat_norm_squared(params, r, theta))
             devs.append(abs(2.0 * zval - model))
             rels.append(devs[-1] / model)
@@ -234,7 +224,8 @@ def cky_decay_check(rods, radii, theta=1.0):
             "chart_limited": False,
         }
 
-    frames = [_frame_components(rods, r, theta, st, ct, center) for r in radii]
+    frames = [_frame_components(fields.at(k), r, theta, st, ct)
+              for k, r in enumerate(radii)]
     tail = frames[-1]
     r_max = radii[-1]
     # the swap image of the member (k1, k2) occupies the slots

@@ -185,6 +185,13 @@ def sample_interior(data, count, rng):
     return points
 
 
+def _point_set_fields(data, points, order):
+    """tod_fields over sampled (rho, zeta) points in one pass; fields.at(k)
+    is point k's own evaluation."""
+    rho, zeta = (np.array(x) for x in zip(*points))
+    return tod.tod_fields(data, rho, zeta, order=order)
+
+
 class _Worst:
     """The worst residual of each declared check and where it happened.
 
@@ -232,12 +239,15 @@ def suite_fields(data, seed, tols):
 
     rng = np.random.default_rng(seed)
     min_field, min_loc = math.inf, ""
-    for rho, zeta in sample_interior(data, 25, rng):
+    points = sample_interior(data, 25, rng)
+    fields = _point_set_fields(data, points, 3)
+    V, H = harmonic.potentials(fields)
+    for k, (rho, zeta) in enumerate(points):
         loc = _loc(rho, zeta)
-        f = tod.tod_fields(data, rho, zeta, order=3)
+        f = fields.at(k)
         gv = tod.tod_metric(f).values()
         det = gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[0, 1]
-        v, h = harmonic.potentials(f)
+        v, h = V.at(k), H.at(k)
         terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
         scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
         om = tod.fundamental_form(f, order=1).values()
@@ -266,9 +276,11 @@ def suite_curvature(data, seed, tols):
         return worst.skips(SINGLE_NUT)
     rng = np.random.default_rng(seed)
     c = float(data.c)
-    for rho, zeta in sample_interior(data, 20, rng):
+    points = sample_interior(data, 20, rng)
+    fields = _point_set_fields(data, points, 4)
+    for k, (rho, zeta) in enumerate(points):
         loc = _loc(rho, zeta)
-        f = tod.tod_fields(data, rho, zeta, order=4)
+        f = fields.at(k)
         pack = curvature.curvature_pack(tod.tod_metric(f))
         norms = curvature.invariant_norms(pack)
         ricci = norms["ricci"] / norms["riemann"]
@@ -351,8 +363,10 @@ def suite_cky(data, seed, tols):
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
-    for rho, zeta in sample_interior(data, 12, rng):
-        f = tod.tod_fields(data, rho, zeta, order=3)
+    points = sample_interior(data, 12, rng)
+    fields = _point_set_fields(data, points, 3)
+    for k, (rho, zeta) in enumerate(points):
+        f = fields.at(k)
         pack = curvature.curvature_pack(tod.tod_metric(f))
         Z = cky.tod_cky_candidate(f)
         residual, xi = curvature.cky_residual(pack, Z)

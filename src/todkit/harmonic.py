@@ -13,11 +13,16 @@ both near the axis and far out.
 
 Every field at a point is a sum over the same per-nut jets R_i and
 artanh(s_i/R_i), s_i = zeta - z_i, and ``_nut_terms`` is the one place
-that evaluates them.  ``tod.tod_fields`` keeps them in its ``TodFields``,
-``potentials`` reads V and H off those fields, and ``ward_coords`` sums
-them into the Ward coordinates.  These, and ``RodData.interior_check``,
-take rho and zeta either as numbers or as float arrays of one shape, one
-entry per point; see ``jets`` for how array jets round.
+that evaluates them: all nuts in one array pass, as jets whose
+coefficient arrays carry a leading nut axis, shape (n, *points).
+``_nut_sums`` sums that axis in nut order, bit for bit as a loop over
+the nuts would.  ``tod.tod_fields`` keeps the per-nut jets in its
+``TodFields``, ``potentials`` reads V and H off those fields, and
+``ward_coords`` sums them into the Ward coordinates.  These, and
+``RodData.interior_check``, take rho and zeta either as numbers or as
+float arrays of one shape, one entry per point; a single point is the
+one-point case of the same arrays, and its jets come back with float
+coefficients.  See ``jets`` for how array jets round.
 """
 
 from __future__ import annotations
@@ -209,23 +214,24 @@ class RodData:
 
 
 def _halflog_ratio(r, z, zeta):
-    """Jet of artanh(zeta/R) = (1/2) log((R+zeta)/(R-zeta)), branch-stable.
+    """Jets of artanh(zeta/R) = (1/2) log((R+zeta)/(R-zeta)) and of R, branch-stable.
 
     Evaluated as sign * log((R + sign * zeta)/r), sign the sign of zeta
-    (+1 at zeta = 0), per point for an array zeta.
+    (+1 at zeta = 0) at each entry of the array zeta.
     """
     R = jets.sqrt(r * r + z * z)
-    if type(zeta) is np.ndarray:
-        sign = np.where(zeta >= 0, 1.0, -1.0)
-    else:
-        sign = 1.0 if zeta >= 0 else -1.0
+    sign = np.where(zeta >= 0, 1.0, -1.0)
     return jets.log((R + z * sign) / r) * sign, R
 
 
 def _nut_terms(rods, rho, zeta, order):
-    """Per-nut (a_i, s_i, artanh(s_i/R_i), R_i) jets, s_i = zeta - z_i, in nut order.
+    """The per-nut jets (a, s, artanh(s/R), R), s = zeta - z_i, over a nut axis.
 
-    The one per-nut evaluation; it needs rho > 0 at every point.
+    Every nut is evaluated in one array pass: the coefficient arrays of
+    s, artanh(s/R) and R have shape (n, *points), row i holding nut i,
+    and a is the weight column of shape (n, 1, ...), which broadcasts
+    against them.  A single point is the case points = ().  The one
+    per-nut evaluation; it needs rho > 0 at every point.
     """
     rho = _coordinate(rho)
     bad = _first_nonpositive(rho)
@@ -233,44 +239,64 @@ def _nut_terms(rods, rho, zeta, order):
         raise AxisEvaluationError(f"per-nut jets need rho > 0, got {bad}")
     r = Jet2.seed(rho, 0, order)
     zeta = _coordinate(zeta)
-    terms = []
-    for z_i, a_i in rods.floats.nuts:
-        shift = zeta - z_i
-        s = Jet2.seed(shift, 1, order)
-        at, R = _halflog_ratio(r, s, shift)
-        terms.append((a_i, s, at, R))
-    return terms
+    zs, weights = np.array(rods.floats.nuts).T
+    column = (-1,) + (1,) * max(np.ndim(rho), np.ndim(zeta))
+    shift = zeta - zs.reshape(column)
+    s = Jet2.seed(shift, 1, order)
+    at, R = _halflog_ratio(r, s, shift)
+    return weights.reshape(column), s, at, R
 
 
+def _nut_sums(summands, starts=None):
+    """Each jet of summands summed over its leading nut axis, in nut order.
+
+    The jets share one order and value shape.  Jet k's value term starts
+    from starts[k] (default 0.0) and every other coefficient from 0.0,
+    and the nut rows are added one after the other, so each coefficient
+    has the bits of the loop ``acc = start; for row in rows: acc = acc + row``.
+    One array holds every coefficient of every summand, so each nut costs
+    one addition.  (np.add.accumulate gives the same bits but runs its
+    strided inner loop many times slower.)  Over a point set the sums
+    keep their arrays; for a single point they are floats.
+    """
+    shape = np.shape(summands[0].value)
+    ncoef = len(summands[0].c)
+    rows = np.array([c if np.shape(c) == shape else np.broadcast_to(c, shape)
+                     for jet in summands for c in jet.c], dtype=float)
+    total = rows[:, 0] + 0.0
+    if starts is not None:
+        total[::ncoef] = rows[::ncoef, 0] + np.reshape(starts, (-1,) + (1,) * len(shape[1:]))
+    for i in range(1, shape[0]):
+        total += rows[:, i]
+    total = total.tolist() if total.ndim == 1 else list(total)
+    return [jets._jet(summands[0].order, total[k:k + ncoef])
+            for k in range(0, len(total), ncoef)]
+
+
+# float arithmetic overflows silently; on arrays numpy would warn
+@np.errstate(over="ignore", invalid="ignore")
 def potentials(fields):
-    """Jets of V and its conjugate H at the order of a tod.TodFields.
+    """Jets of V and its conjugate H at the order and points of a tod.TodFields.
 
     V = sum a_i V0(rho, s_i) and H = gauge + sum a_i H0(rho, s_i), summed
     in nut order from the per-nut terms the fields hold, so no nut is
     evaluated twice.
     """
-    order = fields.z.order
-    r = Jet2.seed(fields.point[0], 0, order)
-    V = Jet2.const(0.0, order)
-    H = Jet2.const(fields.rods.floats.gauge, order)
-    for a_i, s, at, R in fields.terms:
-        V = V + a_i * (2 * R - 2 * s * at)
-        H = H + a_i * (s * R + r * r * at)
-    return V, H
+    a, s, at, R = fields.terms
+    r = Jet2.seed(fields.point[0], 0, fields.z.order)
+    return _nut_sums([(2 * R - 2 * s * at) * a, (s * R + r * r * at) * a],
+                     starts=(0.0, fields.rods.floats.gauge))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def ward_coords(rods, rho, zeta, order=4):
     """Jets of z = rho V_rho / 2 and x = -V_zeta / 2.
 
     For rod sums these collapse to z = sum a_i R_i and
     x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
     """
-    zj = Jet2.const(0.0, order)
-    xj = Jet2.const(0.0, order)
-    for a_i, _, at, R in _nut_terms(rods, rho, zeta, order):
-        zj = zj + a_i * R
-        xj = xj + a_i * at
-    return zj, xj
+    a, _, at, R = _nut_terms(rods, rho, zeta, order)
+    return tuple(_nut_sums([R * a, at * a]))
 
 
 def ward_inverse(rods, z_target, x_target, guess):
@@ -370,13 +396,6 @@ class AxisProfile:
             zeta = self._rod_point(i)
         f = self.f(zeta)
         return -(self.h(zeta) - f * f / fp) / self.rods.c
-
-    def axis_w(self, zeta):
-        """Axis limit of W on a rod with nonzero slope."""
-        i = self.rod_index(zeta)
-        fp = self.slopes[i]
-        f = self.f(zeta)
-        return (f + f * f * self.gpp(zeta) / (2 * fp * fp)) / self.rods.c
 
     def _rod_point(self, i):
         zs = self.rods.zs

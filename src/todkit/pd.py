@@ -50,8 +50,9 @@ def _roots_text(roots):
 
 @dataclass(frozen=True)
 class PdParams:
-    """Root data of the structure function, roots increasing, product one;
-    slack (see harmonic.tolerance_slack) makes exact roots compare exactly."""
+    """Root data of the structure function, roots increasing, product one,
+    no double root (F' nonzero at every root); slack (see
+    harmonic.tolerance_slack) makes exact roots compare exactly."""
 
     roots: tuple
     a0: object = 1
@@ -68,6 +69,8 @@ class PdParams:
         prod = self.roots[0] * self.roots[1] * self.roots[2] * self.roots[3]
         if not abs(prod - 1) <= 1e-8 * self.slack:
             raise RodDataError("root product must be one")
+        if _double_root([self.quartic_prime(x) for x in self.roots[:3]]):
+            raise _double_root_error(self.roots, _roots_text(self.roots))
 
     @classmethod
     def normalized(cls, roots):
@@ -120,6 +123,17 @@ def _quartic(a, x):
 def _quartic_prime(a, x):
     a0, a1, a2, a3 = a
     return ((x * 4 * a0 + 3 * a3) * x + 2 * a2) * x + a1
+
+
+def _double_root(slopes):
+    """Whether F' is exactly zero at p1, p2 or p3, given F' there: a double
+    root, where the rod vectors are undefined."""
+    return (slopes[0] == 0) | (slopes[1] == 0) | (slopes[2] == 0)
+
+
+def _double_root_error(roots, where):
+    k = int(np.argmin(np.diff(roots)))
+    return RodDataError(f"p{k + 1} and p{k + 2} form a double root for roots {where}")
 
 
 def _rod_vectors(p1, p2, p3, dq1, dp2, dp3):
@@ -213,9 +227,9 @@ def pd_regularity(params):
     Collinear basis pairs leave the affected relation unsolved (None);
     either way the data fails unless eps = epsbar = 1 with integer m, n.
     The values are row 0 of _regularity_rows, read back as Python floats
-    and bools, or exact values for exact roots.  A double root raises
-    RodDataError, a solved coefficient off its closed form
-    CertificateError.
+    and bools, or exact values for exact roots.  A solved coefficient off
+    its closed form raises CertificateError (PdParams already rejects a
+    double root).
     """
     rows = np.array([params.roots])  # float64 for float roots, else object
     reg, faults = _regularity_rows(rows, params.a0, params.slack)
@@ -256,7 +270,7 @@ def pd_selfdual_check(params):
     out = {"flat": params.flat, "regular": reg.ok}
 
     def _ratio(num, den):
-        return num / den if abs(float(den)) > 1e-12 else None
+        return num / den if abs(den) > params.slack * 1e-12 else None
 
     if p1 > 0:
         # case a: p3 = 1/p2, p4 = 1/p1
@@ -349,11 +363,6 @@ def _regularity_rows(roots, a0=1, slack=1):
                     f"{closed.tolist()[i]} for roots {where}")
             return checked & ~_close(solved, closed, 1e-8), error
 
-        def _double_root(i, where):
-            k = int(np.argmin(np.diff(roots[i].tolist())))
-            return RodDataError(f"p{k + 1} and p{k + 2} form a double root "
-                                f"for roots {where}")
-
         eps, m_raw = _solve(l1, l2, l3, np.where(c12, np.nan, d12))
         epsbar, n_raw = _solve(l2, l3, l4, np.where(c23, np.nan, d23))
         # the closed forms lose meaning exactly where the relation basis
@@ -366,7 +375,8 @@ def _regularity_rows(roots, a0=1, slack=1):
         ee = eps * epsbar
         checks_m = m_defined & ~c34 & (np.abs(ee.astype(float, copy=False)) > 1e-12)
         m_solved = m_raw / np.where(checks_m, ee, np.nan)
-        faults = (((slopes[0] == 0) | (slopes[1] == 0) | (slopes[2] == 0), _double_root),
+        faults = ((_double_root(slopes),
+                   lambda i, where: _double_root_error(roots[i].tolist(), where)),
                   _certify("m / (eps epsbar)", checks_m, m_solved, m),
                   _certify("n eps", n_defined & ~c12 & ~c23, n_raw * eps, n))
         ok = _close(eps, 1, 1e-9) & _close(epsbar, 1, 1e-9) \
@@ -493,7 +503,8 @@ def pd_scan(case, samples=1000, seed=7):
         failed |= np.any([bad for bad, _ in faults], axis=0)
         if failed.any():
             bad = tuple(roots[failed.argmax()].tolist())
-            # pd_regularity raises the PdParams, double-root or closed-form error
+            # PdParams raises its own or the double-root error, pd_regularity
+            # the closed-form one
             pd_regularity(PdParams(roots=bad))
             raise CertificateError(f"case {case}, roots {_roots_text(bad)}: certificate "
                                    f"'{cert}' does not hold")

@@ -124,22 +124,6 @@ def gl2z_compatibility(rods, tol=1e-9):
     return tuple(reports)
 
 
-def f_jump(rods, i):
-    """Jump F_i - F_{i-1} across nut i from the axis data alone.
-
-    Both adjacent slopes must be nonzero; use zero_slope_jump across a
-    zero-slope rod.
-    """
-    prof = axis_profile(rods)
-    if not 1 <= i <= rods.n:
-        raise RodDataError(f"nut index {i} out of range")
-    sl_lo, sl_hi = prof.slopes[i - 1], prof.slopes[i]
-    if sl_lo == 0 or sl_hi == 0:
-        raise RodDataError(f"nut {i} touches a zero-slope rod")
-    f_i = prof.values[i - 1]
-    return f_i * f_i * (1 / sl_hi - 1 / sl_lo) / rods.c
-
-
 def zero_slope_jump(rods, i):
     """Jump F_{i+1} - F_{i-1} across the zero-slope rod i."""
     prof = axis_profile(rods)

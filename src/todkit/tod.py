@@ -17,10 +17,19 @@ resummation).  The resummed forms are exact (tests compare them against
 the literal quotients) and keep full relative precision far from the
 nuts, where the literal numerators lose all their digits; they also
 make W == 0 manifest for single-nut data.
+
+All nuts are evaluated in one array pass over a leading nut axis (see
+harmonic._nut_terms).  The nut sums A, B, C, x and P add that axis in
+nut order; K and M gather the pairs i < j (np.triu_indices, the order
+of a loop over i, then j) and run one product and one quotient over all
+of them, then add the pair axis in that order.  Every coefficient thus
+has the bits of the nut-by-nut loop, which tests/reference_fields.py
+keeps as the reference.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,11 +47,13 @@ class TodFields:
 
     point is (rho, zeta) as floats, or as float arrays of one shape whose
     entries are the points; every jet then carries one coefficient array
-    over the set.  terms are the per-nut jets the fields were summed from
-    (see harmonic._nut_terms).  The fields fix the metric (tod_metric), the
-    potentials V and H (harmonic.potentials), the Toda identity
-    (harmonic.toda_residual) and the fundamental form, so checks at a
-    point read one TodFields instead of evaluating their own.
+    over the set.  terms are the per-nut jets (a, s, artanh(s/R), R) the
+    fields were summed from, over a leading nut axis: their coefficient
+    arrays have shape (n, *points) (see harmonic._nut_terms).  The fields
+    fix the metric (tod_metric), the potentials V and H
+    (harmonic.potentials), the Toda identity (harmonic.toda_residual) and
+    the fundamental form, so checks at a point read one TodFields instead
+    of evaluating their own.
     """
 
     W: Jet2
@@ -52,7 +63,18 @@ class TodFields:
     x: Jet2
     rods: RodData = field(repr=False, default=None)
     point: tuple = None
-    terms: list = field(repr=False, default=None)
+    terms: tuple = field(repr=False, default=None)
+
+    def at(self, k):
+        """The fields at point k of a one-dimensional point set: float
+        coefficients and per-nut rows, as the point's own tod_fields call
+        gives them."""
+        a, s, artanh, R = self.terms
+        nut = (slice(None), k)
+        return TodFields(W=self.W.at(k), e2nu=self.e2nu.at(k), F=self.F.at(k),
+                         z=self.z.at(k), x=self.x.at(k), rods=self.rods,
+                         point=(float(self.point[0][k]), float(self.point[1][k])),
+                         terms=(a.reshape(-1), s.at(nut), artanh.at(nut), R.at(nut)))
 
 
 @dataclass(frozen=True)
@@ -95,6 +117,13 @@ class JetMatrix:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
+def _nut_pairs(n):
+    """The nut pairs i < j as index arrays, in the order of a loop over i,
+    then j (np.triu_indices)."""
+    return np.triu_indices(n, 1)
+
+
 # float arithmetic overflows silently; on point arrays numpy would warn
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
@@ -110,29 +139,27 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     zeta = harmonic._coordinate(zeta)
     c, gamma, nuts = rods.floats
     terms = harmonic._nut_terms(rods, rho, zeta, order)
-    A = Jet2.const(0.0, order)
-    B = Jet2.const(0.0, order)
-    C = Jet2.const(0.0, order)
-    T = Jet2.const(0.0, order)
+    a, s, at, R = terms
     # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
     # R^2 cancel exactly, leaving gap-squared weighted sums (with P) that
     # keep full relative precision in the far field
-    P = Jet2.const(0.0, order)
-    for a_i, s, at, R in terms:
-        A = A + a_i * R
-        B = B + a_i / R
-        C = C + a_i * (s / R)
-        T = T + a_i * at
-        P = P + a_i * s * R
-    K = Jet2.const(0.0, order)
-    M = Jet2.const(0.0, order)
-    for i, (a_i, s_i, _, R_i) in enumerate(terms):
-        for j in range(i + 1, len(terms)):
-            a_j, s_j, _, R_j = terms[j]
-            gap = nuts[j][0] - nuts[i][0]
-            pair = (a_i * a_j * gap * gap) / (R_i * R_j)
-            K = K - pair
-            M = M + pair * (s_i + s_j)
+    A, B, C, T, P = harmonic._nut_sums(
+        [R * a, Jet2.const(a, order) / R, (s / R) * a, at * a, (s * a) * R])
+    if len(nuts) > 1:
+        i, j = _nut_pairs(len(nuts))
+        zs = np.array([z for z, _ in nuts])
+        weights = a.reshape(-1)
+        gap = zs[j] - zs[i]
+        weight = (weights[i] * weights[j] * gap * gap).reshape((-1,) + a.shape[1:])
+        pair = Jet2.const(weight, order) / (R.at(i) * R.at(j))
+        # K = 0 - pair_0 - pair_1 - ...: rounding is symmetric in sign, so
+        # that is the pair sum negated, and 0.0 - keeps an exact zero +0.0
+        # (summed apart from M, so that fewer pair-sized arrays are alive)
+        K = 0.0 - harmonic._nut_sums([pair])[0]
+        M = harmonic._nut_sums([pair * (s.at(i) + s.at(j))])[0]
+    else:
+        K = Jet2.const(0.0, order)
+        M = Jet2.const(0.0, order)
     r = Jet2.seed(rho, 0, order)
     den = B * B * (r * r) + C * C
     W = (A / c) * K / den

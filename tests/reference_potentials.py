@@ -8,15 +8,16 @@ agree bit for bit.  Points are floats (one point per call).
 
 from __future__ import annotations
 
-from todkit.harmonic import _halflog_ratio
 from todkit.jets import Jet2
+
+from reference_fields import halflog_ratio
 
 
 def v0_jet(rho, zeta, order=4):
     """Jet of V0 = 2 R - 2 zeta artanh(zeta/R) at an interior point."""
     r = Jet2.seed(float(rho), 0, order)
     z = Jet2.seed(float(zeta), 1, order)
-    at, R = _halflog_ratio(r, z, float(zeta))
+    at, R = halflog_ratio(r, z, float(zeta))
     return 2 * R - 2 * z * at
 
 
@@ -24,7 +25,7 @@ def h0_jet(rho, zeta, order=4):
     """Jet of the conjugate H0 = zeta R + rho^2 artanh(zeta/R)."""
     r = Jet2.seed(float(rho), 0, order)
     z = Jet2.seed(float(zeta), 1, order)
-    at, R = _halflog_ratio(r, z, float(zeta))
+    at, R = halflog_ratio(r, z, float(zeta))
     return z * R + r * r * at
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from identities import wedge_pairing
 from todkit import cky, curvature, harmonic, tod
 from todkit.cky import FlatCkyParams
 from todkit.errors import DomainError, RodDataError
@@ -107,7 +108,7 @@ class TestSelfdualBasis:
         for i, oi in enumerate(basis):
             for j, oj in enumerate(basis):
                 want = 2.0 * vol if i == j else 0.0
-                got = cky.wedge_pairing(oi, oj)
+                got = wedge_pairing(oi, oj)
                 assert abs(got - want) < 1e-12 * max(abs(vol), 1.0)
 
     def test_kahler_form_closed(self):

@@ -626,11 +626,12 @@ class TestStrictJson:
 
 class TestFieldsSuiteCost:
     def test_one_nut_pass_per_point(self, tmp_path, monkeypatch):
-        # 25 points, each nut's sqrt and log evaluated once per point
+        # 25 points, each nut's sqrt and log evaluated once per point:
+        # count the (nut, point) entries of the heights each call gets
         data, _ = cli.load_rod_file(write_rod_file(tmp_path, EH_DOC))
-        calls = []
+        pairs = []
         halflog = cli.harmonic._halflog_ratio
         monkeypatch.setattr(cli.harmonic, "_halflog_ratio",
-                            lambda *args: calls.append(1) or halflog(*args))
+                            lambda *args: pairs.append(np.size(args[2])) or halflog(*args))
         cli.suite_fields(data, 0, cli.DEFAULT_TOLS)
-        assert len(calls) == 25 * 2
+        assert sum(pairs) == 25 * 2

@@ -13,6 +13,7 @@ from todkit.errors import AxisEvaluationError, NutProximityError, RodDataError
 from todkit.harmonic import RodData, axis_profile
 
 from fd import check_jet_against_fd
+from identities import axis_w
 
 F = Fraction
 
@@ -356,4 +357,4 @@ class TestAxisProfile:
         for zeta in (-2.0, 1.9, 0.5):
             if prof.slopes[prof.rod_index(zeta)] == 0:
                 continue
-            assert prof.axis_w(zeta) > 0
+            assert axis_w(prof, zeta) > 0

@@ -212,6 +212,15 @@ class TestRegularity:
         assert report["eps_gap"] == F(15, 28)
         assert not report["regular"] and not report["flat"]
 
+    def test_selfdual_exact_near_one(self):
+        # 1 - p1^2 p2^2 is about 6e-13 here, below the float cutoff 1e-12:
+        # exact roots compare with tolerance zero, so the closed forms and
+        # the eps certificate still apply
+        params = pd.PdParams(pd.selfdual_roots("a", 1 - F(2, 10**13), 1 - F(1, 10**13)))
+        report = pd.pd_selfdual_check(params)
+        assert report["eps_closed"] == report["eps"] == pd.pd_regularity(params).eps
+        assert report["eps"] + report["eps_gap"] == 1
+
     def test_selfdual_b(self):
         params = pd.PdParams((F(-3), F(-1, 3), F(1, 2), F(2)), a0=1)
         report = pd.pd_selfdual_check(params)

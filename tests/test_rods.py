@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from identities import axis_w, f_jump
 from todkit import rods as rodmod
 from todkit import tod
 from todkit.errors import RodDataError
@@ -123,22 +124,22 @@ class TestJumps:
         prof = axis_profile(data)
         for i in (1, 2, 3):
             want = prof.f_constant(i) - prof.f_constant(i - 1)
-            assert rodmod.f_jump(data, i) == want
+            assert f_jump(data, i) == want
 
     def test_slope_jump_float(self):
         data = skew_rods()
         prof = axis_profile(data)
         for i in (1, 2, 3):
             want = prof.f_constant(i) - prof.f_constant(i - 1)
-            assert abs(rodmod.f_jump(data, i) - want) < 1e-12 * max(abs(want), 1)
+            assert abs(f_jump(data, i) - want) < 1e-12 * max(abs(want), 1)
 
     def test_jump_guards(self):
         with pytest.raises(RodDataError):
-            rodmod.f_jump(eh_exact(), 1)
+            f_jump(eh_exact(), 1)
         with pytest.raises(RodDataError):
             rodmod.zero_slope_jump(steep_exact(), 1)
         with pytest.raises(RodDataError):
-            rodmod.f_jump(steep_exact(), 4)
+            f_jump(steep_exact(), 4)
 
 
 class TestConicalLimits:
@@ -293,7 +294,7 @@ class TestAxisLimits:
         data = skew_rods()
         prof = axis_profile(data)
         for i, zeta in ((0, -1.8), (2, 0.55), (3, 1.9)):
-            w_axis = prof.axis_w(zeta)
+            w_axis = axis_w(prof, zeta)
             w = tod.tod_fields(data, 1e-5, zeta, order=0).W.value
             assert abs(w - w_axis) < 1e-8 * abs(w_axis)
 
