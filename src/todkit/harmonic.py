@@ -64,11 +64,11 @@ def _coordinate(x):
 
 
 def _first_nonpositive(x):
-    """The first value of x that is not > 0 (an array in point order), or None."""
+    """The first value of x that is not > 0 (an array in C order), or None."""
     if type(x) is not np.ndarray:
         return None if x > 0 else x
     bad = ~(x > 0)
-    return float(x[bad.argmax()]) if bad.any() else None
+    return float(x.flat[bad.argmax()]) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
@@ -180,24 +180,24 @@ class RodData:
         """Weight-averaged nut position sum a_i z_i (ALE weights sum to 1)."""
         return sum(a * z for a, z in zip(self.weights, self.zs))
 
-    def interior_check(self, rho, zeta, rho_min=None):
-        """Reject points on the axis or inside a nut exclusion ball.
+    def interior_check(self, rho, zeta):
+        """Reject points on the axis, below rho = 1e-8 of the scale, or
+        inside a nut exclusion ball.
 
         The ball radius is 1e-6 of the smallest nut gap (of the scale for
-        one nut).  Point arrays raise at their first failing point, in
-        array order, with the message that point gives on its own.
+        one nut), and math.hypot measures the distance.  Point arrays
+        raise at their first failing point in C order, with the message
+        that point gives on its own.
         """
-        if rho_min is None:
-            rho_min = 1e-8 * self.scale
+        rho_min = 1e-8 * self.scale
         r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
         if type(rho) is np.ndarray:
-            # np.hypot may differ from math.hypot in the last bit, so it
-            # only picks suspects (with a wide margin) for the exact test
-            suspect = ~(rho > 0) | (rho < rho_min)
+            bad = ~(rho > 0) | (rho < rho_min)
             for z, _ in self.floats.nuts:
-                suspect |= np.hypot(rho, zeta - z) < 2 * r_nut
-            for k in np.flatnonzero(suspect):
-                self.interior_check(float(rho[k]), float(zeta[k]), rho_min)
+                bad |= jets.libm(math.hypot, rho, zeta - z) < r_nut
+            if bad.any():
+                k = bad.argmax()
+                self.interior_check(float(rho.flat[k]), float(zeta.flat[k]))
             return
         if not rho > 0:
             raise AxisEvaluationError(f"rho = {rho} is not interior")
@@ -360,27 +360,8 @@ class AxisProfile:
     values: tuple
     gauge: object = field(repr=False, default=0)
 
-    def rod_index(self, zeta):
-        k = 0
-        for z in self.rods.zs:
-            if zeta > z:
-                k += 1
-        return k
-
     def f(self, zeta):
         return sum(a * abs(zeta - z) for a, z in zip(self.rods.weights, self.rods.zs))
-
-    def g(self, zeta):
-        """The O(1) axis term of V (away from nuts); float only."""
-        total = 0.0
-        for z, a in zip(self.rods.zs, self.rods.weights):
-            s = abs(float(zeta) - float(z))
-            total += float(a) * (2 * s - s * math.log(4 * s * s))
-        return total
-
-    def gpp(self, zeta):
-        """g'' = axis limit of V_zetazeta = -sum 2 a_i / |zeta - z_i|."""
-        return -sum(2 * a / abs(zeta - z) for a, z in zip(self.rods.weights, self.rods.zs))
 
     def h(self, zeta):
         """Axis limit of H: sum a_i s_i |s_i| + gauge."""

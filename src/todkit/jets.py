@@ -18,16 +18,19 @@ carry more axes, such as the leading nut axis of the per-nut jets in
 ``harmonic``: every operation is elementwise, and ``Jet2.at`` picks one
 entry (a point, or a gather of nuts) out of every coefficient.
 Elementwise ``+``, ``-``, ``*`` and ``/`` round exactly as the float
-operations do, so every entry gets the bits it would get alone.  The
-value-term derivative lists of ``log`` and ``sqrt`` are made entry by
-entry with ``math``, because numpy's vectorised ``log`` and ``power`` may
-differ from libm in the last bit depending on CPU features.  A quotient,
-``log`` or ``sqrt`` rejects the whole set if any entry has a zero divisor
-or a non-positive argument.  Where float arithmetic overflows silently to
-inf or NaN, numpy warns; ``tod.tod_fields``, ``harmonic.potentials`` and
-``harmonic.ward_coords`` evaluate under ``np.errstate`` to keep the float
-behaviour.  Keep the jet on the left of an array operand: ``ndarray op
-Jet2`` is numpy's elementwise operation over the jet, not a jet operation.
+operations do, so every entry gets the bits it would get alone.  numpy's
+vectorised ``log`` and ``power`` may differ from libm in the last bit
+depending on CPU features, so ``log`` and ``sqrt`` take their value term
+and the powers in its derivatives from ``libm``, the one place that calls
+a float function entry by entry over an array; the rest of their
+derivative terms is array arithmetic.  A quotient, ``log`` or ``sqrt``
+rejects the whole set if any entry has a zero divisor (a power that
+underflows to zero included) or a non-positive argument.  Where float
+arithmetic overflows silently to inf or NaN, numpy warns;
+``tod.tod_fields``, ``harmonic.potentials`` and ``harmonic.ward_coords``
+evaluate under ``np.errstate`` to keep the float behaviour.  Keep the jet
+on the left of an array operand: ``ndarray op Jet2`` is numpy's
+elementwise operation over the jet, not a jet operation.
 
 Products and quotients of two jets run through straight-line kernels, one
 ``mul`` and one ``div`` per order, generated from the Leibniz plan the first
@@ -126,7 +129,6 @@ class _Kernels(dict):
 
 _KERNELS = _Kernels()
 _SCALARS = (int, float, np.ndarray)
-_BLOCK = 256  # entries per block of per-entry libm terms in _positive_terms
 
 
 class Jet2:
@@ -350,56 +352,78 @@ def exp(jet):
     return compose(jet, [v] * (jet.order + 1))
 
 
-def _positive_terms(func, terms, jet):
-    """terms(v, order) at the value term v, which must be positive.
+def libm(f, x, *args):
+    """f(x, *args) with the bits and exceptions of one float call, entry
+    by entry over an array x.
 
-    An array value, of any shape, fails at its first entry in C order with
-    v <= 0 (NaN passes, as it does for a float) and otherwise gets terms
-    entry by entry, stacked back into that shape.  Entries go through in
-    blocks of _BLOCK, so that each entry's list of terms dies before the
-    cyclic garbage collector (gen0 threshold 700) moves it to an older
-    generation: a 3200-entry set in one block took about 15 % longer.
+    For a float x this is the call itself.  For a float array x, f runs on
+    each entry as a Python float, in C order, and the results come back
+    as a float64 array of x's shape; each of args is a number or an array
+    of x's shape.  numpy's vectorised log, exp, pow and hypot can round
+    differently from libm in the last bit, and return inf or 0 with a
+    warning where the float call raises, so an array path that must give
+    every entry its own call's bits goes through here.  The first entry
+    that raises raises its own exception.
     """
+    if type(x) is not np.ndarray:
+        return f(x, *args)
+    rest = [a.ravel().tolist() if type(a) is np.ndarray else itertools.repeat(a)
+            for a in args]
+    return np.fromiter(map(f, x.ravel().tolist(), *rest), float, x.size).reshape(x.shape)
+
+
+def _divisor_power(x, k):
+    p = pow(x, k)
+    if p == 0:
+        raise ZeroDivisionError("float division by zero")
+    return p
+
+
+def _powers(v, order):
+    """[v ** 1, ..., v ** order] with libm's bits, to divide by.
+
+    A power that underflows to zero raises as the float division by it
+    does.  An entry's powers over- or underflow monotonically in k, so
+    the top power, made first and checked entry by entry, raises the
+    error of the first entry in C order that a loop over the entries
+    would stop at.
+    """
+    if order == 0:
+        return []
+    top = libm(_divisor_power, v, order)
+    return [libm(pow, v, k) for k in range(1, order)] + [top]
+
+
+def _positive_value(func, jet):
+    """The value term, which must be positive: an array fails at its
+    first entry in C order with v <= 0 (NaN passes, as it does for a float)."""
     v = jet.value
     if type(v) is not np.ndarray:
         if v <= 0:
             raise DomainError(func, v)
-        return terms(v, jet.order)
-    bad = v <= 0
-    if bad.any():
-        raise DomainError(func, float(v.flat[bad.argmax()]))
-    flat = v.ravel().tolist()
-    blocks = [[np.array(d) for d in zip(*map(terms, flat[k:k + _BLOCK],
-                                             itertools.repeat(jet.order)))]
-              for k in range(0, len(flat), _BLOCK)]
-    return [np.concatenate(d).reshape(v.shape) for d in zip(*blocks)]
-
-
-def _log_terms(v, order):
-    d = [math.log(v)]
-    for k in range(1, order + 1):
-        d.append((-1) ** (k - 1) * math.factorial(k - 1) / v ** k)
-    return d
-
-
-def _sqrt_terms(v, order):
-    s = math.sqrt(v)
-    d = [s]
-    coef = 0.5
-    power = 1
-    for k in range(1, order + 1):
-        d.append(coef * s / v ** power)
-        coef *= 0.5 - k
-        power += 1
-    return d
+    else:
+        bad = v <= 0
+        if bad.any():
+            raise DomainError(func, float(v.flat[bad.argmax()]))
+    return v
 
 
 def log(jet):
-    return compose(jet, _positive_terms("log", _log_terms, jet))
+    v = _positive_value("log", jet)
+    return compose(jet, [libm(math.log, v)] + [
+        (-1) ** (k - 1) * math.factorial(k - 1) / p
+        for k, p in enumerate(_powers(v, jet.order), 1)])
 
 
 def sqrt(jet):
-    return compose(jet, _positive_terms("sqrt", _sqrt_terms, jet))
+    v = _positive_value("sqrt", jet)
+    s = libm(math.sqrt, v)
+    d = [s]
+    coef = 0.5
+    for k, p in enumerate(_powers(v, jet.order), 1):
+        d.append(coef * s / p)
+        coef *= 0.5 - k
+    return compose(jet, d)
 
 
 def sin(jet):

@@ -397,8 +397,8 @@ def _draw_roots(case, rng, k):
         mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(k, 4)))
         vals = np.sort(mags * np.array(_SIGNS[case]), axis=1)
         prod = np.abs(vals[:, 0] * vals[:, 1] * vals[:, 2] * vals[:, 3])
-        # scalar pow: the array np.power differs in the last bit
-        roots = vals / np.array([x ** 0.25 for x in prod.tolist()])[:, None]
+        # libm's pow: the array np.power differs in the last bit
+        roots = vals / jets.libm(pow, prod, 0.25)[:, None]
         keep = ~(np.min(np.diff(roots, axis=1), axis=1) < 1e-3)
         if case != "iii":
             # all-negative quadruples never pass this filter; they are
@@ -415,7 +415,7 @@ def _draw_roots(case, rng, k):
     lo = np.array([math.log(1.05), math.log(0.02)])
     hi = np.array([math.log(20.0), math.log(0.95)])
     draws = lo + (hi - lo) * rng.random((k, 2))
-    u, v = np.array([[math.exp(x) for x in row] for row in draws.T.tolist()])
+    u, v = jets.libm(math.exp, draws.T)
     u = -u
     keep = ~((np.abs(u) * v >= 1 - 1e-6) | (v - 1 / u < 1e-3) | (1 / v - v < 1e-3))
     return np.stack([u, 1 / u, v, 1 / v], axis=1), keep
@@ -472,9 +472,9 @@ def pd_scan(case, samples=1000, seed=7):
     values, and case b's alternating scalar draws are the columns of
     ``lo + (hi - lo) * random((k, 2))``.  Where numpy's array functions
     round differently from the scalar ones (``prod ** 0.25``, and case
-    b's ``math.exp``), the scalar function runs per row.  Attempts are
-    counted up to the one that completes the requested samples, at most
-    200 * samples + 1000.  A sample that breaks PdParams, the closed
+    b's ``math.exp``), ``jets.libm`` gives each row libm's bits.
+    Attempts are counted up to the one that completes the requested
+    samples, at most 200 * samples + 1000.  A sample that breaks PdParams, the closed
     forms or its certificate raises the error pd_regularity raises on
     it, for the first such sample in draw order.
     """

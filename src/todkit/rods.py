@@ -18,11 +18,12 @@ tolerance zero on the same code path as float data.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tod
+from . import jets, tod
 from .errors import RodDataError
 from .harmonic import axis_profile
 
@@ -124,19 +125,12 @@ def gl2z_compatibility(rods, tol=1e-9):
     return tuple(reports)
 
 
-def zero_slope_jump(rods, i):
-    """Jump F_{i+1} - F_{i-1} across the zero-slope rod i."""
-    prof = axis_profile(rods)
-    if not 1 <= i <= rods.n - 1 or prof.slopes[i] != 0:
-        raise RodDataError(f"rod {i} is not an interior zero-slope rod")
-    f_i = prof.values[i - 1]
-    gap = rods.zs[i] - rods.zs[i - 1]
-    sl_lo, sl_hi = prof.slopes[i - 1], prof.slopes[i + 1]
-    return -(2 * f_i * gap - f_i * f_i * (1 / sl_hi - 1 / sl_lo)) / rods.c
+# sample heights per rod, halving from the top one
+_LEVELS = 7
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def conical_check(rods, levels=7):
+def conical_check(rods):
     """Extrapolated conical limits of all n+1 rods, in rod order; one means
     no defect.
 
@@ -148,27 +142,26 @@ def conical_check(rods, levels=7):
     extrapolation converges fast.
     Heights relative to the nut spacing make the limit independent of
     the homothety scale of the rod data.  All rods x levels points are
-    evaluated in one array pass; each sample keeps the bits, and each
+    evaluated in one array pass, and the quotient's powers and division
+    go through ``jets.libm``; each sample keeps the bits, and each
     failing point the error, of its own per-point evaluation.
     """
     prof = axis_profile(rods)
     vecs = rod_vectors(rods)
     zetas = [float(prof._rod_point(i)) for i in range(len(vecs))]
     top = 4e-2 * rods.min_gap ** 2
-    heights = tuple(top * 0.5 ** k for k in range(levels))
+    heights = tuple(top * 0.5 ** k for k in range(_LEVELS))
     f = tod.tod_fields(rods, np.tile([math.sqrt(h) for h in heights], len(vecs)),
-                       np.repeat(zetas, levels), order=1)
+                       np.repeat(zetas, _LEVELS), order=1)
     g = tod.tod_metric(f)
-    v0, v1 = (np.repeat([float(v[k]) for v in vecs], levels) for k in (0, 1))
+    v0, v1 = (np.repeat([float(v[k]) for v in vecs], _LEVELS) for k in (0, 1))
     # jets on the left: an array on the left would map over the jet
     S = g.comp[0][0] * (v0 * v0) + g.comp[0][1] * (2 * v0 * v1) \
         + g.comp[1][1] * (v1 * v1)
-    # the quotient in float arithmetic, point by point, as a lone point
-    # computes it (a float power or division raises where numpy warns)
-    values = [(s_r ** 2 + s_z ** 2) / (4.0 * s * e)
-              for s_r, s_z, s, e in zip(*(x.tolist() for x in (
-                  S.partial(1, 0), S.partial(0, 1), S.value, f.e2nu.value)))]
-    rows = [tuple(values[k:k + levels]) for k in range(0, len(values), levels)]
+    # libm's pow and the float division, which raise where numpy warns
+    num = jets.libm(pow, S.partial(1, 0), 2) + jets.libm(pow, S.partial(0, 1), 2)
+    values = jets.libm(operator.truediv, num, 4.0 * S.value * f.e2nu.value).tolist()
+    rows = [tuple(values[k:k + _LEVELS]) for k in range(0, len(values), _LEVELS)]
     return tuple(ConicalReport(rod=i, zeta=zeta, limit=_neville_zero(heights, row),
                                heights=heights, values=row)
                  for i, (zeta, row) in enumerate(zip(zetas, rows)))

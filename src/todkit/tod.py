@@ -127,14 +127,14 @@ def _nut_pairs(n):
 # float arithmetic overflows silently; on point arrays numpy would warn
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
-def tod_fields(rods, rho, zeta, order=4, check_interior=True):
+def tod_fields(rods, rho, zeta, order=4):
     """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
 
     rho and zeta may be float arrays of one shape: the jets then carry one
     coefficient per point, each bit-identical to that point's own call.
+    Every point must pass rods.interior_check.
     """
-    if check_interior:
-        rods.interior_check(rho, zeta)
+    rods.interior_check(rho, zeta)
     rho = harmonic._coordinate(rho)
     zeta = harmonic._coordinate(zeta)
     c, gamma, nuts = rods.floats

@@ -1,29 +1,56 @@
 """Closed-form quantities that only the tests use.
 
 Each reads library data and computes what the library itself never
-needs: the axis limit of W on a rod, the jump of the axis constant F
-across a nut, and the top-form pairing of two two-forms.
+needs: the rod index of an axis point and the O(1) axis term g of V with
+its second derivative, the axis limit of W on a rod, the jumps of the
+axis constant F across a nut and across a zero-slope rod, and the
+top-form pairing of two two-forms.
 """
 
 from __future__ import annotations
+
+import math
 
 from todkit.errors import RodDataError
 from todkit.harmonic import axis_profile
 
 
+def rod_index(prof, zeta):
+    """Index of the rod of an AxisProfile that holds the axis point zeta."""
+    k = 0
+    for z in prof.rods.zs:
+        if zeta > z:
+            k += 1
+    return k
+
+
+def axis_g(prof, zeta):
+    """The O(1) axis term g of V = f log rho^2 + g (away from nuts); float only."""
+    total = 0.0
+    for z, a in zip(prof.rods.zs, prof.rods.weights):
+        s = abs(float(zeta) - float(z))
+        total += float(a) * (2 * s - s * math.log(4 * s * s))
+    return total
+
+
+def axis_gpp(prof, zeta):
+    """g'' = axis limit of V_zetazeta = -sum 2 a_i / |zeta - z_i|."""
+    return -sum(2 * a / abs(zeta - z) for a, z in zip(prof.rods.weights, prof.rods.zs))
+
+
 def axis_w(prof, zeta):
     """Axis limit of W on a rod with nonzero slope, from an AxisProfile."""
-    i = prof.rod_index(zeta)
+    i = rod_index(prof, zeta)
     fp = prof.slopes[i]
     f = prof.f(zeta)
-    return (f + f * f * prof.gpp(zeta) / (2 * fp * fp)) / prof.rods.c
+    return (f + f * f * axis_gpp(prof, zeta) / (2 * fp * fp)) / prof.rods.c
 
 
 def f_jump(rods, i):
     """Jump F_i - F_{i-1} across nut i from the axis data alone.
 
-    Both adjacent slopes must be nonzero; use rods.zero_slope_jump across
-    a zero-slope rod.
+    Both adjacent slopes must be nonzero; use zero_slope_jump across a
+    zero-slope rod.
     """
     prof = axis_profile(rods)
     if not 1 <= i <= rods.n:
@@ -33,6 +60,17 @@ def f_jump(rods, i):
         raise RodDataError(f"nut {i} touches a zero-slope rod")
     f_i = prof.values[i - 1]
     return f_i * f_i * (1 / sl_hi - 1 / sl_lo) / rods.c
+
+
+def zero_slope_jump(rods, i):
+    """Jump F_{i+1} - F_{i-1} across the zero-slope rod i."""
+    prof = axis_profile(rods)
+    if not 1 <= i <= rods.n - 1 or prof.slopes[i] != 0:
+        raise RodDataError(f"rod {i} is not an interior zero-slope rod")
+    f_i = prof.values[i - 1]
+    gap = rods.zs[i] - rods.zs[i - 1]
+    sl_lo, sl_hi = prof.slopes[i - 1], prof.slopes[i + 1]
+    return -(2 * f_i * gap - f_i * f_i * (1 / sl_hi - 1 / sl_lo)) / rods.c
 
 
 def wedge_pairing(om, eta):

@@ -166,7 +166,7 @@ class TestBatchRejects:
         assert str(batch.value) == str(first)
 
     def test_interior_check_passes_near_the_ball(self):
-        # np.hypot only flags suspects; math.hypot decides, as for one point
+        # math.hypot decides, for the set as for one point
         rods = exact_two_nut()
         r_nut = 1e-6 * rods.min_gap
         rho = np.array([r_nut * (1 + 1e-15), r_nut, 0.5])
@@ -184,6 +184,54 @@ class TestBatchRejects:
         rods = skew_three_nut()
         rho = np.array([0.5, 0.2, -0.0])
         with pytest.raises(AxisEvaluationError, match="got -0.0"):
-            tod.tod_fields(rods, rho, np.zeros(3), check_interior=False)
-        with pytest.raises(AxisEvaluationError, match="got -0.0"):
             harmonic.ward_coords(rods, rho, np.zeros(3))
+
+
+def first_point_error(call, rho, zeta):
+    """The exception the first failing point raises alone, in C order."""
+    for k in np.ndindex(rho.shape):
+        try:
+            call(float(rho[k]), float(zeta[k]))
+        except Exception as exc:
+            return exc
+    raise AssertionError("no point fails")
+
+
+class TestTwoDimensionalSets:
+    """A 2-D point set is read in C order, with flat positions."""
+
+    def test_near_nut_set_matches_points(self):
+        # inside twice the ball radius of a nut but outside the ball
+        rods = tod.eh_rod_data()
+        r_nut = 1e-6 * rods.min_gap
+        rho = np.array([[0.5, 1.4 * r_nut, 0.3], [r_nut, 0.2, 1.9 * r_nut]])
+        zeta = np.array([[0.0, -0.25, 0.1], [0.25, -0.7, 0.25]])
+        batch = tod.tod_fields(rods, rho, zeta, order=2)
+        for k in np.ndindex(rho.shape):
+            point = tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=2)
+            for name in ("W", "e2nu", "F", "z", "x"):
+                assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
+
+    @pytest.mark.parametrize("rho, zeta", [
+        ([[0.5, 0.3], [0.2, -0.0]], [[0.0, 0.1], [0.2, 0.3]]),
+        ([[0.5, 0.3], [0.2, 1e-9]], [[0.0, 0.1], [0.2, 0.3]]),
+        ([[0.5, 0.3, 0.4], [0.2, 4e-7, 0.0]], [[0.0, 0.1, 0.2], [0.3, 0.25, 0.1]]),
+    ], ids=["axis", "below-rho-min", "nut-ball"])
+    def test_interior_check_first_failure(self, rho, zeta):
+        rods = tod.eh_rod_data()
+        rho, zeta = np.array(rho), np.array(zeta)
+        first = first_point_error(rods.interior_check, rho, zeta)
+        with pytest.raises(type(first)) as batch:
+            tod.tod_fields(rods, rho, zeta, order=1)
+        assert str(batch.value) == str(first)
+
+    def test_ward_coords_first_failure(self):
+        rods = skew_three_nut()
+        rho = np.array([[0.5, 0.3], [0.2, -1.0]])
+        zeta = np.zeros((2, 2))
+        first = first_point_error(
+            lambda r, z: harmonic.ward_coords(rods, r, z, order=1), rho, zeta)
+        assert type(first) is AxisEvaluationError
+        with pytest.raises(AxisEvaluationError) as batch:
+            harmonic.ward_coords(rods, rho, zeta, order=1)
+        assert str(batch.value) == str(first) == "per-nut jets need rho > 0, got -1.0"

@@ -253,6 +253,34 @@ class TestArrayCoefficients:
         for k in range(self.POINTS):
             assert_point_bits(batch, func(point_of(a, k)), k)
 
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
+    def test_log_sqrt_value_terms_are_float_formulas(self, func, order):
+        # the value-term derivatives as float arithmetic on one point,
+        # with Python's (libm's) pow: numpy's power differs from it in
+        # the last bit on about 5 % of cubes and fourth powers
+        def log_terms(v):
+            return [math.log(v)] + [(-1) ** (k - 1) * math.factorial(k - 1) / v ** k
+                                    for k in range(1, order + 1)]
+
+        def sqrt_terms(v):
+            s, coef, d = math.sqrt(v), 0.5, [math.sqrt(v)]
+            for k in range(1, order + 1):
+                d.append(coef * s / v ** k)
+                coef *= 0.5 - k
+            return d
+
+        terms = log_terms if func is jets.log else sqrt_terms
+        rng = np.random.default_rng(60 + order)
+        a = self.random_batch(order, rng)
+        a.c[0] = np.exp(rng.uniform(-30, 30, self.POINTS))
+        batch = func(a)
+        for k in range(self.POINTS):
+            point = Jet2(order, [float(c[k]) for c in a.c])
+            want = jets.compose(point, terms(point.value))
+            assert_point_bits(batch, want, k)
+            assert_point_bits(func(point), want, 0)
+
     def test_zero_divisor_anywhere(self):
         one = Jet2.const(1.0, 2)
         for zero in (0.0, -0.0):
@@ -262,6 +290,25 @@ class TestArrayCoefficients:
                     numerator / g
             with pytest.raises(ZeroDivisionError):
                 one / np.array([1.0, zero])
+
+    @pytest.mark.parametrize("order", [2, 4])
+    @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
+    def test_failing_power_anywhere(self, func, order):
+        # a point's float division by a power that underflows to zero
+        # raises, and one that overflows raises in the power; an array
+        # raises what its first failing point raises alone
+        for values in ([0.5, 1e-200, 1e200], [0.5, 1e200, 1e-200]):
+            for v in values:
+                try:
+                    func(Jet2.seed(v, 0, order))
+                except ArithmeticError as exc:
+                    first = exc
+                    break
+            with pytest.raises(type(first)) as batch:
+                func(Jet2.seed(np.array(values), 0, order))
+            assert str(batch.value) == str(first)
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            func(Jet2.seed(1e-200, 0, order))
 
     @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
     def test_domain_anywhere(self, func):

@@ -1,0 +1,99 @@
+"""jets.libm: an array gets, entry by entry, the bits and the exceptions
+of the float calls."""
+
+from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
+import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
+
+from todkit import jets
+
+SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                    phases=(Phase.explicit, Phase.generate, Phase.shrink))
+
+# signed zeros, subnormals, the normal range's ends, values whose powers
+# under- or overflow, and the non-finite values
+SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-160, 1e-100,
+           1.0, -1.0, 1e100, 1e160, 1e154, 1.3407807929942596e154, 709.78, 710.0,
+           1.7976931348623157e308, -1.7976931348623157e308,
+           math.inf, -math.inf, math.nan)
+numbers = st.one_of(st.sampled_from(SPECIAL), st.floats(), st.floats(-800.0, 800.0))
+
+# (name, function, fixed trailing args, drawn trailing args, entry filter)
+FUNCTIONS = [
+    ("log", math.log, (), 0, None),
+    ("sqrt", math.sqrt, (), 0, None),
+    ("exp", math.exp, (), 0, None),
+    ("hypot", math.hypot, (), 1, None),
+    *[(f"pow{k}", pow, (k,), 0, None) for k in (1, 2, 3, 4)],
+    # a negative base would make a complex power, which is no float
+    ("pow0.25", pow, (0.25,), 0, abs),
+    ("truediv", operator.truediv, (), 1, None),
+]
+SHAPES = (None, (), (1,), (4,), (2, 3))
+
+
+def drawn_value(data, shape, keep):
+    """A float for shape None, else a float64 array of that shape."""
+    size = 1 if shape is None else math.prod(shape)
+    values = [data.draw(numbers) for _ in range(size)]
+    if keep is not None:
+        values = [keep(v) for v in values]
+    return values[0] if shape is None else np.array(values, dtype=float).reshape(shape)
+
+
+def per_entry(f, x, args):
+    """The float calls in C order: a list of results, or the first exception."""
+    if type(x) is not np.ndarray:
+        return [f(x, *args)]
+    columns = [a.ravel().tolist() if type(a) is np.ndarray else [a] * x.size
+               for a in args]
+    return [f(v, *row) for v, *row in zip(x.ravel().tolist(), *columns)]
+
+
+@SETTINGS
+@given(st.sampled_from(FUNCTIONS), st.sampled_from(SHAPES), st.data())
+def test_libm_equals_the_float_calls(function, shape, data):
+    _, f, fixed, drawn, keep = function
+    x = drawn_value(data, shape, keep)
+    # a drawn argument is a number, or an array of x's shape
+    arg_shapes = [None if shape is None or data.draw(st.booleans()) else shape
+                  for _ in range(drawn)]
+    args = (*(drawn_value(data, s, None) for s in arg_shapes), *fixed)
+    try:
+        want = per_entry(f, x, args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            jets.libm(f, x, *args)
+        assert str(got.value) == str(exc)
+        return
+    got = jets.libm(f, x, *args)
+    if shape is None:
+        assert type(got) is float
+        values = [got]
+    else:
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got.shape == shape
+        values = got.ravel().tolist()
+    # float.hex tells -0.0 from 0.0 and keeps every bit (NaN included)
+    assert [v.hex() for v in values] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("f, x, args, exc, message", [
+    (pow, [1.0, 1e300, 1e-300, 1e300], (2,), OverflowError,
+     "(34, 'Numerical result out of range')"),
+    (operator.truediv, [1.0, 2.0, 3.0], (np.array([1.0, 0.0, 0.0]),),
+     ZeroDivisionError, "float division by zero"),
+    (math.log, [[1.0, 2.0], [-0.0, -1.0]], (), ValueError, "math domain error"),
+    (math.exp, [[1.0, 1e3], [-0.0, -1.0]], (), OverflowError, "math range error"),
+])
+def test_first_raising_entry(f, x, args, exc, message):
+    with pytest.raises(exc) as got:
+        jets.libm(f, np.array(x), *args)
+    assert str(got.value) == message
+

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from identities import axis_w, f_jump
+from identities import axis_w, f_jump, zero_slope_jump
 from todkit import rods as rodmod
 from todkit import tod
 from todkit.errors import RodDataError
@@ -115,7 +115,7 @@ class TestRodVectors:
 
 class TestJumps:
     def test_zero_slope_jump_benchmark(self):
-        assert rodmod.zero_slope_jump(eh_exact(), 1) == F(2)
+        assert zero_slope_jump(eh_exact(), 1) == F(2)
         prof = axis_profile(eh_exact())
         assert prof.f_constant(2) - prof.f_constant(0) == F(2)
 
@@ -137,7 +137,7 @@ class TestJumps:
         with pytest.raises(RodDataError):
             f_jump(eh_exact(), 1)
         with pytest.raises(RodDataError):
-            rodmod.zero_slope_jump(steep_exact(), 1)
+            zero_slope_jump(steep_exact(), 1)
         with pytest.raises(RodDataError):
             f_jump(steep_exact(), 4)
 
@@ -207,9 +207,9 @@ class TestConicalLimits:
             rodmod.conical_check(data)
 
     def test_samples_recorded(self):
-        rep = rodmod.conical_check(tod.eh_rod_data(), levels=5)[1]
-        assert len(rep.heights) == 5
-        assert rep.heights[0] == 1e-2
+        rep = rodmod.conical_check(tod.eh_rod_data())[1]
+        assert rep.heights == tuple(1e-2 * 0.5 ** k for k in range(7))
+        assert len(rep.values) == 7
 
 
 class TestJunctions:
