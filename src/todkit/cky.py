@@ -17,6 +17,15 @@ form, its norm is 2z exactly, and far from the nuts it approaches a
 member of the flat family at the rate r^-2, which cky_decay_check measures
 by a log-log fit in the asymptotic chart rho = r^2 sin t / 4,
 zeta = r^2 cos t / 4.
+
+The flat functions take r, theta (and the family constants) as numbers
+or as float arrays over a point set.  Matrices are built in stacked form:
+the coframe becomes one jet whose coefficients are (*points, 4, 4) arrays
+(tod.JetMatrix.jet), one jet product gives every e^a_i e^b_j, and the
+metric and the wedges are sums and differences of its slices; the
+candidate is one product of z with the stacked fundamental form.  Every
+entry runs the jet operations its scalar jet would, so each point keeps
+its bits.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets, tod
+from . import harmonic, jets, tod
 from .errors import DomainError, RodDataError
 from .jets import Jet2
 from .tod import JetMatrix
@@ -36,24 +45,39 @@ CHART = ("psi", "phi", "r", "theta")
 
 @dataclass(frozen=True)
 class FlatCkyParams:
-    """Constants of the flat family; the zero member is excluded."""
+    """Constants of the flat family; the zero member is excluded.
+
+    k1 and k2 may be float arrays of one shape, one member per point.
+    """
 
     k1: float
     k2: float
 
     def __post_init__(self):
-        if self.k1 == 0 and self.k2 == 0:
+        if np.any((np.asarray(self.k1) == 0) & (np.asarray(self.k2) == 0)):
             raise RodDataError("family constants must not both vanish")
 
 
+# float arithmetic overflows silently; on point arrays numpy would warn
+# where each point's own call does not
+@np.errstate(over="ignore", invalid="ignore")
 def flat_coframe(r, theta, order=2):
-    """Hopf coframe jets at an interior point of the flat model."""
-    if not r > 0:
-        raise DomainError("flat_coframe", r, "radius must be positive")
-    if not 0 < theta < math.pi:
-        raise DomainError("flat_coframe", theta, "polar angle must avoid the axis")
-    rj = Jet2.seed(float(r), 0, order)
-    tj = Jet2.seed(float(theta), 1, order)
+    """Hopf coframe jets at interior points of the flat model.
+
+    A point set fails at its first point with r <= 0 or theta outside
+    (0, pi), with the message that point gives alone.
+    """
+    r_all, theta_all = np.broadcast_arrays(r, theta)
+    bad = ~(r_all > 0) | ~((0 < theta_all) & (theta_all < math.pi))
+    if bad.any():
+        k = bad.argmax()
+        if not r_all.flat[k] > 0:
+            raise DomainError("flat_coframe", float(r_all.flat[k]), "radius must be positive")
+        raise DomainError("flat_coframe", float(theta_all.flat[k]),
+                          "polar angle must avoid the axis")
+    r, theta = harmonic._coordinate(r), harmonic._coordinate(theta)
+    rj = Jet2.seed(r, 0, order)
+    tj = Jet2.seed(theta, 1, order)
     half = rj * 0.5
     zero = Jet2.const(0.0, order)
     one = Jet2.const(1.0, order)
@@ -63,77 +87,98 @@ def flat_coframe(r, theta, order=2):
         [zero, zero, zero, half],
         [zero, half * jets.sin(tj), zero, zero],
     ]
-    return JetMatrix(coords=CHART, comp=rows, base=(float(r), float(theta)))
+    return JetMatrix(coords=CHART, comp=rows, base=(r, theta))
 
 
+def _each(jet, f):
+    """jet with f applied to every coefficient, taken as a float array."""
+    return jets._jet(jet.order, [f(np.asarray(c, dtype=float)) for c in jet.c])
+
+
+def _coframe_products(coframe):
+    """Every product e^a_i e^b_j of two coframe entries in one jet product:
+    a jet whose coefficients are (*points, 4, 4, 4, 4) arrays, [a, b, i, j]."""
+    e = coframe.jet()
+    return (_each(e, lambda c: c[..., :, None, :, None])
+            * _each(e, lambda c: c[..., None, :, None, :]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def flat_metric(r, theta):
-    """Flat metric order-2 jets assembled from the coframe; positively oriented."""
+    """Flat metric order-2 jets assembled from the coframe; positively oriented.
+
+    g_ij = 0 + e^0_i e^0_j + ... + e^3_i e^3_j, summed over the coframe
+    index in order.
+    """
     cf = flat_coframe(r, theta, 2)
-    comp = [
-        [sum((cf.comp[a][i] * cf.comp[a][j] for a in range(4)),
-             Jet2.const(0.0, 2)) for j in range(4)]
-        for i in range(4)
-    ]
-    return JetMatrix(coords=CHART, comp=comp, base=cf.base, orientation=1)
+    products = _coframe_products(cf)
+    g = Jet2.const(0.0, 2)
+    for a in range(4):
+        g = g + _each(products, lambda c: c[..., a, a, :, :])
+    return JetMatrix.from_jet(CHART, g, cf.base, orientation=1)
 
 
-def wedge(u, v):
-    """Componentwise wedge of two coframe rows of jets."""
-    return [[u[i] * v[j] - u[j] * v[i] for j in range(4)] for i in range(4)]
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def selfdual_basis(coframe):
-    """The three self-dual two-forms of the coframe, norm squared 4 each."""
-    e = coframe.comp
+    """The three self-dual two-forms of the coframe, norm squared 4 each.
+
+    Every wedge e^a ^ e^b comes out of one product pass over the coframe:
+    (e^a ^ e^b)_ij = e^a_i e^b_j - e^a_j e^b_i.
+    """
+    products = _coframe_products(coframe)
+    wedges = products - _each(products, lambda c: np.swapaxes(c, -1, -2))
 
     def combine(m, n, sign):
-        comp = [[m[i][j] + sign * n[i][j] for j in range(4)] for i in range(4)]
-        return JetMatrix(coords=coframe.coords, comp=comp, base=coframe.base)
+        pair = _each(wedges, lambda c: c[..., m[0], m[1], :, :]) \
+            + _each(wedges, lambda c: c[..., n[0], n[1], :, :]) * sign
+        return JetMatrix.from_jet(coframe.coords, pair, coframe.base)
 
-    w1 = combine(wedge(e[0], e[1]), wedge(e[2], e[3]), 1)
-    w2 = combine(wedge(e[1], e[2]), wedge(e[0], e[3]), 1)
-    w3 = combine(wedge(e[1], e[3]), wedge(e[0], e[2]), -1)
+    w1 = combine((0, 1), (2, 3), 1)
+    w2 = combine((1, 2), (0, 3), 1)
+    w3 = combine((1, 3), (0, 2), -1)
     return w1, w2, w3
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def flat_cky(params, r, theta, order=2):
-    """The family member at one point of the flat model, as a two-form jet."""
+    """The family member at points of the flat model, as a two-form jet."""
     cf = flat_coframe(r, theta, order)
     w1, _, w3 = selfdual_basis(cf)
-    rj = Jet2.seed(float(r), 0, order)
-    tj = Jet2.seed(float(theta), 1, order)
+    rj = Jet2.seed(cf.base[0], 0, order)
+    tj = Jet2.seed(cf.base[1], 1, order)
     rr = rj * rj
-    a1 = Jet2.const(float(params.k2), order) - float(params.k1) * rr * jets.cos(tj)
-    a3 = float(params.k1) * rr * jets.sin(tj)
-    comp = [
-        [a1 * w1.comp[i][j] + a3 * w3.comp[i][j] for j in range(4)]
-        for i in range(4)
-    ]
-    return JetMatrix(coords=CHART, comp=comp, base=cf.base)
+    k1 = harmonic._coordinate(params.k1)
+    a1 = Jet2.const(harmonic._coordinate(params.k2), order) - rr * k1 * jets.cos(tj)
+    a3 = rr * k1 * jets.sin(tj)
+    comp = (_each(a1, lambda c: c[..., None, None]) * w1.jet()
+            + _each(a3, lambda c: c[..., None, None]) * w3.jet())
+    return JetMatrix.from_jet(CHART, comp, cf.base)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def flat_norm_squared(params, r, theta):
     """|Z|^2 of the family member, in closed form."""
-    k1, k2 = float(params.k1), float(params.k2)
-    return 4.0 * (k1 * k1 * r ** 4 + k2 * k2
-                  - 2.0 * k1 * k2 * r * r * math.cos(theta))
+    k1, k2 = harmonic._coordinate(params.k1), harmonic._coordinate(params.k2)
+    return 4.0 * (k1 * k1 * jets.libm(pow, r, 4) + k2 * k2
+                  - 2.0 * k1 * k2 * r * r * jets.libm(math.cos, theta))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def tod_cky_candidate(fields, order=2):
     """z times the fundamental form; |Z|^2 = 4 z^2 by the norm identity.
 
     fields is a tod.TodFields of order at least order + 1, since the form
     carries first derivatives of the Ward coordinates; the candidate
-    comes out at order.
+    comes out at order, over the fields' points in one pass.
     """
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
-    comp = [[z * c for c in row] for row in om.comp]
-    return JetMatrix(coords=om.coords, comp=comp, base=om.base)
+    comp = _each(z, lambda c: c[..., None, None]) * om.jet()
+    return JetMatrix.from_jet(om.coords, comp, om.base)
 
 
-def _frame_components(fields, r, theta, st, ct):
-    """Candidate two-form at radius r, in the flat-model orthonormal frame.
+def _frame_components(fields, radii, theta, st, ct):
+    """Candidate two-form at each radius, in the flat-model orthonormal frame.
 
     The asymptotic chart is psi = tau, phi = y, rho = r^2 sin t / 4,
     zeta = center + r^2 cos t / 4, centered at the weighted nut center so
@@ -145,20 +190,22 @@ def _frame_components(fields, r, theta, st, ct):
     candidate lands on the image of the displayed family under the fiber
     swap psi <-> phi, an orientation-reversing isometry of the model; the
     matching in cky_decay_check reads the family constants off the swapped
-    slots.  fields are the order-1 fields at that point of the chart.
+    slots.  fields are the order-1 fields at the chart points of radii,
+    one point per radius; the frames come back as one (n, 4, 4) array.
     """
+    r = np.asarray(radii)
     Z = tod_cky_candidate(fields, order=0).values()
-    jac = np.zeros((4, 4))
-    jac[0, 0] = 1.0
-    jac[1, 1] = 1.0
-    jac[2, 2] = r * st / 2.0
-    jac[2, 3] = r * r * ct / 4.0
-    jac[3, 2] = r * ct / 2.0
-    jac[3, 3] = -r * r * st / 4.0
-    Zv = jac.T @ Z @ jac
-    E = flat_coframe(r, theta, order=0).values()
-    X = np.linalg.solve(E.T, Zv)
-    return np.linalg.solve(E.T, X.T).T
+    jac = np.zeros(r.shape + (4, 4))
+    jac[..., 0, 0] = 1.0
+    jac[..., 1, 1] = 1.0
+    jac[..., 2, 2] = r * st / 2.0
+    jac[..., 2, 3] = r * r * ct / 4.0
+    jac[..., 3, 2] = r * ct / 2.0
+    jac[..., 3, 3] = -r * r * st / 4.0
+    Zv = np.swapaxes(jac, -1, -2) @ Z @ jac
+    Et = np.swapaxes(flat_coframe(r, theta, order=0).values(), -1, -2)
+    X = np.linalg.solve(Et, Zv)
+    return np.swapaxes(np.linalg.solve(Et, np.swapaxes(X, -1, -2)), -1, -2)
 
 
 def cky_decay_check(rods, radii, theta=1.0):
@@ -224,8 +271,7 @@ def cky_decay_check(rods, radii, theta=1.0):
             "chart_limited": False,
         }
 
-    frames = [_frame_components(fields.at(k), r, theta, st, ct)
-              for k, r in enumerate(radii)]
+    frames = _frame_components(fields, radii, theta, st, ct)
     tail = frames[-1]
     r_max = radii[-1]
     # the swap image of the member (k1, k2) occupies the slots

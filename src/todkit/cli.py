@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, classify, cky, curvature, harmonic, pd, rods, tod
+from . import __version__, classify, cky, curvature, harmonic, jets, pd, rods, tod
 from .cky import FlatCkyParams
 from .errors import RodDataError, TodkitError
 from .harmonic import RodData
@@ -186,8 +186,8 @@ def sample_interior(data, count, rng):
 
 
 def _point_set_fields(data, points, order):
-    """tod_fields over sampled (rho, zeta) points in one pass; fields.at(k)
-    is point k's own evaluation."""
+    """tod_fields over sampled (rho, zeta) points in one pass; every
+    coefficient array holds one entry per point, in sampling order."""
     rho, zeta = (np.array(x) for x in zip(*points))
     return tod.tod_fields(data, rho, zeta, order=order)
 
@@ -240,31 +240,35 @@ def suite_fields(data, seed, tols):
     rng = np.random.default_rng(seed)
     min_field, min_loc = math.inf, ""
     points = sample_interior(data, 25, rng)
+    # every point in one pass; the loop below only reads floats
     fields = _point_set_fields(data, points, 3)
     V, H = harmonic.potentials(fields)
+    gv = tod.tod_metric(fields).values()
+    r = fields.point[0]
+    det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
+    killing_det = (np.abs(det - r * r) / (r * r)).tolist()
+    om = tod.fundamental_form(fields, order=1).values()
+    gi = np.linalg.inv(gv)
+    norm_sq = np.einsum("...ab,...cd,...ac,...bd->...", om, om, gi, gi).tolist()
+    toda = harmonic.toda_residual(fields).tolist()
+    v20, v10, v01, v02 = (V.partial(*p).tolist() for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
+    h10, h01 = (H.partial(*p).tolist() for p in ((1, 0), (0, 1)))
+    low = np.where(fields.e2nu.value < fields.W.value, fields.e2nu.value,
+                   fields.W.value).tolist()
     for k, (rho, zeta) in enumerate(points):
         loc = _loc(rho, zeta)
-        f = fields.at(k)
-        gv = tod.tod_metric(f).values()
-        det = gv[0, 0] * gv[1, 1] - gv[0, 1] * gv[0, 1]
-        v, h = V.at(k), H.at(k)
-        terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
-        scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
-        om = tod.fundamental_form(f, order=1).values()
-        gi = np.linalg.inv(gv)
-        norm_sq = float(np.einsum("ab,cd,ac,bd->", om, om, gi, gi))
+        terms = (v20[k], v10[k] / rho, v02[k])
+        scale = abs(h10[k]) + abs(h01[k])
         worst.push(
             loc,
-            killing_det=abs(det - rho * rho) / (rho * rho),
+            killing_det=killing_det[k],
             harmonic_v=abs(sum(terms)) / sum(abs(t) for t in terms),
-            conjugate_pair=abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
-            toda=abs(harmonic.toda_residual(f)),
-            norm_identity=abs(norm_sq - 4.0) / 4.0)
-        worst.push(loc, conjugate_pair=abs(h.partial(0, 1)
-                                           - rho * v.partial(1, 0)) / scale)
-        low = min(f.W.value, f.e2nu.value)
-        if low < min_field:
-            min_field, min_loc = low, loc
+            conjugate_pair=abs(h10[k] + rho * v01[k]) / scale,
+            toda=abs(toda[k]),
+            norm_identity=abs(norm_sq[k] - 4.0) / 4.0)
+        worst.push(loc, conjugate_pair=abs(h01[k] - rho * v10[k]) / scale)
+        if low[k] < min_field:
+            min_field, min_loc = low[k], loc
     return worst.checks(tols) + [_check("positivity", min_field, 0.0, min_loc,
                                         good=min_field > 0.0)]
 
@@ -277,28 +281,30 @@ def suite_curvature(data, seed, tols):
     rng = np.random.default_rng(seed)
     c = float(data.c)
     points = sample_interior(data, 20, rng)
+    # every point in one pass; the loop below only reads floats
     fields = _point_set_fields(data, points, 4)
+    pack = curvature.curvature_pack(tod.tod_metric(fields))
+    norms = {name: value.tolist()
+             for name, value in curvature.invariant_norms(pack).items()}
+    split = curvature.weyl_split(pack)
+    eigs = np.sort(split.eigs_plus)
+    omega = 1 / fields.z.truncate(2)
+    lap = curvature.scalar_laplacian(pack, omega).tolist()
+    z, w = fields.z.value.tolist(), omega.value.tolist()
     for k, (rho, zeta) in enumerate(points):
         loc = _loc(rho, zeta)
-        f = fields.at(k)
-        pack = curvature.curvature_pack(tod.tod_metric(f))
-        norms = curvature.invariant_norms(pack)
-        ricci = norms["ricci"] / norms["riemann"]
-        split = curvature.weyl_split(pack)
-        lam = split.lam
+        ricci = norms["ricci"][k] / norms["riemann"][k]
+        lam = split.lam[k]
         if lam is None:
             worst.push(loc, ricci_ratio=ricci, weyl_spectrum=math.inf)
             continue
         want = np.sort(np.array([lam, -lam / 2, -lam / 2]))
-        omega = 1 / f.z.truncate(2)
-        lap = curvature.scalar_laplacian(pack, omega)
-        want_lap = -2 * c * omega.value ** 4
+        want_lap = -2 * c * w[k] ** 4
         worst.push(
             loc, ricci_ratio=ricci,
-            weyl_spectrum=np.max(np.abs(np.sort(split.eigs_plus) - want))
-            / abs(lam),
-            lambda_z3=abs(lam * f.z.value ** 3 + 2 * c) / abs(2 * c),
-            conformal_factor=abs(lap - want_lap) / abs(want_lap))
+            weyl_spectrum=np.max(np.abs(eigs[k] - want)) / abs(lam),
+            lambda_z3=abs(lam * z[k] ** 3 + 2 * c) / abs(2 * c),
+            conformal_factor=abs(lap[k] - want_lap) / abs(want_lap))
     return worst.checks(tols)
 
 
@@ -343,21 +349,23 @@ def suite_rods(data, seed, tols):
 def suite_cky(data, seed, tols):
     rng = np.random.default_rng(seed)
     flat = _Worst("flat_family_residual", "flat_norm_formula")
-    for _ in range(8):
-        ang = float(rng.uniform(0.0, 2.0 * math.pi))
-        params = FlatCkyParams(k1=math.cos(ang), k2=math.sin(ang))
-        r = float(rng.uniform(0.4, 3.0))
-        theta = float(rng.uniform(0.25, math.pi - 0.25))
-        pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-        Z = cky.flat_cky(params, r, theta)
-        residual, _ = curvature.cky_residual(pack, Z)
-        Zv = Z.values()
-        norm_sq = float(np.einsum("ab,cd,ac,bd->", Zv, Zv,
-                                  pack.ginv, pack.ginv))
-        want = cky.flat_norm_squared(params, r, theta)
-        flat.push(f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}",
-                  flat_family_residual=residual,
-                  flat_norm_formula=abs(norm_sq - want) / max(abs(want), 1.0))
+    draws = [(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.4, 3.0)),
+              float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
+    ang, r, theta = (np.array(x) for x in zip(*draws))
+    # all eight family members in one pass
+    params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
+    pack = curvature.curvature_pack(cky.flat_metric(r, theta))
+    Z = cky.flat_cky(params, r, theta)
+    residual = curvature.cky_residual(pack, Z)[0].tolist()
+    Zv = Z.values()
+    norm_sq = np.einsum("...ab,...cd,...ac,...bd->...", Zv, Zv,
+                        pack.ginv, pack.ginv).tolist()
+    want = cky.flat_norm_squared(params, r, theta).tolist()
+    for k, (r_k, theta_k, k1) in enumerate(zip(r.tolist(), theta.tolist(),
+                                               params.k1.tolist())):
+        flat.push(f"r={r_k:.6g}, theta={theta_k:.6g}, k1={k1:.6g}",
+                  flat_family_residual=residual[k],
+                  flat_norm_formula=abs(norm_sq[k] - want[k]) / max(abs(want[k]), 1.0))
     checks = flat.checks(tols)
 
     candidate = _Worst("candidate_residual", "candidate_killing")
@@ -365,16 +373,14 @@ def suite_cky(data, seed, tols):
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
     points = sample_interior(data, 12, rng)
     fields = _point_set_fields(data, points, 3)
+    pack = curvature.curvature_pack(tod.tod_metric(fields))
+    residual, xi = curvature.cky_residual(pack, cky.tod_cky_candidate(fields))
+    off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1).tolist()
+    killing = curvature.killing_residual(pack, xi).tolist()
+    residual = residual.tolist()
     for k, (rho, zeta) in enumerate(points):
-        f = fields.at(k)
-        pack = curvature.curvature_pack(tod.tod_metric(f))
-        Z = cky.tod_cky_candidate(f)
-        residual, xi = curvature.cky_residual(pack, Z)
-        candidate.push(
-            _loc(rho, zeta), candidate_residual=residual,
-            candidate_killing=max(
-                float(np.max(np.abs(xi - np.array([1.0, 0, 0, 0])))),
-                curvature.killing_residual(pack, xi)))
+        candidate.push(_loc(rho, zeta), candidate_residual=residual[k],
+                       candidate_killing=max(off[k], killing[k]))
     return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
 
 

@@ -1,8 +1,17 @@
 """Curvature of a metric jet and the derived spectral checks.
 
-Everything is evaluated pointwise from a tod.JetMatrix whose components
-are 2-jets in the two essential coordinates; derivatives along the Killing
-directions are structurally zero, so arrays are padded accordingly.
+Everything is evaluated from a tod.JetMatrix whose components are 2-jets
+in the two essential coordinates; derivatives along the Killing
+directions are structurally zero, so arrays are padded accordingly.  The
+matrix may hold a point set: every array then carries the point axes in
+front, (*points, 4, 4) for a matrix, and one pass of the same einsums
+("...ab" subscripts), stacked matrix products and batched LAPACK calls
+evaluates the whole set.  A single point is the same code with no point
+axis, and its scalars come back as floats.  Each point gets the bits of
+its own evaluation: the one contraction where numpy's einsum rounds
+differently once a point axis is added (the trace in cky_residual) is
+summed in a fixed order instead.  A point set that fails raises the
+exception and message of its first failing point.
 
 Conventions: R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + ..., Ricci is
 the (a, bad) trace, the scalar Laplacian is minus the metric trace of
@@ -48,59 +57,76 @@ class CurvaturePack:
     sqrtg: float
 
 
+def _float(x):
+    """A no-batch result as a float; a point set keeps its array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def _pad_first(arr):
-    """Prepend zero Killing slots: (2, ...) -> (4, ...)."""
-    out = np.zeros((4,) + arr.shape[1:])
-    out[2:] = arr
+    """Prepend zero Killing slots to the derivative axis:
+    (..., 2, 4, 4) -> (..., 4, 4, 4)."""
+    out = np.zeros(arr.shape[:-3] + (4,) + arr.shape[-2:])
+    out[..., 2:, :, :] = arr
     return out
 
 
 def curvature_pack(metric):
-    """Riemann, Ricci, scalar and Weyl at the base point of a metric jet."""
+    """Riemann, Ricci, scalar and Weyl at the base points of a metric jet.
+
+    A point set fails at its first point with an asymmetric metric or a
+    determinant that is not positive, with that point's own message.
+    """
     g = metric.values()
-    if np.max(np.abs(g - g.T)) > 0:
-        raise SignatureError("metric components are not symmetric")
-    det = np.linalg.det(g)
-    if not det > 0:
-        raise SignatureError(f"metric determinant {det} is not positive")
+    asym = np.asarray(np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)))
+    det = np.asarray(np.linalg.det(g))
+    bad = (asym > 0) | ~(det > 0)
+    if bad.any():
+        k = bad.argmax()
+        if asym.flat[k] > 0:
+            raise SignatureError("metric components are not symmetric")
+        raise SignatureError(f"metric determinant {det.flat[k]} is not positive")
     ginv = np.linalg.inv(g)
     dg = _pad_first(metric.d1())
-    ddg = np.zeros((4, 4, 4, 4))
-    ddg[2:, 2:] = metric.d2()
-    dginv = -np.einsum("ae,cef,fb->cab", ginv, dg, ginv)
+    ddg = np.zeros(g.shape[:-2] + (4, 4, 4, 4))
+    ddg[..., 2:, 2:, :, :] = metric.d2()
+    dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
 
-    gamma = 0.5 * np.einsum(
-        "ad,bdc->abc", ginv, dg + np.einsum("cdb->bdc", dg) - np.einsum("dbc->bdc", dg)
-    )
-    sym = ddg + np.einsum("ecdb->ebdc", ddg) - np.einsum("edbc->ebdc", ddg)
-    dgamma = 0.5 * (
-        np.einsum("ead,bdc->eabc", dginv,
-                  dg + np.einsum("cdb->bdc", dg) - np.einsum("dbc->bdc", dg))
-        + np.einsum("ad,ebdc->eabc", ginv, sym)
-    )
+    christoffel = (dg + np.einsum("...cdb->...bdc", dg)
+                   - np.einsum("...dbc->...bdc", dg))
+    gamma = 0.5 * np.einsum("...ad,...bdc->...abc", ginv, christoffel)
+    # the rank-4 arrays are summed in place, in the order of the written
+    # sums, so that fewer of them are alive at once over a point set
+    sym = ddg + np.einsum("...ecdb->...ebdc", ddg)
+    sym -= np.einsum("...edbc->...ebdc", ddg)
+    del ddg
+    dgamma = np.einsum("...ead,...bdc->...eabc", dginv, christoffel)
+    dgamma += np.einsum("...ad,...ebdc->...eabc", ginv, sym)
+    dgamma *= 0.5
+    del sym
 
-    riem_up = (
-        np.einsum("cadb->abcd", dgamma)
-        - np.einsum("dacb->abcd", dgamma)
-        + np.einsum("ace,edb->abcd", gamma, gamma)
-        - np.einsum("ade,ecb->abcd", gamma, gamma)
-    )
-    riemann = np.einsum("ae,ebcd->abcd", g, riem_up)
-    ricci = np.einsum("abad->bd", riem_up)
-    scalar = float(np.einsum("bd,bd->", ginv, ricci))
+    riem_up = np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma)
+    del dgamma
+    riem_up += np.einsum("...ace,...edb->...abcd", gamma, gamma)
+    riem_up -= np.einsum("...ade,...ecb->...abcd", gamma, gamma)
+    riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
+    ricci = np.einsum("...abad->...bd", riem_up)
+    del riem_up
+    scalar = np.einsum("...bd,...bd->...", ginv, ricci)
 
-    weyl = (
-        riemann
-        - 0.5 * (
-            np.einsum("ac,bd->abcd", g, ricci)
-            - np.einsum("ad,bc->abcd", g, ricci)
-            + np.einsum("bd,ac->abcd", g, ricci)
-            - np.einsum("bc,ad->abcd", g, ricci)
-        )
-        + (scalar / 6.0) * (
-            np.einsum("ac,bd->abcd", g, g) - np.einsum("ad,bc->abcd", g, g)
-        )
-    )
+    # riemann - (g ricci terms) / 2 + (scalar / 6) (g g terms)
+    trace = np.einsum("...ac,...bd->...abcd", g, ricci)
+    trace -= np.einsum("...ad,...bc->...abcd", g, ricci)
+    trace += np.einsum("...bd,...ac->...abcd", g, ricci)
+    trace -= np.einsum("...bc,...ad->...abcd", g, ricci)
+    trace *= 0.5
+    # in C order, the layout the written sum gave: einsum's summation
+    # order over weyl (in the norms and the split) follows its layout
+    weyl = np.subtract(riemann, trace, order="C")
+    del trace
+    gg = np.einsum("...ac,...bd->...abcd", g, g)
+    gg -= np.einsum("...ad,...bc->...abcd", g, g)
+    gg *= (scalar / 6.0)[..., None, None, None, None]
+    weyl += gg
     return CurvaturePack(
         coords=metric.coords,
         base=metric.base,
@@ -111,21 +137,24 @@ def curvature_pack(metric):
         gamma=gamma,
         riemann=riemann,
         ricci=ricci,
-        scalar=scalar,
+        scalar=_float(scalar),
         weyl=weyl,
-        sqrtg=float(np.sqrt(det)),
+        sqrtg=_float(np.sqrt(det)),
     )
 
 
 def _raise_all(gi, T):
     """T^abcd = g^ae g^bf g^cg g^dh T_efgh, one index at a time.
 
-    Each pass is one matrix product that raises the leading index, which
-    the transpose then moves to the back; four passes restore the order.
+    Each pass is one matrix product per point that raises the leading
+    index, which the transpose then moves to the back; four passes
+    restore the order.
     """
+    lead = gi.shape[:-2]
     up = T
     for _ in range(4):
-        up = (gi @ up.reshape(4, 64)).reshape(4, 4, 4, 4).transpose(1, 2, 3, 0)
+        up = np.moveaxis((gi @ up.reshape(lead + (4, 64))).reshape(lead + (4, 4, 4, 4)),
+                         -4, -1)
     return up
 
 
@@ -135,27 +164,27 @@ def invariant_norms(pack):
 
     def norm4(T):
         up = _raise_all(gi, T)
-        return float(np.sqrt(abs(np.einsum("abcd,abcd->", up, T))))
+        return _float(np.sqrt(np.abs(np.einsum("...abcd,...abcd->...", up, T))))
 
-    ric2 = np.einsum("ae,bf,ef,ab->", gi, gi, pack.ricci, pack.ricci)
+    ric2 = np.einsum("...ae,...bf,...ef,...ab->...", gi, gi, pack.ricci, pack.ricci)
     return {
         "riemann": norm4(pack.riemann),
         "weyl": norm4(pack.weyl),
-        "ricci": float(np.sqrt(abs(ric2))),
+        "ricci": _float(np.sqrt(np.abs(ric2))),
         "scalar": abs(pack.scalar),
     }
 
 
 def volume_form(pack):
     """epsilon_abcd with the chart orientation folded in."""
-    return pack.orientation * pack.sqrtg * _EPS4
+    return np.multiply.outer(pack.orientation * pack.sqrtg, _EPS4)
 
 
 def hodge_star(pack, two_form):
     """Dual of an antisymmetric (0,2) component array."""
     eps = volume_form(pack)
-    up = np.einsum("ac,bd,cd->ab", pack.ginv, pack.ginv, two_form)
-    return 0.5 * np.einsum("abcd,cd->ab", eps, up)
+    up = np.einsum("...ac,...bd,...cd->...ab", pack.ginv, pack.ginv, two_form)
+    return 0.5 * np.einsum("...abcd,...cd->...ab", eps, up)
 
 
 def orthonormal_coframe(pack):
@@ -169,29 +198,31 @@ def orthonormal_coframe(pack):
         L = np.linalg.cholesky(pack.g)
     except np.linalg.LinAlgError as exc:
         raise SignatureError(f"metric is not positive definite: {exc}") from exc
-    E = L.T.copy()
+    E = np.swapaxes(L, -1, -2).copy()
     if pack.orientation < 0:
-        E[3] = -E[3]
+        E[..., 3, :] = -E[..., 3, :]
     return E
 
 
 def dual_bases(pack):
-    """Self-dual and anti-self-dual two-form triples, norm squared 4."""
+    """Self-dual and anti-self-dual two-form triples, norm squared 4,
+    shape (*points, 3, 4, 4) each."""
     E = orthonormal_coframe(pack)
 
     def wedge(i, j):
-        return np.outer(E[i], E[j]) - np.outer(E[j], E[i])
+        u, v = E[..., i, :], E[..., j, :]
+        return u[..., :, None] * v[..., None, :] - v[..., :, None] * u[..., None, :]
 
-    plus = np.array([
+    plus = np.stack([
         wedge(0, 1) + wedge(2, 3),
         wedge(1, 2) + wedge(0, 3),
         wedge(1, 3) - wedge(0, 2),
-    ])
-    minus = np.array([
+    ], axis=-3)
+    minus = np.stack([
         wedge(0, 1) - wedge(2, 3),
         wedge(1, 2) - wedge(0, 3),
         wedge(1, 3) + wedge(0, 2),
-    ])
+    ], axis=-3)
     return plus, minus
 
 
@@ -201,7 +232,7 @@ class WeylSplit:
     m_minus: np.ndarray
     eigs_plus: np.ndarray
     eigs_minus: np.ndarray
-    lam: float | None
+    lam: float | None | list
 
 
 def weyl_split(pack):
@@ -210,22 +241,24 @@ def weyl_split(pack):
     The matrices represent F -> (1/2) C F; with the basis normalization
     |sigma|^2 = 4 the matrix element is sigma C sigma / 8.  lam is the
     simple eigenvalue of the self-dual block when the other two form a
-    pair, else None.
+    pair, else None; on a point set, a list of those over the points.
     """
-    cup = _raise_all(pack.ginv, pack.weyl).reshape(16, 16)
-    plus, minus = (basis.reshape(3, 16) for basis in dual_bases(pack))
-    m_plus = plus @ cup @ plus.T / 8.0
-    m_minus = minus @ cup @ minus.T / 8.0
-    eigs_plus = np.linalg.eigvalsh(0.5 * (m_plus + m_plus.T))
-    eigs_minus = np.linalg.eigvalsh(0.5 * (m_minus + m_minus.T))
-    lam = _simple_eigenvalue(eigs_plus)
+    lead = pack.ginv.shape[:-2]
+    cup = _raise_all(pack.ginv, pack.weyl).reshape(lead + (16, 16))
+    plus, minus = (basis.reshape(lead + (3, 16)) for basis in dual_bases(pack))
+    m_plus = plus @ cup @ np.swapaxes(plus, -1, -2) / 8.0
+    m_minus = minus @ cup @ np.swapaxes(minus, -1, -2) / 8.0
+    eigs_plus = np.linalg.eigvalsh(0.5 * (m_plus + np.swapaxes(m_plus, -1, -2)))
+    eigs_minus = np.linalg.eigvalsh(0.5 * (m_minus + np.swapaxes(m_minus, -1, -2)))
     return WeylSplit(m_plus=m_plus, m_minus=m_minus, eigs_plus=eigs_plus,
-                     eigs_minus=eigs_minus, lam=lam)
+                     eigs_minus=eigs_minus, lam=_simple_eigenvalue(eigs_plus))
 
 
 def _simple_eigenvalue(eigs):
     """The eigenvalue separated from the other two by at least 20 times
-    their spread, or None."""
+    their spread, or None; per point (nested lists) over a point set."""
+    if eigs.ndim > 1:
+        return [_simple_eigenvalue(row) for row in eigs]
     scale = float(np.max(np.abs(eigs)))
     if scale == 0.0:
         return None
@@ -242,25 +275,31 @@ def _simple_eigenvalue(eigs):
 
 def scalar_laplacian(pack, f_jet):
     """Minus the metric trace of the Hessian of a scalar 2-jet."""
-    df = np.zeros(4)
-    df[2] = f_jet.partial(1, 0)
-    df[3] = f_jet.partial(0, 1)
-    ddf = np.zeros((4, 4))
-    ddf[2, 2] = f_jet.partial(2, 0)
-    ddf[2, 3] = ddf[3, 2] = f_jet.partial(1, 1)
-    ddf[3, 3] = f_jet.partial(0, 2)
-    hess = ddf - np.einsum("cab,c->ab", pack.gamma, df)
-    return -float(np.einsum("ab,ab->", pack.ginv, hess))
+    lead = pack.ginv.shape[:-2]
+    df = np.zeros(lead + (4,))
+    df[..., 2] = f_jet.partial(1, 0)
+    df[..., 3] = f_jet.partial(0, 1)
+    ddf = np.zeros(lead + (4, 4))
+    ddf[..., 2, 2] = f_jet.partial(2, 0)
+    ddf[..., 2, 3] = ddf[..., 3, 2] = f_jet.partial(1, 1)
+    ddf[..., 3, 3] = f_jet.partial(0, 2)
+    hess = ddf - np.einsum("...cab,...c->...ab", pack.gamma, df)
+    return _float(-np.einsum("...ab,...ab->...", pack.ginv, hess))
+
+
+def _apply(m, v):
+    """m @ v for matrices m and vectors v over the same points."""
+    return (m @ v[..., None])[..., 0]
 
 
 def covariant_two_form_derivative(pack, form):
-    """nabla_a Z_bc from a two-form JetMatrix, shape (4, 4, 4)."""
+    """nabla_a Z_bc from a two-form JetMatrix, shape (*points, 4, 4, 4)."""
     Z = form.values()
     dZ = _pad_first(form.d1())
     return (
         dZ
-        - np.einsum("eab,ec->abc", pack.gamma, Z)
-        - np.einsum("eac,be->abc", pack.gamma, Z)
+        - np.einsum("...eab,...ec->...abc", pack.gamma, Z)
+        - np.einsum("...eac,...be->...abc", pack.gamma, Z)
     )
 
 
@@ -272,17 +311,28 @@ def cky_residual(pack, form):
     """
     g, gi = pack.g, pack.ginv
     covd = covariant_two_form_derivative(pack, form)
-    asym = (covd + np.einsum("bca->abc", covd) + np.einsum("cab->abc", covd)) / 3.0
-    xi_low = np.einsum("bc,cab->a", gi, covd) / 3.0
+    asym = (covd + np.einsum("...bca->...abc", covd)
+            + np.einsum("...cab->...abc", covd)) / 3.0
+    # xi_low = g^bc nabla_c Z_ab / 3 in one fixed order, the order of the
+    # no-batch einsum: for each b the c terms from 0.0, then the b sums
+    # from 0.0.  Given a point axis, einsum picks another inner loop for
+    # this contraction, which rounds differently.
+    terms = gi[..., :, :, None] * np.moveaxis(covd, (-3, -2, -1), (-2, -1, -3))
+    xi_low = 0.0
+    for b in range(4):
+        part = 0.0
+        for c in range(4):
+            part = part + terms[..., b, c, :]
+        xi_low = xi_low + part
+    xi_low = xi_low / 3.0
     L = (
         covd
         - asym
-        + np.einsum("ab,c->abc", g, xi_low)
-        - np.einsum("ac,b->abc", g, xi_low)
+        + np.einsum("...ab,...c->...abc", g, xi_low)
+        - np.einsum("...ac,...b->...abc", g, xi_low)
     )
-    n2 = np.einsum("ad,be,cf,abc,def->", gi, gi, gi, L, L)
-    xi_up = gi @ xi_low
-    return float(np.sqrt(abs(n2))), xi_up
+    n2 = np.einsum("...ad,...be,...cf,...abc,...def->...", gi, gi, gi, L, L)
+    return _float(np.sqrt(np.abs(n2))), _apply(gi, xi_low)
 
 
 def killing_residual(pack, xi_up):
@@ -290,11 +340,12 @@ def killing_residual(pack, xi_up):
 
     The components of xi_up are taken constant in this chart, which is
     the case of interest: candidate Killing fields built from the torus
-    directions.
+    directions.  Over a point set xi_up has shape (*points, 4).
     """
     xi_up = np.asarray(xi_up, dtype=float)
-    xi_low = pack.g @ xi_up
-    dxi = np.einsum("abc,c->ab", pack.dg, xi_up)
-    K = 0.5 * (dxi + dxi.T) - np.einsum("cab,c->ab", pack.gamma, xi_low)
-    n2 = np.einsum("ac,bd,ab,cd->", pack.ginv, pack.ginv, K, K)
-    return float(np.sqrt(abs(n2)))
+    xi_low = _apply(pack.g, xi_up)
+    dxi = np.einsum("...abc,...c->...ab", pack.dg, xi_up)
+    K = (0.5 * (dxi + np.swapaxes(dxi, -1, -2))
+         - np.einsum("...cab,...c->...ab", pack.gamma, xi_low))
+    n2 = np.einsum("...ac,...bd,...ab,...cd->...", pack.ginv, pack.ginv, K, K)
+    return _float(np.sqrt(np.abs(n2)))

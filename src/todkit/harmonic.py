@@ -187,11 +187,14 @@ class RodData:
         The ball radius is 1e-6 of the smallest nut gap (of the scale for
         one nut), and math.hypot measures the distance.  Point arrays
         raise at their first failing point in C order, with the message
-        that point gives on its own.
+        that point gives on its own.  Either coordinate may be a number
+        when the other is an array.
         """
         rho_min = 1e-8 * self.scale
         r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
-        if type(rho) is np.ndarray:
+        if type(rho) is np.ndarray or type(zeta) is np.ndarray:
+            # a number partners every point of an array
+            rho, zeta = (x.astype(float, copy=False) for x in np.broadcast_arrays(rho, zeta))
             bad = ~(rho > 0) | (rho < rho_min)
             for z, _ in self.floats.nuts:
                 bad |= jets.libm(math.hypot, rho, zeta - z) < r_nut
@@ -330,12 +333,14 @@ def ward_inverse(rods, z_target, x_target, guess):
     raise InversionError(last)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def toda_residual(fields):
     """Residual u_xx + (e^u)_zz for u = 2 log rho as a function of (z, x),
     with rho(z, x) from the closed-form order-2 inverse in jets.invert_map.
 
-    fields is a tod.TodFields of order at least 2 at one point; only its
-    Ward coordinates z, x and its point are read.
+    fields is a tod.TodFields of order at least 2, at a point or a point
+    set (one residual per point); only its Ward coordinates z, x and its
+    points are read.
     """
     P, _ = jets.invert_map(fields.z, fields.x, *fields.point)
     u = 2 * jets.log(P)

@@ -22,10 +22,11 @@ operations do, so every entry gets the bits it would get alone.  numpy's
 vectorised ``log`` and ``power`` may differ from libm in the last bit
 depending on CPU features, so ``log`` and ``sqrt`` take their value term
 and the powers in its derivatives from ``libm``, the one place that calls
-a float function entry by entry over an array; the rest of their
-derivative terms is array arithmetic.  A quotient, ``log`` or ``sqrt``
-rejects the whole set if any entry has a zero divisor (a power that
-underflows to zero included) or a non-positive argument.  Where float
+a float function entry by entry over an array, and ``sin`` and ``cos``
+take their values there too; the rest of their derivative terms is array
+arithmetic.  A quotient, ``log`` or ``sqrt`` rejects the whole set if any
+entry has a zero divisor (a power that underflows to zero included) or a
+non-positive argument.  Where float
 arithmetic overflows silently to inf or NaN, numpy warns;
 ``tod.tod_fields``, ``harmonic.potentials`` and ``harmonic.ward_coords``
 evaluate under ``np.errstate`` to keep the float behaviour.  Keep the jet
@@ -192,7 +193,7 @@ class Jet2:
         for v in self.c:
             if type(v) is np.ndarray:
                 v = v[index]
-                if type(v) is not np.ndarray:
+                if type(v) is not np.ndarray or not v.ndim:
                     v = float(v)
             c.append(v)
         return _jet(self.order, c)
@@ -427,23 +428,15 @@ def sqrt(jet):
 
 
 def sin(jet):
-    v = jet.value
-    cycle = [math.sin(v), math.cos(v), -math.sin(v), -math.cos(v)]
+    s, c = libm(math.sin, jet.value), libm(math.cos, jet.value)
+    cycle = [s, c, -s, -c]
     return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
 
 
 def cos(jet):
-    v = jet.value
-    cycle = [math.cos(v), -math.sin(v), -math.cos(v), math.sin(v)]
+    s, c = libm(math.sin, jet.value), libm(math.cos, jet.value)
+    cycle = [c, -s, -c, s]
     return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
-
-
-def artanh(jet):
-    v = jet.value
-    if not -1 < v < 1:
-        raise DomainError("artanh", v)
-    one = Jet2.const(1, jet.order)
-    return (log(one + jet) - log(one - jet)) * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +475,10 @@ def compose2(F, P, Q):
 def invert_map(Z, X, rho0, zeta0):
     """Invert the jet map (rho, zeta) -> (Z, X) around a base point, to order 2.
 
-    Z and X are jets of order at least 2 at (rho0, zeta0).  Returns order-2
-    jets (P, Q) of rho and zeta in the image variables.  By the inverse
+    Z and X are jets of order at least 2 at (rho0, zeta0), which may be
+    a point set: every point is inverted in the same array pass, and a
+    singular Jacobian at any point raises.  Returns order-2 jets (P, Q) of
+    rho and zeta in the image variables.  By the inverse
     function theorem their first derivatives are K = J^-1, J the Jacobian
     of (Z, X), and their second derivatives are
     -K[a, b] H_b[k, l] K[k, i] K[l, j] with H_b the Hessian of Z or X.
@@ -493,7 +488,7 @@ def invert_map(Z, X, rho0, zeta0):
     a, b = Z.partial(1, 0), Z.partial(0, 1)
     c, d = X.partial(1, 0), X.partial(0, 1)
     det = a * d - b * c
-    if det == 0:
+    if np.any(det == 0):
         raise InversionError(math.inf, "singular Jacobian in invert_map")
     K = ((d / det, -b / det), (-c / det, a / det))
 

@@ -65,17 +65,6 @@ class TodFields:
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
 
-    def at(self, k):
-        """The fields at point k of a one-dimensional point set: float
-        coefficients and per-nut rows, as the point's own tod_fields call
-        gives them."""
-        a, s, artanh, R = self.terms
-        nut = (slice(None), k)
-        return TodFields(W=self.W.at(k), e2nu=self.e2nu.at(k), F=self.F.at(k),
-                         z=self.z.at(k), x=self.x.at(k), rods=self.rods,
-                         point=(float(self.point[0][k]), float(self.point[1][k])),
-                         terms=(a.reshape(-1), s.at(nut), artanh.at(nut), R.at(nut)))
-
 
 @dataclass(frozen=True)
 class JetMatrix:
@@ -87,31 +76,66 @@ class JetMatrix:
     taken with respect to the trailing pair.  orientation is the sign of
     the chart volume form relative to the convention in which the
     fundamental form squares to a positive top form; only metrics use it.
+
+    Entries may carry coefficient arrays over a point set.  The matrix is
+    then also one jet whose coefficients are arrays of shape
+    (*points, 4, 4) (jet(), and from_jet the other way), and the
+    accessors return arrays with the point axes in front of the matrix
+    axes; for a single point they are plain 4x4 arrays.
     """
 
     coords: tuple
     comp: list
     base: tuple
     orientation: int = 1
+    _jet: Jet2 = field(default=None, repr=False, compare=False)
+
+    @classmethod
+    def from_jet(cls, coords, jet, base, orientation=1):
+        """The matrix of a jet whose coefficients are (*points, 4, 4) arrays."""
+        comp = [[jet.at((..., a, b)) for b in range(4)] for a in range(4)]
+        return cls(coords, comp, base, orientation, _jet=jet)
 
     @property
     def order(self):
         return self.comp[0][0].order
 
+    def _coefficient(self, k):
+        """Coefficient k of every entry, as one (*points, 4, 4) array."""
+        if self._jet is not None:
+            return self._jet.c[k]
+        entries = [e.c[k] for row in self.comp for e in row]
+        # the entries' arrays share the point shape; scalars broadcast
+        shape = next((v.shape for v in entries if type(v) is np.ndarray), ())
+        out = np.empty(shape + (16,))
+        for m, v in enumerate(entries):
+            out[..., m] = v
+        return out.reshape(shape + (4, 4))
+
+    def jet(self):
+        """The matrix as one jet with (*points, 4, 4) coefficient arrays."""
+        if self._jet is not None:
+            return self._jet
+        return jets._jet(self.order, [self._coefficient(k)
+                                      for k in range(len(self.comp[0][0].c))])
+
     def _partials(self, i, j):
-        return np.array([[e.partial(i, j) for e in row] for row in self.comp], dtype=float)
+        return self._coefficient(jets._POS[self.order][(i, j)])
 
     def values(self):
+        """Values, shape (*points, 4, 4)."""
         return self._partials(0, 0)
 
     def d1(self):
-        """First derivatives, shape (2, 4, 4), essential directions only."""
-        return np.array([self._partials(1, 0), self._partials(0, 1)])
+        """First derivatives, shape (*points, 2, 4, 4), essential
+        directions only."""
+        return np.stack([self._partials(1, 0), self._partials(0, 1)], axis=-3)
 
     def d2(self):
-        """Second derivatives, shape (2, 2, 4, 4)."""
+        """Second derivatives, shape (*points, 2, 2, 4, 4)."""
         mixed = self._partials(1, 1)
-        return np.array([[self._partials(2, 0), mixed], [mixed, self._partials(0, 2)]])
+        return np.stack([np.stack([self._partials(2, 0), mixed], axis=-3),
+                         np.stack([mixed, self._partials(0, 2)], axis=-3)], axis=-4)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +154,8 @@ def _nut_pairs(n):
 def tod_fields(rods, rho, zeta, order=4):
     """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
 
-    rho and zeta may be float arrays of one shape: the jets then carry one
+    rho and zeta may be float arrays of one shape, or an array and a
+    number that partners each of its points: the jets then carry one
     coefficient per point, each bit-identical to that point's own call.
     Every point must pass rods.interior_check.
     """

@@ -3,16 +3,18 @@
 Each reads library data and computes what the library itself never
 needs: the rod index of an axis point and the O(1) axis term g of V with
 its second derivative, the axis limit of W on a rod, the jumps of the
-axis constant F across a nut and across a zero-slope rod, and the
-top-form pairing of two two-forms.
+axis constant F across a nut and across a zero-slope rod, the
+top-form pairing of two two-forms, and the jet of artanh.
 """
 
 from __future__ import annotations
 
 import math
 
-from todkit.errors import RodDataError
+from todkit import jets
+from todkit.errors import DomainError, RodDataError
 from todkit.harmonic import axis_profile
+from todkit.jets import Jet2
 
 
 def rod_index(prof, zeta):
@@ -81,3 +83,12 @@ def wedge_pairing(om, eta):
         P[0, 1] * Q[2, 3] - P[0, 2] * Q[1, 3] + P[0, 3] * Q[1, 2]
         + P[1, 2] * Q[0, 3] - P[1, 3] * Q[0, 2] + P[2, 3] * Q[0, 1]
     )
+
+
+def artanh(jet):
+    """Jet of artanh as half the log ratio; the value must lie in (-1, 1)."""
+    v = jet.value
+    if not -1 < v < 1:
+        raise DomainError("artanh", v)
+    one = Jet2.const(1, jet.order)
+    return (jets.log(one + jet) - jets.log(one - jet)) * 0.5

@@ -235,3 +235,36 @@ class TestTwoDimensionalSets:
         with pytest.raises(AxisEvaluationError) as batch:
             harmonic.ward_coords(rods, rho, zeta, order=1)
         assert str(batch.value) == str(first) == "per-nut jets need rho > 0, got -1.0"
+
+
+class TestScalarPartner:
+    """A number partners every point of an array in the other coordinate."""
+
+    def test_axis_point_with_scalar_zeta(self):
+        rods = tod.eh_rod_data()
+        rho = np.array([0.5, 0.0])
+        first = first_point_error(rods.interior_check, rho, np.full(2, 0.3))
+        assert type(first) is AxisEvaluationError
+        for call in (rods.interior_check, lambda r, z: tod.tod_fields(rods, r, z, order=0)):
+            with pytest.raises(AxisEvaluationError) as batch:
+                call(rho, 0.3)
+            assert str(batch.value) == str(first)
+
+    def test_nut_ball_with_scalar_rho(self):
+        rods = tod.eh_rod_data()
+        zeta = np.array([0.3, 0.25])
+        first = first_point_error(rods.interior_check, np.full(2, 4e-7), zeta)
+        with pytest.raises(type(first)) as batch:
+            tod.tod_fields(rods, 4e-7, zeta, order=0)
+        assert str(batch.value) == str(first)
+
+    @pytest.mark.parametrize("order", [0, 2])
+    def test_scalar_rho_with_zeta_array(self, order):
+        rods = tod.eh_rod_data()
+        zeta = np.array([0.3, 0.25, -0.0])
+        batch = tod.tod_fields(rods, 0.5, zeta, order=order)
+        for k in range(len(zeta)):
+            point = tod.tod_fields(rods, 0.5, float(zeta[k]), order=order)
+            for name in ("W", "e2nu", "F", "z", "x"):
+                assert_point_of_batch(getattr(batch, name), getattr(point, name), k)
+

@@ -18,6 +18,7 @@ from todkit.errors import DomainError, InversionError, SingularPointError
 from todkit.jets import Jet2
 
 from fd import check_jet_against_fd
+from identities import artanh
 
 
 def sample_field(rho, zeta, order=4):
@@ -253,6 +254,20 @@ class TestArrayCoefficients:
         for k in range(self.POINTS):
             assert_point_bits(batch, func(point_of(a, k)), k)
 
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("func", [jets.sin, jets.cos])
+    def test_sin_cos_pointwise(self, func, order):
+        # the value and derivative terms are libm's sin and cos entry by
+        # entry, so far arguments keep their bits too
+        rng = np.random.default_rng(70 + order)
+        a = self.random_batch(order, rng)
+        a.c[0] = rng.uniform(-1, 1, self.POINTS) * 10.0 ** rng.integers(-3, 7, self.POINTS)
+        batch = func(a)
+        for k in range(self.POINTS):
+            point = func(Jet2(order, [float(c[k]) for c in a.c]))
+            assert all(type(c) is float for c in point.c)
+            assert_point_bits(batch, point, k)
+
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("func", [jets.log, jets.sqrt])
     def test_log_sqrt_value_terms_are_float_formulas(self, func, order):
@@ -361,7 +376,7 @@ class TestElementary:
 
     def test_artanh_log_form(self):
         x = Jet2.seed(0.5, 0, 3)
-        a = jets.artanh(x)
+        a = artanh(x)
         assert abs(a.value - math.atanh(0.5)) < 1e-15
         assert abs(a.partial(1, 0) - 1 / 0.75) < 1e-13
 
@@ -371,7 +386,7 @@ class TestElementary:
         with pytest.raises(DomainError):
             jets.sqrt(Jet2.const(0.0, 2))
         with pytest.raises(DomainError):
-            jets.artanh(Jet2.const(1.0, 2))
+            artanh(Jet2.const(1.0, 2))
 
 
 class TestAgainstFiniteDifferences:
@@ -417,7 +432,7 @@ class TestComposition:
         r = Jet2.seed(rho0, 0, 4)
         z = Jet2.seed(zeta0, 1, 4)
         Z = jets.sqrt(r * r + z * z)
-        X = jets.artanh(z / Z)
+        X = artanh(z / Z)
         P, Q = jets.invert_map(Z, X, rho0, zeta0)
         assert abs(P.value - rho0) < 1e-12
         assert abs(Q.value - zeta0) < 1e-12
@@ -455,7 +470,7 @@ class TestComposition:
         r = Jet2.seed(rho0, 0, 4)
         z = Jet2.seed(zeta0, 1, 4)
         Zj = jets.sqrt(r * r + z * z)
-        Xj = jets.artanh(z / Zj)
+        Xj = artanh(z / Zj)
         P, Q = jets.invert_map(Zj, Xj, rho0, zeta0)
         z0, x0 = Zj.value, Xj.value
         assert check_jet_against_fd(P.truncate(2), lambda a, b: inverse(a, b)[0], z0, x0) < 1e-5
