@@ -121,9 +121,9 @@ def test_flat_family_matches_its_own_calls(members):
     _assert_points(batch, points)
 
 
-def _diagonal_metric(entries):
-    """A constant metric jet over a point set: entries[m] holds the
-    values of slot (m // 4, m % 4) at each point."""
+def _constant_metric(entries):
+    """A constant metric jet: entries[m] holds the value of slot
+    (m // 4, m % 4), a number for one point or a list over a point set."""
     comp = [[Jet2.const(np.array(entries[4 * a + b], dtype=float), 2) for b in range(4)]
             for a in range(4)]
     return JetMatrix(coords=("a", "b", "c", "d"), comp=comp, base=(0.0, 0.0))
@@ -149,12 +149,13 @@ def test_bad_metric_in_the_middle(first, later):
     first(slots, 2)
     later(slots, 3)
     with pytest.raises(SignatureError) as alone:
-        curvature.curvature_pack(_diagonal_metric([[row[2]] for row in slots]))
+        curvature.curvature_pack(_constant_metric([row[2] for row in slots]))
     with pytest.raises(SignatureError) as batch:
-        curvature.curvature_pack(_diagonal_metric(slots))
+        curvature.curvature_pack(_constant_metric(slots))
     assert str(batch.value) == str(alone.value)
     # the points before it pass alone
-    curvature.curvature_pack(_diagonal_metric([[row[1]] for row in slots]))
+    for k in (0, 1):
+        curvature.curvature_pack(_constant_metric([row[k] for row in slots]))
 
 
 def test_degenerate_field_in_the_middle():
