@@ -25,6 +25,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -192,6 +193,81 @@ def _point_set_fields(data, points, order):
     return tod.tod_fields(data, rho, zeta, order=order)
 
 
+class _Evaluation(NamedTuple):
+    """A suite's share of the shared pass: its sampled points, their fields
+    at the suite's order, and the metric or curvature pack it reads."""
+
+    points: list
+    fields: tod.TodFields
+    metric: tod.JetMatrix = None
+    pack: curvature.CurvaturePack = None
+
+
+def _flat_draws(rng):
+    """The (angle, r, theta) draws of the cky suite's eight flat-family
+    members; its candidate points are sampled after them."""
+    return [(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.4, 3.0)),
+             float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
+
+
+def _shared_pass(data, seed):
+    """The fields, curvature and cky suites' points, evaluated in one pass.
+
+    The points are sampled as each suite samples its own: the fields
+    suite's 25 from the seed (the curvature suite's 20 are their first
+    20, the same draws) and the cky suite's 12 after its flat draws.  The
+    flat draws take 24 numbers off the same stream, as 12 sampler
+    attempts do, so the cky suite's attempts are the fields suite's from
+    the 13th on and its points are fields points too.  One tod_fields
+    and one tod_metric at order 4 run over the distinct points, and one
+    curvature_pack over the distinct curvature and cky points.  Returns
+    {suite: _Evaluation}, each suite's points taken out and truncated to
+    the suite's order, with the bits of the suite's own pass: a point's
+    jets do not depend on the other points of its set, and truncating an
+    order-4 jet gives the lower-order call.
+
+    An order-4 pass over more points can fail, or make numpy warn, where
+    the suites' own passes do not, or before the turn of the suite whose
+    point it is.  So if any step raises or numpy would warn (divide,
+    overflow or invalid), the result is {} and every suite evaluates its
+    own points in its turn, as a single-suite run does: the report, the
+    error and its message are those of the suite-by-suite run.
+    """
+    if data.n == 1:
+        return {}
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            points = sample_interior(data, 25, np.random.default_rng(seed))
+            rng = np.random.default_rng(seed)
+            _flat_draws(rng)
+            cky_points = sample_interior(data, 12, rng)
+            union = list(dict.fromkeys(points + cky_points))
+            where = {p: k for k, p in enumerate(union)}
+
+            def at(pts):
+                return np.array([where[p] for p in pts])
+
+            fields = _point_set_fields(data, union, 4)
+            metric = tod.tod_metric(fields)
+            # sorted, so that searchsorted finds a point's row
+            curved = np.array(sorted({where[p] for p in points[:20] + cky_points}))
+            pack = curvature.curvature_pack(metric.take(curved, 4))
+    except Exception:
+        # whatever a step raised, the suite whose point it is raises it
+        # again in its own turn, unless an earlier suite stops the run
+        return {}
+    # index arrays take copies, so that the union is freed on return and
+    # each suite's share once that suite is done
+    return {
+        "fields": _Evaluation(points, fields.take(at(points), 3),
+                              metric=metric.take(at(points), 3)),
+        "curvature": _Evaluation(points[:20], fields.take(at(points[:20]), 4),
+                                 pack=pack.take(np.searchsorted(curved, at(points[:20])))),
+        "cky": _Evaluation(cky_points, fields.take(at(cky_points), 3),
+                           pack=pack.take(np.searchsorted(curved, at(cky_points)))),
+    }
+
+
 class _Worst:
     """The worst residual of each declared check and where it happened.
 
@@ -224,7 +300,12 @@ SINGLE_NUT = "degenerate single-nut data"
 # suites
 
 
-def suite_fields(data, seed, tols):
+# Each suite takes the rod data, the seed, the tolerances and its
+# _Evaluation from the shared pass of a --suite all run, or None: it then
+# samples and evaluates its own points.
+
+
+def suite_fields(data, seed, tols, shared=None):
     worst = _Worst("killing_det", "harmonic_v", "conjugate_pair", "toda",
                    "norm_identity")
     if data.n == 1:
@@ -237,13 +318,15 @@ def suite_fields(data, seed, tols):
                         "single-nut data gives a degenerate metric",
         }] + worst.skips(SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 
-    rng = np.random.default_rng(seed)
     min_field, min_loc = math.inf, ""
-    points = sample_interior(data, 25, rng)
     # every point in one pass; the loop below only reads floats
-    fields = _point_set_fields(data, points, 3)
+    if shared is None:
+        points = sample_interior(data, 25, np.random.default_rng(seed))
+        fields = _point_set_fields(data, points, 3)
+    else:
+        points, fields = shared.points, shared.fields
     V, H = harmonic.potentials(fields)
-    gv = tod.tod_metric(fields).values()
+    gv = (tod.tod_metric(fields) if shared is None else shared.metric).values()
     r = fields.point[0]
     det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
     killing_det = (np.abs(det - r * r) / (r * r)).tolist()
@@ -273,17 +356,19 @@ def suite_fields(data, seed, tols):
                                         good=min_field > 0.0)]
 
 
-def suite_curvature(data, seed, tols):
+def suite_curvature(data, seed, tols, shared=None):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
         return worst.skips(SINGLE_NUT)
-    rng = np.random.default_rng(seed)
     c = float(data.c)
-    points = sample_interior(data, 20, rng)
     # every point in one pass; the loop below only reads floats
-    fields = _point_set_fields(data, points, 4)
-    pack = curvature.curvature_pack(tod.tod_metric(fields))
+    if shared is None:
+        points = sample_interior(data, 20, np.random.default_rng(seed))
+        fields = _point_set_fields(data, points, 4)
+        pack = curvature.curvature_pack(tod.tod_metric(fields))
+    else:
+        points, fields, pack = shared.points, shared.fields, shared.pack
     norms = {name: value.tolist()
              for name, value in curvature.invariant_norms(pack).items()}
     split = curvature.weyl_split(pack)
@@ -308,7 +393,7 @@ def suite_curvature(data, seed, tols):
     return worst.checks(tols)
 
 
-def suite_rods(data, seed, tols):
+def suite_rods(data, seed, tols, shared=None):
     junctions = _Worst("gl2z")
     ok = True
     try:
@@ -346,12 +431,10 @@ def suite_rods(data, seed, tols):
     return checks + [_check("asymptotic_class", None, None, label, good)]
 
 
-def suite_cky(data, seed, tols):
+def suite_cky(data, seed, tols, shared=None):
     rng = np.random.default_rng(seed)
     flat = _Worst("flat_family_residual", "flat_norm_formula")
-    draws = [(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.4, 3.0)),
-              float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
-    ang, r, theta = (np.array(x) for x in zip(*draws))
+    ang, r, theta = (np.array(x) for x in zip(*_flat_draws(rng)))
     # all eight family members in one pass
     params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
     pack = curvature.curvature_pack(cky.flat_metric(r, theta))
@@ -371,9 +454,12 @@ def suite_cky(data, seed, tols):
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
-    points = sample_interior(data, 12, rng)
-    fields = _point_set_fields(data, points, 3)
-    pack = curvature.curvature_pack(tod.tod_metric(fields))
+    if shared is None:
+        points = sample_interior(data, 12, rng)
+        fields = _point_set_fields(data, points, 3)
+        pack = curvature.curvature_pack(tod.tod_metric(fields))
+    else:
+        points, fields, pack = shared.points, shared.fields, shared.pack
     residual, xi = curvature.cky_residual(pack, cky.tod_cky_candidate(fields))
     off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1).tolist()
     killing = curvature.killing_residual(pack, xi).tolist()
@@ -489,9 +575,13 @@ def cmd_verify(args):
             raise RodDataError(
                 f"tolerance must be finite and at least 0, got {override!r}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
+    # only a run of every suite shares one pass: a single suite keeps its
+    # own points at its own order
+    shared = _shared_pass(data, args.seed) if args.suite == "all" else {}
     checks = []
     for name in names:
-        checks.extend(SUITES[name](data, args.seed, tols))
+        # popped, so that a suite's slice is freed once the suite is done
+        checks.extend(SUITES[name](data, args.seed, tols, shared.pop(name, None)))
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for entry in checks:
         summary[entry["status"]] += 1

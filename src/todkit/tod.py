@@ -65,6 +65,22 @@ class TodFields:
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
 
+    def take(self, index, order):
+        """The fields at the points index picks from a one-dimensional
+        point set, truncated to order: bit for bit the fields of those
+        points' own call at that order."""
+        def pick(jet, ix=index):
+            return jet.at(ix).truncate(order)
+
+        # the per-nut terms hold the point axis behind the nut axis, and
+        # the weight column a broadcasts over it
+        a, s, artanh, R = self.terms
+        nut = (slice(None), index)
+        return TodFields(W=pick(self.W), e2nu=pick(self.e2nu), F=pick(self.F),
+                         z=pick(self.z), x=pick(self.x), rods=self.rods,
+                         point=tuple(p[index] for p in self.point),
+                         terms=(a, pick(s, nut), pick(artanh, nut), pick(R, nut)))
+
 
 @dataclass(frozen=True)
 class JetMatrix:
@@ -99,6 +115,13 @@ class JetMatrix:
     @property
     def order(self):
         return self.comp[0][0].order
+
+    def take(self, index, order):
+        """The matrix at the points index picks from a one-dimensional
+        point set, truncated to order."""
+        comp = [[e.at(index).truncate(order) for e in row] for row in self.comp]
+        return JetMatrix(self.coords, comp, tuple(p[index] for p in self.base),
+                         self.orientation)
 
     def _coefficient(self, k):
         """Coefficient k of every entry, as one (*points, 4, 4) array."""

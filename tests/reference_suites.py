@@ -6,8 +6,11 @@ and the Killing-Yano residuals of all their sampled points in one array
 pass.  Here every point is read out of the point-set fields on its own
 (``fields_at``) and goes through the layer functions alone, one after the
 other, as the suites did before they took a point axis; the reports of
-the two must agree byte for byte.  ``frame_components`` is the matching
-one-radius reference for ``cky._frame_components``.
+the two must agree byte for byte.  Each suite takes the shared pass's
+evaluation that ``cli.cmd_verify`` hands a ``--suite all`` run, and
+ignores it: it samples and evaluates its own points.
+``frame_components`` is the matching one-radius reference for
+``cky._frame_components``.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ def fields_at(fields, k):
                      terms=(a.reshape(-1), s.at(nut), artanh.at(nut), R.at(nut)))
 
 
-def suite_fields(data, seed, tols):
+def suite_fields(data, seed, tols, shared=None):
     worst = _Worst("killing_det", "harmonic_v", "conjugate_pair", "toda",
                    "norm_identity")
     if data.n == 1:
@@ -80,7 +83,7 @@ def suite_fields(data, seed, tols):
                                         good=min_field > 0.0)]
 
 
-def suite_curvature(data, seed, tols):
+def suite_curvature(data, seed, tols, shared=None):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
@@ -113,7 +116,7 @@ def suite_curvature(data, seed, tols):
     return worst.checks(tols)
 
 
-def suite_cky(data, seed, tols):
+def suite_cky(data, seed, tols, shared=None):
     rng = np.random.default_rng(seed)
     flat = _Worst("flat_family_residual", "flat_norm_formula")
     for _ in range(8):
