@@ -169,7 +169,9 @@ def tod_cky_candidate(fields, order=2):
 
     fields is a tod.TodFields of order at least order + 1, since the form
     carries first derivatives of the Ward coordinates; the candidate
-    comes out at order, over the fields' points in one pass.
+    comes out at order, over the fields' points in one pass.  It reads z,
+    W and F to order and the Ward coordinates z, x to order + 1, so
+    cky_residual's order-1 candidate needs order-2 fields.
     """
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)

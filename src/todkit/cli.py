@@ -38,6 +38,18 @@ SCHEMA = "todkit-report-1"
 
 DECAY_RADII = tuple(100.0 * 100.0 ** (i / 4) for i in range(5))
 
+# The jet order of every point verify samples: no check reads a
+# derivative above the second.  curvature_pack reads the metric's
+# values, first and second derivatives (ricci_ratio, weyl_spectrum,
+# lambda_z3, and conformal_factor, whose scalar_laplacian also reads
+# 1/z to second order); the fields suite reads second partials of V and
+# of the Toda jet, first partials of H and the Ward coordinates, and the
+# metric's values.  cky_residual reads a two-form's values and first
+# derivatives, so the cky candidate and the flat-family members are
+# built one order lower, VERIFY_ORDER - 1; the candidate's form carries
+# first derivatives of the order-2 Ward coordinates.
+VERIFY_ORDER = 2
+
 DEFAULT_TOLS = {
     "killing_det": 1e-12,
     "harmonic_v": 1e-12,
@@ -195,7 +207,7 @@ def _point_set_fields(data, points, order):
 
 class _Evaluation(NamedTuple):
     """A suite's share of the shared pass: its sampled points, their fields
-    at the suite's order, and the metric or curvature pack it reads."""
+    and the metric or curvature pack it reads."""
 
     points: list
     fields: tod.TodFields
@@ -219,19 +231,19 @@ def _shared_pass(data, seed):
     flat draws take 24 numbers off the same stream, as 12 sampler
     attempts do, so the cky suite's attempts are the fields suite's from
     the 13th on and its points are fields points too.  One tod_fields
-    and one tod_metric at order 4 run over the distinct points, and one
-    curvature_pack over the distinct curvature and cky points.  Returns
-    {suite: _Evaluation}, each suite's points taken out and truncated to
-    the suite's order, with the bits of the suite's own pass: a point's
-    jets do not depend on the other points of its set, and truncating an
-    order-4 jet gives the lower-order call.
+    and one tod_metric at VERIFY_ORDER run over the distinct points, and
+    one curvature_pack over the distinct curvature and cky points.
+    Returns {suite: _Evaluation}, each suite's points taken out, with the
+    bits of the suite's own pass: a point's jets do not depend on the
+    other points of its set.
 
-    An order-4 pass over more points can fail, or make numpy warn, where
-    the suites' own passes do not, or before the turn of the suite whose
-    point it is.  So if any step raises or numpy would warn (divide,
-    overflow or invalid), the result is {} and every suite evaluates its
-    own points in its turn, as a single-suite run does: the report, the
-    error and its message are those of the suite-by-suite run.
+    The pass can fail, or make numpy warn, before the turn of the suite
+    whose point it is: a cky point's curvature would raise before the
+    fields suite runs.  So if any step raises or numpy would warn
+    (divide, overflow or invalid), the result is {} and every suite
+    evaluates its own points in its turn, as a single-suite run does:
+    the report, the error and its message are those of the
+    suite-by-suite run.
     """
     if data.n == 1:
         return {}
@@ -247,11 +259,11 @@ def _shared_pass(data, seed):
             def at(pts):
                 return np.array([where[p] for p in pts])
 
-            fields = _point_set_fields(data, union, 4)
+            fields = _point_set_fields(data, union, VERIFY_ORDER)
             metric = tod.tod_metric(fields)
             # sorted, so that searchsorted finds a point's row
             curved = np.array(sorted({where[p] for p in points[:20] + cky_points}))
-            pack = curvature.curvature_pack(metric.take(curved, 4))
+            pack = curvature.curvature_pack(metric.take(curved, VERIFY_ORDER))
     except Exception:
         # whatever a step raised, the suite whose point it is raises it
         # again in its own turn, unless an earlier suite stops the run
@@ -259,11 +271,11 @@ def _shared_pass(data, seed):
     # index arrays take copies, so that the union is freed on return and
     # each suite's share once that suite is done
     return {
-        "fields": _Evaluation(points, fields.take(at(points), 3),
-                              metric=metric.take(at(points), 3)),
-        "curvature": _Evaluation(points[:20], fields.take(at(points[:20]), 4),
+        "fields": _Evaluation(points, fields.take(at(points), VERIFY_ORDER),
+                              metric=metric.take(at(points), VERIFY_ORDER)),
+        "curvature": _Evaluation(points[:20], fields.take(at(points[:20]), VERIFY_ORDER),
                                  pack=pack.take(np.searchsorted(curved, at(points[:20])))),
-        "cky": _Evaluation(cky_points, fields.take(at(cky_points), 3),
+        "cky": _Evaluation(cky_points, fields.take(at(cky_points), VERIFY_ORDER),
                            pack=pack.take(np.searchsorted(curved, at(cky_points)))),
     }
 
@@ -322,7 +334,7 @@ def suite_fields(data, seed, tols, shared=None):
     # every point in one pass; the loop below only reads floats
     if shared is None:
         points = sample_interior(data, 25, np.random.default_rng(seed))
-        fields = _point_set_fields(data, points, 3)
+        fields = _point_set_fields(data, points, VERIFY_ORDER)
     else:
         points, fields = shared.points, shared.fields
     V, H = harmonic.potentials(fields)
@@ -365,7 +377,7 @@ def suite_curvature(data, seed, tols, shared=None):
     # every point in one pass; the loop below only reads floats
     if shared is None:
         points = sample_interior(data, 20, np.random.default_rng(seed))
-        fields = _point_set_fields(data, points, 4)
+        fields = _point_set_fields(data, points, VERIFY_ORDER)
         pack = curvature.curvature_pack(tod.tod_metric(fields))
     else:
         points, fields, pack = shared.points, shared.fields, shared.pack
@@ -373,7 +385,7 @@ def suite_curvature(data, seed, tols, shared=None):
              for name, value in curvature.invariant_norms(pack).items()}
     split = curvature.weyl_split(pack)
     eigs = np.sort(split.eigs_plus)
-    omega = 1 / fields.z.truncate(2)
+    omega = 1 / fields.z
     lap = curvature.scalar_laplacian(pack, omega).tolist()
     z, w = fields.z.value.tolist(), omega.value.tolist()
     for k, (rho, zeta) in enumerate(points):
@@ -438,7 +450,7 @@ def suite_cky(data, seed, tols, shared=None):
     # all eight family members in one pass
     params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
     pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-    Z = cky.flat_cky(params, r, theta)
+    Z = cky.flat_cky(params, r, theta, order=VERIFY_ORDER - 1)
     residual = curvature.cky_residual(pack, Z)[0].tolist()
     Zv = Z.values()
     norm_sq = np.einsum("...ab,...cd,...ac,...bd->...", Zv, Zv,
@@ -456,11 +468,12 @@ def suite_cky(data, seed, tols, shared=None):
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
     if shared is None:
         points = sample_interior(data, 12, rng)
-        fields = _point_set_fields(data, points, 3)
+        fields = _point_set_fields(data, points, VERIFY_ORDER)
         pack = curvature.curvature_pack(tod.tod_metric(fields))
     else:
         points, fields, pack = shared.points, shared.fields, shared.pack
-    residual, xi = curvature.cky_residual(pack, cky.tod_cky_candidate(fields))
+    residual, xi = curvature.cky_residual(
+        pack, cky.tod_cky_candidate(fields, order=VERIFY_ORDER - 1))
     off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1).tolist()
     killing = curvature.killing_residual(pack, xi).tolist()
     residual = residual.tolist()

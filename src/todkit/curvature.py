@@ -81,7 +81,9 @@ def _pad_first(arr):
 def curvature_pack(metric):
     """Riemann, Ricci, scalar and Weyl at the base points of a metric jet.
 
-    A point set fails at its first point with an asymmetric metric or a
+    Reads the metric's values, first and second derivatives only, so an
+    order-2 jet suffices and higher coefficients change nothing.  A
+    point set fails at its first point with an asymmetric metric or a
     determinant that is not positive, with that point's own message.
     """
     g = metric.values()
@@ -315,7 +317,9 @@ def cky_residual(pack, form):
     """Deviation of a two-form jet from the conformal Killing-Yano equation.
 
     Returns the invariant norm of the residual and the associated vector
-    xi^a = (1/3) g^{ab} nabla^c Z_bc wired into the equation.
+    xi^a = (1/3) g^{ab} nabla^c Z_bc wired into the equation.  Reads the
+    form's values and first derivatives only, so an order-1 form
+    suffices, and the pack's metric, inverse and Christoffel symbols.
     """
     g, gi = pack.g, pack.ginv
     covd = covariant_two_form_derivative(pack, form)

@@ -3,13 +3,17 @@
 A ``--suite all`` run samples the points of the fields, curvature and
 cky suites first and evaluates them in one pass; if that pass raises,
 or numpy would warn, every suite evaluates its own points in its turn.
-At nut scales where the order-4 pass fails and the suites' own passes do
-not, and on the extreme-scale files, the report (stdout, stderr, exit
-code and report file) must be the one of ``reference_suites``, whose
-suites ignore the shared pass.  A single ``--suite`` takes no shared
-pass.
+On the extreme-scale files, the report (stdout, stderr, exit code and
+report file) must be the one of ``reference_suites``, whose suites
+ignore the shared pass and evaluate at orders 3 and 4.  Where that
+reference's order-4 curvature pass overflows or divides by zero and the
+order-2 evaluation does not, the run must print no evaluation error,
+and a ``--suite all`` run's checks must be the four single suites'
+checks.  A single ``--suite`` takes no shared pass.
 """
 
+import inspect
+import json
 import warnings
 
 import numpy as np
@@ -17,13 +21,13 @@ import pytest
 
 import reference_suites
 from test_cli import rod_doc, run, write_rod_file
-from todkit import cli, curvature, tod
+from todkit import cky, cli, curvature, tod
 from todkit.errors import SignatureError
 from todkit.harmonic import RodData
 
 SKEW = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
-# 4^64 and beyond (and 4^-66 and below) the order-4 pass overflows where
-# the suites' order-3 passes do not
+# at 4^64 and beyond (and 4^-66 and below) the reference's order-4
+# curvature pass overflows or divides by zero; its order-3 passes do not
 DOCS = {f"{name}-4^{k}": rod_doc(tod.rescale(rods, 4.0 ** k))
         for name, rods in (("two-nut", tod.eh_rod_data()), ("skew", SKEW))
         for k in (-66, -64, -62, 62, 64, 66)}
@@ -35,6 +39,11 @@ DOCS.update({
     "huge-1e100": {"c": -1e200, "rods": [{"z": -1e100, "a": 0.5},
                                          {"z": 1e100, "a": 0.5}]},
 })
+# the files and suites where the reference ends in an evaluation error
+# and the order-2 evaluation writes a report
+REPORTS = {(name, suite) for name in ("two-nut-4^-66", "two-nut-4^64", "two-nut-4^66",
+                                      "skew-4^64", "skew-4^66")
+           for suite in ("all", "curvature")}
 EH_DOC = rod_doc(tod.eh_rod_data())
 
 
@@ -52,28 +61,61 @@ def _reference(tmp_path, capsys, monkeypatch, argv):
     return _report(tmp_path, capsys, argv)
 
 
+def _checks(tmp_path, capsys, argv):
+    """The checks of one verify run that prints no evaluation error."""
+    code, _, stderr, report = _report(tmp_path, capsys, argv)
+    assert "evaluation error" not in stderr and code in (0, 1)
+    return json.loads(report)["checks"]
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("suite", ["all", "fields", "curvature", "cky"])
-@pytest.mark.parametrize("doc", list(DOCS.values()), ids=list(DOCS))
-def test_scales_match_reference(tmp_path, capsys, monkeypatch, doc, suite, seed):
-    argv = ["verify", write_rod_file(tmp_path, doc), "--suite", suite, "--seed", str(seed)]
-    got = _report(tmp_path, capsys, argv)
-    assert got == _reference(tmp_path, capsys, monkeypatch, argv)
+@pytest.mark.parametrize("name", list(DOCS), ids=list(DOCS))
+def test_scales_match_reference(tmp_path, capsys, monkeypatch, name, suite, seed):
+    path = write_rod_file(tmp_path, DOCS[name])
+
+    def argv(suite):
+        return ["verify", path, "--suite", suite, "--seed", str(seed)]
+
+    if (name, suite) not in REPORTS:
+        got = _report(tmp_path, capsys, argv(suite))
+        assert got == _reference(tmp_path, capsys, monkeypatch, argv(suite))
+        return
+    checks = {s: _checks(tmp_path, capsys, argv(s)) for s in ["all", *cli.SUITES]}
+    assert checks["all"] == [c for s in cli.SUITES for c in checks[s]]
+
+
+@pytest.mark.parametrize("name", ["two-nut-4^64", "two-nut-4^66"])
+def test_huge_two_nut_passes(tmp_path, capsys, name):
+    # a full report that passes, as the unit-scale file does; the decay
+    # entry skips, since the rescaled c is no longer -sum a_i a_j (z_j - z_i)^2
+    argv = ["verify", write_rod_file(tmp_path, DOCS[name])]
+    code, stdout, stderr, report = _report(tmp_path, capsys, argv)
+    assert (code, stdout, stderr) == (0, "", "")
+    assert json.loads(report)["summary"] == {"pass": 17, "fail": 0, "skip": 1}
 
 
 # the point count of a call of each spied function
 SIZE = {"tod_fields": lambda rods, rho, *args, **kwargs: np.size(rho),
         "tod_metric": lambda fields: np.size(fields.point[0]),
-        "curvature_pack": lambda metric: np.size(metric.base[0])}
+        "curvature_pack": lambda metric: np.size(metric.base[0]),
+        "tod_cky_candidate": lambda fields, **kwargs: np.size(fields.point[0]),
+        "flat_cky": lambda params, r, *args, **kwargs: np.size(r)}
 
 
-def _spy(monkeypatch, module, name, fails=None, error=None):
-    """Record the point count of every call of module.name, and raise
+def _spy(monkeypatch, module, name, fails=None, error=None, orders=None):
+    """Record the point count of every call of module.name, and its jet
+    order (the default included) in the list orders if one is given; raise
     error on the calls whose arguments fails accepts."""
     real, counts = getattr(module, name), []
+    signature = inspect.signature(real)
 
     def spy(*args, **kwargs):
         counts.append(SIZE[name](*args, **kwargs))
+        if orders is not None:
+            call = signature.bind(*args, **kwargs)
+            call.apply_defaults()
+            orders.append(call.arguments["order"])
         if fails is not None and fails(*args, **kwargs):
             raise error
         return real(*args, **kwargs)
@@ -83,9 +125,12 @@ def _spy(monkeypatch, module, name, fails=None, error=None):
 
 
 def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
-    fields = _spy(monkeypatch, tod, "tod_fields")
+    orders = {"tod_fields": [], "tod_cky_candidate": [], "flat_cky": []}
+    fields = _spy(monkeypatch, tod, "tod_fields", orders=orders["tod_fields"])
     metrics = _spy(monkeypatch, tod, "tod_metric")
     packs = _spy(monkeypatch, curvature, "curvature_pack")
+    for name in ("tod_cky_candidate", "flat_cky"):
+        _spy(monkeypatch, cky, name, orders=orders[name])
     path = write_rod_file(tmp_path, EH_DOC)
     assert _report(tmp_path, capsys, ["verify", path])[0] == 0
     # the cky suite's 12 points are the fields suite's 13th to 24th, so
@@ -95,22 +140,29 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     assert fields[0] == 25 and len(fields) == 3
     assert metrics[0] == 25 and len(metrics) == 2
     assert packs == [24, 8]
+    # no check reads a derivative above the second, and the two-forms'
+    # residuals read first derivatives: the shared pass is at order 2,
+    # the conical and decay passes at order 1, the cky candidate and the
+    # flat members at order 1, and the decay check's candidate at order 0
+    assert orders == {"tod_fields": [2, 1, 1], "tod_cky_candidate": [1, 0],
+                      "flat_cky": [1]}
 
 
 @pytest.mark.parametrize("suite, count", [("fields", 25), ("curvature", 20)])
 def test_single_suite_keeps_its_own_pass(tmp_path, capsys, monkeypatch, suite, count):
-    fields = _spy(monkeypatch, tod, "tod_fields")
+    orders = []
+    fields = _spy(monkeypatch, tod, "tod_fields", orders=orders)
     path = write_rod_file(tmp_path, EH_DOC)
     _report(tmp_path, capsys, ["verify", path, "--suite", suite])
-    assert fields == [count]
+    assert fields == [count] and orders == [2]
 
 
 def test_failing_shared_pass_is_dropped(tmp_path, capsys, monkeypatch):
     path = write_rod_file(tmp_path, EH_DOC)
     argv = ["verify", path, "--seed", "1"]
     want = _report(tmp_path, capsys, argv)
-    fields = _spy(monkeypatch, tod, "tod_fields",
-                  fails=lambda rods, rho, zeta, order: order == 4 and np.size(rho) == 25,
+    # the first call is the shared pass's
+    fields = _spy(monkeypatch, tod, "tod_fields", fails=lambda *args, **kwargs: len(fields) == 1,
                   error=OverflowError("math range error"))
     assert _report(tmp_path, capsys, argv) == want
     # the union raised, then every suite evaluated its own points

@@ -1,15 +1,18 @@
 """Property test: a slice of a wider, higher-order pass is the slice's own pass.
 
 A ``verify --suite all`` run evaluates the points of its suites once:
-``tod_fields`` and ``tod_metric`` at order 4 over the union, and
-``curvature_pack`` over the points that need curvature, and each suite
-reads its points out with ``TodFields.take``, ``JetMatrix.take`` and
-``CurvaturePack.take``.  On random rod data (2 to 24 nuts) and point sets
-near the axis, near nuts, far out and at nut heights, the order-4 fields
-truncated to order 3 and taken at a subset of the points must carry the
-bits of the order-3 call on that subset, per-nut terms included; so must
-the metric's values and derivatives, and the pack taken at the subset
-must be the subset's own pack.
+``tod_fields`` and ``tod_metric`` over the union, and ``curvature_pack``
+over the points that need curvature, and each suite reads its points out
+with ``TodFields.take``, ``JetMatrix.take`` and ``CurvaturePack.take``.
+``verify`` evaluates at order 2, the highest its checks read, and the
+point-by-point reference suites at orders 3 and 4; their reports agree
+because a truncated jet carries the bits of the lower-order call.  On
+random rod data (2 to 24 nuts) and point sets near the axis, near nuts,
+far out and at nut heights, the order-4 fields truncated to order 3 or 2
+and taken at a subset of the points must carry the bits of the
+lower-order call on that subset, per-nut terms included; so must the
+metric's values and derivatives, and the pack taken at the subset must
+be the subset's own pack.
 """
 
 from fractions import Fraction
@@ -78,27 +81,30 @@ def test_slices_match_their_own_calls(rods, picks, keep):
             pack = curvature.curvature_pack(metric)
         except (TodkitError, ArithmeticError, np.linalg.LinAlgError):
             metric = pack = None
-    own = tod.tod_fields(rods, rho[index], zeta[index], order=3)
-    got = fields.take(index, 3)
-    for name in FIELDS:
-        _same_jet(getattr(got, name), getattr(own, name))
-    for p, q in zip(got.point, own.point):
-        _same(p, q)
-    _same(got.terms[0], own.terms[0])
-    for p, q in zip(got.terms[1:], own.terms[1:]):
-        _same_jet(p, q)
-    if metric is None:
-        return
-    own_metric = tod.tod_metric(own)
-    got_metric = metric.take(index, 3)
-    assert got_metric.order == 3
-    for accessor in ("values", "d1", "d2"):
-        _same(getattr(got_metric, accessor)(), getattr(own_metric, accessor)())
-    own_pack = curvature.curvature_pack(own_metric)
-    # the pack taken from the whole set's, and the pack of the order-4
-    # metric taken at the subset
-    for got_pack in (pack.take(index), curvature.curvature_pack(metric.take(index, 4))):
-        for name in PACK:
-            _same(getattr(got_pack, name), getattr(own_pack, name))
-        for p, q in zip(got_pack.base, own_pack.base):
+    # truncated to order 3, as the reference suites read it, and to the
+    # order 2 of verify
+    for order in (3, 2):
+        own = tod.tod_fields(rods, rho[index], zeta[index], order=order)
+        got = fields.take(index, order)
+        for name in FIELDS:
+            _same_jet(getattr(got, name), getattr(own, name))
+        for p, q in zip(got.point, own.point):
             _same(p, q)
+        _same(got.terms[0], own.terms[0])
+        for p, q in zip(got.terms[1:], own.terms[1:]):
+            _same_jet(p, q)
+        if metric is None:
+            continue
+        own_metric = tod.tod_metric(own)
+        got_metric = metric.take(index, order)
+        assert got_metric.order == order
+        for accessor in ("values", "d1", "d2"):
+            _same(getattr(got_metric, accessor)(), getattr(own_metric, accessor)())
+        own_pack = curvature.curvature_pack(own_metric)
+        # the pack taken from the whole set's, and the pack of the order-4
+        # metric taken at the subset
+        for got_pack in (pack.take(index), curvature.curvature_pack(metric.take(index, 4))):
+            for name in PACK:
+                _same(getattr(got_pack, name), getattr(own_pack, name))
+            for p, q in zip(got_pack.base, own_pack.base):
+                _same(p, q)
