@@ -206,8 +206,8 @@ def _point_set_fields(data, points, order):
 
 
 class _Evaluation(NamedTuple):
-    """A suite's share of the shared pass: its sampled points, their fields
-    and the metric or curvature pack it reads."""
+    """A suite's share of a verify run's one evaluation: its sampled
+    points, their fields and the metric or curvature pack it reads."""
 
     points: list
     fields: tod.TodFields
@@ -222,62 +222,55 @@ def _flat_draws(rng):
              float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
 
 
-def _shared_pass(data, seed):
-    """The fields, curvature and cky suites' points, evaluated in one pass.
+def _evaluate(data, seed, names):
+    """The points of the selected fields, curvature and cky suites,
+    evaluated once.
 
-    The points are sampled as each suite samples its own: the fields
-    suite's 25 from the seed (the curvature suite's 20 are their first
-    20, the same draws) and the cky suite's 12 after its flat draws.  The
-    flat draws take 24 numbers off the same stream, as 12 sampler
-    attempts do, so the cky suite's attempts are the fields suite's from
-    the 13th on and its points are fields points too.  One tod_fields
-    and one tod_metric at VERIFY_ORDER run over the distinct points, and
-    one curvature_pack over the distinct curvature and cky points.
-    Returns {suite: _Evaluation}, each suite's points taken out, with the
-    bits of the suite's own pass: a point's jets do not depend on the
-    other points of its set.
-
-    The pass can fail, or make numpy warn, before the turn of the suite
-    whose point it is: a cky point's curvature would raise before the
-    fields suite runs.  So if any step raises or numpy would warn
-    (divide, overflow or invalid), the result is {} and every suite
-    evaluates its own points in its turn, as a single-suite run does:
-    the report, the error and its message are those of the
-    suite-by-suite run.
+    The fields suite's 25 points come from the seed, and the curvature
+    suite's 20 are their first 20, the same draws.  The cky suite's 12
+    come after its flat draws, which take 24 numbers off the same stream,
+    as 12 sampler attempts do: its attempts are the fields suite's from
+    the 13th on, so its points are fields points too.  One tod_fields and
+    one tod_metric at VERIFY_ORDER run over the distinct points, and one
+    curvature_pack over the distinct curvature and cky points.  Returns
+    {suite: _Evaluation}, each suite's points taken out, with the bits of
+    a pass over its points alone: a point's jets do not depend on the
+    other points of its set.  Single-nut data and the rods suite sample
+    no points: {}.
     """
     if data.n == 1:
         return {}
-    try:
-        with np.errstate(divide="raise", over="raise", invalid="raise"):
-            points = sample_interior(data, 25, np.random.default_rng(seed))
-            rng = np.random.default_rng(seed)
-            _flat_draws(rng)
-            cky_points = sample_interior(data, 12, rng)
-            union = list(dict.fromkeys(points + cky_points))
-            where = {p: k for k, p in enumerate(union)}
-
-            def at(pts):
-                return np.array([where[p] for p in pts])
-
-            fields = _point_set_fields(data, union, VERIFY_ORDER)
-            metric = tod.tod_metric(fields)
-            # sorted, so that searchsorted finds a point's row
-            curved = np.array(sorted({where[p] for p in points[:20] + cky_points}))
-            pack = curvature.curvature_pack(metric.take(curved, VERIFY_ORDER))
-    except Exception:
-        # whatever a step raised, the suite whose point it is raises it
-        # again in its own turn, unless an earlier suite stops the run
+    points = {}
+    if "fields" in names or "curvature" in names:
+        first = sample_interior(data, 25 if "fields" in names else 20,
+                                np.random.default_rng(seed))
+        points = {name: first[:count] for name, count in (("fields", 25), ("curvature", 20))
+                  if name in names}
+    if "cky" in names:
+        rng = np.random.default_rng(seed)
+        _flat_draws(rng)
+        points["cky"] = sample_interior(data, 12, rng)
+    if not points:
         return {}
+    union = list(dict.fromkeys(p for pts in points.values() for p in pts))
+    where = {p: k for k, p in enumerate(union)}
+    fields = _point_set_fields(data, union, VERIFY_ORDER)
+    metric = tod.tod_metric(fields)
+    # sorted, so that searchsorted finds a point's row
+    curved = np.array(sorted({where[p] for name in ("curvature", "cky")
+                              for p in points.get(name, ())}), dtype=int)
+    if curved.size:
+        pack = curvature.curvature_pack(metric.take(curved, VERIFY_ORDER))
     # index arrays take copies, so that the union is freed on return and
     # each suite's share once that suite is done
-    return {
-        "fields": _Evaluation(points, fields.take(at(points), VERIFY_ORDER),
-                              metric=metric.take(at(points), VERIFY_ORDER)),
-        "curvature": _Evaluation(points[:20], fields.take(at(points[:20]), VERIFY_ORDER),
-                                 pack=pack.take(np.searchsorted(curved, at(points[:20])))),
-        "cky": _Evaluation(cky_points, fields.take(at(cky_points), VERIFY_ORDER),
-                           pack=pack.take(np.searchsorted(curved, at(cky_points)))),
-    }
+    shares = {}
+    for name, pts in points.items():
+        index = np.array([where[p] for p in pts])
+        share = fields.take(index, VERIFY_ORDER)
+        shares[name] = (_Evaluation(pts, share, metric=metric.take(index, VERIFY_ORDER))
+                        if name == "fields" else
+                        _Evaluation(pts, share, pack=pack.take(np.searchsorted(curved, index))))
+    return shares
 
 
 class _Worst:
@@ -313,11 +306,11 @@ SINGLE_NUT = "degenerate single-nut data"
 
 
 # Each suite takes the rod data, the seed, the tolerances and its
-# _Evaluation from the shared pass of a --suite all run, or None: it then
-# samples and evaluates its own points.
+# _Evaluation from _evaluate, which is None for the rods suite and on
+# single-nut data: the suites that sample points only read them.
 
 
-def suite_fields(data, seed, tols, shared=None):
+def suite_fields(data, seed, tols, evaluation):
     worst = _Worst("killing_det", "harmonic_v", "conjugate_pair", "toda",
                    "norm_identity")
     if data.n == 1:
@@ -332,13 +325,9 @@ def suite_fields(data, seed, tols, shared=None):
 
     min_field, min_loc = math.inf, ""
     # every point in one pass; the loop below only reads floats
-    if shared is None:
-        points = sample_interior(data, 25, np.random.default_rng(seed))
-        fields = _point_set_fields(data, points, VERIFY_ORDER)
-    else:
-        points, fields = shared.points, shared.fields
+    points, fields = evaluation.points, evaluation.fields
     V, H = harmonic.potentials(fields)
-    gv = (tod.tod_metric(fields) if shared is None else shared.metric).values()
+    gv = evaluation.metric.values()
     r = fields.point[0]
     det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
     killing_det = (np.abs(det - r * r) / (r * r)).tolist()
@@ -368,19 +357,14 @@ def suite_fields(data, seed, tols, shared=None):
                                         good=min_field > 0.0)]
 
 
-def suite_curvature(data, seed, tols, shared=None):
+def suite_curvature(data, seed, tols, evaluation):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
         return worst.skips(SINGLE_NUT)
     c = float(data.c)
     # every point in one pass; the loop below only reads floats
-    if shared is None:
-        points = sample_interior(data, 20, np.random.default_rng(seed))
-        fields = _point_set_fields(data, points, VERIFY_ORDER)
-        pack = curvature.curvature_pack(tod.tod_metric(fields))
-    else:
-        points, fields, pack = shared.points, shared.fields, shared.pack
+    points, fields, pack = evaluation.points, evaluation.fields, evaluation.pack
     norms = {name: value.tolist()
              for name, value in curvature.invariant_norms(pack).items()}
     split = curvature.weyl_split(pack)
@@ -405,7 +389,7 @@ def suite_curvature(data, seed, tols, shared=None):
     return worst.checks(tols)
 
 
-def suite_rods(data, seed, tols, shared=None):
+def suite_rods(data, seed, tols, evaluation):
     junctions = _Worst("gl2z")
     ok = True
     try:
@@ -443,10 +427,9 @@ def suite_rods(data, seed, tols, shared=None):
     return checks + [_check("asymptotic_class", None, None, label, good)]
 
 
-def suite_cky(data, seed, tols, shared=None):
-    rng = np.random.default_rng(seed)
+def suite_cky(data, seed, tols, evaluation):
     flat = _Worst("flat_family_residual", "flat_norm_formula")
-    ang, r, theta = (np.array(x) for x in zip(*_flat_draws(rng)))
+    ang, r, theta = (np.array(x) for x in zip(*_flat_draws(np.random.default_rng(seed))))
     # all eight family members in one pass
     params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
     pack = curvature.curvature_pack(cky.flat_metric(r, theta))
@@ -466,12 +449,7 @@ def suite_cky(data, seed, tols, shared=None):
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
-    if shared is None:
-        points = sample_interior(data, 12, rng)
-        fields = _point_set_fields(data, points, VERIFY_ORDER)
-        pack = curvature.curvature_pack(tod.tod_metric(fields))
-    else:
-        points, fields, pack = shared.points, shared.fields, shared.pack
+    points, fields, pack = evaluation.points, evaluation.fields, evaluation.pack
     residual, xi = curvature.cky_residual(
         pack, cky.tod_cky_candidate(fields, order=VERIFY_ORDER - 1))
     off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1).tolist()
@@ -588,13 +566,11 @@ def cmd_verify(args):
             raise RodDataError(
                 f"tolerance must be finite and at least 0, got {override!r}")
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    # only a run of every suite shares one pass: a single suite keeps its
-    # own points at its own order
-    shared = _shared_pass(data, args.seed) if args.suite == "all" else {}
+    evaluations = _evaluate(data, args.seed, names)
     checks = []
     for name in names:
-        # popped, so that a suite's slice is freed once the suite is done
-        checks.extend(SUITES[name](data, args.seed, tols, shared.pop(name, None)))
+        # popped, so that a suite's share is freed once the suite is done
+        checks.extend(SUITES[name](data, args.seed, tols, evaluations.pop(name, None)))
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for entry in checks:
         summary[entry["status"]] += 1
@@ -764,9 +740,10 @@ def main(argv=None):
     except RodDataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (TodkitError, ArithmeticError) as exc:
+    except (TodkitError, ArithmeticError, np.linalg.LinAlgError) as exc:
         # ArithmeticError: valid but extreme rod data can under- or
-        # overflow a float power deep in the jet arithmetic
+        # overflow a float power deep in the jet arithmetic; LinAlgError:
+        # a singular metric, or a Weyl block whose entries overflowed
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
 

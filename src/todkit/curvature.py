@@ -23,23 +23,10 @@ chart independent.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import permutations
 
 import numpy as np
 
 from .errors import SignatureError
-
-_EPS4 = np.zeros((4, 4, 4, 4))
-for _p in permutations(range(4)):
-    _sign = 1
-    _q = list(_p)
-    for _i in range(4):
-        for _j in range(_i + 1, 4):
-            if _q[_i] > _q[_j]:
-                _sign = -_sign
-    _EPS4[_p] = _sign
-del _p, _q, _i, _j, _sign
-
 
 @dataclass(frozen=True)
 class CurvaturePack:
@@ -183,18 +170,6 @@ def invariant_norms(pack):
         "ricci": _float(np.sqrt(np.abs(ric2))),
         "scalar": abs(pack.scalar),
     }
-
-
-def volume_form(pack):
-    """epsilon_abcd with the chart orientation folded in."""
-    return np.multiply.outer(pack.orientation * pack.sqrtg, _EPS4)
-
-
-def hodge_star(pack, two_form):
-    """Dual of an antisymmetric (0,2) component array."""
-    eps = volume_form(pack)
-    up = np.einsum("...ac,...bd,...cd->...ab", pack.ginv, pack.ginv, two_form)
-    return 0.5 * np.einsum("...abcd,...cd->...ab", eps, up)
 
 
 def orthonormal_coframe(pack):

@@ -4,12 +4,16 @@ Each reads library data and computes what the library itself never
 needs: the rod index of an axis point and the O(1) axis term g of V with
 its second derivative, the axis limit of W on a rod, the jumps of the
 axis constant F across a nut and across a zero-slope rod, the
-top-form pairing of two two-forms, and the jet of artanh.
+top-form pairing of two two-forms, the Hodge dual of a two-form on a
+curvature pack, and the jet of artanh.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import permutations
+
+import numpy as np
 
 from todkit import jets
 from todkit.errors import DomainError, RodDataError
@@ -83,6 +87,23 @@ def wedge_pairing(om, eta):
         P[0, 1] * Q[2, 3] - P[0, 2] * Q[1, 3] + P[0, 3] * Q[1, 2]
         + P[1, 2] * Q[0, 3] - P[1, 3] * Q[0, 2] + P[2, 3] * Q[0, 1]
     )
+
+
+# the Levi-Civita symbol: the sign of each permutation of (0, 1, 2, 3)
+_EPS4 = np.zeros((4, 4, 4, 4))
+for _p in permutations(range(4)):
+    _EPS4[_p] = (-1) ** sum(_p[i] > _p[j] for i in range(4) for j in range(i + 1, 4))
+
+
+def volume_form(pack):
+    """epsilon_abcd of a curvature pack, with the chart orientation folded in."""
+    return np.multiply.outer(pack.orientation * pack.sqrtg, _EPS4)
+
+
+def hodge_star(pack, two_form):
+    """Dual of an antisymmetric (0,2) component array."""
+    up = np.einsum("...ac,...bd,...cd->...ab", pack.ginv, pack.ginv, two_form)
+    return 0.5 * np.einsum("...abcd,...cd->...ab", volume_form(pack), up)
 
 
 def artanh(jet):

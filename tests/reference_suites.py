@@ -1,14 +1,15 @@
 """The point-by-point verify suites.
 
 Reference for the ``fields``, ``curvature`` and ``cky`` suites of
-``todkit.cli``, which evaluate the metric, the curvature, the Weyl split
-and the Killing-Yano residuals of all their sampled points in one array
-pass.  Here every point is read out of the point-set fields on its own
-(``fields_at``) and goes through the layer functions alone, one after the
-other, as the suites did before they took a point axis; the reports of
-the two must agree byte for byte.  Each suite takes the shared pass's
-evaluation that ``cli.cmd_verify`` hands a ``--suite all`` run, and
-ignores it: it samples and evaluates its own points.
+``todkit.cli``, which read the metric, the curvature, the Weyl split and
+the Killing-Yano residuals of all their sampled points from one array
+pass, ``cli._evaluate``.  Here every point is read out of the point-set
+fields on its own (``fields_at``) and goes through the layer functions
+alone, one after the other, as the suites did before they took a point
+axis; the reports of the two must agree byte for byte.  Each suite takes
+the evaluation argument of ``cli.SUITES`` and ignores it: it samples and
+evaluates its own points, and the tests that run it replace
+``cli._evaluate`` by one that evaluates nothing.
 ``frame_components`` is the matching one-radius reference for
 ``cky._frame_components``.
 """
@@ -38,7 +39,7 @@ def fields_at(fields, k):
                      terms=(a.reshape(-1), s.at(nut), artanh.at(nut), R.at(nut)))
 
 
-def suite_fields(data, seed, tols, shared=None):
+def suite_fields(data, seed, tols, evaluation):
     worst = _Worst("killing_det", "harmonic_v", "conjugate_pair", "toda",
                    "norm_identity")
     if data.n == 1:
@@ -83,7 +84,7 @@ def suite_fields(data, seed, tols, shared=None):
                                         good=min_field > 0.0)]
 
 
-def suite_curvature(data, seed, tols, shared=None):
+def suite_curvature(data, seed, tols, evaluation):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
@@ -116,7 +117,7 @@ def suite_curvature(data, seed, tols, shared=None):
     return worst.checks(tols)
 
 
-def suite_cky(data, seed, tols, shared=None):
+def suite_cky(data, seed, tols, evaluation):
     rng = np.random.default_rng(seed)
     flat = _Worst("flat_family_residual", "flat_norm_formula")
     for _ in range(8):

@@ -437,6 +437,23 @@ class TestVerify:
         assert code in (0, 1)
         assert not err or err.startswith("evaluation error:")
 
+    @pytest.mark.parametrize("h_constant, suite, message", [
+        (1e8, "fields", "Singular matrix"),
+        (1e300, "all", "Eigenvalues did not converge"),
+        (1e300, "curvature", "Eigenvalues did not converge"),
+        (-1e300, "all", "Eigenvalues did not converge"),
+    ], ids=["1e8-fields", "1e300-all", "1e300-curvature", "-1e300-all"])
+    def test_linear_algebra_error_is_an_evaluation_error(self, tmp_path, capsys,
+                                                         h_constant, suite, message):
+        # a huge gauge constant makes the metric singular, or the Weyl
+        # blocks overflow, before the symmetric eigensolver sees them;
+        # numpy's own warnings on the way there are recorded, not raised
+        path = write_rod_file(tmp_path, {**EH_DOC, "gauge": {"h_constant": h_constant}})
+        with warnings.catch_warnings(record=True):
+            warnings.simplefilter("always")
+            code, out, err = run(["verify", path, "--suite", suite], capsys)
+        assert (code, out, err) == (1, "", f"evaluation error: {message}\n")
+
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
         code, out, _ = run(["verify", path, "--suite", "rods",
@@ -633,5 +650,6 @@ class TestFieldsSuiteCost:
         halflog = cli.harmonic._halflog_ratio
         monkeypatch.setattr(cli.harmonic, "_halflog_ratio",
                             lambda *args: pairs.append(np.size(args[2])) or halflog(*args))
-        cli.suite_fields(data, 0, cli.DEFAULT_TOLS)
+        cli.suite_fields(data, 0, cli.DEFAULT_TOLS,
+                         cli._evaluate(data, 0, ["fields"])["fields"])
         assert sum(pairs) == 25 * 2

@@ -12,7 +12,6 @@ REPO = SRC.parents[1]
 KEPT = {
     "jets.compose2": "perfbench/tracer.py wraps it and the benchmark reports "
                      "its call count; it goes with that row (ROADMAP item 1)",
-    "curvature.hodge_star": "public API of the curvature layer (ROADMAP item 10)",
     "pd.PdParams.normalized": "the public constructor of an exported class",
 }
 

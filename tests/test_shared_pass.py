@@ -1,20 +1,18 @@
-"""The shared pass of ``verify --suite all`` against the suite-by-suite reference.
+"""The one evaluation pass of ``verify`` against the suite-by-suite reference.
 
-A ``--suite all`` run samples the points of the fields, curvature and
-cky suites first and evaluates them in one pass; if that pass raises,
-or numpy would warn, every suite evaluates its own points in its turn.
-On the extreme-scale files, the report (stdout, stderr, exit code and
-report file) must be the one of ``reference_suites``, whose suites
-ignore the shared pass and evaluate at orders 3 and 4.  Where that
-reference's order-4 curvature pass overflows or divides by zero and the
-order-2 evaluation does not, the run must print no evaluation error,
-and a ``--suite all`` run's checks must be the four single suites'
-checks.  A single ``--suite`` takes no shared pass.
+Every ``verify`` run samples the points of its fields, curvature and cky
+suites first and evaluates the distinct points in one pass, whose shares
+the suites read.  On the extreme-scale files, the report (stdout, stderr,
+exit code and report file) must be the one of ``reference_suites``,
+whose suites sample and evaluate their own points at orders 3 and 4; the
+reference runs skip the pass.  Where that reference's order-4 curvature
+pass overflows or divides by zero and the order-2 evaluation does not,
+the run must print no evaluation error, and a ``--suite all`` run's
+checks must be the four single suites' checks.
 """
 
 import inspect
 import json
-import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +54,8 @@ def _report(tmp_path, capsys, argv):
 
 
 def _reference(tmp_path, capsys, monkeypatch, argv):
+    # the pass is skipped, so that an error it raises cannot end both runs alike
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: {})
     for name, reference in reference_suites.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, reference)
     return _report(tmp_path, capsys, argv)
@@ -141,44 +141,34 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     assert metrics[0] == 25 and len(metrics) == 2
     assert packs == [24, 8]
     # no check reads a derivative above the second, and the two-forms'
-    # residuals read first derivatives: the shared pass is at order 2,
+    # residuals read first derivatives: the one pass is at order 2,
     # the conical and decay passes at order 1, the cky candidate and the
     # flat members at order 1, and the decay check's candidate at order 0
     assert orders == {"tod_fields": [2, 1, 1], "tod_cky_candidate": [1, 0],
                       "flat_cky": [1]}
 
 
-@pytest.mark.parametrize("suite, count", [("fields", 25), ("curvature", 20)])
-def test_single_suite_keeps_its_own_pass(tmp_path, capsys, monkeypatch, suite, count):
+# the (points, order) of each tod_fields call: one pass over the suite's
+# points, then the conical and decay checks' own passes
+@pytest.mark.parametrize("suite, calls", [
+    ("fields", [(25, 2)]),
+    ("curvature", [(20, 2)]),
+    ("cky", [(12, 2), (5, 1)]),
+    ("rods", [(21, 1)]),
+], ids=["fields", "curvature", "cky", "rods"])
+def test_single_suite_evaluates_each_point_once(tmp_path, capsys, monkeypatch, suite,
+                                                 calls):
     orders = []
     fields = _spy(monkeypatch, tod, "tod_fields", orders=orders)
     path = write_rod_file(tmp_path, EH_DOC)
     _report(tmp_path, capsys, ["verify", path, "--suite", suite])
-    assert fields == [count] and orders == [2]
+    assert list(zip(fields, orders)) == calls
 
 
-def test_failing_shared_pass_is_dropped(tmp_path, capsys, monkeypatch):
-    path = write_rod_file(tmp_path, EH_DOC)
-    argv = ["verify", path, "--seed", "1"]
-    want = _report(tmp_path, capsys, argv)
-    # the first call is the shared pass's
-    fields = _spy(monkeypatch, tod, "tod_fields", fails=lambda *args, **kwargs: len(fields) == 1,
-                  error=OverflowError("math range error"))
-    assert _report(tmp_path, capsys, argv) == want
-    # the union raised, then every suite evaluated its own points
-    assert fields[:3] == [25, 25, 20] and 12 in fields
-    assert want == _reference(tmp_path, capsys, monkeypatch, argv)
-
-
-def test_cky_point_fails_in_the_cky_turn(tmp_path, capsys, monkeypatch):
+def test_cky_point_failure_ends_the_run(tmp_path, capsys, monkeypatch):
     # a cky point whose curvature fails, and which no curvature point
-    # shares: the shared pass raises, the fields, curvature and rods
-    # suites run on their own points, and the cky suite then raises the
-    # error the point gives
-    turns = []
-    for name, suite in list(cli.SUITES.items()):
-        monkeypatch.setitem(cli.SUITES, name,
-                            lambda *a, name=name, suite=suite: turns.append(name) or suite(*a))
+    # shares: the run prints the error the point gives and writes no
+    # report, as the suite-by-suite reference does in the cky suite's turn
     rods = tod.eh_rod_data()
     curved = cli.sample_interior(rods, 20, np.random.default_rng(0))
     rng = np.random.default_rng(0)
@@ -191,25 +181,4 @@ def test_cky_point_fails_in_the_cky_turn(tmp_path, capsys, monkeypatch):
     got = _report(tmp_path, capsys, argv)
     assert got == (1, "", "evaluation error: metric determinant -1.0 is not positive\n",
                    None)
-    assert turns == ["fields", "curvature", "rods", "cky"]
-    assert got == _reference(tmp_path, capsys, monkeypatch, argv)
-
-
-def test_shared_pass_that_would_warn_is_dropped(tmp_path, capsys, monkeypatch):
-    # a numpy warning in the shared pass (here a division by zero in the
-    # union's pack) would be printed before any suite runs; the pass is
-    # dropped instead, and the suites' own passes print nothing
-    real = curvature.curvature_pack
-
-    def warning_pack(metric):
-        if np.size(metric.base[0]) == 24:
-            np.ones(1) / np.zeros(1)
-        return real(metric)
-
-    monkeypatch.setattr(curvature, "curvature_pack", warning_pack)
-    argv = ["verify", write_rod_file(tmp_path, EH_DOC)]
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        got = _report(tmp_path, capsys, argv)
-    assert not seen
     assert got == _reference(tmp_path, capsys, monkeypatch, argv)

@@ -39,8 +39,8 @@ def _same(got, want):
         [v.hex() for v in np.asarray(want, dtype=float).ravel().tolist()]
 
 
-# the shared pass's sizes: 37 points, of which the curvature suite reads
-# the first 20 and the cky suite the last 12
+# the sizes of a --suite all run's evaluation: 37 points, of which the
+# curvature suite reads the first 20 and the cky suite the last 12
 UNION = [(("axis", "nut", "far", "height")[k % 4], k / 37, (k * 7 % 37) / 37, k)
          for k in range(37)]
 CURVATURE_AND_CKY = [True] * 20 + [False] * 5 + [True] * 12 + [False] * 3
@@ -70,7 +70,8 @@ def test_slices_match_their_own_calls(rods, picks, keep):
     index = np.flatnonzero(keep[:len(rho)])
     if not index.size:
         index = np.arange(len(rho))
-    # the shared pass's numpy state: where numpy would warn, it is dropped
+    # pyproject.toml makes a numpy warning a test failure; raised here
+    # instead, an input on which numpy would warn is no example
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         try:
             fields = tod.tod_fields(rods, rho, zeta, order=4)
