@@ -19,13 +19,12 @@ by a log-log fit in the asymptotic chart rho = r^2 sin t / 4,
 zeta = r^2 cos t / 4.
 
 The flat functions take r, theta (and the family constants) as numbers
-or as float arrays over a point set.  Matrices are built in stacked form:
-the coframe becomes one jet whose coefficients are (*points, 4, 4) arrays
-(tod.JetMatrix.jet), one jet product gives every e^a_i e^b_j, and the
-metric and the wedges are sums and differences of its slices; the
-candidate is one product of z with the stacked fundamental form.  Every
-entry runs the jet operations its scalar jet would, so each point keeps
-its bits.
+or as float arrays over a point set.  A tod.JetMatrix is one jet whose
+coefficients are (*points, 4, 4) arrays: the coframe is stacked once from
+its entry jets, one jet product gives every e^a_i e^b_j, and the metric
+and the wedges are sums and differences of its slices; the candidate is
+one product of z with the fundamental form.  Every entry runs the jet
+operations its scalar jet would, so each point keeps its bits.
 """
 
 from __future__ import annotations
@@ -87,7 +86,7 @@ def flat_coframe(r, theta, order=2):
         [zero, zero, zero, half],
         [zero, half * jets.sin(tj), zero, zero],
     ]
-    return JetMatrix(coords=CHART, comp=rows, base=(r, theta))
+    return JetMatrix.stack(CHART, rows, (r, theta))
 
 
 def _each(jet, f):
@@ -98,7 +97,7 @@ def _each(jet, f):
 def _coframe_products(coframe):
     """Every product e^a_i e^b_j of two coframe entries in one jet product:
     a jet whose coefficients are (*points, 4, 4, 4, 4) arrays, [a, b, i, j]."""
-    e = coframe.jet()
+    e = coframe.jet
     return (_each(e, lambda c: c[..., :, None, :, None])
             * _each(e, lambda c: c[..., None, :, None, :]))
 
@@ -115,7 +114,7 @@ def flat_metric(r, theta):
     g = Jet2.const(0.0, 2)
     for a in range(4):
         g = g + _each(products, lambda c: c[..., a, a, :, :])
-    return JetMatrix.from_jet(CHART, g, cf.base, orientation=1)
+    return JetMatrix(CHART, g, cf.base, orientation=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -131,7 +130,7 @@ def selfdual_basis(coframe):
     def combine(m, n, sign):
         pair = _each(wedges, lambda c: c[..., m[0], m[1], :, :]) \
             + _each(wedges, lambda c: c[..., n[0], n[1], :, :]) * sign
-        return JetMatrix.from_jet(coframe.coords, pair, coframe.base)
+        return JetMatrix(coframe.coords, pair, coframe.base)
 
     w1 = combine((0, 1), (2, 3), 1)
     w2 = combine((1, 2), (0, 3), 1)
@@ -150,9 +149,9 @@ def flat_cky(params, r, theta, order=2):
     k1 = harmonic._coordinate(params.k1)
     a1 = Jet2.const(harmonic._coordinate(params.k2), order) - rr * k1 * jets.cos(tj)
     a3 = rr * k1 * jets.sin(tj)
-    comp = (_each(a1, lambda c: c[..., None, None]) * w1.jet()
-            + _each(a3, lambda c: c[..., None, None]) * w3.jet())
-    return JetMatrix.from_jet(CHART, comp, cf.base)
+    form = (_each(a1, lambda c: c[..., None, None]) * w1.jet
+            + _each(a3, lambda c: c[..., None, None]) * w3.jet)
+    return JetMatrix(CHART, form, cf.base)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -175,8 +174,7 @@ def tod_cky_candidate(fields, order=2):
     """
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
-    comp = _each(z, lambda c: c[..., None, None]) * om.jet()
-    return JetMatrix.from_jet(om.coords, comp, om.base)
+    return JetMatrix(om.coords, _each(z, lambda c: c[..., None, None]) * om.jet, om.base)
 
 
 def _frame_components(fields, radii, theta, st, ct):

@@ -1,12 +1,12 @@
 """Curvature of a metric jet and the derived spectral checks.
 
-Everything is evaluated from a tod.JetMatrix whose components are 2-jets
-in the two essential coordinates; derivatives along the Killing
-directions are structurally zero, so arrays are padded accordingly.  The
-matrix may hold a point set: every array then carries the point axes in
-front, (*points, 4, 4) for a matrix, and one pass of the same einsums
-("...ab" subscripts), stacked matrix products and batched LAPACK calls
-evaluates the whole set.  A single point is the same code with no point
+Everything is evaluated from tod.JetMatrix jets in the two essential
+coordinates, one jet per matrix with (*points, 4, 4) coefficient arrays
+(order 2 for a metric); derivatives along the Killing directions are
+structurally zero, so arrays are padded accordingly.  The matrix may
+hold a point set: every array then carries the point axes in front, and
+one pass of the same einsums ("...ab" subscripts), stacked matrix
+products and batched LAPACK calls evaluates the whole set.  A single point is the same code with no point
 axis, and its scalars come back as floats.  Each point gets the bits of
 its own evaluation: the one contraction where numpy's einsum rounds
 differently once a point axis is added (the trace in cky_residual) is

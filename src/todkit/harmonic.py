@@ -162,6 +162,25 @@ class RodData:
         return gauge_value(self)
 
     @cached_property
+    def profile(self):
+        """The axis profile, computed once by axis_profile."""
+        return AxisProfile(self, *_slopes_values(self), self.gauge_constant)
+
+    @cached_property
+    def vectors(self):
+        """The period vectors of the n + 1 rods (rods.rod_vectors), computed
+        once from the axis profile."""
+        prof = self.profile
+        vecs = []
+        for i, slope in enumerate(prof.slopes):
+            if slope == 0:
+                value = prof.values[i - 1 if i > 0 else 0]
+                vecs.append((value * value / self.c, slope))
+            else:
+                vecs.append((-slope * prof.f_constant(i), slope))
+        return tuple(vecs)
+
+    @cached_property
     def floats(self):
         """c, the resolved gauge and the nuts converted to float once.
 
@@ -396,9 +415,9 @@ class AxisProfile:
 
 
 def axis_profile(rods):
-    """Slopes and nut values of f plus the resolved H gauge constant."""
-    slopes, values = _slopes_values(rods)
-    return AxisProfile(rods, slopes, values, rods.gauge_constant)
+    """Slopes and nut values of f plus the resolved H gauge constant,
+    computed once per RodData."""
+    return rods.profile
 
 
 def gauge_value(rods):

@@ -179,9 +179,6 @@ class Jet2:
         """Raw partial derivative d^{i+j} f / dx^i dy^j."""
         return self.c[_POS[self.order][(i, j)]]
 
-    def partials(self):
-        return {p: v for p, v in zip(_pairs(self.order), self.c)}
-
     def at(self, index):
         """The jet at one index of its coefficient arrays.
 
@@ -346,11 +343,6 @@ def compose(jet, derivs):
     for k in range(n - 1, -1, -1):
         acc = acc * delta + derivs[k] / math.factorial(k)
     return acc
-
-
-def exp(jet):
-    v = math.exp(jet.value)
-    return compose(jet, [v] * (jet.order + 1))
 
 
 def libm(f, x, *args):

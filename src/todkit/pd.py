@@ -192,8 +192,7 @@ def pd_metric(params, p, q, order=4):
         (zero, zero, g_pp, zero),
         (zero, zero, zero, g_qq),
     )
-    return JetMatrix(coords=("tau", "phi", "p", "q"), comp=comp,
-                     base=(p, q), orientation=1)
+    return JetMatrix.stack(("tau", "phi", "p", "q"), comp, (p, q))
 
 
 def pd_rod_vectors(params):

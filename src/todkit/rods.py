@@ -73,16 +73,9 @@ class RodStructure:
 
 
 def rod_vectors(rods):
-    """Period vectors of all n+1 rods, in exact arithmetic for exact rod data."""
-    prof = axis_profile(rods)
-    vecs = []
-    for i, slope in enumerate(prof.slopes):
-        if slope == 0:
-            value = prof.values[i - 1 if i > 0 else 0]
-            vecs.append((value * value / rods.c, slope))
-        else:
-            vecs.append((-slope * prof.f_constant(i), slope))
-    return tuple(vecs)
+    """Period vectors of all n+1 rods, in exact arithmetic for exact rod
+    data; computed once per RodData."""
+    return rods.vectors
 
 
 def express_in_basis(target, a, b):
@@ -156,8 +149,8 @@ def conical_check(rods):
     g = tod.tod_metric(f)
     v0, v1 = (np.repeat([float(v[k]) for v in vecs], _LEVELS) for k in (0, 1))
     # jets on the left: an array on the left would map over the jet
-    S = g.comp[0][0] * (v0 * v0) + g.comp[0][1] * (2 * v0 * v1) \
-        + g.comp[1][1] * (v1 * v1)
+    S = g.entry(0, 0) * (v0 * v0) + g.entry(0, 1) * (2 * v0 * v1) \
+        + g.entry(1, 1) * (v1 * v1)
     # libm's pow and the float division, which raise where numpy warns
     num = jets.libm(pow, S.partial(1, 0), 2) + jets.libm(pow, S.partial(0, 1), 2)
     values = jets.libm(operator.truediv, num, 4.0 * S.value * f.e2nu.value).tolist()

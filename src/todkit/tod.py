@@ -65,100 +65,82 @@ class TodFields:
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
 
-    def take(self, index, order):
+    def take(self, index):
         """The fields at the points index picks from a one-dimensional
-        point set, truncated to order: bit for bit the fields of those
-        points' own call at that order."""
-        def pick(jet, ix=index):
-            return jet.at(ix).truncate(order)
-
+        point set: bit for bit the fields of those points' own call."""
         # the per-nut terms hold the point axis behind the nut axis, and
         # the weight column a broadcasts over it
         a, s, artanh, R = self.terms
         nut = (slice(None), index)
-        return TodFields(W=pick(self.W), e2nu=pick(self.e2nu), F=pick(self.F),
-                         z=pick(self.z), x=pick(self.x), rods=self.rods,
-                         point=tuple(p[index] for p in self.point),
-                         terms=(a, pick(s, nut), pick(artanh, nut), pick(R, nut)))
+        return TodFields(W=self.W.at(index), e2nu=self.e2nu.at(index),
+                         F=self.F.at(index), z=self.z.at(index), x=self.x.at(index),
+                         rods=self.rods, point=tuple(p[index] for p in self.point),
+                         terms=(a, s.at(nut), artanh.at(nut), R.at(nut)))
 
 
 @dataclass(frozen=True)
 class JetMatrix:
-    """A 4x4 matrix of jets in the two essential coordinates.
+    """A 4x4 matrix of jets in the two essential coordinates, held as one jet.
 
-    comp holds metric components, two-form components, or coframe rows
-    (row a, chart column m), indexed by the chart ordering in coords; the
-    first two directions are Killing directions, so all derivatives are
-    taken with respect to the trailing pair.  orientation is the sign of
-    the chart volume form relative to the convention in which the
-    fundamental form squares to a positive top form; only metrics use it.
-
-    Entries may carry coefficient arrays over a point set.  The matrix is
-    then also one jet whose coefficients are arrays of shape
-    (*points, 4, 4) (jet(), and from_jet the other way), and the
-    accessors return arrays with the point axes in front of the matrix
-    axes; for a single point they are plain 4x4 arrays.
+    The coefficients of jet are arrays of shape (*points, 4, 4), plain 4x4
+    arrays for a single point: metric components, two-form components, or
+    coframe rows (row a, chart column m), indexed by the chart ordering in
+    coords.  The first two directions are Killing directions, so all
+    derivatives are taken with respect to the trailing pair.  orientation
+    is the sign of the chart volume form relative to the convention in
+    which the fundamental form squares to a positive top form; only
+    metrics use it.  stack builds the matrix from a 4x4 list of entry
+    jets, and entry reads one back; the accessors return arrays with the
+    point axes in front of the matrix axes.
     """
 
     coords: tuple
-    comp: list
+    jet: Jet2
     base: tuple
     orientation: int = 1
-    _jet: Jet2 = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def from_jet(cls, coords, jet, base, orientation=1):
-        """The matrix of a jet whose coefficients are (*points, 4, 4) arrays."""
-        comp = [[jet.at((..., a, b)) for b in range(4)] for a in range(4)]
-        return cls(coords, comp, base, orientation, _jet=jet)
+    def stack(cls, coords, rows, base, orientation=1):
+        """The matrix of a 4x4 list of entry jets of one order.
 
-    @property
-    def order(self):
-        return self.comp[0][0].order
+        The entries' coefficient arrays share the point shape, and scalar
+        coefficients broadcast; stacking copies every value as it is.
+        """
+        entries = [e for row in rows for e in row]
+        c = []
+        for k in range(len(entries[0].c)):
+            values = [e.c[k] for e in entries]
+            shape = next((v.shape for v in values if type(v) is np.ndarray), ())
+            out = np.empty(shape + (16,))
+            for m, v in enumerate(values):
+                out[..., m] = v
+            c.append(out.reshape(shape + (4, 4)))
+        return cls(coords, jets._jet(entries[0].order, c), base, orientation)
 
-    def take(self, index, order):
+    def entry(self, a, b):
+        """The jet of entry (a, b)."""
+        return self.jet.at((..., a, b))
+
+    def take(self, index):
         """The matrix at the points index picks from a one-dimensional
-        point set, truncated to order."""
-        comp = [[e.at(index).truncate(order) for e in row] for row in self.comp]
-        return JetMatrix(self.coords, comp, tuple(p[index] for p in self.base),
-                         self.orientation)
-
-    def _coefficient(self, k):
-        """Coefficient k of every entry, as one (*points, 4, 4) array."""
-        if self._jet is not None:
-            return self._jet.c[k]
-        entries = [e.c[k] for row in self.comp for e in row]
-        # the entries' arrays share the point shape; scalars broadcast
-        shape = next((v.shape for v in entries if type(v) is np.ndarray), ())
-        out = np.empty(shape + (16,))
-        for m, v in enumerate(entries):
-            out[..., m] = v
-        return out.reshape(shape + (4, 4))
-
-    def jet(self):
-        """The matrix as one jet with (*points, 4, 4) coefficient arrays."""
-        if self._jet is not None:
-            return self._jet
-        return jets._jet(self.order, [self._coefficient(k)
-                                      for k in range(len(self.comp[0][0].c))])
-
-    def _partials(self, i, j):
-        return self._coefficient(jets._POS[self.order][(i, j)])
+        point set."""
+        return JetMatrix(self.coords, self.jet.at(index),
+                         tuple(p[index] for p in self.base), self.orientation)
 
     def values(self):
         """Values, shape (*points, 4, 4)."""
-        return self._partials(0, 0)
+        return self.jet.partial(0, 0)
 
     def d1(self):
         """First derivatives, shape (*points, 2, 4, 4), essential
         directions only."""
-        return np.stack([self._partials(1, 0), self._partials(0, 1)], axis=-3)
+        return np.stack([self.jet.partial(1, 0), self.jet.partial(0, 1)], axis=-3)
 
     def d2(self):
         """Second derivatives, shape (*points, 2, 2, 4, 4)."""
-        mixed = self._partials(1, 1)
-        return np.stack([np.stack([self._partials(2, 0), mixed], axis=-3),
-                         np.stack([mixed, self._partials(0, 2)], axis=-3)], axis=-4)
+        mixed = self.jet.partial(1, 1)
+        return np.stack([np.stack([self.jet.partial(2, 0), mixed], axis=-3),
+                         np.stack([mixed, self.jet.partial(0, 2)], axis=-3)], axis=-4)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +223,7 @@ def tod_metric(fields):
         [zero, zero, e2nu, zero],
         [zero, zero, zero, e2nu],
     ]
-    return JetMatrix(coords=("tau", "y", "rho", "zeta"), comp=comp,
-                     base=fields.point, orientation=1)
+    return JetMatrix.stack(("tau", "y", "rho", "zeta"), comp, fields.point)
 
 
 def fundamental_form(fields, order=None):
@@ -272,7 +253,7 @@ def fundamental_form(fields, order=None):
         [-w_tr, -w_yr, zero, zero],
         [-w_tz, -w_yz, zero, zero],
     ]
-    return JetMatrix(coords=("tau", "y", "rho", "zeta"), comp=comp, base=fields.point)
+    return JetMatrix.stack(("tau", "y", "rho", "zeta"), comp, fields.point)
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +293,8 @@ def eh_closed_form(a, r, theta):
         [zero, zero, g_rr, zero],
         [zero, zero, zero, g_hh],
     ]
-    return JetMatrix(coords=("tau", "phi", "r", "theta"), comp=comp,
-                     base=(float(r), float(theta)), orientation=-1)
+    return JetMatrix.stack(("tau", "phi", "r", "theta"), comp,
+                           (float(r), float(theta)), orientation=-1)
 
 
 def eh_coords(a, r, theta, order=2):

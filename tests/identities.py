@@ -5,7 +5,7 @@ needs: the rod index of an axis point and the O(1) axis term g of V with
 its second derivative, the axis limit of W on a rod, the jumps of the
 axis constant F across a nut and across a zero-slope rod, the
 top-form pairing of two two-forms, the Hodge dual of a two-form on a
-curvature pack, and the jet of artanh.
+curvature pack, and the jets of exp and artanh.
 """
 
 from __future__ import annotations
@@ -104,6 +104,12 @@ def hodge_star(pack, two_form):
     """Dual of an antisymmetric (0,2) component array."""
     up = np.einsum("...ac,...bd,...cd->...ab", pack.ginv, pack.ginv, two_form)
     return 0.5 * np.einsum("...abcd,...cd->...ab", volume_form(pack), up)
+
+
+def exp(jet):
+    """Jet of exp at a single point."""
+    v = math.exp(jet.value)
+    return jets.compose(jet, [v] * (jet.order + 1))
 
 
 def artanh(jet):

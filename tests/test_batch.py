@@ -127,9 +127,9 @@ class TestBatchMatchesPoints:
             for k in range(len(rho)):
                 point = tod.tod_metric(
                     tod.tod_fields(rods, float(rho[k]), float(zeta[k]), order=1))
-                for b_row, p_row in zip(batch.comp, point.comp):
-                    for b, p in zip(b_row, p_row):
-                        assert_point_of_batch(b, p, k)
+                for a in range(4):
+                    for b in range(4):
+                        assert_point_of_batch(batch.entry(a, b), point.entry(a, b), k)
 
     @pytest.mark.parametrize("order", ORDERS)
     @pytest.mark.parametrize("make, radii", CASES[:2])

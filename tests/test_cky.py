@@ -54,9 +54,9 @@ def exterior_derivative(form):
     for a in range(4):
         for b in range(4):
             for c in range(4):
-                out[a, b, c] = (chart_partial(form.comp[b][c], a)
-                                - chart_partial(form.comp[a][c], b)
-                                + chart_partial(form.comp[a][b], c))
+                out[a, b, c] = (chart_partial(form.entry(b, c), a)
+                                - chart_partial(form.entry(a, c), b)
+                                + chart_partial(form.entry(a, b), c))
     return out
 
 

@@ -447,12 +447,29 @@ class TestVerify:
                                                          h_constant, suite, message):
         # a huge gauge constant makes the metric singular, or the Weyl
         # blocks overflow, before the symmetric eigensolver sees them;
-        # numpy's own warnings on the way there are recorded, not raised
+        # numpy warns nowhere on the way there
         path = write_rod_file(tmp_path, {**EH_DOC, "gauge": {"h_constant": h_constant}})
-        with warnings.catch_warnings(record=True):
+        with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(["verify", path, "--suite", suite], capsys)
         assert (code, out, err) == (1, "", f"evaluation error: {message}\n")
+        assert [str(w.message) for w in caught] == []
+
+    @pytest.mark.parametrize("h_constant", [1e300, -1e300])
+    @pytest.mark.parametrize("suite, failing", [
+        ("fields", "killing_det"), ("cky", "candidate_residual")])
+    def test_overflowing_gauge_is_a_located_failure(self, tmp_path, capsys, h_constant,
+                                                    suite, failing):
+        # the overflow reads inf or NaN in a failing check at a point, and
+        # numpy warns nowhere on the way
+        path = write_rod_file(tmp_path, {**EH_DOC, "gauge": {"h_constant": h_constant}})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["verify", path, "--suite", suite], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (1, "")
+        check = {ch["name"]: ch for ch in json.loads(out)["checks"]}[failing]
+        assert check["status"] == "fail" and check["location"].startswith("rho=")
 
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)

@@ -27,8 +27,8 @@ def skew_rods():
 def cky_candidate(fields, order=2):
     z = fields.z.truncate(order)
     om = tod.fundamental_form(fields, order=order)
-    comp = [[z * c for c in row] for row in om.comp]
-    return JetMatrix(coords=om.coords, comp=comp, base=om.base)
+    rows = [[z * om.entry(a, b) for b in range(4)] for a in range(4)]
+    return JetMatrix.stack(om.coords, rows, om.base)
 
 
 def tod_pack(rods, rho, zeta):
@@ -84,13 +84,11 @@ class TestDualityMachinery:
         bad = [row[:] for row in flat]
         bad[0][0] = Jet2.const(-1.0, order)
         with pytest.raises(SignatureError):
-            cv.curvature_pack(JetMatrix(coords=("a", "b", "c", "d"), comp=bad,
-                                        base=(0.0, 0.0)))
+            cv.curvature_pack(JetMatrix.stack(("a", "b", "c", "d"), bad, (0.0, 0.0)))
         asym = [row[:] for row in flat]
         asym[0][1] = Jet2.const(0.5, order)
         with pytest.raises(SignatureError):
-            cv.curvature_pack(JetMatrix(coords=("a", "b", "c", "d"), comp=asym,
-                                        base=(0.0, 0.0)))
+            cv.curvature_pack(JetMatrix.stack(("a", "b", "c", "d"), asym, (0.0, 0.0)))
 
 
 class TestClosedFormBenchmark:
@@ -219,8 +217,8 @@ class TestConformalKillingYano:
         om = tod.fundamental_form(f, order=2)
         res_plain, _ = cv.cky_residual(pack, om)
         z2 = (f.z * f.z).truncate(2)
-        comp = [[z2 * c for c in row] for row in om.comp]
-        res_sq, _ = cv.cky_residual(pack, JetMatrix(om.coords, comp, om.base))
+        rows = [[z2 * om.entry(a, b) for b in range(4)] for a in range(4)]
+        res_sq, _ = cv.cky_residual(pack, JetMatrix.stack(om.coords, rows, om.base))
         assert res_plain > 1e-2
         assert res_sq > 1e-2
 

@@ -126,7 +126,7 @@ def _constant_metric(entries):
     (m // 4, m % 4), a number for one point or a list over a point set."""
     comp = [[Jet2.const(np.array(entries[4 * a + b], dtype=float), 2) for b in range(4)]
             for a in range(4)]
-    return JetMatrix(coords=("a", "b", "c", "d"), comp=comp, base=(0.0, 0.0))
+    return JetMatrix.stack(("a", "b", "c", "d"), comp, (0.0, 0.0))
 
 
 def _eye_slots(points):

@@ -18,7 +18,7 @@ from todkit.errors import DomainError, InversionError, SingularPointError
 from todkit.jets import Jet2
 
 from fd import check_jet_against_fd
-from identities import artanh
+from identities import artanh, exp
 
 
 def sample_field(rho, zeta, order=4):
@@ -26,7 +26,7 @@ def sample_field(rho, zeta, order=4):
     r = Jet2.seed(rho, 0, order)
     z = Jet2.seed(zeta, 1, order)
     R = jets.sqrt(r * r + z * z)
-    return 2 * R - z * jets.log((R + z) / (R - z)) + jets.exp(z / R) / (1 + r * r)
+    return 2 * R - z * jets.log((R + z) / (R - z)) + exp(z / R) / (1 + r * r)
 
 
 def sample_value(rho, zeta):
@@ -363,7 +363,7 @@ class TestElementary:
 
     def test_exp_log_inverse(self):
         a = Jet2.seed(1.5, 0, 4) + Jet2.seed(0.0, 1, 4) * 0.7
-        r = jets.log(jets.exp(a))
+        r = jets.log(exp(a))
         assert max(abs(u - v) for u, v in zip(r.c, a.c)) < 1e-12
 
     def test_trig_identity(self):

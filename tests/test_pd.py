@@ -100,18 +100,15 @@ class TestMetric:
             assert abs(det - target) <= 1e-12 * abs(target)
 
     def test_exact_roots_give_float_jets(self):
-        # pd_metric converts exact coefficients to float once; the jets
-        # hold floats (and the integer zeros of Jet2.const) and match the
-        # float twin of the root set
+        # pd_metric converts exact coefficients to float once; the matrix
+        # jet holds float64 arrays and matches the float twin of the root set
         for p, q in ((0.9, 0.3), (0.5, 0.25), (1.8, 0.21)):
-            got = pd.pd_metric(spot_exact(), p, q)
-            want = pd.pd_metric(spot_float(), p, q)
-            for row, want_row in zip(got.comp, want.comp):
-                for jet, ref in zip(row, want_row):
-                    assert all(type(v) is float or (type(v) is int and v == 0)
-                               for v in jet.c)
-                    for u, v in zip(jet.c, ref.c):
-                        assert abs(u - v) <= 1e-14 * abs(v)
+            got = pd.pd_metric(spot_exact(), p, q).jet
+            want = pd.pd_metric(spot_float(), p, q).jet
+            assert len(got.c) == len(want.c)
+            for u, v in zip(got.c, want.c):
+                assert u.dtype == np.float64 and u.shape == (4, 4)
+                assert np.all(np.abs(u - v) <= 1e-14 * np.abs(v))
 
     def test_riemannian_signature(self):
         g = pd.pd_metric(spot_float(), 0.9, 0.3).values()

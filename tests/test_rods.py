@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from identities import axis_w, f_jump, zero_slope_jump
+from todkit import harmonic
 from todkit import rods as rodmod
 from todkit import tod
 from todkit.errors import RodDataError
@@ -52,8 +53,8 @@ def conical_quotient(data, v0, v1, rho, zeta):
     point's own fields."""
     f = tod.tod_fields(data, rho, zeta, order=1)
     g = tod.tod_metric(f)
-    S = (v0 * v0) * g.comp[0][0] + (2 * v0 * v1) * g.comp[0][1] \
-        + (v1 * v1) * g.comp[1][1]
+    S = (v0 * v0) * g.entry(0, 0) + (2 * v0 * v1) * g.entry(0, 1) \
+        + (v1 * v1) * g.entry(1, 1)
     return (S.partial(1, 0) ** 2 + S.partial(0, 1) ** 2) / (4 * S.value * f.e2nu.value)
 
 
@@ -102,6 +103,23 @@ class TestRodVectors:
         # level -1 and sign 1 exactly; rounded floats missed by an ulp
         assert (reports[1].level, reports[1].sign, reports[1].ok) == (-1, 1, True)
         assert ints.floats == fracs.floats
+
+    def test_computed_once_per_rod_set(self, monkeypatch):
+        # the axis profile and the vectors are cached on the rod data, so
+        # the rods suite's three readers share one computation of each
+        calls = []
+        slopes_values = harmonic._slopes_values
+        monkeypatch.setattr(harmonic, "_slopes_values",
+                            lambda rods: calls.append(rods) or slopes_values(rods))
+        data = eh_exact()
+        rodmod.conical_check(data)
+        rodmod.gl2z_compatibility(data)
+        rodmod.asymptotic_class(data)
+        # once for the symmetric gauge, once for the profile
+        assert len(calls) == 2
+        assert axis_profile(data) is axis_profile(data)
+        assert rodmod.rod_vectors(data) is rodmod.rod_vectors(data)
+        assert rodmod.rod_vectors(data) == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
 
     def test_structure_bundle(self):
         st = rodmod.rod_structure(eh_exact())

@@ -183,7 +183,7 @@ class TestMetric:
                           (skew_rods(), [(0.5, -0.3), (2.4, 1.2)])]:
             for rho, zeta in pts:
                 g = tod.tod_metric(tod.tod_fields(rods, rho, zeta, order=2))
-                det = g.comp[0][0] * g.comp[1][1] - g.comp[0][1] * g.comp[0][1]
+                det = g.entry(0, 0) * g.entry(1, 1) - g.entry(0, 1) * g.entry(0, 1)
                 rr = Jet2.seed(rho, 0, 2) ** 2
                 scale = max(rho * rho, 1.0)
                 for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)):
@@ -204,7 +204,7 @@ class TestMetric:
     def test_degenerate_single_nut(self):
         rods = RodData(c=-1.0, zs=(0.0,), weights=(1.0,))
         f = tod.tod_fields(rods, 1.3, 0.4)
-        assert all(v == 0.0 for v in f.W.partials().values())
+        assert all(v == 0.0 for v in f.W.c)
         with pytest.raises(DegenerateMetricError):
             tod.tod_metric(f)
 
@@ -214,6 +214,27 @@ class TestMetric:
             tod.tod_fields(rods, 0.0, 0.7)
         with pytest.raises(NutProximityError):
             tod.tod_fields(rods, 1e-7, 0.25)
+
+
+class TestJetMatrix:
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["one-point", "point-set"])
+    def test_stack_then_entry_gives_each_entry_back(self, shape):
+        # sixteen different entries, so that a transposed or shuffled
+        # stack shows; a constant keeps its scalar zeros, and -0.0 its sign
+        rng = np.random.default_rng(3)
+        rows = [[Jet2(2, [rng.standard_normal(shape) if shape else float(rng.standard_normal())
+                          for _ in range(6)]) for _ in range(4)] for _ in range(4)]
+        rows[2][3] = Jet2.const(-0.0, 2)
+        m = tod.JetMatrix.stack(("a", "b", "c", "d"), rows, (0.0, 0.0))
+        assert m.jet.order == 2
+        for a in range(4):
+            for b in range(4):
+                got, want = m.entry(a, b), rows[a][b]
+                assert got.order == want.order
+                for g, w in zip(got.c, want.c):
+                    assert np.shape(g) == shape
+                    assert [float(x).hex() for x in np.ravel(g)] == \
+                        [float(x).hex() for x in np.ravel(np.broadcast_to(w, shape))]
 
 
 class TestFundamentalForm:
@@ -256,7 +277,7 @@ class TestFundamentalForm:
                                   (skew_rods(), (2.0, 1.1))]:
             f = tod.tod_fields(rods, rho, zeta, order=3)
             om = tod.fundamental_form(f)
-            w_yr, w_yz = om.comp[1][2], om.comp[1][3]
+            w_yr, w_yz = om.entry(1, 2), om.entry(1, 3)
             left = w_yz.partial(1, 0) - w_yr.partial(0, 1)
             z = f.z
             right = (2.0 / z.value) * (
@@ -267,8 +288,8 @@ class TestFundamentalForm:
     def test_order_bookkeeping(self):
         f = tod.tod_fields(eh_rods(), 0.9, 0.3, order=4)
         om = tod.fundamental_form(f)
-        assert om.order == 3
-        assert tod.fundamental_form(f, order=2).order == 2
+        assert om.jet.order == 3
+        assert tod.fundamental_form(f, order=2).jet.order == 2
 
 
 class TestClosedFormBenchmark:
