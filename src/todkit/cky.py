@@ -241,12 +241,6 @@ def cky_decay_check(rods, radii, theta=1.0):
     st, ct = math.sin(theta), math.cos(theta)
     total = sum(float(a) for a in rods.weights)
     center = sum(float(a) * float(z) for a, z in zip(rods.weights, rods.zs)) / total
-    moment = 0.0
-    for i in range(len(rods.zs)):
-        for j in range(i + 1, len(rods.zs)):
-            gap = float(rods.zs[j]) - float(rods.zs[i])
-            pair = float(rods.weights[i]) * float(rods.weights[j]) * gap * gap
-            moment += pair * (float(rods.zs[i]) + float(rods.zs[j]) - 2.0 * center)
     # every radius in one pass, on the chart points rho = r^2 sin t / 4,
     # zeta = center + r^2 cos t / 4
     rr = np.multiply(radii, radii)
@@ -304,5 +298,11 @@ def cky_decay_check(rods, radii, theta=1.0):
         "radii": tuple(radii), "theta": theta, "k1": float(k1), "k2": float(k2),
         "deviations": tuple(devs), "relative_deviations": tuple(rels),
         "exponent": exponent, "degenerate": bool(degenerate), "norm_only": False,
-        "chart_limited": abs(moment) > 1e-12,
+        "chart_limited": chart_limited(rods),
     }
+
+
+def chart_limited(rods):
+    """Whether the centred third moment (RodData.pair_moments) is nonzero,
+    so that the polar chart is not the fast-rate chart."""
+    return abs(rods.pair_moments[1]) > 1e-12

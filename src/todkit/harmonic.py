@@ -191,6 +191,26 @@ class RodData:
                          tuple((float(z), float(a))
                                for z, a in zip(self.zs, self.weights)))
 
+    @cached_property
+    def pair_moments(self):
+        """(kappa, moment), the float pair sums of the far-field chart.
+
+        kappa = sum_{i<j} a_i a_j (z_j - z_i)^2, which is -c for the
+        standard asymptotic cone, and the centred third moment
+        sum_{i<j} a_i a_j (z_j - z_i)^2 (z_i + z_j - 2 zbar), zbar the
+        weighted nut centre.  kappa squares with the float power, which
+        raises OverflowError where a square overflows.
+        """
+        nuts = self.floats.nuts
+        center = sum(a * z for z, a in nuts) / sum(a for _, a in nuts)
+        kappa = moment = 0.0
+        for i, (z_i, a_i) in enumerate(nuts):
+            for z_j, a_j in nuts[i + 1:]:
+                gap = z_j - z_i
+                kappa += a_i * a_j * gap ** 2
+                moment += a_i * a_j * gap * gap * (z_i + z_j - 2.0 * center)
+        return kappa, moment
+
     @property
     def is_exact(self):
         return self.slack == 0
@@ -207,16 +227,25 @@ class RodData:
         one nut), and math.hypot measures the distance.  Point arrays
         raise at their first failing point in C order, with the message
         that point gives on its own.  Either coordinate may be a number
-        when the other is an array.
+        when the other is an array.  On arrays np.hypot screens the
+        points, and math.hypot decides only those near a ball: the two
+        are each within an ulp of the true distance (subnormals
+        included), and the screen's margin is wider than both errors.
         """
         rho_min = 1e-8 * self.scale
         r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
         if type(rho) is np.ndarray or type(zeta) is np.ndarray:
             # a number partners every point of an array
             rho, zeta = (x.astype(float, copy=False) for x in np.broadcast_arrays(rho, zeta))
-            bad = ~(rho > 0) | (rho < rho_min)
-            for z, _ in self.floats.nuts:
-                bad |= jets.libm(math.hypot, rho, zeta - z) < r_nut
+            zs = np.array([z for z, _ in self.floats.nuts]).reshape((-1,) + (1,) * rho.ndim)
+            with np.errstate(over="ignore"):
+                s = zeta - zs
+                near = np.hypot(rho, s) < r_nut * (1 + 2.0 ** -49) + 2.0 ** -1072
+            if near.any():
+                where = near.nonzero()
+                near[where] = jets.libm(math.hypot, np.broadcast_to(rho, s.shape)[where],
+                                        s[where]) < r_nut
+            bad = ~(rho > 0) | (rho < rho_min) | near.any(axis=0)
             if bad.any():
                 k = bad.argmax()
                 self.interior_check(float(rho.flat[k]), float(zeta.flat[k]))

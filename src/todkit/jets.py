@@ -17,16 +17,21 @@ propagation); an array is then a per-point scalar too.  The arrays may
 carry more axes, such as the leading nut axis of the per-nut jets in
 ``harmonic``: every operation is elementwise, and ``Jet2.at`` picks one
 entry (a point, or a gather of nuts) out of every coefficient.
-Elementwise ``+``, ``-``, ``*`` and ``/`` round exactly as the float
-operations do, so every entry gets the bits it would get alone.  numpy's
-vectorised ``log`` and ``power`` may differ from libm in the last bit
-depending on CPU features, so ``log`` and ``sqrt`` take their value term
-and the powers in its derivatives from ``libm``, the one place that calls
-a float function entry by entry over an array, and ``sin`` and ``cos``
-take their values there too; the rest of their derivative terms is array
-arithmetic.  A quotient, ``log`` or ``sqrt`` rejects the whole set if any
-entry has a zero divisor (a power that underflows to zero included) or a
-non-positive argument.  Where float
+Elementwise ``+``, ``-``, ``*``, ``/`` and ``np.sqrt`` round exactly as
+the float operations do (IEEE 754 requires a correctly rounded square
+root), so every entry gets the bits it would get alone, and ``sqrt``
+takes its value term from ``np.sqrt``.  numpy's vectorised ``log`` and
+``power`` may differ from libm in the last bit depending on CPU features,
+and ``x * x`` differs from ``pow(x, 2.0)`` on a few random inputs in ten
+thousand, so ``log`` takes its value term, and ``log`` and ``sqrt`` the
+powers ``v ** k`` with k >= 2 in their derivatives, from ``libm``, the one
+place that calls a float function entry by entry over an array; the first
+power is ``v`` itself, which ``pow(v, 1)`` is exactly.  ``sin`` and
+``cos`` take their values from ``libm`` too; the rest of their derivative
+terms is array arithmetic.  A quotient, ``log`` or ``sqrt`` rejects the
+whole set where a loop over its entries would first fail: at a zero
+divisor (a power that underflows to zero included) or a non-positive
+argument.  Where float
 arithmetic overflows silently to inf or NaN, numpy warns;
 ``tod.tod_fields``, ``harmonic.potentials`` and ``harmonic.ward_coords``
 evaluate under ``np.errstate`` to keep the float behaviour.  Keep the jet
@@ -373,9 +378,11 @@ def _divisor_power(x, k):
 
 
 def _powers(v, order):
-    """[v ** 1, ..., v ** order] with libm's bits, to divide by.
+    """[v ** 1, ..., v ** order] with libm's bits, to divide by; v is
+    positive (or NaN) at every entry.
 
-    A power that underflows to zero raises as the float division by it
+    The first power is v itself, since pow(v, 1) is v exactly.  A higher
+    power that underflows to zero raises as the float division by it
     does.  An entry's powers over- or underflow monotonically in k, so
     the top power, made first and checked entry by entry, raises the
     error of the first entry in C order that a loop over the entries
@@ -383,13 +390,19 @@ def _powers(v, order):
     """
     if order == 0:
         return []
+    if order == 1:
+        return [v]
     top = libm(_divisor_power, v, order)
-    return [libm(pow, v, k) for k in range(1, order)] + [top]
+    return [v] + [libm(pow, v, k) for k in range(2, order)] + [top]
 
 
 def _positive_value(func, jet):
-    """The value term, which must be positive: an array fails at its
-    first entry in C order with v <= 0 (NaN passes, as it does for a float)."""
+    """The value term, which must be positive.
+
+    An array fails where a loop over its entries in C order would: at
+    the first entry with v <= 0 (NaN passes, as it does for a float),
+    unless an earlier entry's powers up to the jet's order fail first.
+    """
     v = jet.value
     if type(v) is not np.ndarray:
         if v <= 0:
@@ -397,7 +410,9 @@ def _positive_value(func, jet):
     else:
         bad = v <= 0
         if bad.any():
-            raise DomainError(func, float(v.flat[bad.argmax()]))
+            k = bad.argmax()
+            _powers(v.ravel()[:k], jet.order)
+            raise DomainError(func, float(v.flat[k]))
     return v
 
 
@@ -410,7 +425,8 @@ def log(jet):
 
 def sqrt(jet):
     v = _positive_value("sqrt", jet)
-    s = libm(math.sqrt, v)
+    # IEEE 754 rounds sqrt correctly, so numpy's has libm's bits
+    s = np.sqrt(v, out=np.empty(v.shape)) if type(v) is np.ndarray else math.sqrt(v)
     d = [s]
     coef = 0.5
     for k, p in enumerate(_powers(v, jet.order), 1):

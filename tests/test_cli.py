@@ -1,5 +1,7 @@
 """Tests for rod-file ingestion, the verify suites, and report plumbing."""
 
+import argparse
+import importlib.util
 import itertools
 import json
 import math
@@ -670,3 +672,84 @@ class TestFieldsSuiteCost:
         cli.suite_fields(data, 0, cli.DEFAULT_TOLS,
                          cli._evaluate(data, 0, ["fields"])["fields"])
         assert sum(pairs) == 25 * 2
+
+
+CONE_TEXT = "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"
+MOMENT_TEXT = "nonzero centered third moment: polar chart is not the fast-rate chart"
+
+
+def standard_cone(doc):
+    """doc with c = -sum_{i<j} a_i a_j (z_j - z_i)^2, the standard cone."""
+    nuts = [(r["z"], r["a"]) for r in doc["rods"]]
+    c = -sum(a_i * a_j * (z_j - z_i) ** 2
+             for i, (z_i, a_i) in enumerate(nuts) for z_j, a_j in nuts[i + 1:])
+    return {**doc, "c": c}
+
+
+class TestDecayPreconditions:
+    @pytest.mark.parametrize("suite", ["cky", "all"])
+    @pytest.mark.parametrize("doc, calls, location", [
+        (SKEW_FILE_DOC, 0, CONE_TEXT),
+        (standard_cone(SKEW_FILE_DOC), 0, MOMENT_TEXT),
+        (sixteen_nut_doc(random.Random(7)), 0, MOMENT_TEXT),
+        (EH_DOC, 1, "r in [100, 10000]"),
+    ], ids=["skew", "skew-standard-cone", "sixteen-nut", "two-nut"])
+    def test_fit_runs_only_where_reported(self, tmp_path, capsys, monkeypatch, suite,
+                                          doc, calls, location):
+        path = write_rod_file(tmp_path, doc)
+        fits = []
+        fit = cli.cky.cky_decay_check
+        monkeypatch.setattr(cli.cky, "cky_decay_check",
+                            lambda *args: fits.append(args) or fit(*args))
+        _, out, _ = run(["verify", path, "--suite", suite], capsys)
+        entry = {ch["name"]: ch for ch in json.loads(out)["checks"]}["decay_exponent"]
+        assert len(fits) == calls
+        assert entry["location"] == location
+        assert (entry["status"] == "skip") == (calls == 0)
+        if location == MOMENT_TEXT:
+            # the fit that is no longer run would have said the same
+            data, _ = cli.load_rod_file(path)
+            assert fit(data, list(cli.DECAY_RADII))["chart_limited"]
+
+
+class TestParserReuse:
+    def decay_tolerance(self, args, capsys):
+        code, out, err = run(args, capsys)
+        assert (code, err) == (0, "")
+        return {ch["name"]: ch for ch in json.loads(out)["checks"]}["decay_exponent"]["tolerance"]
+
+    def test_tol_override_does_not_stay(self, tmp_path, capsys):
+        # the append action's default=[] belongs to the one parser, and
+        # must not collect the first call's override
+        path = write_rod_file(tmp_path, EH_DOC)
+        args = ["verify", path, "--suite", "cky"]
+        assert self.decay_tolerance(args + ["--tol", "decay_exponent=0.05"], capsys) == 0.05
+        assert self.decay_tolerance(args, capsys) == cli.DEFAULT_TOLS["decay_exponent"]
+
+    def test_bad_arguments_leave_no_state(self, tmp_path, capsys):
+        path = write_rod_file(tmp_path, EH_DOC)
+        good = ["verify", path, "--suite", "cky", "--seed", "1"]
+        want = run(good, capsys)
+        # the override is parsed before the bad seed ends the call
+        for bad in (["verify", path, "--tol", "decay_exponent=0.05", "--seed", "one"],
+                    ["verify", path, "--suite", "bogus"]):
+            with pytest.raises(SystemExit) as exit_:
+                cli.main(bad)
+            assert exit_.value.code == 2
+            capsys.readouterr()
+            assert run(good, capsys) == want
+
+    def test_one_parser_built_on_first_use(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                            lambda self, *args, **kwargs:
+                            built.append(self) or init(self, *args, **kwargs))
+        # a fresh copy of the module, so that this import is its first
+        spec = importlib.util.spec_from_file_location("todkit._fresh_cli", cli.__file__)
+        fresh = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(fresh)
+        assert built == []
+        parser = fresh.build_parser()
+        assert built and fresh.build_parser() is parser
+        assert cli.build_parser() is cli.build_parser()

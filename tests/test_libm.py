@@ -1,10 +1,11 @@
 """jets.libm: an array gets, entry by entry, the bits and the exceptions
-of the float calls."""
+of the float calls; so do the array paths that call it less."""
 
 from __future__ import annotations
 
 import math
 import operator
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from todkit import jets
+from todkit.errors import NutProximityError
+from todkit.harmonic import RodData
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=300,
                     phases=(Phase.explicit, Phase.generate, Phase.shrink))
@@ -97,3 +100,93 @@ def test_first_raising_entry(f, x, args, exc, message):
         jets.libm(f, np.array(x), *args)
     assert str(got.value) == message
 
+
+
+# ---------------------------------------------------------------------------
+# the array paths that call libm less: jets.sqrt takes np.sqrt's value,
+# the first power of jets.log and jets.sqrt is v itself, and
+# RodData.interior_check screens with np.hypot
+
+
+def assert_same_outcome(batch_call, point_calls):
+    """batch_call() raises what the first raising point call raises, or
+    returns what the point calls return, one per point."""
+    try:
+        want = [call() for call in point_calls]
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            batch_call()
+        assert str(got.value) == str(exc)
+        return None, None
+    return batch_call(), want
+
+
+@SETTINGS
+@given(st.sampled_from([jets.sqrt, jets.log]), st.integers(0, 4),
+       st.sampled_from([(), (1,), (4,), (2, 3)]), st.data())
+def test_log_sqrt_arrays_equal_the_float_jets(func, order, shape, data):
+    jet = jets.Jet2(order, [drawn_value(data, shape, None)
+                            for _ in range(len(jets._pairs(order)))])
+    points = list(np.ndindex(shape))
+
+    def batch_call():
+        # the float semantics the callers evaluate under
+        with np.errstate(over="ignore", invalid="ignore"):
+            return func(jet)
+
+    got, want = assert_same_outcome(batch_call, [lambda k=k: func(jet.at(k)) for k in points])
+    for k, point in zip(points, want or ()):
+        assert [float(c).hex() for c in got.at(k).c] == [float(c).hex() for c in point.c]
+
+
+def boundary_rods(scale):
+    """Two nuts at -+scale; the nut ball radius is then 2e-6 * scale."""
+    return RodData(c=-1.0, zs=(-scale, scale), weights=(0.5, 0.5))
+
+
+def boundary_point(rods, k, angle, nut):
+    """A point k ulps of the ball radius from a nut, in direction angle."""
+    r_nut = 1e-6 * rods.min_gap
+    d = r_nut + k * math.ulp(r_nut)
+    return d * math.cos(angle), rods.floats.nuts[nut][0] + d * math.sin(angle)
+
+
+SCALES = (1.0, 1e-310, 1e307)   # unit, subnormal ball radius, near overflow
+ANGLES = (0.0, 0.3, -0.7, 1.2, -1.5)
+# coordinates near the float range's end: the distances overflow
+FAR = ((1.7e308, 1.7e308), (1.7e308, -1.7e308), (1e-300, 1.7e308), (1e308, 0.0))
+
+
+def interior_outcome(rods, points):
+    """The array call agrees with the point loop, and numpy stays silent."""
+    rho, zeta = (np.array(x) for x in zip(*points))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert_same_outcome(lambda: rods.interior_check(rho, zeta),
+                            [lambda p=p: rods.interior_check(*p) for p in points])
+    assert caught == []
+
+
+@SETTINGS
+@given(st.sampled_from(SCALES), st.data())
+def test_interior_check_arrays_equal_the_point_loop(scale, data):
+    rods = boundary_rods(scale)
+    near = st.builds(lambda k, angle, nut: boundary_point(rods, k, angle, nut),
+                     st.integers(-8, 8), st.sampled_from(ANGLES), st.integers(0, 1))
+    points = data.draw(st.lists(st.one_of(near, st.sampled_from(FAR)), min_size=1, max_size=6))
+    interior_outcome(rods, points)
+
+
+@pytest.mark.parametrize("scale", SCALES)
+@pytest.mark.parametrize("k", [0, 1, 2, 4])
+def test_point_just_outside_a_ball_does_not_hide_a_later_one(scale, k):
+    # a point a few ulps outside the ball passes, whatever the np.hypot
+    # screen says of it; the next point, inside, fails the array
+    rods = boundary_rods(scale)
+    outside, inside = boundary_point(rods, k, 0.0, 0), boundary_point(rods, -1, 0.0, 1)
+    rods.interior_check(*outside)
+    with pytest.raises(NutProximityError):
+        rods.interior_check(*inside)
+    interior_outcome(rods, [outside, inside])
+    with pytest.raises(NutProximityError):
+        rods.interior_check(*(np.array(x) for x in zip(outside, inside)))
