@@ -239,8 +239,7 @@ def cky_decay_check(rods, radii, theta=1.0):
     if not 0 < theta < math.pi:
         raise DomainError("cky_decay_check", theta, "polar angle must avoid the axis")
     st, ct = math.sin(theta), math.cos(theta)
-    total = sum(float(a) for a in rods.weights)
-    center = sum(float(a) * float(z) for a, z in zip(rods.weights, rods.zs)) / total
+    center = rods.nut_center
     # every radius in one pass, on the chart points rho = r^2 sin t / 4,
     # zeta = center + r^2 cos t / 4
     rr = np.multiply(radii, radii)
@@ -303,6 +302,6 @@ def cky_decay_check(rods, radii, theta=1.0):
 
 
 def chart_limited(rods):
-    """Whether the centred third moment (RodData.pair_moments) is nonzero,
+    """Whether the centred third moment (RodData.third_moment) is nonzero,
     so that the polar chart is not the fast-rate chart."""
-    return abs(rods.pair_moments[1]) > 1e-12
+    return abs(rods.third_moment) > 1e-12

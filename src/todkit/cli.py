@@ -20,7 +20,6 @@ so thread count cannot reorder any reduction.
 from __future__ import annotations
 
 import argparse
-import functools
 import hashlib
 import json
 import math
@@ -466,14 +465,16 @@ def _decay_entry(data, tols):
     """The two-form decay rate in the far field, or why it cannot be fitted.
 
     Both preconditions, the standard cone and a zero centred third
-    moment, are read off the rod data's pair sums first, so the fit
-    runs only where its exponent is reported.
+    moment (RodData.third_moment), are tested first, so the fit runs
+    only where its exponent is reported.
     """
     name = "decay_exponent"
     if data.n == 1:
         return _skip(name, "single-nut norm check only")
-    kappa, _ = data.pair_moments
-    if abs(data.floats.c + kappa) > 1e-9 * kappa:
+    c, _, nuts = data.floats
+    kappa = sum(a_i * a_j * (z_j - z_i) ** 2
+                for i, (z_i, a_i) in enumerate(nuts) for z_j, a_j in nuts[i + 1:])
+    if abs(c + kappa) > 1e-9 * kappa:
         return _skip(name, "needs c = -sum a_i a_j (z_j - z_i)^2 "
                            "(standard asymptotic cone)")
     if cky.chart_limited(data):
@@ -679,14 +680,7 @@ def cmd_pd_selfdual(args):
 # argument plumbing
 
 
-@functools.cache
 def build_parser():
-    """The todkit argument parser, built on the first call (the first
-    main, not the import) and reused by every later one.
-
-    set_defaults binds each subcommand to its cmd_* function at that
-    first build, so patching a cmd_* afterwards does not reach main.
-    """
     parser = argparse.ArgumentParser(
         prog="todkit",
         description="verification toolkit for toric half-flat instanton "

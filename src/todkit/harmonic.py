@@ -192,24 +192,23 @@ class RodData:
                                for z, a in zip(self.zs, self.weights)))
 
     @cached_property
-    def pair_moments(self):
-        """(kappa, moment), the float pair sums of the far-field chart.
-
-        kappa = sum_{i<j} a_i a_j (z_j - z_i)^2, which is -c for the
-        standard asymptotic cone, and the centred third moment
-        sum_{i<j} a_i a_j (z_j - z_i)^2 (z_i + z_j - 2 zbar), zbar the
-        weighted nut centre.  kappa squares with the float power, which
-        raises OverflowError where a square overflows.
-        """
+    def nut_center(self):
+        """The float weighted nut centre zbar = sum a_i z_i / sum a_i, where
+        the far-field polar chart is centred."""
         nuts = self.floats.nuts
-        center = sum(a * z for z, a in nuts) / sum(a for _, a in nuts)
-        kappa = moment = 0.0
+        return sum(a * z for z, a in nuts) / sum(a for _, a in nuts)
+
+    @cached_property
+    def third_moment(self):
+        """The float centred third moment of the nuts,
+        sum_{i<j} a_i a_j (z_j - z_i)^2 (z_i + z_j - 2 zbar)."""
+        nuts, center = self.floats.nuts, self.nut_center
+        moment = 0.0
         for i, (z_i, a_i) in enumerate(nuts):
             for z_j, a_j in nuts[i + 1:]:
                 gap = z_j - z_i
-                kappa += a_i * a_j * gap ** 2
                 moment += a_i * a_j * gap * gap * (z_i + z_j - 2.0 * center)
-        return kappa, moment
+        return moment
 
     @property
     def is_exact(self):

@@ -246,6 +246,18 @@ class TestDecay:
         assert rep["chart_limited"]
         assert rep["exponent"] > -1.0
 
+    @pytest.mark.parametrize("zs, weights", [
+        ((-1e154, 1e154), (0.5, 0.5)),
+        ((-1e154, 0.0, 2e154), (0.2, 0.5, 0.3)),
+    ], ids=["two-nut", "skew"])
+    def test_far_apart_nuts_give_a_report(self, zs, weights):
+        # the nut gaps square past the float range; the fit reads only
+        # the third moment, never the cone sum, so it still reports
+        rods = RodData(c=-1.0, zs=zs, weights=weights)
+        rep = cky.cky_decay_check(rods, [1e80, 1e81])
+        assert rep["chart_limited"] is cky.chart_limited(rods) is False
+        assert not rep["degenerate"]
+
     def test_single_nut_degenerate(self):
         rep = cky.cky_decay_check(
             RodData(c=-1.0, zs=(0.6,), weights=(1.0,)), RADII)

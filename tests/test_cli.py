@@ -1,7 +1,5 @@
 """Tests for rod-file ingestion, the verify suites, and report plumbing."""
 
-import argparse
-import importlib.util
 import itertools
 import json
 import math
@@ -711,45 +709,3 @@ class TestDecayPreconditions:
             data, _ = cli.load_rod_file(path)
             assert fit(data, list(cli.DECAY_RADII))["chart_limited"]
 
-
-class TestParserReuse:
-    def decay_tolerance(self, args, capsys):
-        code, out, err = run(args, capsys)
-        assert (code, err) == (0, "")
-        return {ch["name"]: ch for ch in json.loads(out)["checks"]}["decay_exponent"]["tolerance"]
-
-    def test_tol_override_does_not_stay(self, tmp_path, capsys):
-        # the append action's default=[] belongs to the one parser, and
-        # must not collect the first call's override
-        path = write_rod_file(tmp_path, EH_DOC)
-        args = ["verify", path, "--suite", "cky"]
-        assert self.decay_tolerance(args + ["--tol", "decay_exponent=0.05"], capsys) == 0.05
-        assert self.decay_tolerance(args, capsys) == cli.DEFAULT_TOLS["decay_exponent"]
-
-    def test_bad_arguments_leave_no_state(self, tmp_path, capsys):
-        path = write_rod_file(tmp_path, EH_DOC)
-        good = ["verify", path, "--suite", "cky", "--seed", "1"]
-        want = run(good, capsys)
-        # the override is parsed before the bad seed ends the call
-        for bad in (["verify", path, "--tol", "decay_exponent=0.05", "--seed", "one"],
-                    ["verify", path, "--suite", "bogus"]):
-            with pytest.raises(SystemExit) as exit_:
-                cli.main(bad)
-            assert exit_.value.code == 2
-            capsys.readouterr()
-            assert run(good, capsys) == want
-
-    def test_one_parser_built_on_first_use(self, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__",
-                            lambda self, *args, **kwargs:
-                            built.append(self) or init(self, *args, **kwargs))
-        # a fresh copy of the module, so that this import is its first
-        spec = importlib.util.spec_from_file_location("todkit._fresh_cli", cli.__file__)
-        fresh = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(fresh)
-        assert built == []
-        parser = fresh.build_parser()
-        assert built and fresh.build_parser() is parser
-        assert cli.build_parser() is cli.build_parser()
