@@ -333,7 +333,7 @@ def suite_fields(data, seed, tols, evaluation):
     killing_det = (np.abs(det - r * r) / (r * r)).tolist()
     om = tod.fundamental_form(fields, order=1).values()
     gi = np.linalg.inv(gv)
-    norm_sq = np.einsum("...ab,...cd,...ac,...bd->...", om, om, gi, gi).tolist()
+    norm_sq = curvature.norm_squared(gi, om).tolist()
     toda = harmonic.toda_residual(fields).tolist()
     v20, v10, v01, v02 = (V.partial(*p).tolist() for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
     h10, h01 = (H.partial(*p).tolist() for p in ((1, 0), (0, 1)))
@@ -435,9 +435,7 @@ def suite_cky(data, seed, tols, evaluation):
     pack = curvature.curvature_pack(cky.flat_metric(r, theta))
     Z = cky.flat_cky(params, r, theta, order=VERIFY_ORDER - 1)
     residual = curvature.cky_residual(pack, Z)[0].tolist()
-    Zv = Z.values()
-    norm_sq = np.einsum("...ab,...cd,...ac,...bd->...", Zv, Zv,
-                        pack.ginv, pack.ginv).tolist()
+    norm_sq = curvature.norm_squared(pack.ginv, Z.values()).tolist()
     want = cky.flat_norm_squared(params, r, theta).tolist()
     for k, (r_k, theta_k, k1) in enumerate(zip(r.tolist(), theta.tolist(),
                                                params.k1.tolist())):

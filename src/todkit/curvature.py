@@ -5,13 +5,16 @@ coordinates, one jet per matrix with (*points, 4, 4) coefficient arrays
 (order 2 for a metric); derivatives along the Killing directions are
 structurally zero, so arrays are padded accordingly.  The matrix may
 hold a point set: every array then carries the point axes in front, and
-one pass of the same einsums ("...ab" subscripts), stacked matrix
-products and batched LAPACK calls evaluates the whole set.  A single point is the same code with no point
-axis, and its scalars come back as floats.  Each point gets the bits of
-its own evaluation: the one contraction where numpy's einsum rounds
-differently once a point axis is added (the trace in cky_residual) is
-summed in a fixed order instead.  A point set that fails raises the
-exception and message of its first failing point.
+one pass evaluates the whole set: two-operand einsums ("...ab"
+subscripts) for the curvature contractions, broadcasts and transposed
+views where nothing is summed, stacked matrix products for the tensor
+norms (norm_squared raises one index per product) and batched LAPACK
+calls.  A single point is the same code with no point axis, and its
+scalars come back as floats.  Each point gets the bits of its own
+evaluation: the one contraction where numpy's einsum rounds differently
+once a point axis is added (the trace in cky_residual) is summed in a
+fixed order instead.  A point set that fails raises the exception and
+message of its first failing point.
 
 Conventions: R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + ..., Ricci is
 the (a, bad) trace, the scalar Laplacian is minus the metric trace of
@@ -65,6 +68,24 @@ def _pad_first(arr):
     return out
 
 
+def _transpose(T, src, dst):
+    """The view einsum("..." + src + "->..." + dst, T) names: the
+    trailing index axes of T reordered, no copy."""
+    lead = T.ndim - len(src)
+    return T.transpose(tuple(range(lead)) + tuple(lead + src.index(i) for i in dst))
+
+
+def _outer(A, a, B, b):
+    """The outer product einsum("..." + a + ",..." + b + "->..." + out, A, B)
+    with out the letters of a and b in order, each of a and b in that order
+    too.  Each entry is one product, so the broadcast has einsum's bits,
+    except that a zero product keeps its sign, which einsum's zero start
+    drops."""
+    out = "".join(sorted(a + b))
+    return (A[(...,) + tuple(slice(None) if i in a else None for i in out)]
+            * B[(...,) + tuple(slice(None) if i in b else None for i in out)])
+
+
 def curvature_pack(metric):
     """Riemann, Ricci, scalar and Weyl at the base points of a metric jet.
 
@@ -88,20 +109,19 @@ def curvature_pack(metric):
     ddg[..., 2:, 2:, :, :] = metric.d2()
     dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
 
-    christoffel = (dg + np.einsum("...cdb->...bdc", dg)
-                   - np.einsum("...dbc->...bdc", dg))
+    christoffel = dg + _transpose(dg, "cdb", "bdc") - _transpose(dg, "dbc", "bdc")
     gamma = 0.5 * np.einsum("...ad,...bdc->...abc", ginv, christoffel)
     # the rank-4 arrays are summed in place, in the order of the written
     # sums, so that fewer of them are alive at once over a point set
-    sym = ddg + np.einsum("...ecdb->...ebdc", ddg)
-    sym -= np.einsum("...edbc->...ebdc", ddg)
+    sym = ddg + _transpose(ddg, "ecdb", "ebdc")
+    sym -= _transpose(ddg, "edbc", "ebdc")
     del ddg
     dgamma = np.einsum("...ead,...bdc->...eabc", dginv, christoffel)
     dgamma += np.einsum("...ad,...ebdc->...eabc", ginv, sym)
     dgamma *= 0.5
     del sym
 
-    riem_up = np.einsum("...cadb->...abcd", dgamma) - np.einsum("...dacb->...abcd", dgamma)
+    riem_up = _transpose(dgamma, "cadb", "abcd") - _transpose(dgamma, "dacb", "abcd")
     del dgamma
     riem_up += np.einsum("...ace,...edb->...abcd", gamma, gamma)
     riem_up -= np.einsum("...ade,...ecb->...abcd", gamma, gamma)
@@ -111,17 +131,17 @@ def curvature_pack(metric):
     scalar = np.einsum("...bd,...bd->...", ginv, ricci)
 
     # riemann - (g ricci terms) / 2 + (scalar / 6) (g g terms)
-    trace = np.einsum("...ac,...bd->...abcd", g, ricci)
-    trace -= np.einsum("...ad,...bc->...abcd", g, ricci)
-    trace += np.einsum("...bd,...ac->...abcd", g, ricci)
-    trace -= np.einsum("...bc,...ad->...abcd", g, ricci)
+    trace = _outer(g, "ac", ricci, "bd")
+    trace -= _outer(g, "ad", ricci, "bc")
+    trace += _outer(g, "bd", ricci, "ac")
+    trace -= _outer(g, "bc", ricci, "ad")
     trace *= 0.5
     # in C order, the layout the written sum gave: einsum's summation
     # order over weyl (in the norms and the split) follows its layout
     weyl = np.subtract(riemann, trace, order="C")
     del trace
-    gg = np.einsum("...ac,...bd->...abcd", g, g)
-    gg -= np.einsum("...ad,...bc->...abcd", g, g)
+    gg = _outer(g, "ac", g, "bd")
+    gg -= _outer(g, "ad", g, "bc")
     gg *= (scalar / 6.0)[..., None, None, None, None]
     weyl += gg
     return CurvaturePack(
@@ -141,33 +161,46 @@ def curvature_pack(metric):
 
 
 def _raise_all(gi, T):
-    """T^abcd = g^ae g^bf g^cg g^dh T_efgh, one index at a time.
+    """T with every index raised by the inverse metric gi, one index at
+    a time: T^abc = g^ad g^be g^cf T_def for rank 3, and so on.
 
     Each pass is one matrix product per point that raises the leading
-    index, which the transpose then moves to the back; four passes
-    restore the order.
+    index, which the transpose then moves to the back; one pass per
+    index restores the order.  Each point gets the bits of its own call.
     """
-    lead = gi.shape[:-2]
+    rank = T.ndim - (gi.ndim - 2)
+    flat = gi.shape[:-2] + (4, 4 ** (rank - 1))
     up = T
-    for _ in range(4):
-        up = np.moveaxis((gi @ up.reshape(lead + (4, 64))).reshape(lead + (4, 4, 4, 4)),
-                         -4, -1)
+    for _ in range(rank):
+        up = np.moveaxis((gi @ up.reshape(flat)).reshape(T.shape), -rank, -1)
     return up
+
+
+def norm_squared(gi, T):
+    """T^ab.. T_ab.., every index of the covariant tensor T raised by the
+    inverse metric gi, per point: a float64 array over a point set, a
+    numpy float at one point.
+
+    The raised tensor times T is summed over the index axes in C order
+    (numpy's pairwise sum).  As for any sum, the rounding error is a few
+    ulps of the sum of the absolute terms (Higham 2002, ch. 3), which is
+    many ulps of the norm where the coordinate terms cancel.
+    """
+    rank = T.ndim - (gi.ndim - 2)
+    return np.multiply(_raise_all(gi, T), T, order="C").sum(axis=tuple(range(-rank, 0)))
 
 
 def invariant_norms(pack):
     """Frobenius norms of Riemann, Ricci and Weyl with indices raised."""
     gi = pack.ginv
 
-    def norm4(T):
-        up = _raise_all(gi, T)
-        return _float(np.sqrt(np.abs(np.einsum("...abcd,...abcd->...", up, T))))
+    def norm(T):
+        return _float(np.sqrt(np.abs(norm_squared(gi, T))))
 
-    ric2 = np.einsum("...ae,...bf,...ef,...ab->...", gi, gi, pack.ricci, pack.ricci)
     return {
-        "riemann": norm4(pack.riemann),
-        "weyl": norm4(pack.weyl),
-        "ricci": _float(np.sqrt(np.abs(ric2))),
+        "riemann": norm(pack.riemann),
+        "weyl": norm(pack.weyl),
+        "ricci": norm(pack.ricci),
         "scalar": abs(pack.scalar),
     }
 
@@ -298,8 +331,8 @@ def cky_residual(pack, form):
     """
     g, gi = pack.g, pack.ginv
     covd = covariant_two_form_derivative(pack, form)
-    asym = (covd + np.einsum("...bca->...abc", covd)
-            + np.einsum("...cab->...abc", covd)) / 3.0
+    asym = (covd + _transpose(covd, "bca", "abc")
+            + _transpose(covd, "cab", "abc")) / 3.0
     # xi_low = g^bc nabla_c Z_ab / 3 in one fixed order, the order of the
     # no-batch einsum: for each b the c terms from 0.0, then the b sums
     # from 0.0.  Given a point axis, einsum picks another inner loop for
@@ -312,14 +345,8 @@ def cky_residual(pack, form):
             part = part + terms[..., b, c, :]
         xi_low = xi_low + part
     xi_low = xi_low / 3.0
-    L = (
-        covd
-        - asym
-        + np.einsum("...ab,...c->...abc", g, xi_low)
-        - np.einsum("...ac,...b->...abc", g, xi_low)
-    )
-    n2 = np.einsum("...ad,...be,...cf,...abc,...def->...", gi, gi, gi, L, L)
-    return _float(np.sqrt(np.abs(n2))), _apply(gi, xi_low)
+    L = covd - asym + _outer(g, "ab", xi_low, "c") - _outer(g, "ac", xi_low, "b")
+    return _float(np.sqrt(np.abs(norm_squared(gi, L)))), _apply(gi, xi_low)
 
 
 def killing_residual(pack, xi_up):
@@ -334,5 +361,4 @@ def killing_residual(pack, xi_up):
     dxi = np.einsum("...abc,...c->...ab", pack.dg, xi_up)
     K = (0.5 * (dxi + np.swapaxes(dxi, -1, -2))
          - np.einsum("...cab,...c->...ab", pack.gamma, xi_low))
-    n2 = np.einsum("...ac,...bd,...ab,...cd->...", pack.ginv, pack.ginv, K, K)
-    return _float(np.sqrt(np.abs(n2)))
+    return _float(np.sqrt(np.abs(norm_squared(pack.ginv, K))))

@@ -67,7 +67,7 @@ def suite_fields(data, seed, tols, evaluation):
         scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
         om = tod.fundamental_form(f, order=1).values()
         gi = np.linalg.inv(gv)
-        norm_sq = float(np.einsum("ab,cd,ac,bd->", om, om, gi, gi))
+        norm_sq = float(curvature.norm_squared(gi, om))
         worst.push(
             loc,
             killing_det=abs(det - rho * rho) / (rho * rho),
@@ -128,9 +128,7 @@ def suite_cky(data, seed, tols, evaluation):
         pack = curvature.curvature_pack(cky.flat_metric(r, theta))
         Z = cky.flat_cky(params, r, theta)
         residual, _ = curvature.cky_residual(pack, Z)
-        Zv = Z.values()
-        norm_sq = float(np.einsum("ab,cd,ac,bd->", Zv, Zv,
-                                  pack.ginv, pack.ginv))
+        norm_sq = float(curvature.norm_squared(pack.ginv, Z.values()))
         want = cky.flat_norm_squared(params, r, theta)
         flat.push(f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}",
                   flat_family_residual=residual,

@@ -10,6 +10,7 @@ from identities import hodge_star
 from todkit import cky
 from todkit import curvature as cv
 from todkit import tod
+from todkit.cky import FlatCkyParams
 from todkit.errors import SignatureError
 from todkit.harmonic import RodData
 from todkit.jets import Jet2
@@ -223,15 +224,27 @@ class TestConformalKillingYano:
         assert res_sq > 1e-2
 
 
+# the many-operand einsums that the staged norms replaced
+REMOVED = {
+    "cky_residual": lambda gi, L: np.einsum("...ad,...be,...cf,...abc,...def->...",
+                                            gi, gi, gi, L, L),
+    "killing_residual": lambda gi, K: np.einsum("...ac,...bd,...ab,...cd->...",
+                                                gi, gi, K, K),
+    "ricci": lambda gi, R: np.einsum("...ae,...bf,...ef,...ab->...", gi, gi, R, R),
+    "two_form": lambda gi, Z: np.einsum("...ab,...cd,...ac,...bd->...", Z, Z, gi, gi),
+}
+
+
 def einsum_norms(pack):
-    """Reference: the one-call five-operand contractions for the norms."""
+    """Reference: the one-call contractions for the norms."""
     gi = pack.ginv
 
     def norm4(T):
         up = np.einsum("ae,bf,cg,dh,efgh->abcd", gi, gi, gi, gi, T)
         return float(np.sqrt(abs(np.einsum("abcd,abcd->", up, T))))
 
-    return {"riemann": norm4(pack.riemann), "weyl": norm4(pack.weyl)}
+    return {"riemann": norm4(pack.riemann), "weyl": norm4(pack.weyl),
+            "ricci": math.sqrt(abs(REMOVED["ricci"](gi, pack.ricci)))}
 
 
 def einsum_blocks(pack):
@@ -242,16 +255,27 @@ def einsum_blocks(pack):
             for basis in cv.dual_bases(pack)]
 
 
+def tod_case(rods, rho, zeta):
+    f = tod.tod_fields(rods, rho, zeta, order=4)
+    return cv.curvature_pack(tod.tod_metric(f)), cky_candidate(f)
+
+
+def flat_case(r, theta):
+    return (cv.curvature_pack(cky.flat_metric(r, theta)),
+            cky.flat_cky(FlatCkyParams(k1=0.6, k2=0.8), r, theta))
+
+
+CASES = {"eh": lambda: tod_case(eh_rods(), 0.9, 0.3),
+         "skew": lambda: tod_case(skew_rods(), 0.7, -0.4),
+         "flat": lambda: flat_case(1.3, 0.7)}
+
+
 class TestContractionChains:
     """The pairwise contraction chains agree with the single einsum calls."""
 
-    @pytest.mark.parametrize("make", [
-        lambda: tod_pack(eh_rods(), 0.9, 0.3),
-        lambda: tod_pack(skew_rods(), 0.7, -0.4),
-        lambda: cv.curvature_pack(cky.flat_metric(1.3, 0.7)),
-    ], ids=["eh", "skew", "flat"])
+    @pytest.mark.parametrize("make", list(CASES.values()), ids=list(CASES))
     def test_matches_einsum(self, make):
-        pack = make()
+        pack, _ = make()
         norms = cv.invariant_norms(pack)
         for key, want in einsum_norms(pack).items():
             assert abs(norms[key] - want) <= 1e-13 * want
@@ -262,3 +286,25 @@ class TestContractionChains:
         scale = max(np.max(np.abs(plus)), np.max(np.abs(minus)))
         assert np.max(np.abs(split.m_plus - plus)) <= 1e-13 * scale
         assert np.max(np.abs(split.m_minus - minus)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("make", list(CASES.values()), ids=list(CASES))
+    def test_residual_norms_match_einsum(self, make, monkeypatch):
+        pack, form = make()
+        staged, seen = cv.norm_squared, []
+
+        def spy(gi, T):
+            seen.append(T)
+            return staged(gi, T)
+
+        # the residual tensors the two functions build, read off their norm
+        monkeypatch.setattr(cv, "norm_squared", spy)
+        residual, xi = cv.cky_residual(pack, form)
+        killing = cv.killing_residual(pack, xi)
+        L, K = seen
+        gi = pack.ginv
+        for got, want in ((residual, REMOVED["cky_residual"](gi, L)),
+                          (killing, REMOVED["killing_residual"](gi, K))):
+            assert abs(got - math.sqrt(abs(want))) <= 1e-13 * math.sqrt(abs(want))
+        Z = form.values()
+        want = REMOVED["two_form"](gi, Z)
+        assert abs(staged(gi, Z) - want) <= 1e-13 * abs(want)

@@ -1,8 +1,8 @@
 """Property test: the curvature layer on a point set against each point alone.
 
 ``curvature_pack``, ``invariant_norms``, ``weyl_split``,
-``scalar_laplacian``, ``cky_residual`` and ``killing_residual`` take a
-leading point axis; a single point is the same code with no point axis.
+``scalar_laplacian``, ``cky_residual``, ``killing_residual`` and
+``norm_squared`` take a leading point axis; a single point is the same code with no point axis.
 On random rod data and point sets, and on random members of the flat
 family, every array entry and float must carry the bits of that point's
 own call.  A set with one bad point raises that point's own exception.
@@ -52,7 +52,8 @@ def _layer(pack, omega, form):
                 "split.lam": split.lam,
                 "laplacian": curvature.scalar_laplacian(pack, omega),
                 "cky_residual": residual, "xi": xi,
-                "killing_residual": curvature.killing_residual(pack, xi)})
+                "killing_residual": curvature.killing_residual(pack, xi),
+                "two_form_norm": curvature.norm_squared(pack.ginv, form.values())})
     return out
 
 
