@@ -206,71 +206,41 @@ def _point_set_fields(data, points, order):
 
 
 class _Evaluation(NamedTuple):
-    """A suite's share of a verify run's one evaluation: its sampled
-    points, their fields and the metric or curvature pack it reads."""
+    """A verify run's one evaluation, which every suite reads: the
+    sampled points, their fields and metric, and their curvature pack
+    (None when neither the curvature nor the cky suite runs)."""
 
     points: list
     fields: tod.TodFields
-    metric: tod.JetMatrix = None
-    pack: curvature.CurvaturePack = None
+    metric: tod.JetMatrix
+    pack: curvature.CurvaturePack
 
 
 def _flat_draws(rng):
     """The (angle, r, theta) draws of the cky suite's eight flat-family
-    members; its candidate points are sampled after them."""
+    members, off their own default_rng(seed) stream."""
     return [(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.4, 3.0)),
              float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
 
 
 def _evaluate(data, seed, names):
-    """The points of the selected fields, curvature and cky suites,
-    evaluated once.
+    """The one point set of a verify run, evaluated once.
 
-    The fields suite's 25 points come from the seed, and the curvature
-    suite's 20 are their first 20, the same draws.  The cky suite's 12
-    come after its flat draws, which take 24 numbers off the same stream,
-    as 12 sampler attempts do: its attempts are the fields suite's from
-    the 13th on, so its points are fields points too.  One tod_fields and
-    one tod_metric at VERIFY_ORDER run over the distinct points, and one
-    curvature_pack over the distinct curvature and cky points.  Returns
-    {suite: _Evaluation}, each suite's points taken out, with the bits of
-    a pass over its points alone: a point's jets do not depend on the
-    other points of its set.  Single-nut data and the rods suite sample
-    no points: {}.
+    25 points come from the seed, and the fields, curvature and cky
+    suites all read them.  One tod_fields and one tod_metric at
+    VERIFY_ORDER run over the set, and one curvature_pack when the
+    curvature or cky suite is selected.  Returns the _Evaluation, or
+    None on single-nut data and for the rods suite alone, which sample
+    no points.
     """
-    if data.n == 1:
-        return {}
-    points = {}
-    if "fields" in names or "curvature" in names:
-        first = sample_interior(data, 25 if "fields" in names else 20,
-                                np.random.default_rng(seed))
-        points = {name: first[:count] for name, count in (("fields", 25), ("curvature", 20))
-                  if name in names}
-    if "cky" in names:
-        rng = np.random.default_rng(seed)
-        _flat_draws(rng)
-        points["cky"] = sample_interior(data, 12, rng)
-    if not points:
-        return {}
-    union = list(dict.fromkeys(p for pts in points.values() for p in pts))
-    where = {p: k for k, p in enumerate(union)}
-    fields = _point_set_fields(data, union, VERIFY_ORDER)
+    if data.n == 1 or names == ["rods"]:
+        return None
+    points = sample_interior(data, 25, np.random.default_rng(seed))
+    fields = _point_set_fields(data, points, VERIFY_ORDER)
     metric = tod.tod_metric(fields)
-    # sorted, so that searchsorted finds a point's row
-    curved = np.array(sorted({where[p] for name in ("curvature", "cky")
-                              for p in points.get(name, ())}), dtype=int)
-    if curved.size:
-        pack = curvature.curvature_pack(metric.take(curved))
-    # index arrays take copies, so that the union is freed on return and
-    # each suite's share once that suite is done
-    shares = {}
-    for name, pts in points.items():
-        index = np.array([where[p] for p in pts])
-        share = fields.take(index)
-        shares[name] = (_Evaluation(pts, share, metric=metric.take(index))
-                        if name == "fields" else
-                        _Evaluation(pts, share, pack=pack.take(np.searchsorted(curved, index))))
-    return shares
+    pack = (curvature.curvature_pack(metric)
+            if "curvature" in names or "cky" in names else None)
+    return _Evaluation(points, fields, metric, pack)
 
 
 class _Worst:
@@ -305,9 +275,9 @@ SINGLE_NUT = "degenerate single-nut data"
 # suites
 
 
-# Each suite takes the rod data, the seed, the tolerances and its
-# _Evaluation from _evaluate, which is None for the rods suite and on
-# single-nut data: the suites that sample points only read them.
+# Each suite takes the rod data, the seed, the tolerances and the run's
+# _Evaluation from _evaluate, which is None for the rods suite alone and
+# on single-nut data: the suites that sample points only read it.
 
 
 def suite_fields(data, seed, tols, evaluation):
@@ -498,21 +468,26 @@ SUITES = {
 
 
 def _parse_range(text, fallback):
+    """(lo, hi) from text "lo:hi", or the fallback when text is None; both
+    must be finite and increasing."""
     if text is None:
-        return fallback
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise RodDataError(f"range must be lo:hi, got {text!r}")
-    try:
-        lo, hi = float(parts[0]), float(parts[1])
-    except ValueError:
-        raise RodDataError(f"range must hold numbers, got {text!r}")
+        lo, hi = fallback
+        shown = f"{lo!r}:{hi!r} (the default for this rod data)"
+    else:
+        shown = repr(text)
+        parts = text.split(":")
+        if len(parts) != 2:
+            raise RodDataError(f"range must be lo:hi, got {shown}")
+        try:
+            lo, hi = float(parts[0]), float(parts[1])
+        except ValueError:
+            raise RodDataError(f"range must hold numbers, got {shown}")
     if not math.isfinite(hi - lo):
         # also catches a width beyond the float range, which np.linspace
         # would turn into NaN grid points
-        raise RodDataError(f"range must be finite, got {text!r}")
+        raise RodDataError(f"range must be finite, got {shown}")
     if not lo < hi:
-        raise RodDataError(f"range must be increasing, got {text!r}")
+        raise RodDataError(f"range must be increasing, got {shown}")
     return lo, hi
 
 
@@ -572,11 +547,10 @@ def cmd_verify(args):
     # the float semantics of the layers: an overflow reads inf or NaN in
     # the checks, as it would for one float, and numpy does not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        evaluations = _evaluate(data, args.seed, names)
+        evaluation = _evaluate(data, args.seed, names)
         checks = []
         for name in names:
-            # popped, so that a suite's share is freed once the suite is done
-            checks.extend(SUITES[name](data, args.seed, tols, evaluations.pop(name, None)))
+            checks.extend(SUITES[name](data, args.seed, tols, evaluation))
     summary = {"pass": 0, "fail": 0, "skip": 0}
     for entry in checks:
         summary[entry["status"]] += 1

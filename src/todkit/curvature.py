@@ -25,7 +25,7 @@ chart independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,14 +45,6 @@ class CurvaturePack:
     scalar: float
     weyl: np.ndarray
     sqrtg: float
-
-    def take(self, index):
-        """The pack at the points index picks from a one-dimensional point
-        set: bit for bit the pack of those points' own metric."""
-        return replace(self, base=tuple(p[index] for p in self.base),
-                       **{name: getattr(self, name)[index] for name in (
-                           "g", "ginv", "dg", "gamma", "riemann", "ricci",
-                           "scalar", "weyl", "sqrtg")})
 
 
 def _float(x):

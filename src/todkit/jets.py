@@ -274,10 +274,8 @@ class Jet2:
             return _jet(self.order, _KERNELS[self.order][0](self.c, other.c))
         if type(other) is float or isinstance(other, _SCALARS):
             return _jet(self.order, [a * other for a in self.c])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _jet(self.order, _KERNELS[self.order][0](self.c, o))
+        self._coerce(other)  # raises on a jet of another order
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -289,10 +287,8 @@ class Jet2:
                 # a float coefficient list raises here; numpy would warn
                 raise ZeroDivisionError("float division by zero")
             return _jet(self.order, [a / other for a in self.c])
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return _jet(self.order, _quotient(self.order, self.c, o))
+        self._coerce(other)  # raises on a jet of another order
+        return NotImplemented
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -435,16 +431,20 @@ def sqrt(jet):
     return compose(jet, d)
 
 
-def sin(jet):
+def _sine(jet, shift):
+    """The jet of sin (shift 0) or cos (shift 1): the k-th derivative of
+    sin is cycle[k % 4], and cos's is sin's one step on."""
     s, c = libm(math.sin, jet.value), libm(math.cos, jet.value)
     cycle = [s, c, -s, -c]
-    return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
+    return compose(jet, [cycle[(k + shift) % 4] for k in range(jet.order + 1)])
+
+
+def sin(jet):
+    return _sine(jet, 0)
 
 
 def cos(jet):
-    s, c = libm(math.sin, jet.value), libm(math.cos, jet.value)
-    cycle = [c, -s, -c, s]
-    return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
+    return _sine(jet, 1)
 
 
 # ---------------------------------------------------------------------------

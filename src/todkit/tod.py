@@ -65,18 +65,6 @@ class TodFields:
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
 
-    def take(self, index):
-        """The fields at the points index picks from a one-dimensional
-        point set: bit for bit the fields of those points' own call."""
-        # the per-nut terms hold the point axis behind the nut axis, and
-        # the weight column a broadcasts over it
-        a, s, artanh, R = self.terms
-        nut = (slice(None), index)
-        return TodFields(W=self.W.at(index), e2nu=self.e2nu.at(index),
-                         F=self.F.at(index), z=self.z.at(index), x=self.x.at(index),
-                         rods=self.rods, point=tuple(p[index] for p in self.point),
-                         terms=(a, s.at(nut), artanh.at(nut), R.at(nut)))
-
 
 @dataclass(frozen=True)
 class JetMatrix:
@@ -120,12 +108,6 @@ class JetMatrix:
     def entry(self, a, b):
         """The jet of entry (a, b)."""
         return self.jet.at((..., a, b))
-
-    def take(self, index):
-        """The matrix at the points index picks from a one-dimensional
-        point set."""
-        return JetMatrix(self.coords, self.jet.at(index),
-                         tuple(p[index] for p in self.base), self.orientation)
 
     def values(self):
         """Values, shape (*points, 4, 4)."""

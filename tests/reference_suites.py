@@ -2,14 +2,14 @@
 
 Reference for the ``fields``, ``curvature`` and ``cky`` suites of
 ``todkit.cli``, which read the metric, the curvature, the Weyl split and
-the Killing-Yano residuals of all their sampled points from one array
-pass, ``cli._evaluate``.  Here every point is read out of the point-set
-fields on its own (``fields_at``) and goes through the layer functions
-alone, one after the other, as the suites did before they took a point
-axis; the reports of the two must agree byte for byte.  Each suite takes
-the evaluation argument of ``cli.SUITES`` and ignores it: it samples and
-evaluates its own points, and the tests that run it replace
-``cli._evaluate`` by one that evaluates nothing.
+the Killing-Yano residuals of one point set, the 25 points of the seed,
+from one array pass, ``cli._evaluate``.  Here every suite samples those
+25 points itself, every point is read out of the point-set fields on its
+own (``fields_at``) and goes through the layer functions alone, one
+after the other, as the suites did before they took a point axis; the
+reports of the two must agree byte for byte.  Each suite takes the
+evaluation argument of ``cli.SUITES`` and ignores it, and the tests that
+run it replace ``cli._evaluate`` by one that evaluates nothing.
 ``frame_components`` is the matching one-radius reference for
 ``cky._frame_components``.
 """
@@ -91,7 +91,7 @@ def suite_curvature(data, seed, tols, evaluation):
         return worst.skips(SINGLE_NUT)
     rng = np.random.default_rng(seed)
     c = float(data.c)
-    points = sample_interior(data, 20, rng)
+    points = sample_interior(data, 25, rng)
     fields = _point_set_fields(data, points, 4)
     for k, (rho, zeta) in enumerate(points):
         loc = _loc(rho, zeta)
@@ -138,7 +138,7 @@ def suite_cky(data, seed, tols, evaluation):
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
         return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
-    points = sample_interior(data, 12, rng)
+    points = sample_interior(data, 25, np.random.default_rng(seed))
     fields = _point_set_fields(data, points, 3)
     for k, (rho, zeta) in enumerate(points):
         f = fields_at(fields, k)

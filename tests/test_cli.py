@@ -29,6 +29,8 @@ def write_rod_file(tmp_path, doc, name="rods.json"):
 
 SINGLE_NUT_DOC = {"c": "-1/4", "rods": [{"z": "0", "a": "1"}]}
 
+WIDE_DOC = {"c": -1, "rods": [{"z": -1e308, "a": 0.5}, {"z": 1e308, "a": 0.5}]}
+
 
 def rod_doc(data):
     return {"c": data.c,
@@ -199,10 +201,13 @@ class TestInputErrors:
         ["verify", "ROD", "--tol", "ricci_ratio=nan"],
         ["verify", "ROD", "--tol", "ricci_ratio=inf"],
         ["verify", "ROD", "--tol", "ricci_ratio=-1e-7"],
+        # finite rod data whose default build window is wider than a float
+        ["build", "WIDE"],
     ])
     def test_exit_two(self, tmp_path, capsys, args):
-        path = write_rod_file(tmp_path, EH_DOC)
-        argv = [path if a == "ROD" else a for a in args]
+        paths = {"ROD": write_rod_file(tmp_path, EH_DOC),
+                 "WIDE": write_rod_file(tmp_path, WIDE_DOC, "wide.json")}
+        argv = [paths.get(a, a) for a in args]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(argv, capsys)
@@ -667,8 +672,7 @@ class TestFieldsSuiteCost:
         halflog = cli.harmonic._halflog_ratio
         monkeypatch.setattr(cli.harmonic, "_halflog_ratio",
                             lambda *args: pairs.append(np.size(args[2])) or halflog(*args))
-        cli.suite_fields(data, 0, cli.DEFAULT_TOLS,
-                         cli._evaluate(data, 0, ["fields"])["fields"])
+        cli.suite_fields(data, 0, cli.DEFAULT_TOLS, cli._evaluate(data, 0, ["fields"]))
         assert sum(pairs) == 25 * 2
 
 

@@ -37,7 +37,7 @@ def test_report_matches_reference(tmp_path, capsys, monkeypatch, doc, suite, see
     argv = ["verify", path, "--suite", suite, "--seed", str(seed)]
     got = run(argv, capsys)
     # the reference samples and evaluates its own points, so the pass is skipped
-    monkeypatch.setattr(cli, "_evaluate", lambda *args: {})
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: None)
     for name, reference in reference_suites.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, reference)
     assert got == run(argv, capsys)

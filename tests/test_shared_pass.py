@@ -1,10 +1,10 @@
 """The one evaluation pass of ``verify`` against the suite-by-suite reference.
 
-Every ``verify`` run samples the points of its fields, curvature and cky
-suites first and evaluates the distinct points in one pass, whose shares
-the suites read.  On the extreme-scale files, the report (stdout, stderr,
-exit code and report file) must be the one of ``reference_suites``,
-whose suites sample and evaluate their own points at orders 3 and 4; the
+Every ``verify`` run samples one point set, the 25 points of the seed,
+and evaluates it in one pass, which the fields, curvature and cky suites
+all read.  On the extreme-scale files, the report (stdout, stderr, exit
+code and report file) must be the one of ``reference_suites``, whose
+suites sample and evaluate the same points at orders 3 and 4; the
 reference runs skip the pass.  Where that reference's order-4 curvature
 pass overflows or divides by zero and the order-2 evaluation does not,
 the run must print no evaluation error, and a ``--suite all`` run's
@@ -55,7 +55,7 @@ def _report(tmp_path, capsys, argv):
 
 def _reference(tmp_path, capsys, monkeypatch, argv):
     # the pass is skipped, so that an error it raises cannot end both runs alike
-    monkeypatch.setattr(cli, "_evaluate", lambda *args: {})
+    monkeypatch.setattr(cli, "_evaluate", lambda *args: None)
     for name, reference in reference_suites.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, reference)
     return _report(tmp_path, capsys, argv)
@@ -133,13 +133,12 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
         _spy(monkeypatch, cky, name, orders=orders[name])
     path = write_rod_file(tmp_path, EH_DOC)
     assert _report(tmp_path, capsys, ["verify", path])[0] == 0
-    # the cky suite's 12 points are the fields suite's 13th to 24th, so
-    # the 37 sampled points are 25 distinct ones, and 24 of them are
-    # curvature or cky points; then come the conical and decay checks'
-    # own passes and the eight flat-family members
+    # the one point set, then the conical and decay checks' own passes;
+    # one pack over the point set, and one over the eight flat-family
+    # members
     assert fields[0] == 25 and len(fields) == 3
     assert metrics[0] == 25 and len(metrics) == 2
-    assert packs == [24, 8]
+    assert packs == [25, 8]
     # no check reads a derivative above the second, and the two-forms'
     # residuals read first derivatives: the one pass is at order 2,
     # the conical and decay passes at order 1, the cky candidate and the
@@ -148,12 +147,12 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
                       "flat_cky": [1]}
 
 
-# the (points, order) of each tod_fields call: one pass over the suite's
-# points, then the conical and decay checks' own passes
+# the (points, order) of each tod_fields call: one pass over the point
+# set, then the conical and decay checks' own passes
 @pytest.mark.parametrize("suite, calls", [
     ("fields", [(25, 2)]),
-    ("curvature", [(20, 2)]),
-    ("cky", [(12, 2), (5, 1)]),
+    ("curvature", [(25, 2)]),
+    ("cky", [(25, 2), (5, 1)]),
     ("rods", [(21, 1)]),
 ], ids=["fields", "curvature", "cky", "rods"])
 def test_single_suite_evaluates_each_point_once(tmp_path, capsys, monkeypatch, suite,
@@ -166,19 +165,19 @@ def test_single_suite_evaluates_each_point_once(tmp_path, capsys, monkeypatch, s
 
 
 def test_cky_point_failure_ends_the_run(tmp_path, capsys, monkeypatch):
-    # a cky point whose curvature fails, and which no curvature point
-    # shares: the run prints the error the point gives and writes no
-    # report, as the suite-by-suite reference does in the cky suite's turn
-    rods = tod.eh_rod_data()
-    curved = cli.sample_interior(rods, 20, np.random.default_rng(0))
-    rng = np.random.default_rng(0)
-    cli._flat_draws(rng)
-    bad = [p for p in cli.sample_interior(rods, 12, rng) if p not in curved][-1][0]
+    # a point whose curvature fails: the run prints the error the point
+    # gives and writes no report, as the suite-by-suite reference does at
+    # that point, in the curvature suite's turn or, with --suite cky, in
+    # the cky suite's
+    bad = cli.sample_interior(tod.eh_rod_data(), 25, np.random.default_rng(0))[-1][0]
     _spy(monkeypatch, curvature, "curvature_pack",
          fails=lambda metric: np.isin(bad, metric.base[0]),
          error=SignatureError("metric determinant -1.0 is not positive"))
-    argv = ["verify", write_rod_file(tmp_path, EH_DOC)]
-    got = _report(tmp_path, capsys, argv)
-    assert got == (1, "", "evaluation error: metric determinant -1.0 is not positive\n",
-                   None)
-    assert got == _reference(tmp_path, capsys, monkeypatch, argv)
+    path = write_rod_file(tmp_path, EH_DOC)
+    for suite in ("all", "cky"):
+        argv = ["verify", path, "--suite", suite]
+        got = _report(tmp_path, capsys, argv)
+        assert got == (1, "", "evaluation error: metric determinant -1.0 is not positive\n",
+                       None)
+        with monkeypatch.context() as patch:
+            assert got == _reference(tmp_path, capsys, patch, argv)
