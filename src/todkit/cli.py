@@ -184,8 +184,15 @@ def _loc(rho, zeta):
 
 
 def sample_interior(data, count, rng):
+    """count points off rng that pass data.interior_check, from the window
+    rho in scale * [0.1, 10^0.45] and zeta within 0.75 scale of the nuts,
+    which must be finite."""
     lo = float(data.zs[0]) - 0.75 * data.scale
     hi = float(data.zs[-1]) + 0.75 * data.scale
+    top = data.scale * 10.0 ** 0.45
+    if not (math.isfinite(hi - lo) and math.isfinite(top)):
+        raise RodDataError("sampling window must be finite, got "
+                           f"rho up to {top!r} and zeta {lo!r}:{hi!r}")
     points = []
     while len(points) < count:
         rho = data.scale * float(10.0 ** rng.uniform(-1.0, 0.45))
@@ -316,7 +323,7 @@ def suite_fields(data, seed, tols, evaluation):
         worst.push(
             loc,
             killing_det=killing_det[k],
-            harmonic_v=abs(sum(terms)) / sum(abs(t) for t in terms),
+            harmonic_v=abs(jets.ordered_sum(terms)) / jets.ordered_sum(map(abs, terms)),
             conjugate_pair=abs(h10[k] + rho * v01[k]) / scale,
             toda=abs(toda[k]),
             norm_identity=abs(norm_sq[k] - 4.0) / 4.0)
@@ -440,8 +447,9 @@ def _decay_entry(data, tols):
     if data.n == 1:
         return _skip(name, "single-nut norm check only")
     c, _, nuts = data.floats
-    kappa = sum(a_i * a_j * (z_j - z_i) ** 2
-                for i, (z_i, a_i) in enumerate(nuts) for z_j, a_j in nuts[i + 1:])
+    kappa = jets.ordered_sum(a_i * a_j * (z_j - z_i) ** 2
+                             for i, (z_i, a_i) in enumerate(nuts)
+                             for z_j, a_j in nuts[i + 1:])
     if abs(c + kappa) > 1e-9 * kappa:
         return _skip(name, "needs c = -sum a_i a_j (z_j - z_i)^2 "
                            "(standard asymptotic cone)")

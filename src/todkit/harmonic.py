@@ -16,7 +16,10 @@ artanh(s_i/R_i), s_i = zeta - z_i, and ``_nut_terms`` is the one place
 that evaluates them: all nuts in one array pass, as jets whose
 coefficient arrays carry a leading nut axis, shape (n, *points).
 ``_nut_sums`` sums that axis in nut order, bit for bit as a loop over
-the nuts would.  ``tod.tod_fields`` keeps the per-nut jets in its
+the nuts would: over a point set as one np.add.reduce whose point axes
+run inside the nut axis, so that numpy adds whole nut rows one after the
+other, and for a single point, where numpy would sum the nut axis
+pairwise, by that loop.  ``tod.tod_fields`` keeps the per-nut jets in its
 ``TodFields``, ``potentials`` reads V and H off those fields, and
 ``ward_coords`` sums them into the Ward coordinates.  These, and
 ``RodData.interior_check``, take rho and zeta either as numbers or as
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Context
 from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
@@ -92,8 +96,9 @@ class RodData:
     axis constants satisfy F_first = -F_last.  mode 'ale' enforces
     sum(a_i) = 1; 'general' drops that one check (used e.g. to probe that
     the Toda identity holds for any harmonic V).  Every number must be
-    finite; an int is stored as a Fraction, and slack is 0 when all are
-    exact (see tolerance_slack).
+    finite, an exact one within the float range of the per-point view; an
+    int is stored as a Fraction, and slack is 0 when all are exact (see
+    tolerance_slack).
     """
 
     c: object
@@ -118,7 +123,14 @@ class RodData:
         if self.gauge != "symmetric":
             numbers += (self.gauge,)
         for v in numbers:
-            if not (isinstance(v, _EXACT) or math.isfinite(v)):
+            try:
+                finite = math.isfinite(v)
+            except OverflowError:
+                # exact, and beyond the float range of the per-point view
+                q = Fraction(v)
+                shown = Context(prec=6).divide(q.numerator, q.denominator).normalize()
+                raise RodDataError(f"rod data must be finite as a float, got {shown:g}")
+            if not finite:
                 raise RodDataError(f"rod data must be finite, got {v!r}")
         object.__setattr__(self, "slack", tolerance_slack(numbers))
         if not self.c < 0:
@@ -130,7 +142,7 @@ class RodData:
             if not a > 0:
                 raise RodDataError("weights must be positive")
         if self.mode == "ale":
-            total = sum(self.weights)
+            total = jets.ordered_sum(self.weights)
             if not abs(total - 1) <= 1e-12 * self.slack:
                 raise RodDataError(f"ALE data needs weights summing to 1, got {total}")
         # c and gauge after the checks, whose messages show the input
@@ -196,7 +208,8 @@ class RodData:
         """The float weighted nut centre zbar = sum a_i z_i / sum a_i, where
         the far-field polar chart is centred."""
         nuts = self.floats.nuts
-        return sum(a * z for z, a in nuts) / sum(a for _, a in nuts)
+        return (jets.ordered_sum(a * z for z, a in nuts)
+                / jets.ordered_sum(a for _, a in nuts))
 
     @cached_property
     def third_moment(self):
@@ -216,7 +229,7 @@ class RodData:
 
     def centroid(self):
         """Weight-averaged nut position sum a_i z_i (ALE weights sum to 1)."""
-        return sum(a * z for a, z in zip(self.weights, self.zs))
+        return jets.ordered_sum(a * z for a, z in zip(self.weights, self.zs))
 
     def interior_check(self, rho, zeta):
         """Reject points on the axis, below rho = 1e-8 of the scale, or
@@ -304,21 +317,35 @@ def _nut_sums(summands, starts=None):
     from starts[k] (default 0.0) and every other coefficient from 0.0,
     and the nut rows are added one after the other, so each coefficient
     has the bits of the loop ``acc = start; for row in rows: acc = acc + row``.
-    One array holds every coefficient of every summand, so each nut costs
-    one addition.  (np.add.accumulate gives the same bits but runs its
-    strided inner loop many times slower.)  Over a point set the sums
-    keep their arrays; for a single point they are floats.
+    One C-ordered array of shape (summands * coefficients, n, *points)
+    holds every coefficient of every summand, and np.add.reduce adds its
+    nut axis from 0.0; given starts, they go into nut row 0 first (0.0
+    elsewhere) and the sum runs from -0.0, which leaves every first term
+    as it is.  With the point axes inside the nut axis, numpy's inner
+    loop runs over the points of one nut row, and the rows are added in
+    nut order.  Where a nut row holds a single value, or the array is
+    not C-ordered, the nut axis would be numpy's inner loop, which sums
+    pairwise in other bits; a single point therefore keeps the loop over
+    the nuts.  Over a point set the sums keep their arrays; for a single
+    point they are floats.
     """
     shape = np.shape(summands[0].value)
     ncoef = len(summands[0].c)
     rows = np.array([c if np.shape(c) == shape else np.broadcast_to(c, shape)
                      for jet in summands for c in jet.c], dtype=float)
-    total = rows[:, 0] + 0.0
+    start = 0.0
     if starts is not None:
-        total[::ncoef] = rows[::ncoef, 0] + np.reshape(starts, (-1,) + (1,) * len(shape[1:]))
-    for i in range(1, shape[0]):
-        total += rows[:, i]
-    total = total.tolist() if total.ndim == 1 else list(total)
+        head = np.zeros((len(rows),) + (1,) * len(shape[1:]))
+        head[::ncoef] = np.reshape(starts, head[::ncoef].shape)
+        rows[:, 0] += head
+        start = -0.0
+    if rows[0, 0].size > 1:
+        total = list(np.add.reduce(rows, axis=1, initial=start))
+    else:
+        total = rows[:, 0] + start
+        for i in range(1, shape[0]):
+            total += rows[:, i]
+        total = total.tolist() if total.ndim == 1 else list(total)
     return [jets._jet(summands[0].order, total[k:k + ncoef])
             for k in range(0, len(total), ncoef)]
 
@@ -413,12 +440,13 @@ class AxisProfile:
     gauge: object = field(repr=False, default=0)
 
     def f(self, zeta):
-        return sum(a * abs(zeta - z) for a, z in zip(self.rods.weights, self.rods.zs))
+        return jets.ordered_sum(a * abs(zeta - z)
+                                for a, z in zip(self.rods.weights, self.rods.zs))
 
     def h(self, zeta):
         """Axis limit of H: sum a_i s_i |s_i| + gauge."""
-        return sum(a * (zeta - z) * abs(zeta - z)
-                   for a, z in zip(self.rods.weights, self.rods.zs)) + self.gauge
+        return jets.ordered_sum(a * (zeta - z) * abs(zeta - z)
+                                for a, z in zip(self.rods.weights, self.rods.zs)) + self.gauge
 
     def f_constant(self, i, zeta=None):
         """The constant F_i = -(H(0,.) - f^2/f'_i)/c on a rod with slope != 0."""
@@ -460,7 +488,7 @@ def gauge_value(rods):
 
 
 def _slopes_values(rods):
-    total = sum(rods.weights)
+    total = jets.ordered_sum(rods.weights)
     slopes = []
     acc = 0
     for a in rods.weights:
@@ -468,6 +496,7 @@ def _slopes_values(rods):
         acc += a
     slopes.append(total)
     values = tuple(
-        sum(a * abs(zn - z) for a, z in zip(rods.weights, rods.zs)) for zn in rods.zs
+        jets.ordered_sum(a * abs(zn - z) for a, z in zip(rods.weights, rods.zs))
+        for zn in rods.zs
     )
     return tuple(slopes), values

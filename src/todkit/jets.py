@@ -31,12 +31,15 @@ power is ``v`` itself, which ``pow(v, 1)`` is exactly.  ``sin`` and
 terms is array arithmetic.  A quotient, ``log`` or ``sqrt`` rejects the
 whole set where a loop over its entries would first fail: at a zero
 divisor (a power that underflows to zero included) or a non-positive
-argument.  Where float
-arithmetic overflows silently to inf or NaN, numpy warns;
-``tod.tod_fields``, ``harmonic.potentials`` and ``harmonic.ward_coords``
-evaluate under ``np.errstate`` to keep the float behaviour.  Keep the jet
-on the left of an array operand: ``ndarray op Jet2`` is numpy's
-elementwise operation over the jet, not a jet operation.
+argument.  The top power ``v ** order`` they divide by comes from
+``libm(pow, ...)``, which runs no Python-defined function per entry;
+only where ``pow`` overflows does ``_powers`` check entry by entry which
+failure comes first.  Where float arithmetic overflows silently to inf
+or NaN, numpy warns; ``tod.tod_fields``, ``harmonic.potentials`` and
+``harmonic.ward_coords`` evaluate under ``np.errstate`` to keep the float
+behaviour.  Keep the jet on the left of an array operand: ``ndarray op
+Jet2`` is numpy's elementwise operation over the jet, not a jet
+operation.
 
 Products and quotients of two jets run through straight-line kernels, one
 ``mul`` and one ``div`` per order, generated from the Leibniz plan the first
@@ -50,8 +53,10 @@ reference.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -366,6 +371,17 @@ def libm(f, x, *args):
     return np.fromiter(map(f, x.ravel().tolist(), *rest), float, x.size).reshape(x.shape)
 
 
+def ordered_sum(terms):
+    """The terms added left to right from 0, as the builtin sum adds them
+    up to Python 3.11.
+
+    From 3.12 on, sum adds floats with compensation, in other bits, so a
+    point alone would no longer get the bits of the same point in an
+    array; todkit sums through here instead.
+    """
+    return functools.reduce(operator.add, terms, 0)
+
+
 def _divisor_power(x, k):
     p = pow(x, k)
     if p == 0:
@@ -380,15 +396,22 @@ def _powers(v, order):
     The first power is v itself, since pow(v, 1) is v exactly.  A higher
     power that underflows to zero raises as the float division by it
     does.  An entry's powers over- or underflow monotonically in k, so
-    the top power, made first and checked entry by entry, raises the
-    error of the first entry in C order that a loop over the entries
-    would stop at.
+    the top power, made first, raises the error of the first entry in C
+    order that a loop over the entries would stop at.  libm's pow makes
+    it, and one test over the array finds a zero; only where pow raises
+    an overflow does the per-entry check run, since an earlier entry may
+    underflow to zero and so fail first.
     """
     if order == 0:
         return []
     if order == 1:
         return [v]
-    top = libm(_divisor_power, v, order)
+    try:
+        top = libm(pow, v, order)
+    except OverflowError:
+        top = libm(_divisor_power, v, order)
+    if not np.all(top):
+        raise ZeroDivisionError("float division by zero")
     return [v] + [libm(pow, v, k) for k in range(2, order)] + [top]
 
 
@@ -503,8 +526,8 @@ def invert_map(Z, X, rho0, zeta0):
     def pulled(F, i, j):
         # H_F[k, l] K[k, i] K[l, j]; the Hessian entry (k, l) is the raw
         # partial with 2 - k - l derivatives in rho and k + l in zeta
-        return sum(F.partial(2 - k - l, k + l) * K[k][i] * K[l][j]
-                   for k in (0, 1) for l in (0, 1))
+        return ordered_sum(F.partial(2 - k - l, k + l) * K[k][i] * K[l][j]
+                           for k in (0, 1) for l in (0, 1))
 
     def inverse(value, ka, kb):
         partials = {(0, 0): value, (1, 0): ka, (0, 1): kb}

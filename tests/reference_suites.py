@@ -71,7 +71,9 @@ def suite_fields(data, seed, tols, evaluation):
         worst.push(
             loc,
             killing_det=abs(det - rho * rho) / (rho * rho),
-            harmonic_v=abs(sum(terms)) / sum(abs(t) for t in terms),
+            # left to right, as builtin sum adds floats only up to 3.11
+            harmonic_v=(abs(0.0 + terms[0] + terms[1] + terms[2])
+                        / (0.0 + abs(terms[0]) + abs(terms[1]) + abs(terms[2]))),
             conjugate_pair=abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
             toda=abs(harmonic.toda_residual(f)),
             norm_identity=abs(norm_sq - 4.0) / 4.0)

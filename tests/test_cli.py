@@ -201,8 +201,10 @@ class TestInputErrors:
         ["verify", "ROD", "--tol", "ricci_ratio=nan"],
         ["verify", "ROD", "--tol", "ricci_ratio=inf"],
         ["verify", "ROD", "--tol", "ricci_ratio=-1e-7"],
-        # finite rod data whose default build window is wider than a float
+        # finite rod data whose default build window, and verify's sampling
+        # window, is wider than a float
         ["build", "WIDE"],
+        ["verify", "WIDE"],
     ])
     def test_exit_two(self, tmp_path, capsys, args):
         paths = {"ROD": write_rod_file(tmp_path, EH_DOC),
@@ -224,7 +226,11 @@ class TestInputErrors:
          "rods": [{"z": -0.25, "a": 0.5}, {"z": 0.25, "a": math.inf}]},
         {**EH_DOC, "gauge": {"h_constant": math.nan}},
         {**EH_DOC, "gauge": {"h_constant": math.inf}},
-    ], ids=["c", "z", "z-nan", "a", "gauge-nan", "gauge-inf"])
+        # exact, and beyond the float range
+        {**EH_DOC, "c": "-1", "rods": [{"z": "-1e400", "a": "1/2"}, {"z": "1e400", "a": "1/2"}]},
+        {**EH_DOC, "c": -10 ** 400},
+        {**EH_DOC, "gauge": {"h_constant": "1e309"}},
+    ], ids=["c", "z", "z-nan", "a", "gauge-nan", "gauge-inf", "z-exact", "c-int", "gauge-exact"])
     @pytest.mark.parametrize("command", ["verify", "build"])
     def test_non_finite_rod_file(self, tmp_path, capsys, doc, command):
         path = write_rod_file(tmp_path, doc)

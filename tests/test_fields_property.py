@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import reference_fields
 import reference_potentials
-from todkit import harmonic, tod
+from todkit import harmonic, jets, tod
 from todkit.harmonic import RodData
 from todkit.jets import Jet2
 
@@ -138,3 +138,78 @@ def test_nut_sums_keep_the_zero_signs_of_the_loop():
             for row in column.c[k].tolist():
                 loop = loop + row
             assert c.hex() == loop.hex()
+
+
+# ---------------------------------------------------------------------------
+# _nut_sums against the loop it replaces
+
+
+def loop_nut_sums(summands, starts=None):
+    """The reference: each coefficient of each summand summed over its
+    nut axis by ``acc = start; for row in rows: acc = acc + row``."""
+    sums = []
+    for k, jet in enumerate(summands):
+        shape = np.shape(jet.value)
+        coefficients = []
+        for m, c in enumerate(jet.c):
+            acc = starts[k] if starts is not None and m == 0 else 0.0
+            for row in np.broadcast_to(np.asarray(c, dtype=float), shape):
+                acc = acc + (float(row) if row.ndim == 0 else row)
+            coefficients.append(acc)
+        sums.append(coefficients)
+    return sums
+
+
+# a single value per nut row, one point, k points, a 2x3 point grid
+SUM_SHAPES = st.one_of(st.just(()), st.just((1,)),
+                       st.integers(2, 7).map(lambda k: (k,)), st.just((2, 3)))
+SUM_START = st.one_of(st.sampled_from([0.0, -0.0, math.inf]),
+                      st.floats(-1e6, 1e6, allow_subnormal=False))
+
+
+@st.composite
+def nut_summands(draw):
+    """Jets over a nut axis whose coefficients are full arrays, weight
+    columns that broadcast over the points, or numbers; some coefficients
+    are -0.0 at every nut, and the values span 2^-40 to 2^40, so that the
+    order of the additions shows in the bits."""
+    points = draw(SUM_SHAPES)
+    n = draw(st.sampled_from([1, 2, 8, 9, 120]))
+    order = draw(st.integers(0, 2))
+    count = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n,) + points
+    summands = []
+    for _ in range(count):
+        c = []
+        for _ in range(len(jets._pairs(order))):
+            form = draw(st.sampled_from(["full", "full", "column", "number", "-0.0"]))
+            if form == "number":
+                c.append(draw(st.sampled_from([0, 0.0, -0.0])))
+                continue
+            size = shape if form == "full" else (n,) + (1,) * len(points)
+            values = rng.standard_normal(size) * np.exp2(rng.integers(-40, 41, size))
+            c.append(np.full(size, -0.0) if form == "-0.0" else values)
+        # the value term always carries the full nut axis
+        c[0] = np.broadcast_to(np.asarray(c[0], dtype=float), shape).copy()
+        summands.append(Jet2(order, c))
+    starts = draw(st.none() | st.tuples(*[SUM_START] * count))
+    return summands, starts
+
+
+@settings(SETTINGS, max_examples=300)
+@given(nut_summands())
+# more than eight nuts, one value per nut row: numpy would sum pairwise
+@example(([Jet2(0, [np.exp2(np.arange(9.0)) * (-1.0) ** np.arange(9) + 0.1])], None))
+# a -0.0 start over -0.0 columns: an +0.0 start would drop its sign
+@example(([Jet2(1, [np.full((9, 2, 3), -0.0)] * 3)], (-0.0,)))
+def test_nut_sums_equal_the_loop(case):
+    summands, starts = case
+    got = harmonic._nut_sums(summands, starts=starts)
+    want = loop_nut_sums(summands, starts)
+    for jet, coefficients in zip(got, want):
+        assert jet.order == summands[0].order
+        for g, w in zip(jet.c, coefficients):
+            assert np.shape(g) == np.shape(w)
+            assert type(g) is type(w)
+            assert [float(x).hex() for x in np.ravel(g)] == [float(x).hex() for x in np.ravel(w)]

@@ -139,6 +139,31 @@ def test_log_sqrt_arrays_equal_the_float_jets(func, order, shape, data):
         assert [float(c).hex() for c in got.at(k).c] == [float(c).hex() for c in point.c]
 
 
+# a power that underflows to zero and one that overflows, in both orders:
+# the array raises what the first failing entry in C order raises
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize("values", [
+    [1.0, 1e-200, 1e200], [1.0, 1e200, 1e-200],
+    [[2.0, 1e-110], [1e110, 3.0]], [[2.0, 1e110], [1e-110, 3.0]],
+    [[1e-110, 1e110]], [[1e110, 1e-110]], [0.5, 1e-200], [0.5, 1e200],
+])
+def test_powers_fail_at_the_first_failing_entry(order, values):
+    def divisor_powers(x):
+        # one float's powers: pow raises on overflow, and a power that
+        # underflows to zero raises as the division by it would
+        powers = [x] + [pow(x, k) for k in range(2, order + 1)]
+        if powers[-1] == 0:
+            raise ZeroDivisionError("float division by zero")
+        return powers
+
+    v = np.array(values)
+    got, want = assert_same_outcome(
+        lambda: jets._powers(v, order),
+        [lambda x=x: divisor_powers(x) for x in v.ravel().tolist()])
+    for k, point in enumerate(want or ()):
+        assert [float(p.flat[k]).hex() for p in got] == [p.hex() for p in point]
+
+
 def boundary_rods(scale):
     """Two nuts at -+scale; the nut ball radius is then 2e-6 * scale."""
     return RodData(c=-1.0, zs=(-scale, scale), weights=(0.5, 0.5))
