@@ -52,7 +52,7 @@ def main():
     print("\nconical limits:")
     for rep in rods.conical_check(data):
         print(f"  rod {rep.rod}: limit = {rep.limit:.12f}")
-    vs = rods.rod_vectors(data)
+    vs = data.vectors
     print(f"  rod vectors {vs} with v_0 + v_2 = 2 v_1")
     print(f"  asymptotic lattice {rods.asymptotic_class(data).label}")
 

@@ -7,149 +7,4 @@ classification of admissible rod structures, the quartic-root family
 non-regularity scans, and conformal Killing-Yano verifications.
 """
 
-from .errors import (
-    AxisEvaluationError,
-    CertificateError,
-    DegenerateMetricError,
-    DomainError,
-    InversionError,
-    NutProximityError,
-    RodDataError,
-    SignatureError,
-    SingularPointError,
-    TodkitError,
-)
-from .cky import (
-    FlatCkyParams,
-    cky_decay_check,
-    flat_cky,
-    flat_coframe,
-    flat_metric,
-    flat_norm_squared,
-    selfdual_basis,
-    tod_cky_candidate,
-)
-from .classify import (
-    ClassificationResult,
-    SlopeData,
-    admissible_family_member,
-    regularity_residuals,
-    search_admissible,
-    slope_data,
-    verify_n1_degenerate,
-)
-from .curvature import (
-    CurvaturePack,
-    WeylSplit,
-    cky_residual,
-    curvature_pack,
-    invariant_norms,
-    killing_residual,
-    scalar_laplacian,
-    weyl_split,
-)
-from .harmonic import AxisProfile, RodData, axis_profile, ward_coords, ward_inverse
-from .jets import Jet2
-from .pd import (
-    PdParams,
-    PdRegularity,
-    PdScanResult,
-    pd_ale_limit,
-    pd_metric,
-    pd_regularity,
-    pd_rod_vectors,
-    pd_scan,
-    pd_selfdual_check,
-    selfdual_roots,
-)
-from .rods import (
-    AsymptoticClass,
-    RodStructure,
-    asymptotic_class,
-    conical_check,
-    gl2z_compatibility,
-    rod_structure,
-    rod_vectors,
-)
-from .tod import (
-    JetMatrix,
-    TodFields,
-    eh_closed_form,
-    eh_coords,
-    eh_rod_data,
-    fundamental_form,
-    rescale,
-    tod_fields,
-    tod_metric,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Jet2",
-    "RodData",
-    "AxisProfile",
-    "axis_profile",
-    "ward_coords",
-    "ward_inverse",
-    "TodFields",
-    "JetMatrix",
-    "tod_fields",
-    "tod_metric",
-    "fundamental_form",
-    "eh_rod_data",
-    "eh_closed_form",
-    "eh_coords",
-    "rescale",
-    "CurvaturePack",
-    "WeylSplit",
-    "curvature_pack",
-    "invariant_norms",
-    "weyl_split",
-    "scalar_laplacian",
-    "cky_residual",
-    "killing_residual",
-    "FlatCkyParams",
-    "flat_coframe",
-    "flat_metric",
-    "selfdual_basis",
-    "flat_cky",
-    "flat_norm_squared",
-    "tod_cky_candidate",
-    "cky_decay_check",
-    "RodStructure",
-    "AsymptoticClass",
-    "rod_vectors",
-    "gl2z_compatibility",
-    "conical_check",
-    "asymptotic_class",
-    "rod_structure",
-    "SlopeData",
-    "ClassificationResult",
-    "slope_data",
-    "regularity_residuals",
-    "search_admissible",
-    "admissible_family_member",
-    "verify_n1_degenerate",
-    "PdParams",
-    "PdRegularity",
-    "PdScanResult",
-    "pd_metric",
-    "pd_rod_vectors",
-    "pd_regularity",
-    "pd_selfdual_check",
-    "selfdual_roots",
-    "pd_scan",
-    "pd_ale_limit",
-    "TodkitError",
-    "DomainError",
-    "SingularPointError",
-    "AxisEvaluationError",
-    "NutProximityError",
-    "RodDataError",
-    "InversionError",
-    "DegenerateMetricError",
-    "SignatureError",
-    "CertificateError",
-    "__version__",
-]

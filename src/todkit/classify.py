@@ -35,7 +35,7 @@ import numpy as np
 from . import rods as rodsmod
 from . import tod
 from .errors import RodDataError
-from .harmonic import RodData, axis_profile
+from .harmonic import RodData
 
 F = Fraction
 
@@ -93,13 +93,13 @@ def slope_data(rods):
     Values are converted to Fractions, so exact verdicts need exact
     input; float input is classified by its exact binary values.
     """
-    prof = axis_profile(rods)
+    prof = rods.profile
     slopes = tuple(F(s) for s in prof.slopes)
     values = tuple(F(v) for v in prof.values)
     gaps = tuple(F(rods.zs[i]) - F(rods.zs[i - 1]) for i in range(1, rods.n))
     levels = []
     signs = []
-    vecs = rodsmod.rod_vectors(rods)
+    vecs = rods.vectors
     for j in range(1, rods.n):
         if slopes[j] == 0:
             levels.append(2 * slopes[j + 1] * gaps[j - 1] / values[j - 1] - 2)

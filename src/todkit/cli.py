@@ -382,8 +382,8 @@ def suite_rods(data, seed, tols, evaluation):
             continue
         # measured on the exact level and sign, so that exact data reads
         # its true distance (tolerance 0), not a rounded one
-        level, sign = rep.level, rep.sign
-        junctions.push(loc, gl2z=float(max(abs(level - round(level)),
+        sign = rep.sign
+        junctions.push(loc, gl2z=float(max(rods.int_distance(rep.level),
                                            min(abs(sign - 1), abs(sign + 1)))))
         ok = ok and rep.ok
     # the tolerance gl2z_compatibility applied: 0 on exact data

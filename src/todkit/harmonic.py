@@ -67,6 +67,12 @@ def _coordinate(x):
     return x.astype(float, copy=False) if type(x) is np.ndarray else float(x)
 
 
+def _exact_text(q):
+    """An exact number to 6 significant digits, for messages."""
+    q = Fraction(q)
+    return f"{Context(prec=6).divide(q.numerator, q.denominator).normalize():g}"
+
+
 def _first_nonpositive(x):
     """The first value of x that is not > 0 (an array in C order), or None."""
     if type(x) is not np.ndarray:
@@ -95,8 +101,8 @@ class RodData:
     'symmetric', which picks the constant making the two semi-infinite
     axis constants satisfy F_first = -F_last.  mode 'ale' enforces
     sum(a_i) = 1; 'general' drops that one check (used e.g. to probe that
-    the Toda identity holds for any harmonic V).  Every number must be
-    finite, an exact one within the float range of the per-point view; an
+    the Toda identity holds for any harmonic V).  Every number, and the
+    nut span, must be finite within the float range of the per-point view; an
     int is stored as a Fraction, and slack is 0 when all are exact (see
     tolerance_slack).
     """
@@ -127,9 +133,7 @@ class RodData:
                 finite = math.isfinite(v)
             except OverflowError:
                 # exact, and beyond the float range of the per-point view
-                q = Fraction(v)
-                shown = Context(prec=6).divide(q.numerator, q.denominator).normalize()
-                raise RodDataError(f"rod data must be finite as a float, got {shown:g}")
+                raise RodDataError(f"rod data must be finite as a float, got {_exact_text(v)}")
             if not finite:
                 raise RodDataError(f"rod data must be finite, got {v!r}")
         object.__setattr__(self, "slack", tolerance_slack(numbers))
@@ -138,6 +142,14 @@ class RodData:
         for za, zb in zip(self.zs, self.zs[1:]):
             if not za < zb:
                 raise RodDataError("nut positions must be strictly increasing")
+        # every length scale of the per-point code is a float of the span;
+        # float() of the exact span overflows where the float subtraction does
+        span = Fraction(self.zs[-1]) - Fraction(self.zs[0])
+        try:
+            float(span)
+        except OverflowError:
+            raise RodDataError("rod data must be finite as a float, got a nut span "
+                               f"of {_exact_text(span)}")
         for a in self.weights:
             if not a > 0:
                 raise RodDataError("weights must be positive")
@@ -175,13 +187,14 @@ class RodData:
 
     @cached_property
     def profile(self):
-        """The axis profile, computed once by axis_profile."""
+        """Slopes and nut values of f plus the resolved H gauge constant,
+        computed once."""
         return AxisProfile(self, *_slopes_values(self), self.gauge_constant)
 
     @cached_property
     def vectors(self):
-        """The period vectors of the n + 1 rods (rods.rod_vectors), computed
-        once from the axis profile."""
+        """The period vectors of the n + 1 rods, computed once from the
+        axis profile; exact for exact rod data."""
         prof = self.profile
         vecs = []
         for i, slope in enumerate(prof.slopes):
@@ -468,12 +481,6 @@ class AxisProfile:
             return zs[-1] + pad
         num = zs[i - 1] + zs[i]
         return num / 2
-
-
-def axis_profile(rods):
-    """Slopes and nut values of f plus the resolved H gauge constant,
-    computed once per RodData."""
-    return rods.profile
 
 
 def gauge_value(rods):

@@ -25,7 +25,6 @@ import numpy as np
 
 from . import jets, tod
 from .errors import RodDataError
-from .harmonic import axis_profile
 
 
 @dataclass(frozen=True)
@@ -72,12 +71,6 @@ class RodStructure:
     junctions: tuple
 
 
-def rod_vectors(rods):
-    """Period vectors of all n+1 rods, in exact arithmetic for exact rod
-    data; computed once per RodData."""
-    return rods.vectors
-
-
 def express_in_basis(target, a, b):
     """Coefficients (alpha, beta) with target = alpha a + beta b.
 
@@ -91,8 +84,11 @@ def express_in_basis(target, a, b):
     return alpha, beta
 
 
-def _near_int(value, tol):
-    return abs(value - round(value)) <= tol
+def int_distance(value):
+    """|value - round(value)|, and inf for a value that is not finite."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return math.inf
+    return abs(value - round(value))
 
 
 def gl2z_compatibility(rods, tol=1e-9):
@@ -102,7 +98,7 @@ def gl2z_compatibility(rods, tol=1e-9):
     integer level l and eps in {-1, +1}; the solved real values are
     reported either way.
     """
-    vecs = rod_vectors(rods)
+    vecs = rods.vectors
     tol = tol * rods.slack
     reports = []
     for j in range(1, rods.n):
@@ -113,7 +109,7 @@ def gl2z_compatibility(rods, tol=1e-9):
                                           ok=False, singular=True))
             continue
         eps = -beta
-        ok = _near_int(alpha, tol) and min(abs(eps - 1), abs(eps + 1)) <= tol
+        ok = int_distance(alpha) <= tol and min(abs(eps - 1), abs(eps + 1)) <= tol
         reports.append(JunctionReport(middle=j, level=alpha, sign=eps, ok=ok))
     return tuple(reports)
 
@@ -139,8 +135,8 @@ def conical_check(rods):
     go through ``jets.libm``; each sample keeps the bits, and each
     failing point the error, of its own per-point evaluation.
     """
-    prof = axis_profile(rods)
-    vecs = rod_vectors(rods)
+    prof = rods.profile
+    vecs = rods.vectors
     zetas = [float(prof._rod_point(i)) for i in range(len(vecs))]
     top = 4e-2 * rods.min_gap ** 2
     heights = tuple(top * 0.5 ** k for k in range(_LEVELS))
@@ -177,7 +173,7 @@ def asymptotic_class(rods):
     is applied to every rod vector; the label is p = |first component|
     of the image of v_n and q = (-second component) mod p.
     """
-    vecs = rod_vectors(rods)
+    vecs = rods.vectors
     if len(vecs) < 3:
         raise RodDataError("need at least two nuts for an asymptotic label")
     v0, v1 = vecs[0], vecs[1]
@@ -193,7 +189,7 @@ def asymptotic_class(rods):
                        M[1][0] * v[0] + M[1][1] * v[1]))
         entries.extend(images[-1])
     tol = 1e-9 * rods.slack
-    if not all(_near_int(e, tol) for e in entries):
+    if not all(int_distance(e) <= tol for e in entries):
         raise RodDataError("normalized lattice data is not integral")
     M = tuple(tuple(round(x) for x in row) for row in M)
     images = [tuple(round(x) for x in im) for im in images]
@@ -206,8 +202,8 @@ def asymptotic_class(rods):
 
 def rod_structure(rods):
     """Bundle of the axis data: vectors, constants, dets, junctions."""
-    prof = axis_profile(rods)
-    vecs = rod_vectors(rods)
+    prof = rods.profile
+    vecs = rods.vectors
     f_consts = tuple(
         prof.f_constant(i) if prof.slopes[i] != 0 else None
         for i in range(len(vecs))

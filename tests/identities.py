@@ -17,7 +17,6 @@ import numpy as np
 
 from todkit import jets
 from todkit.errors import DomainError, RodDataError
-from todkit.harmonic import axis_profile
 from todkit.jets import Jet2
 
 
@@ -58,7 +57,7 @@ def f_jump(rods, i):
     Both adjacent slopes must be nonzero; use zero_slope_jump across a
     zero-slope rod.
     """
-    prof = axis_profile(rods)
+    prof = rods.profile
     if not 1 <= i <= rods.n:
         raise RodDataError(f"nut index {i} out of range")
     sl_lo, sl_hi = prof.slopes[i - 1], prof.slopes[i]
@@ -70,7 +69,7 @@ def f_jump(rods, i):
 
 def zero_slope_jump(rods, i):
     """Jump F_{i+1} - F_{i-1} across the zero-slope rod i."""
-    prof = axis_profile(rods)
+    prof = rods.profile
     if not 1 <= i <= rods.n - 1 or prof.slopes[i] != 0:
         raise RodDataError(f"rod {i} is not an interior zero-slope rod")
     f_i = prof.values[i - 1]

@@ -243,7 +243,7 @@ def test_criterion_07_conical_and_lattice():
     worst = 0.0
     for rep in rodmod.conical_check(data):
         worst = max(worst, abs(rep.limit - 1.0))
-    vs = rodmod.rod_vectors(data)
+    vs = data.vectors
     linear = all(vs[0][k] + vs[2][k] == 2 * vs[1][k] for k in range(2))
     label = rodmod.asymptotic_class(data).label
     ok = worst < 1e-6 and linear and label == "L(2,1)"

@@ -47,7 +47,7 @@ class TestSlopeData:
 
     def test_float_signs_are_their_binary_values(self):
         rods = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
-        vecs = rodsmod.rod_vectors(rods)
+        vecs = rods.vectors
         signs = classify.slope_data(rods).signs
         for j, sign in enumerate(signs, start=1):
             _, beta = rodsmod.express_in_basis(vecs[j - 1], vecs[j], vecs[j + 1])

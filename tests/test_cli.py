@@ -29,7 +29,7 @@ def write_rod_file(tmp_path, doc, name="rods.json"):
 
 SINGLE_NUT_DOC = {"c": "-1/4", "rods": [{"z": "0", "a": "1"}]}
 
-WIDE_DOC = {"c": -1, "rods": [{"z": -1e308, "a": 0.5}, {"z": 1e308, "a": 0.5}]}
+WIDE_DOC = {"c": -1, "rods": [{"z": 0.0, "a": 0.5}, {"z": 1.5e308, "a": 0.5}]}
 
 
 def rod_doc(data):
@@ -201,8 +201,8 @@ class TestInputErrors:
         ["verify", "ROD", "--tol", "ricci_ratio=nan"],
         ["verify", "ROD", "--tol", "ricci_ratio=inf"],
         ["verify", "ROD", "--tol", "ricci_ratio=-1e-7"],
-        # finite rod data whose default build window, and verify's sampling
-        # window, is wider than a float
+        # finite rod data, with a finite nut span, whose default build
+        # window, and verify's sampling window, is wider than a float
         ["build", "WIDE"],
         ["verify", "WIDE"],
     ])
@@ -230,7 +230,11 @@ class TestInputErrors:
         {**EH_DOC, "c": "-1", "rods": [{"z": "-1e400", "a": "1/2"}, {"z": "1e400", "a": "1/2"}]},
         {**EH_DOC, "c": -10 ** 400},
         {**EH_DOC, "gauge": {"h_constant": "1e309"}},
-    ], ids=["c", "z", "z-nan", "a", "gauge-nan", "gauge-inf", "z-exact", "c-int", "gauge-exact"])
+        # finite numbers whose nut span is not, as floats and exactly
+        {**EH_DOC, "c": -1, "rods": [{"z": -1e308, "a": 0.5}, {"z": 1e308, "a": 0.5}]},
+        {**EH_DOC, "c": "-1", "rods": [{"z": "-1e308", "a": "1/2"}, {"z": "1e308", "a": "1/2"}]},
+    ], ids=["c", "z", "z-nan", "a", "gauge-nan", "gauge-inf", "z-exact", "c-int", "gauge-exact",
+            "span", "span-exact"])
     @pytest.mark.parametrize("command", ["verify", "build"])
     def test_non_finite_rod_file(self, tmp_path, capsys, doc, command):
         path = write_rod_file(tmp_path, doc)
@@ -481,6 +485,26 @@ class TestVerify:
         assert (code, err) == (1, "")
         check = {ch["name"]: ch for ch in json.loads(out)["checks"]}[failing]
         assert check["status"] == "fail" and check["location"].startswith("rho=")
+
+    @pytest.mark.parametrize("doc", [
+        {**EH_DOC, "gauge": {"h_constant": 1e308}},
+        {"c": -5e-324, "rods": [{"z": -0.25, "a": 0.5}, {"z": 0.25, "a": 0.5}]},
+    ], ids=["gauge-1e308", "c-5e-324"])
+    def test_non_finite_level_is_a_located_failure(self, tmp_path, capsys, doc):
+        # the rod vectors overflow, so the junction level is NaN: gl2z reads
+        # it as infinitely far from an integer
+        path = write_rod_file(tmp_path, doc)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(["verify", path, "--suite", "rods"], capsys)
+        assert [str(w.message) for w in caught] == []
+        assert (code, err) == (1, "")
+        checks = [(ch["name"], ch["location"], ch["measured"], ch["status"])
+                  for ch in json.loads(out)["checks"]]
+        assert checks == [
+            ("gl2z", "junction 1", "Infinity", "fail"),
+            ("conical", "rod 2", "NaN", "fail"),
+            ("asymptotic_class", "normalized lattice data is not integral", None, "fail")]
 
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)

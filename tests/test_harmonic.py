@@ -10,7 +10,7 @@ import pytest
 
 from todkit import harmonic, tod
 from todkit.errors import AxisEvaluationError, NutProximityError, RodDataError
-from todkit.harmonic import RodData, axis_profile
+from todkit.harmonic import RodData
 
 from fd import check_jet_against_fd
 from identities import axis_g, axis_w, rod_index
@@ -111,7 +111,7 @@ class TestRodData:
         tod.tod_fields(rods, 0.7, -0.4, order=2)
         tod.tod_fields(rods, 1.1, 0.3, order=0)
         h_jet(rods, 0.7, -0.4, order=2)
-        assert axis_profile(rods).gauge == rods.gauge_constant == want
+        assert rods.profile.gauge == rods.gauge_constant == want
         assert calls == [rods]
         assert eh_rods(gauge=0.3).gauge_constant == 0.3
 
@@ -298,19 +298,19 @@ class TestWard:
 
 class TestAxisProfile:
     def test_eh_slopes_and_values(self):
-        prof = axis_profile(eh_rods_exact())
+        prof = eh_rods_exact().profile
         assert prof.slopes == (-1, 0, 1)
         assert prof.values == (Fraction(1, 4), Fraction(1, 4))
 
     def test_endpoint_slopes(self):
-        prof = axis_profile(skew_rods())
+        prof = skew_rods().profile
         assert abs(prof.slopes[0] + 1) < 1e-14
         assert abs(prof.slopes[-1] - 1) < 1e-14
 
     def test_v_axis_limit(self):
         # V - f log rho^2 -> g on each rod
         rods = skew_rods()
-        prof = axis_profile(rods)
+        prof = rods.profile
         for zeta in (-2.0, -0.2, 0.5, 1.8):
             rho = 1e-5
             v = v_jet(rods, rho, zeta, order=0)
@@ -326,14 +326,14 @@ class TestAxisProfile:
     def test_eh_middle_rod_h(self):
         # on the middle rod H(0, zeta) = zeta/2 + gauge
         rods = eh_rods(gauge=0.3)
-        prof = axis_profile(rods)
+        prof = rods.profile
         for zeta in (-0.2, 0.0, 0.15):
             assert abs(prof.h(zeta) - (zeta / 2 + 0.3)) < 1e-14
         hz = h_jet(rods, 1e-6, 0.1, order=0)
         assert abs(hz.value - (0.05 + 0.3)) < 1e-10
 
     def test_f_constant_is_constant(self):
-        prof = axis_profile(skew_rods())
+        prof = skew_rods().profile
         for i in (0, 1, 2, 3):
             if prof.slopes[i] == 0:
                 continue
@@ -343,17 +343,17 @@ class TestAxisProfile:
             assert abs(f1 - f2) < 1e-12
 
     def test_symmetric_gauge_balances_ends(self):
-        prof = axis_profile(skew_rods())
+        prof = skew_rods().profile
         assert abs(prof.f_constant(0) + prof.f_constant(3)) < 1e-12
 
     def test_eh_f_constants(self):
-        prof = axis_profile(eh_rods_exact())
+        prof = eh_rods_exact().profile
         assert prof.gauge == 0
         assert prof.f_constant(0) == -1
         assert prof.f_constant(2) == 1
 
     def test_axis_w_positive(self):
-        prof = axis_profile(skew_rods())
+        prof = skew_rods().profile
         for zeta in (-2.0, 1.9, 0.5):
             if prof.slopes[rod_index(prof, zeta)] == 0:
                 continue

@@ -13,7 +13,7 @@ from todkit import harmonic
 from todkit import rods as rodmod
 from todkit import tod
 from todkit.errors import RodDataError
-from todkit.harmonic import RodData, axis_profile
+from todkit.harmonic import RodData
 
 F = Fraction
 
@@ -78,15 +78,15 @@ NEAR_MISS = [pytest.param(F(1, 10**30), False, id="exact-near-miss"),
 
 class TestRodVectors:
     def test_benchmark_exact(self):
-        vecs = rodmod.rod_vectors(eh_exact())
+        vecs = eh_exact().vectors
         assert vecs == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
         v0, v1, v2 = vecs
         assert (v0[0] + v2[0], v0[1] + v2[1]) == (2 * v1[0], 2 * v1[1])
 
     def test_types_follow_data(self):
-        for v in rodmod.rod_vectors(eh_exact()):
+        for v in eh_exact().vectors:
             assert isinstance(v[0], Fraction)
-        for v in rodmod.rod_vectors(skew_rods()):
+        for v in skew_rods().vectors:
             assert isinstance(v[0], float)
 
     def test_int_data_is_exact(self):
@@ -96,7 +96,7 @@ class TestRodVectors:
         fracs = RodData(c=F(-3), zs=(F(0), F(1), F(3), F(6)),
                         weights=(F(1),) * 4, mode="general")
         assert ints == fracs
-        for v in rodmod.rod_vectors(ints):
+        for v in ints.vectors:
             assert isinstance(v[0], Fraction)
         reports = rodmod.gl2z_compatibility(ints)
         assert reports == rodmod.gl2z_compatibility(fracs)
@@ -117,9 +117,9 @@ class TestRodVectors:
         rodmod.asymptotic_class(data)
         # once for the symmetric gauge, once for the profile
         assert len(calls) == 2
-        assert axis_profile(data) is axis_profile(data)
-        assert rodmod.rod_vectors(data) is rodmod.rod_vectors(data)
-        assert rodmod.rod_vectors(data) == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
+        assert data.profile is data.profile
+        assert data.vectors is data.vectors
+        assert data.vectors == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
 
     def test_structure_bundle(self):
         st = rodmod.rod_structure(eh_exact())
@@ -134,19 +134,19 @@ class TestRodVectors:
 class TestJumps:
     def test_zero_slope_jump_benchmark(self):
         assert zero_slope_jump(eh_exact(), 1) == F(2)
-        prof = axis_profile(eh_exact())
+        prof = eh_exact().profile
         assert prof.f_constant(2) - prof.f_constant(0) == F(2)
 
     def test_slope_jump_exact(self):
         data = steep_exact()
-        prof = axis_profile(data)
+        prof = data.profile
         for i in (1, 2, 3):
             want = prof.f_constant(i) - prof.f_constant(i - 1)
             assert f_jump(data, i) == want
 
     def test_slope_jump_float(self):
         data = skew_rods()
-        prof = axis_profile(data)
+        prof = data.profile
         for i in (1, 2, 3):
             want = prof.f_constant(i) - prof.f_constant(i - 1)
             assert abs(f_jump(data, i) - want) < 1e-12 * max(abs(want), 1)
@@ -190,8 +190,8 @@ class TestConicalLimits:
         # scaling the rod vector by s scales the limit by s^2
         data = tod.eh_rod_data()
         rep = rodmod.conical_check(data)[0]
-        vec = rodmod.rod_vectors(data)[0]
-        prof = axis_profile(data)
+        vec = data.vectors[0]
+        prof = data.profile
         zeta = float(prof._rod_point(0))
         v0, v1 = 1.1 * float(vec[0]), 1.1 * float(vec[1])
         h = 1e-4
@@ -204,12 +204,12 @@ class TestConicalLimits:
         # one array pass over all rods x levels gives every sample the
         # bits of its own per-point evaluation
         data = make()
-        prof = axis_profile(data)
+        prof = data.profile
         top = 4e-2 * data.min_gap ** 2
         heights = tuple(top * 0.5 ** k for k in range(7))
         reports = rodmod.conical_check(data)
         assert len(reports) == data.n + 1
-        for i, (rep, vec) in enumerate(zip(reports, rodmod.rod_vectors(data))):
+        for i, (rep, vec) in enumerate(zip(reports, data.vectors)):
             zeta = float(prof._rod_point(i))
             v0, v1 = float(vec[0]), float(vec[1])
             want = tuple(conical_quotient(data, v0, v1, math.sqrt(h), zeta)
@@ -256,7 +256,7 @@ class TestJunctions:
         # solved coefficients are invariant under any linear change of the
         # torus basis applied to all vectors
         vecs = [np.array([float(v[0]), float(v[1])])
-                for v in rodmod.rod_vectors(skew_rods())]
+                for v in skew_rods().vectors]
         for M in (np.array([[1.0, 1.0], [0.0, 1.0]]),
                   np.array([[2.0, 1.0], [1.0, 1.0]])):
             for j in (1, 2):
@@ -310,7 +310,7 @@ class TestAsymptoticClass:
 class TestAxisLimits:
     def test_w_approaches_axis_profile(self):
         data = skew_rods()
-        prof = axis_profile(data)
+        prof = data.profile
         for i, zeta in ((0, -1.8), (2, 0.55), (3, 1.9)):
             w_axis = axis_w(prof, zeta)
             w = tod.tod_fields(data, 1e-5, zeta, order=0).W.value
@@ -319,7 +319,7 @@ class TestAxisLimits:
     def test_e2nu_matches_slope_squared(self):
         # e^{2nu} -> W f'^2 on rods with nonzero slope
         data = skew_rods()
-        prof = axis_profile(data)
+        prof = data.profile
         for i, zeta in ((0, -1.8), (1, -0.2), (3, 1.9)):
             f = tod.tod_fields(data, 1e-5, zeta, order=0)
             slope = float(prof.slopes[i])
