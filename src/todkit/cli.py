@@ -3,7 +3,9 @@
 Subcommands: build samples the metric fields on a grid to CSV, verify
 runs the invariant suites against a rod file and emits a JSON report,
 classify prints the admissible-family search with certificates, and pd
-dispatches the quartic-root family checks and scans.
+dispatches the quartic-root family checks and scans.  Each call builds
+only the parser branch its command line names (build_parser), and help
+and errors for a missing or unknown command use the full tree.
 
 Rod files are JSON: {"mode": "ale", "c": -0.0625, "rods": [{"z": -0.25,
 "a": 0.5}, {"z": 0.25, "a": 0.5}], "gauge": {"h_constant": "symmetric"}}.
@@ -393,7 +395,14 @@ def suite_rods(data, seed, tols, evaluation):
     if data.n == 1:
         checks += conical.skips(SINGLE_NUT)
     else:
-        for rep in rods.conical_check(data):
+        try:
+            reports = rods.conical_check(data)
+        except ArithmeticError as exc:
+            # a sample under- or overflowed as one float would: the check
+            # fails, named by the error, and the other rod checks stand
+            conical.push(f"evaluation error: {exc}", conical=math.inf)
+            reports = ()
+        for rep in reports:
             conical.push(f"rod {rep.rod}", conical=abs(rep.limit - 1.0))
         checks += conical.checks(tols)
 
@@ -660,25 +669,31 @@ def cmd_pd_selfdual(args):
 # argument plumbing
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="todkit",
-        description="verification toolkit for toric half-flat instanton "
-                    "metrics built from rod data")
-    sub = parser.add_subparsers(dest="command", required=True)
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default="-")
+def _add_out(parser):
+    parser.add_argument("--out", default="-")
 
-    build = sub.add_parser("build", parents=[out],
-                           help="sample metric fields to CSV")
+
+def _add_roots(parser):
+    _add_out(parser)
+    parser.add_argument("--roots", nargs=4, type=float)
+    parser.add_argument("--case", choices=("a", "b"))
+    parser.add_argument("--u", type=float)
+    parser.add_argument("--v", type=float)
+
+
+def _add_build(sub, rest):
+    build = sub.add_parser("build", help="sample metric fields to CSV")
+    _add_out(build)
     build.add_argument("rod_file")
     build.add_argument("--grid", default="20x20", help="rho x zeta counts")
     build.add_argument("--rho-range", default=None, metavar="LO:HI")
     build.add_argument("--zeta-range", default=None, metavar="LO:HI")
     build.set_defaults(func=cmd_build)
 
-    verify = sub.add_parser("verify", parents=[out],
-                            help="run invariant suites")
+
+def _add_verify(sub, rest):
+    verify = sub.add_parser("verify", help="run invariant suites")
+    _add_out(verify)
     verify.add_argument("rod_file")
     verify.add_argument("--suite", default="all",
                         choices=("fields", "curvature", "rods", "cky", "all"))
@@ -687,42 +702,88 @@ def build_parser():
                         metavar="NAME=VALUE", help="override one tolerance")
     verify.set_defaults(func=cmd_verify)
 
-    cls = sub.add_parser("classify", parents=[out],
-                         help="admissible rod structure search")
+
+def _add_classify(sub, rest):
+    cls = sub.add_parser("classify", help="admissible rod structure search")
+    _add_out(cls)
     cls.add_argument("--nmax", type=int, default=4)
     cls.add_argument("--lmax", type=int, default=12)
     cls.add_argument("--asymptotics", default="ale", choices=("ale", "af"))
     cls.set_defaults(func=cmd_classify)
 
-    pdp = sub.add_parser("pd", help="quartic-root family checks")
-    pdsub = pdp.add_subparsers(dest="pd_command", required=True)
-    roots = argparse.ArgumentParser(add_help=False, parents=[out])
-    roots.add_argument("--roots", nargs=4, type=float)
-    roots.add_argument("--case", choices=("a", "b"))
-    roots.add_argument("--u", type=float)
-    roots.add_argument("--v", type=float)
 
-    pdsub.add_parser("check", parents=[roots],
-                     help="regularity of one root set").set_defaults(
-                         func=cmd_pd_check)
+def _add_pd_check(sub, rest):
+    check = sub.add_parser("check", help="regularity of one root set")
+    _add_roots(check)
+    check.set_defaults(func=cmd_pd_check)
 
-    scan = pdsub.add_parser("scan", parents=[out],
-                            help="sampled non-regularity scan")
+
+def _add_pd_scan(sub, rest):
+    scan = sub.add_parser("scan", help="sampled non-regularity scan")
+    _add_out(scan)
     scan.add_argument("--case", required=True,
                       choices=("i", "ii", "iii", "a", "b"))
     scan.add_argument("--samples", type=int, default=1000)
     scan.add_argument("--seed", type=int, default=7)
     scan.set_defaults(func=cmd_pd_scan)
 
-    pdsub.add_parser("selfdual", parents=[roots],
-                     help="palindromic root certificates").set_defaults(
-                         func=cmd_pd_selfdual)
 
+def _add_pd_selfdual(sub, rest):
+    selfdual = sub.add_parser("selfdual", help="palindromic root certificates")
+    _add_roots(selfdual)
+    selfdual.set_defaults(func=cmd_pd_selfdual)
+
+
+def _add_pd(sub, rest):
+    pdp = sub.add_parser("pd", help="quartic-root family checks")
+    _add_branches(pdp, "pd_command", rest, {
+        "check": _add_pd_check,
+        "scan": _add_pd_scan,
+        "selfdual": _add_pd_selfdual,
+    })
+
+
+def _add_branches(parser, dest, argv, adders):
+    """Subcommands of parser: only the branch that argv names next, or
+    every branch when argv names none (help, no command, a typo).
+
+    Each adder takes the subparsers action and the argv after its own
+    name.  A narrowed action lists every choice as its metavar, so that
+    its usage line reads as the full tree's; the full tree keeps
+    argparse's default metavar, which its invalid-choice and missing
+    command messages name.
+    """
+    if argv and argv[0] in adders:
+        sub = parser.add_subparsers(dest=dest, required=True,
+                                    metavar="{%s}" % ",".join(adders))
+        adders[argv[0]](sub, argv[1:])
+        return
+    sub = parser.add_subparsers(dest=dest, required=True)
+    for add in adders.values():
+        add(sub, ())
+
+
+def build_parser(argv=()):
+    """The parser for argv: at each level, only the subcommand argv names
+    is built, or the whole tree where argv names none, so that help and
+    a missing or unknown command read as with every branch."""
+    parser = argparse.ArgumentParser(
+        prog="todkit",
+        description="verification toolkit for toric half-flat instanton "
+                    "metrics built from rod data")
+    _add_branches(parser, "command", argv, {
+        "build": _add_build,
+        "verify": _add_verify,
+        "classify": _add_classify,
+        "pd": _add_pd,
+    })
     return parser
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except RodDataError as exc:

@@ -31,6 +31,19 @@ import numpy as np
 
 from .errors import SignatureError
 
+EPS = np.finfo(float).eps
+# weyl_split reads no lam where the self-dual block's largest |eigenvalue|
+# is at most WEYL_FLOOR * EPS * summand_norm(pack): the spectrum is then
+# rounding noise.  Against a 50-digit evaluation of the same float jets
+# (tests/test_weyl_floor.py), over verify's 25 points at seeds 0-3, the
+# float eigenvalues are off by at most 0.51 of EPS * summand_norm on the
+# two-nut file, 0.29 on the skew file and 0.31 on a 16-nut file, and by
+# 0.18 on flat packs, whose exact spectrum (of the rounded inputs) is
+# below 0.012; the curved files' exact spectra reach at least 5.7e10 of
+# it, also with the nuts scaled by 4^+-64 and 4^+-66.  64 sits more than
+# 100 times above that noise and 10^8 times below that curvature.
+WEYL_FLOOR = 64.0
+
 @dataclass(frozen=True)
 class CurvaturePack:
     coords: tuple
@@ -40,6 +53,7 @@ class CurvaturePack:
     ginv: np.ndarray
     dg: np.ndarray
     gamma: np.ndarray
+    dgamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
@@ -114,7 +128,6 @@ def curvature_pack(metric):
     del sym
 
     riem_up = _transpose(dgamma, "cadb", "abcd") - _transpose(dgamma, "dacb", "abcd")
-    del dgamma
     riem_up += np.einsum("...ace,...edb->...abcd", gamma, gamma)
     riem_up -= np.einsum("...ade,...ecb->...abcd", gamma, gamma)
     riemann = np.einsum("...ae,...ebcd->...abcd", g, riem_up)
@@ -144,6 +157,7 @@ def curvature_pack(metric):
         ginv=ginv,
         dg=dg,
         gamma=gamma,
+        dgamma=dgamma,
         riemann=riemann,
         ricci=ricci,
         scalar=_float(scalar),
@@ -251,7 +265,8 @@ def weyl_split(pack):
     The matrices represent F -> (1/2) C F; with the basis normalization
     |sigma|^2 = 4 the matrix element is sigma C sigma / 8.  lam is the
     simple eigenvalue of the self-dual block when the other two form a
-    pair, else None; on a point set, a list of those over the points.
+    pair and the block is above the rounding floor (WEYL_FLOOR), else
+    None; on a point set, a list of those over the points.
     """
     lead = pack.ginv.shape[:-2]
     cup = _raise_all(pack.ginv, pack.weyl).reshape(lead + (16, 16))
@@ -261,26 +276,49 @@ def weyl_split(pack):
     eigs_plus = np.linalg.eigvalsh(0.5 * (m_plus + np.swapaxes(m_plus, -1, -2)))
     eigs_minus = np.linalg.eigvalsh(0.5 * (m_minus + np.swapaxes(m_minus, -1, -2)))
     return WeylSplit(m_plus=m_plus, m_minus=m_minus, eigs_plus=eigs_plus,
-                     eigs_minus=eigs_minus, lam=_simple_eigenvalue(eigs_plus))
+                     eigs_minus=eigs_minus,
+                     lam=_simple_eigenvalue(eigs_plus, WEYL_FLOOR * EPS * summand_norm(pack)))
 
 
-def _simple_eigenvalue(eigs):
-    """The eigenvalue separated from the other two by at least 20 times
-    their spread, or None; per point (nested lists) over a point set."""
-    if eigs.ndim > 1:
-        return [_simple_eigenvalue(row) for row in eigs]
-    scale = float(np.max(np.abs(eigs)))
-    if scale == 0.0:
-        return None
-    gap_low = eigs[1] - eigs[0]
-    gap_high = eigs[2] - eigs[1]
-    if gap_low > gap_high:
-        simple, spread, sep = eigs[0], gap_high, gap_low
-    else:
-        simple, spread, sep = eigs[2], gap_low, gap_high
-    if sep <= 0 or spread > 0.05 * sep:
-        return None
-    return float(simple)
+def summand_norm(pack):
+    """The invariant norm of the Riemann tensor's summands in absolute
+    value, per point.
+
+    R^a_bcd is d_c Gamma^a_db + Gamma^a_ce Gamma^e_db less the same with
+    c and d swapped, so the tensor S^a_cdb = |d_c Gamma^a_db| +
+    sum_e |Gamma^a_ce| |Gamma^e_db| holds every summand once.  Its norm
+    lowers a with |g| and raises c, d and b with |g^-1|.  The curvature
+    is what is left where these summands cancel, so its rounding error
+    scales with this norm (WEYL_FLOOR gives the measured ratio), and the
+    norm scales as the curvature does under a homothety and under a
+    rescaling of each coordinate.  Each contraction is a stacked matrix
+    product on a reshaped view: b, the last axis, and a, the first, in
+    one product each, then c and d per leading index.
+    """
+    lead = pack.g.shape[:-2]
+    gi = np.abs(pack.ginv)
+    gamma = np.abs(pack.gamma)
+    S = (gamma.reshape(lead + (16, 4)) @ gamma.reshape(lead + (4, 16))).reshape(lead + (4,) * 4)
+    S += np.swapaxes(np.abs(pack.dgamma), -4, -3)
+    T = (S.reshape(lead + (64, 4)) @ gi).reshape(lead + (4, 64))
+    T = (np.abs(pack.g) @ T).reshape(lead + (4, 4, 16))
+    T = (gi[..., None, :, :] @ T).reshape(lead + (16, 4, 4))
+    T = gi[..., None, :, :] @ T
+    return np.sqrt(np.sum(T.reshape(lead + (256,)) * S.reshape(lead + (256,)), axis=-1))
+
+
+def _simple_eigenvalue(eigs, floor):
+    """Per point, the eigenvalue separated from the other two by at least
+    20 times their spread, or None, also where no eigenvalue exceeds the
+    floor in size; a list (nested lists) over a point set."""
+    gap_low = eigs[..., 1] - eigs[..., 0]
+    gap_high = eigs[..., 2] - eigs[..., 1]
+    low = gap_low > gap_high
+    simple = np.where(low, eigs[..., 0], eigs[..., 2])
+    spread = np.where(low, gap_high, gap_low)
+    sep = np.where(low, gap_low, gap_high)
+    none = (np.max(np.abs(eigs), axis=-1) <= floor) | (sep <= 0) | (spread > 0.05 * sep)
+    return np.where(none, None, simple.astype(object)).tolist()
 
 
 def scalar_laplacian(pack, f_jet):

@@ -506,6 +506,29 @@ class TestVerify:
             ("conical", "rod 2", "NaN", "fail"),
             ("asymptotic_class", "normalized lattice data is not integral", None, "fail")]
 
+    @pytest.mark.parametrize("doc, error", [
+        ({"c": -1, "rods": [{"z": -1e307, "a": 0.5}, {"z": 1e307, "a": 0.5}]},
+         "(34, 'Numerical result out of range')"),
+        ({"c": "-1.0", "rods": [{"z": "-1.7e+308", "a": "3/10"},
+                                {"z": "-100000000.0", "a": "3/10"},
+                                {"z": "1e-160", "a": "1/10"}, {"z": "0.25", "a": "3/10"}]},
+         "integer division result too large for a float"),
+        ({"c": -1.0, "rods": [{"z": -1e-150, "a": 0.5}, {"z": 1e-150, "a": 0.5}]},
+         "float division by zero"),
+    ], ids=["span-1e307", "exact-1.7e308", "nuts-1e-150"])
+    def test_conical_arithmetic_error_is_a_located_failure(self, tmp_path, capsys, doc,
+                                                           error):
+        # a conical sample that under- or overflows fails that one check;
+        # gl2z and the asymptotic class are still measured
+        path = write_rod_file(tmp_path, doc)
+        code, out, err = run(["verify", path, "--suite", "rods"], capsys)
+        assert (code, err) == (1, "")
+        checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        assert list(checks) == ["gl2z", "conical", "asymptotic_class"]
+        assert checks["conical"]["status"] == "fail"
+        assert checks["conical"]["measured"] == "Infinity"
+        assert checks["conical"]["location"] == f"evaluation error: {error}"
+
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
         code, out, _ = run(["verify", path, "--suite", "rods",

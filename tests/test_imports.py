@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import todkit
 from todkit import cli
 
@@ -56,3 +58,23 @@ def test_module_run_matches_in_process_run(tmp_path):
         code = cli.main(argv)
     assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), "")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["verify", "two_nut.json", "--suite", "rods"]],
+                         ids=["help", "verify-rods"])
+def test_module_run_reads_sys_argv(tmp_path, monkeypatch, argv):
+    # main() with no argv reads sys.argv, which builds the parser branch
+    # that the command names, or the whole tree for -h
+    (tmp_path / "two_nut.json").write_text(json.dumps(TWO_NUT))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")
+    done = _python("-m", "todkit.cli", *argv, cwd=tmp_path)
+    monkeypatch.setattr(sys, "argv", ["todkit", *argv])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = cli.main()
+        except SystemExit as exc:
+            code = exc.code
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), "")
+    assert code == 0 and out.getvalue()
