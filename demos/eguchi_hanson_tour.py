@@ -13,7 +13,7 @@ from todkit import curvature, harmonic, rods, tod
 def main():
     data = tod.eh_rod_data(a=1.0)
     print("rod data:", data)
-    print(f"  weighted centroid {float(data.centroid()):.3f}, "
+    print(f"  weighted nut centre {data.nut_center:.3f}, "
           f"scale {data.scale:.3f}")
 
     # Worked interior point: all five fields in one call.

@@ -25,6 +25,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 from fractions import Fraction
 from typing import NamedTuple
@@ -216,10 +217,11 @@ def _point_set_fields(data, points, order):
 
 class _Evaluation(NamedTuple):
     """A verify run's one evaluation, which every suite reads: the
-    sampled points, their fields and metric, and their curvature pack
-    (None when neither the curvature nor the cky suite runs)."""
+    sampled points' locations (an object array of _loc strings), their
+    fields and metric, and their curvature pack (None when neither the
+    curvature nor the cky suite runs)."""
 
-    points: list
+    locations: np.ndarray
     fields: tod.TodFields
     metric: tod.JetMatrix
     pack: curvature.CurvaturePack
@@ -227,9 +229,9 @@ class _Evaluation(NamedTuple):
 
 def _flat_draws(rng):
     """The (angle, r, theta) draws of the cky suite's eight flat-family
-    members, off their own default_rng(seed) stream."""
-    return [(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.4, 3.0)),
-             float(rng.uniform(0.25, math.pi - 0.25))) for _ in range(8)]
+    members, off their own default_rng(seed) stream: an (8, 3) array."""
+    return rng.uniform((0.0, 0.4, 0.25), (2.0 * math.pi, 3.0, math.pi - 0.25),
+                       size=(8, 3))
 
 
 def _evaluate(data, seed, names):
@@ -249,32 +251,41 @@ def _evaluate(data, seed, names):
     metric = tod.tod_metric(fields)
     pack = (curvature.curvature_pack(metric)
             if "curvature" in names or "cky" in names else None)
-    return _Evaluation(points, fields, metric, pack)
+    locations = np.array([_loc(rho, zeta) for rho, zeta in points], dtype=object)
+    return _Evaluation(locations, fields, metric, pack)
 
 
 class _Worst:
     """The worst residual of each declared check and where it happened.
 
-    push(location, **residuals) keeps, per name, the largest value seen,
-    a NaN counting as the largest of all, so that the check fails where
-    it happened; on a tie the later point wins.  checks() returns the
-    entries in declared order and skips() the same names as skips.
+    push(locations, **residuals) reads one array per check, an entry per
+    location, and keeps per name the largest entry read, a NaN counting
+    as the largest of all, so that the check fails where it happened;
+    on a tie the later entry wins.  Any split of the entries into pushes
+    gives what pushing each alone, in order, gives.  checks() returns
+    the entries in declared order, and a check that read no entry as a
+    skip located at unread, the reason.
     """
 
     def __init__(self, *names):
-        self.worst = dict.fromkeys(names, (0.0, ""))
+        self.worst = dict.fromkeys(names)
 
-    def push(self, location, **residuals):
-        for name, value in residuals.items():
-            if value >= self.worst[name][0] or math.isnan(value):
-                self.worst[name] = (float(value), location)
+    def push(self, locations, **residuals):
+        for name, values in residuals.items():
+            values = np.asarray(values, dtype=float)
+            if not values.size:
+                continue
+            nan = np.flatnonzero(np.isnan(values))
+            # the last NaN, else the last entry equal to the max
+            k = nan[-1] if nan.size else values.size - 1 - np.argmax(values[::-1])
+            value, stored = float(values[k]), self.worst[name]
+            if stored is None or value >= stored[0] or math.isnan(value):
+                self.worst[name] = (value, locations[k])
 
-    def checks(self, tols, good=None):
-        return [_check(name, value, tols[name], location, good)
-                for name, (value, location) in self.worst.items()]
-
-    def skips(self, location):
-        return [_skip(name, location) for name in self.worst]
+    def checks(self, tols, good=None, unread="no entry was read"):
+        return [_skip(name, unread) if entry is None
+                else _check(name, entry[0], tols[name], entry[1], good)
+                for name, entry in self.worst.items()]
 
 
 SINGLE_NUT = "degenerate single-nut data"
@@ -300,38 +311,34 @@ def suite_fields(data, seed, tols, evaluation):
             "measured": cert["max_abs_w_jet"], "tolerance": None,
             "location": f"W jets {found} on a grid of {cert['points']} points; "
                         "single-nut data gives a degenerate metric",
-        }] + worst.skips(SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
+        }] + worst.checks(tols, unread=SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 
-    min_field, min_loc = math.inf, ""
-    # every point in one pass; the loop below only reads floats
-    points, fields = evaluation.points, evaluation.fields
+    locations, fields = evaluation.locations, evaluation.fields
     V, H = harmonic.potentials(fields)
     gv = evaluation.metric.values()
     r = fields.point[0]
     det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
-    killing_det = (np.abs(det - r * r) / (r * r)).tolist()
+    killing_det = np.abs(det - r * r) / (r * r)
     om = tod.fundamental_form(fields, order=1).values()
-    gi = np.linalg.inv(gv)
-    norm_sq = curvature.norm_squared(gi, om).tolist()
-    toda = harmonic.toda_residual(fields).tolist()
-    v20, v10, v01, v02 = (V.partial(*p).tolist() for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
-    h10, h01 = (H.partial(*p).tolist() for p in ((1, 0), (0, 1)))
-    low = np.where(fields.e2nu.value < fields.W.value, fields.e2nu.value,
-                   fields.W.value).tolist()
-    for k, (rho, zeta) in enumerate(points):
-        loc = _loc(rho, zeta)
-        terms = (v20[k], v10[k] / rho, v02[k])
-        scale = abs(h10[k]) + abs(h01[k])
-        worst.push(
-            loc,
-            killing_det=killing_det[k],
-            harmonic_v=abs(jets.ordered_sum(terms)) / jets.ordered_sum(map(abs, terms)),
-            conjugate_pair=abs(h10[k] + rho * v01[k]) / scale,
-            toda=abs(toda[k]),
-            norm_identity=abs(norm_sq[k] - 4.0) / 4.0)
-        worst.push(loc, conjugate_pair=abs(h01[k] - rho * v10[k]) / scale)
-        if low[k] < min_field:
-            min_field, min_loc = low[k], loc
+    norm_sq = curvature.norm_squared(np.linalg.inv(gv), om)
+    toda = harmonic.toda_residual(fields)
+    v20, v10, v01, v02 = (V.partial(*p) for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
+    h10, h01 = (H.partial(*p) for p in ((1, 0), (0, 1)))
+    low = np.where(fields.e2nu.value < fields.W.value, fields.e2nu.value, fields.W.value)
+    t0, t1, t2 = v20, v10 / r, v02
+    scale = np.abs(h10) + np.abs(h01)
+    # libm's float division raises where a divisor is zero, as a point's
+    # own division would; the terms add left to right, as ordered_sum does
+    worst.push(
+        locations, killing_det=killing_det,
+        harmonic_v=jets.libm(operator.truediv, np.abs(0.0 + t0 + t1 + t2),
+                             0.0 + np.abs(t0) + np.abs(t1) + np.abs(t2)),
+        conjugate_pair=np.maximum(jets.libm(operator.truediv, np.abs(h10 + r * v01), scale),
+                                  jets.libm(operator.truediv, np.abs(h01 - r * v10), scale)),
+        toda=np.abs(toda), norm_identity=np.abs(norm_sq - 4.0) / 4.0)
+    # the first strict minimum: no NaN and no inf is one
+    k = np.argmin(np.where(low < math.inf, low, math.inf))
+    min_field, min_loc = (float(low[k]), locations[k]) if low[k] < math.inf else (math.inf, "")
     return worst.checks(tols) + [_check("positivity", min_field, 0.0, min_loc,
                                         good=min_field > 0.0)]
 
@@ -340,71 +347,65 @@ def suite_curvature(data, seed, tols, evaluation):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
-        return worst.skips(SINGLE_NUT)
+        return worst.checks(tols, unread=SINGLE_NUT)
     c = float(data.c)
-    # every point in one pass; the loop below only reads floats
-    points, fields, pack = evaluation.points, evaluation.fields, evaluation.pack
-    norms = {name: value.tolist()
-             for name, value in curvature.invariant_norms(pack).items()}
+    locations, fields, pack = evaluation.locations, evaluation.fields, evaluation.pack
+    norms = curvature.invariant_norms(pack)
     split = curvature.weyl_split(pack)
-    eigs = np.sort(split.eigs_plus)
     omega = 1 / fields.z
-    lap = curvature.scalar_laplacian(pack, omega).tolist()
-    z, w = fields.z.value.tolist(), omega.value.tolist()
-    for k, (rho, zeta) in enumerate(points):
-        loc = _loc(rho, zeta)
-        ricci = norms["ricci"][k] / norms["riemann"][k]
-        lam = split.lam[k]
-        if lam is None:
-            worst.push(loc, ricci_ratio=ricci, weyl_spectrum=math.inf)
-            continue
-        want = np.sort(np.array([lam, -lam / 2, -lam / 2]))
-        want_lap = -2 * c * w[k] ** 4
-        worst.push(
-            loc, ricci_ratio=ricci,
-            weyl_spectrum=np.max(np.abs(eigs[k] - want)) / abs(lam),
-            lambda_z3=abs(lam * z[k] ** 3 + 2 * c) / abs(2 * c),
-            conformal_factor=abs(lap[k] - want_lap) / abs(want_lap))
-    return worst.checks(tols)
+    lap = curvature.scalar_laplacian(pack, omega)
+    # the points where the self-dual block has a simple eigenvalue lam
+    has = np.not_equal(split.lam, None)
+    lam = np.array(split.lam, dtype=float)
+    want = np.sort(np.stack([lam, -lam / 2, -lam / 2], axis=-1), axis=-1)
+    weyl = np.max(np.abs(np.sort(split.eigs_plus) - want), axis=-1) / np.abs(lam)
+    # libm's pow and float division raise where a point's own would
+    worst.push(locations, ricci_ratio=jets.libm(operator.truediv, norms["ricci"],
+                                                norms["riemann"]),
+               weyl_spectrum=np.where(has, weyl, math.inf))
+    want_lap = -2 * c * jets.libm(pow, omega.value[has], 4)
+    z3 = jets.libm(pow, fields.z.value[has], 3)
+    worst.push(
+        locations[has],
+        lambda_z3=jets.libm(operator.truediv, np.abs(lam[has] * z3 + 2 * c), abs(2 * c)),
+        conformal_factor=jets.libm(operator.truediv, np.abs(lap[has] - want_lap),
+                                   np.abs(want_lap)))
+    return worst.checks(tols, unread="no sampled point has a simple self-dual eigenvalue")
 
 
 def suite_rods(data, seed, tols, evaluation):
     junctions = _Worst("gl2z")
-    ok = True
     try:
         reports = rods.gl2z_compatibility(data, tol=tols["gl2z"])
     except RodDataError as exc:
-        junctions.push(str(exc), gl2z=math.inf)
+        junctions.push([str(exc)], gl2z=[math.inf])
         reports, ok = (), False
-    for rep in reports:
-        loc = f"junction {rep.middle}"
-        if rep.singular:
-            junctions.push(loc + " (singular basis)", gl2z=math.inf)
-            ok = False
-            continue
-        # measured on the exact level and sign, so that exact data reads
-        # its true distance (tolerance 0), not a rounded one
-        sign = rep.sign
-        junctions.push(loc, gl2z=float(max(rods.int_distance(rep.level),
-                                           min(abs(sign - 1), abs(sign + 1)))))
-        ok = ok and rep.ok
+    else:
+        ok = all(rep.ok for rep in reports)
+    # measured on the exact level and sign, so that exact data reads its
+    # true distance (tolerance 0), not a rounded one
+    junctions.push(
+        [f"junction {rep.middle}" + (" (singular basis)" if rep.singular else "")
+         for rep in reports],
+        gl2z=[math.inf if rep.singular else
+              float(max(rods.int_distance(rep.level),
+                        min(abs(rep.sign - 1), abs(rep.sign + 1))))
+              for rep in reports])
     # the tolerance gl2z_compatibility applied: 0 on exact data
-    checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack}, good=ok)
+    checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack}, good=ok,
+                              unread="no junction: single-nut data has no middle rod")
 
     conical = _Worst("conical")
-    if data.n == 1:
-        checks += conical.skips(SINGLE_NUT)
-    else:
-        try:
-            reports = rods.conical_check(data)
-        except ArithmeticError as exc:
-            # a sample under- or overflowed as one float would: the check
-            # fails, named by the error, and the other rod checks stand
-            conical.push(f"evaluation error: {exc}", conical=math.inf)
-            reports = ()
-        for rep in reports:
-            conical.push(f"rod {rep.rod}", conical=abs(rep.limit - 1.0))
-        checks += conical.checks(tols)
+    try:
+        reports = rods.conical_check(data) if data.n > 1 else ()
+    except ArithmeticError as exc:
+        # a sample under- or overflowed as one float would: the check
+        # fails, named by the error, and the other rod checks stand
+        conical.push([f"evaluation error: {exc}"], conical=[math.inf])
+        reports = ()
+    conical.push([f"rod {rep.rod}" for rep in reports],
+                 conical=[abs(rep.limit - 1.0) for rep in reports])
+    checks += conical.checks(tols, unread=SINGLE_NUT)
 
     try:
         label, good = rods.asymptotic_class(data).label, True
@@ -415,33 +416,31 @@ def suite_rods(data, seed, tols, evaluation):
 
 def suite_cky(data, seed, tols, evaluation):
     flat = _Worst("flat_family_residual", "flat_norm_formula")
-    ang, r, theta = (np.array(x) for x in zip(*_flat_draws(np.random.default_rng(seed))))
+    ang, r, theta = _flat_draws(np.random.default_rng(seed)).T
     # all eight family members in one pass
     params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
     pack = curvature.curvature_pack(cky.flat_metric(r, theta))
     Z = cky.flat_cky(params, r, theta, order=VERIFY_ORDER - 1)
-    residual = curvature.cky_residual(pack, Z)[0].tolist()
-    norm_sq = curvature.norm_squared(pack.ginv, Z.values()).tolist()
-    want = cky.flat_norm_squared(params, r, theta).tolist()
-    for k, (r_k, theta_k, k1) in enumerate(zip(r.tolist(), theta.tolist(),
-                                               params.k1.tolist())):
-        flat.push(f"r={r_k:.6g}, theta={theta_k:.6g}, k1={k1:.6g}",
-                  flat_family_residual=residual[k],
-                  flat_norm_formula=abs(norm_sq[k] - want[k]) / max(abs(want[k]), 1.0))
+    residual = curvature.cky_residual(pack, Z)[0]
+    norm_sq = curvature.norm_squared(pack.ginv, Z.values())
+    want = cky.flat_norm_squared(params, r, theta)
+    flat.push([f"r={r_k:.6g}, theta={theta_k:.6g}, k1={k1:.6g}"
+               for r_k, theta_k, k1 in zip(r, theta, params.k1)],
+              flat_family_residual=residual,
+              flat_norm_formula=np.abs(norm_sq - want) / np.maximum(np.abs(want), 1.0))
     checks = flat.checks(tols)
 
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
-        return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
-    points, fields, pack = evaluation.points, evaluation.fields, evaluation.pack
+        return checks + candidate.checks(tols, unread=SINGLE_NUT) + [_decay_entry(data, tols)]
+    pack = evaluation.pack
     residual, xi = curvature.cky_residual(
-        pack, cky.tod_cky_candidate(fields, order=VERIFY_ORDER - 1))
-    off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1).tolist()
-    killing = curvature.killing_residual(pack, xi).tolist()
-    residual = residual.tolist()
-    for k, (rho, zeta) in enumerate(points):
-        candidate.push(_loc(rho, zeta), candidate_residual=residual[k],
-                       candidate_killing=max(off[k], killing[k]))
+        pack, cky.tod_cky_candidate(evaluation.fields, order=VERIFY_ORDER - 1))
+    off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1)
+    killing = curvature.killing_residual(pack, xi)
+    # the builtin max(off, killing), NaN included
+    candidate.push(evaluation.locations, candidate_residual=residual,
+                   candidate_killing=np.where(killing > off, killing, off))
     return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
 
 

@@ -240,10 +240,6 @@ class RodData:
     def is_exact(self):
         return self.slack == 0
 
-    def centroid(self):
-        """Weight-averaged nut position sum a_i z_i (ALE weights sum to 1)."""
-        return jets.ordered_sum(a * z for a, z in zip(self.weights, self.zs))
-
     def interior_check(self, rho, zeta):
         """Reject points on the axis, below rho = 1e-8 of the scale, or
         inside a nut exclusion ball.

@@ -61,16 +61,6 @@ class AsymptoticClass:
         return f"L({self.p},{self.q})"
 
 
-@dataclass(frozen=True)
-class RodStructure:
-    rods: object
-    profile: object
-    vectors: tuple
-    f_constants: tuple
-    adjacent_dets: tuple
-    junctions: tuple
-
-
 def express_in_basis(target, a, b):
     """Coefficients (alpha, beta) with target = alpha a + beta b.
 
@@ -199,19 +189,3 @@ def asymptotic_class(rods):
         raise RodDataError("leading image component vanishes")
     return AsymptoticClass(p=p, q=(-q_raw) % p, matrix=M, images=tuple(images))
 
-
-def rod_structure(rods):
-    """Bundle of the axis data: vectors, constants, dets, junctions."""
-    prof = rods.profile
-    vecs = rods.vectors
-    f_consts = tuple(
-        prof.f_constant(i) if prof.slopes[i] != 0 else None
-        for i in range(len(vecs))
-    )
-    dets = tuple(
-        vecs[i][0] * vecs[i + 1][1] - vecs[i][1] * vecs[i + 1][0]
-        for i in range(len(vecs) - 1)
-    )
-    return RodStructure(rods=rods, profile=prof, vectors=vecs,
-                        f_constants=f_consts, adjacent_dets=dets,
-                        junctions=gl2z_compatibility(rods))

@@ -50,7 +50,7 @@ def suite_fields(data, seed, tols, evaluation):
             "measured": cert["max_abs_w_jet"], "tolerance": None,
             "location": f"W jets {found} on a grid of {cert['points']} points; "
                         "single-nut data gives a degenerate metric",
-        }] + worst.skips(SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
+        }] + worst.checks(tols, unread=SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 
     rng = np.random.default_rng(seed)
     min_field, min_loc = math.inf, ""
@@ -69,16 +69,16 @@ def suite_fields(data, seed, tols, evaluation):
         gi = np.linalg.inv(gv)
         norm_sq = float(curvature.norm_squared(gi, om))
         worst.push(
-            loc,
-            killing_det=abs(det - rho * rho) / (rho * rho),
+            [loc],
+            killing_det=[abs(det - rho * rho) / (rho * rho)],
             # left to right, as builtin sum adds floats only up to 3.11
-            harmonic_v=(abs(0.0 + terms[0] + terms[1] + terms[2])
-                        / (0.0 + abs(terms[0]) + abs(terms[1]) + abs(terms[2]))),
-            conjugate_pair=abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
-            toda=abs(harmonic.toda_residual(f)),
-            norm_identity=abs(norm_sq - 4.0) / 4.0)
-        worst.push(loc, conjugate_pair=abs(h.partial(0, 1)
-                                           - rho * v.partial(1, 0)) / scale)
+            harmonic_v=[abs(0.0 + terms[0] + terms[1] + terms[2])
+                        / (0.0 + abs(terms[0]) + abs(terms[1]) + abs(terms[2]))],
+            conjugate_pair=[abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale],
+            toda=[abs(harmonic.toda_residual(f))],
+            norm_identity=[abs(norm_sq - 4.0) / 4.0])
+        worst.push([loc], conjugate_pair=[abs(h.partial(0, 1)
+                                              - rho * v.partial(1, 0)) / scale])
         low = min(f.W.value, f.e2nu.value)
         if low < min_field:
             min_field, min_loc = low, loc
@@ -90,7 +90,7 @@ def suite_curvature(data, seed, tols, evaluation):
     worst = _Worst("ricci_ratio", "weyl_spectrum", "lambda_z3",
                    "conformal_factor")
     if data.n == 1:
-        return worst.skips(SINGLE_NUT)
+        return worst.checks(tols, unread=SINGLE_NUT)
     rng = np.random.default_rng(seed)
     c = float(data.c)
     points = sample_interior(data, 25, rng)
@@ -104,19 +104,19 @@ def suite_curvature(data, seed, tols, evaluation):
         split = curvature.weyl_split(pack)
         lam = split.lam
         if lam is None:
-            worst.push(loc, ricci_ratio=ricci, weyl_spectrum=math.inf)
+            worst.push([loc], ricci_ratio=[ricci], weyl_spectrum=[math.inf])
             continue
         want = np.sort(np.array([lam, -lam / 2, -lam / 2]))
         omega = 1 / f.z.truncate(2)
         lap = curvature.scalar_laplacian(pack, omega)
         want_lap = -2 * c * omega.value ** 4
         worst.push(
-            loc, ricci_ratio=ricci,
-            weyl_spectrum=np.max(np.abs(np.sort(split.eigs_plus) - want))
-            / abs(lam),
-            lambda_z3=abs(lam * f.z.value ** 3 + 2 * c) / abs(2 * c),
-            conformal_factor=abs(lap - want_lap) / abs(want_lap))
-    return worst.checks(tols)
+            [loc], ricci_ratio=[ricci],
+            weyl_spectrum=[np.max(np.abs(np.sort(split.eigs_plus) - want))
+                           / abs(lam)],
+            lambda_z3=[abs(lam * f.z.value ** 3 + 2 * c) / abs(2 * c)],
+            conformal_factor=[abs(lap - want_lap) / abs(want_lap)])
+    return worst.checks(tols, unread="no sampled point has a simple self-dual eigenvalue")
 
 
 def suite_cky(data, seed, tols, evaluation):
@@ -132,14 +132,14 @@ def suite_cky(data, seed, tols, evaluation):
         residual, _ = curvature.cky_residual(pack, Z)
         norm_sq = float(curvature.norm_squared(pack.ginv, Z.values()))
         want = cky.flat_norm_squared(params, r, theta)
-        flat.push(f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}",
-                  flat_family_residual=residual,
-                  flat_norm_formula=abs(norm_sq - want) / max(abs(want), 1.0))
+        flat.push([f"r={r:.6g}, theta={theta:.6g}, k1={params.k1:.6g}"],
+                  flat_family_residual=[residual],
+                  flat_norm_formula=[abs(norm_sq - want) / max(abs(want), 1.0)])
     checks = flat.checks(tols)
 
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
-        return checks + candidate.skips(SINGLE_NUT) + [_decay_entry(data, tols)]
+        return checks + candidate.checks(tols, unread=SINGLE_NUT) + [_decay_entry(data, tols)]
     points = sample_interior(data, 25, np.random.default_rng(seed))
     fields = _point_set_fields(data, points, 3)
     for k, (rho, zeta) in enumerate(points):
@@ -148,10 +148,10 @@ def suite_cky(data, seed, tols, evaluation):
         Z = cky.tod_cky_candidate(f)
         residual, xi = curvature.cky_residual(pack, Z)
         candidate.push(
-            _loc(rho, zeta), candidate_residual=residual,
-            candidate_killing=max(
+            [_loc(rho, zeta)], candidate_residual=[residual],
+            candidate_killing=[max(
                 float(np.max(np.abs(xi - np.array([1.0, 0, 0, 0])))),
-                curvature.killing_residual(pack, xi)))
+                curvature.killing_residual(pack, xi))])
     return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
 
 

@@ -19,10 +19,10 @@ import numpy as np
 
 from todkit import cky, classify, curvature, harmonic, pd, rods as rodmod, tod
 from todkit.errors import TodkitError
-from todkit.harmonic import RodData
 
 import reference_potentials
 from fd import check_jet_against_fd
+from rod_fixtures import skew_rods
 
 RADII = [100.0 * 100.0 ** (i / 4) for i in range(5)]
 
@@ -35,10 +35,6 @@ def _report(num, ok, label, detail):
 
 def eh_rods():
     return tod.eh_rod_data(a=1.0)
-
-
-def skew_rods():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def tod_points(rng, data, count):

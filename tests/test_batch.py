@@ -15,6 +15,7 @@ from todkit.errors import AxisEvaluationError, DegenerateMetricError
 from todkit.harmonic import RodData
 
 import reference_potentials
+from rod_fixtures import skew_rods
 
 ORDERS = [0, 1, 2, 3, 4]
 
@@ -22,10 +23,6 @@ ORDERS = [0, 1, 2, 3, 4]
 def exact_two_nut():
     return RodData(c=Fraction(-1, 16), zs=(Fraction(-1, 4), Fraction(1, 4)),
                    weights=(Fraction(1, 2), Fraction(1, 2)))
-
-
-def skew_three_nut():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def sixteen_nut():
@@ -66,7 +63,7 @@ def assert_point_of_batch(batch, point, k):
 
 CASES = [
     pytest.param(exact_two_nut, (1e-3, 0.4, 1.7), id="two-nut-exact"),
-    pytest.param(skew_three_nut, (1e-3, 0.4, 1.7), id="skew-three-nut"),
+    pytest.param(skew_rods, (1e-3, 0.4, 1.7), id="skew-three-nut"),
     pytest.param(sixteen_nut, (0.4,), id="sixteen-nut"),
 ]
 
@@ -181,7 +178,7 @@ class TestBatchRejects:
         assert str(batch.value) == "W = 0.0 is not positive"
 
     def test_off_axis_without_interior_check(self):
-        rods = skew_three_nut()
+        rods = skew_rods()
         rho = np.array([0.5, 0.2, -0.0])
         with pytest.raises(AxisEvaluationError, match="got -0.0"):
             harmonic.ward_coords(rods, rho, np.zeros(3))
@@ -226,7 +223,7 @@ class TestTwoDimensionalSets:
         assert str(batch.value) == str(first)
 
     def test_ward_coords_first_failure(self):
-        rods = skew_three_nut()
+        rods = skew_rods()
         rho = np.array([[0.5, 0.3], [0.2, -1.0]])
         zeta = np.zeros((2, 2))
         first = first_point_error(

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from identities import hodge_star, wedge_pairing
+from rod_fixtures import skew_rods
 from todkit import cky, curvature, harmonic, tod
 from todkit.cky import FlatCkyParams
 from todkit.errors import DomainError, RodDataError
@@ -18,10 +19,6 @@ RADII = [100.0 * 100.0 ** (i / 4) for i in range(5)]
 
 def eh_rods():
     return tod.eh_rod_data(a=1.0)
-
-
-def skew_rods():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def normalized(zs, weights):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rod_fixtures import skew_rods
 from todkit import classify, rods as rodsmod, tod
 from todkit.errors import RodDataError
 from todkit.harmonic import RodData
@@ -46,7 +47,7 @@ class TestSlopeData:
         assert data.signs == (F(3, 2),)
 
     def test_float_signs_are_their_binary_values(self):
-        rods = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
+        rods = skew_rods()
         vecs = rods.vectors
         signs = classify.slope_data(rods).signs
         for j, sign in enumerate(signs, start=1):

@@ -250,32 +250,32 @@ class TestInputErrors:
 class TestWorst:
     def test_declared_order_and_ties(self):
         worst = cli._Worst("b", "a")
-        worst.push("p1", a=0.5, b=0.0)
-        worst.push("p2", a=0.5)
-        worst.push("p3", b=2e-12)
+        worst.push(["p1", "p2"], a=[0.5, 0.5], b=[0.0, -1.0])
+        worst.push(["p3"], b=[2e-12])
         checks = worst.checks({"a": 0.1, "b": 1e-12})
         assert [(ch["name"], ch["status"], ch["measured"], ch["location"])
                 for ch in checks] == [("b", "fail", 2e-12, "p3"),
                                       ("a", "fail", 0.5, "p2")]
         assert worst.checks({"a": 1.0, "b": 1.0}, good=False)[1]["status"] \
             == "fail"
-        assert worst.skips("why") == [cli._skip("b", "why"),
-                                      cli._skip("a", "why")]
 
     def test_nan_residual_fails_where_it_happened(self):
         worst = cli._Worst("a")
-        worst.push("p1", a=0.5)
-        worst.push("p2", a=float("nan"))
-        worst.push("p3", a=0.7)
+        worst.push(["p1", "p2", "p3"], a=[0.5, float("nan"), 0.7])
+        worst.push(["p4"], a=[0.9])
         [entry] = worst.checks({"a": 1.0})
         assert entry["status"] == "fail"
         assert entry["location"] == "p2"
         assert math.isnan(entry["measured"])
 
-    def test_nothing_pushed_reads_zero(self):
-        [entry] = cli._Worst("a").checks({"a": 0.0})
-        assert (entry["measured"], entry["location"], entry["status"]) \
-            == (0.0, "", "pass")
+    def test_nothing_read_is_a_skip(self):
+        # a check with no entry, also after an empty push, skips with the
+        # reason it is given; a check that read one entry does not
+        worst = cli._Worst("b", "a")
+        worst.push([], a=np.array([]), b=[])
+        worst.push(["p1"], a=[0.0])
+        assert worst.checks({"a": 0.0, "b": 0.0}, unread="why") \
+            == [cli._skip("b", "why"), cli._check("a", 0.0, 0.0, "p1")]
 
 
 # the skew three-nut file: float data, every junction off the lattice

@@ -7,22 +7,18 @@ import numpy as np
 import pytest
 
 from identities import hodge_star
+from rod_fixtures import skew_rods
 from todkit import cky
 from todkit import curvature as cv
 from todkit import tod
 from todkit.cky import FlatCkyParams
 from todkit.errors import SignatureError
-from todkit.harmonic import RodData
 from todkit.jets import Jet2
 from todkit.tod import JetMatrix
 
 
 def eh_rods():
     return tod.eh_rod_data(a=1.0)
-
-
-def skew_rods():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def cky_candidate(fields, order=2):

@@ -14,6 +14,7 @@ from todkit.harmonic import RodData
 
 from fd import check_jet_against_fd
 from identities import axis_g, axis_w, rod_index
+from rod_fixtures import skew_rods
 
 F = Fraction
 
@@ -29,10 +30,6 @@ def eh_rods_exact():
         zs=(Fraction(-1, 4), Fraction(1, 4)),
         weights=(Fraction(1, 2), Fraction(1, 2)),
     )
-
-
-def skew_rods():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def potentials(rods, rho, zeta, order=4):
@@ -227,9 +224,9 @@ class TestPotentials:
             assert abs(v.partial(0, 2) - expected) < 1e-12 * abs(expected)
 
     def test_log_asymptotics(self):
-        # |V - V0(rho, zeta - centroid)| stays bounded by C log R far out
+        # |V - V0(rho, zeta - zbar)| stays bounded by C log R far out
         rods = skew_rods()
-        zb = rods.centroid()
+        zb = rods.nut_center
         for Rbig in (1e3, 1e5):
             theta = 1.1
             rho, zeta = Rbig * math.sin(theta), Rbig * math.cos(theta)

@@ -22,9 +22,6 @@ KEPT = {
                        "corrected asymptotic chart of ROADMAP item 4 follows it",
     "pd.pd_rod_vectors": "the scalar form of the rod vectors that "
                          "tests/reference_regularity.py checks the kernel against",
-    "rods.rod_structure": "the axis data of a rod set in one record (vectors, "
-                          "constants, adjacent dets, junctions) for library "
-                          "callers; test_rods checks it",
     "classify.regularity_residuals": "the exact junction defects of one rod set, "
                                      "which classify --rods (ROADMAP item 8) will "
                                      "report",

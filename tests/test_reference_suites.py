@@ -15,9 +15,9 @@ import numpy as np
 import pytest
 
 import reference_suites
+from rod_fixtures import skew_rods
 from test_cli import run, sixteen_nut_doc, write_rod_file
 from todkit import cky, cli, tod
-from todkit.harmonic import RodData
 
 DOCS = {
     "two-nut-exact": {"c": "-1/16", "rods": [{"z": "-1/4", "a": "1/2"},
@@ -45,7 +45,7 @@ def test_report_matches_reference(tmp_path, capsys, monkeypatch, doc, suite, see
 
 @pytest.mark.parametrize("rods", [
     tod.eh_rod_data(),
-    RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3)),
+    skew_rods(),
 ], ids=["two-nut", "skew-three-nut"])
 def test_frames_match_reference(rods):
     # every decay radius in one pass, each with the bits of its own frame

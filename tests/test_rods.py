@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from identities import axis_w, f_jump, zero_slope_jump
+from rod_fixtures import skew_rods
 from todkit import harmonic
 from todkit import rods as rodmod
 from todkit import tod
@@ -20,11 +21,6 @@ F = Fraction
 
 def eh_exact():
     return RodData(c=F(-1, 16), zs=(F(-1, 4), F(1, 4)), weights=(F(1, 2), F(1, 2)))
-
-
-def skew_rods(gauge="symmetric"):
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3),
-                   gauge=gauge)
 
 
 def steep_exact():
@@ -120,15 +116,6 @@ class TestRodVectors:
         assert data.profile is data.profile
         assert data.vectors is data.vectors
         assert data.vectors == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
-
-    def test_structure_bundle(self):
-        st = rodmod.rod_structure(eh_exact())
-        assert len(st.vectors) == 3
-        assert st.f_constants[1] is None
-        assert st.f_constants[0] == F(-1)
-        assert st.f_constants[2] == F(1)
-        assert st.adjacent_dets == (F(-1), F(-1))
-        assert len(st.junctions) == 1
 
 
 class TestJumps:

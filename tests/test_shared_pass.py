@@ -18,16 +18,15 @@ import numpy as np
 import pytest
 
 import reference_suites
+from rod_fixtures import skew_rods
 from test_cli import rod_doc, run, write_rod_file
 from todkit import cky, cli, curvature, tod
 from todkit.errors import SignatureError
-from todkit.harmonic import RodData
 
-SKEW = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 # at 4^64 and beyond (and 4^-66 and below) the reference's order-4
 # curvature pass overflows or divides by zero; its order-3 passes do not
 DOCS = {f"{name}-4^{k}": rod_doc(tod.rescale(rods, 4.0 ** k))
-        for name, rods in (("two-nut", tod.eh_rod_data()), ("skew", SKEW))
+        for name, rods in (("two-nut", tod.eh_rod_data()), ("skew", skew_rods()))
         for k in (-66, -64, -62, 62, 64, 66)}
 DOCS.update({
     "tiny-1e-160": {"c": -1e-300, "rods": [{"z": -1e-160, "a": 0.5},

@@ -17,16 +17,13 @@ from todkit.jets import Jet2
 
 import reference_potentials
 from fd import check_jet_against_fd
+from rod_fixtures import skew_rods
 
 WP_RHO = math.sqrt(3) / 4
 
 
 def eh_rods():
     return tod.eh_rod_data(a=1.0)
-
-
-def skew_rods():
-    return RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3))
 
 
 def literal_field_jets(rods, rho, zeta, order=2):
@@ -346,8 +343,7 @@ class TestRescale:
             assert abs(f1.x.value - f0.x.value) < 1e-12 * max(abs(f0.x.value), 1)
 
     def test_gauge_handling(self):
-        rods = RodData(c=-0.3, zs=(-1.0, 0.2, 0.9), weights=(0.2, 0.5, 0.3),
-                       gauge=0.25)
+        rods = skew_rods(gauge=0.25)
         scaled = tod.rescale(rods, 2.0)
         assert scaled.gauge == 1.0
         assert tod.rescale(skew_rods(), 2.0).gauge == "symmetric"
