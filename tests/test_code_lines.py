@@ -3,9 +3,7 @@
 import importlib.util
 from pathlib import Path
 
-import todkit
-
-TOOL = Path(todkit.__file__).resolve().parents[2] / "tools" / "code_lines.py"
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 spec = importlib.util.spec_from_file_location("code_lines", TOOL)
 code_lines = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(code_lines)
@@ -38,7 +36,7 @@ def test_counts_code_lines_only():
 
 
 def test_package_total_is_the_sum_of_its_modules(capsys):
-    code_lines.main(["code_lines.py", str(Path(todkit.__file__).parent)])
+    code_lines.main()
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows[-1][0] == "total"
     assert int(rows[-1][1]) == sum(int(count) for _, count in rows[:-1])

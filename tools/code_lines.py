@@ -5,12 +5,11 @@ of a docstring (the first string statement of a module, class or
 function); blank lines do not count.  Every line of a multi-line token
 counts.
 
-Run with: python3 tools/code_lines.py [package directory]
+Run with: python3 tools/code_lines.py
 """
 
 import ast
 import io
-import sys
 import tokenize
 from pathlib import Path
 
@@ -40,8 +39,8 @@ def code_lines(source):
     return len(lines - docs)
 
 
-def main(argv):
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1] / "src" / "todkit"
+def main():
+    root = Path(__file__).resolve().parents[1] / "src" / "todkit"
     total = 0
     for path in sorted(root.rglob("*.py")):
         count = code_lines(path.read_text())
@@ -51,4 +50,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    main(sys.argv)
+    main()
