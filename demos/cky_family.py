@@ -37,7 +37,7 @@ def main():
     rho, zeta = math.sqrt(3.0) / 4.0, 0.05
     f = tod.tod_fields(data, rho, zeta, order=4)
     pack = curvature.curvature_pack(tod.tod_metric(f))
-    Z = cky.tod_cky_candidate(f, order=2)
+    Z = cky.tod_cky_candidate(f)
     res, xi = curvature.cky_residual(pack, Z)
     print(f"\ninstanton candidate at (rho, zeta) = ({rho:.4f}, {zeta}):")
     print(f"  conformal Killing residual {res:.2e}")

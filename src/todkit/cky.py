@@ -163,17 +163,16 @@ def flat_norm_squared(params, r, theta):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def tod_cky_candidate(fields, order=2):
+def tod_cky_candidate(fields):
     """z times the fundamental form; |Z|^2 = 4 z^2 by the norm identity.
 
-    fields is a tod.TodFields of order at least order + 1, since the form
-    carries first derivatives of the Ward coordinates; the candidate
-    comes out at order, over the fields' points in one pass.  It reads z,
-    W and F to order and the Ward coordinates z, x to order + 1, so
-    cky_residual's order-1 candidate needs order-2 fields.
+    Like the form, which carries first derivatives of the Ward
+    coordinates, the candidate comes out one order below the fields, over
+    their points in one pass: cky_residual's order-1 candidate needs
+    order-2 fields.
     """
-    z = fields.z.truncate(order)
-    om = tod.fundamental_form(fields, order=order)
+    om = tod.fundamental_form(fields)
+    z = fields.z.truncate(om.jet.order)
     return JetMatrix(om.coords, _each(z, lambda c: c[..., None, None]) * om.jet, om.base)
 
 
@@ -194,7 +193,7 @@ def _frame_components(fields, radii, theta, st, ct):
     one point per radius; the frames come back as one (n, 4, 4) array.
     """
     r = np.asarray(radii)
-    Z = tod_cky_candidate(fields, order=0).values()
+    Z = tod_cky_candidate(fields).values()
     jac = np.zeros(r.shape + (4, 4))
     jac[..., 0, 0] = 1.0
     jac[..., 1, 1] = 1.0
@@ -225,10 +224,11 @@ def cky_decay_check(rods, radii, theta=1.0):
     the frame components (the corrected chart exists but is not
     constructed here); the report then carries chart_limited = True and
     the exponent measures the chart, not the tensor.  Single-nut data has
-    no fundamental form to compare (W vanishes identically), so only the
-    norm identity |Z| = 2z is checked there, which the family reproduces
-    exactly, and the fit is flagged degenerate.
+    no fundamental form to compare (W vanishes identically) and raises
+    RodDataError.
     """
+    if rods.n == 1:
+        raise RodDataError("decay fit needs at least two nuts")
     radii = [float(r) for r in radii]
     if len(radii) < 2:
         raise RodDataError("decay fit needs at least two radii")
@@ -243,27 +243,7 @@ def cky_decay_check(rods, radii, theta=1.0):
     # every radius in one pass, on the chart points rho = r^2 sin t / 4,
     # zeta = center + r^2 cos t / 4
     rr = np.multiply(radii, radii)
-    fields = tod.tod_fields(rods, rr * st / 4.0, center + rr * ct / 4.0,
-                            order=0 if len(rods.zs) == 1 else 1)
-
-    if len(rods.zs) == 1:
-        # one nut: in the centered chart z = a r^2 / 4 exactly, and the
-        # member with k1 = -a/4, k2 = 0 has the same norm to rounding
-        a1w = float(rods.weights[0])
-        k1, k2 = -a1w / 4.0, 0.0
-        params = FlatCkyParams(k1=k1, k2=k2)
-        devs, rels = [], []
-        for r, zval in zip(radii, fields.z.value.tolist()):
-            model = math.sqrt(flat_norm_squared(params, r, theta))
-            devs.append(abs(2.0 * zval - model))
-            rels.append(devs[-1] / model)
-        return {
-            "radii": tuple(radii), "theta": theta, "k1": k1, "k2": k2,
-            "deviations": tuple(devs), "relative_deviations": tuple(rels),
-            "exponent": None, "degenerate": True, "norm_only": True,
-            "chart_limited": False,
-        }
-
+    fields = tod.tod_fields(rods, rr * st / 4.0, center + rr * ct / 4.0, order=1)
     frames = _frame_components(fields, radii, theta, st, ct)
     tail = frames[-1]
     r_max = radii[-1]
@@ -296,12 +276,18 @@ def cky_decay_check(rods, radii, theta=1.0):
     return {
         "radii": tuple(radii), "theta": theta, "k1": float(k1), "k2": float(k2),
         "deviations": tuple(devs), "relative_deviations": tuple(rels),
-        "exponent": exponent, "degenerate": bool(degenerate), "norm_only": False,
+        "exponent": exponent, "degenerate": bool(degenerate),
         "chart_limited": chart_limited(rods),
     }
 
 
 def chart_limited(rods):
     """Whether the centred third moment (RodData.third_moment) is nonzero,
-    so that the polar chart is not the fast-rate chart."""
-    return abs(rods.third_moment) > 1e-12
+    so that the polar chart is not the fast-rate chart.
+
+    The moment scales as length^3, so it is compared with 1e-12 span^3,
+    span = RodData.scale, multiplied out since a float power can raise
+    OverflowError; an infinite or NaN moment reads False.
+    """
+    span = rods.scale
+    return abs(rods.third_moment) > 1e-12 * span * span * span

@@ -48,9 +48,9 @@ DECAY_RADII = tuple(100.0 * 100.0 ** (i / 4) for i in range(5))
 # 1/z to second order); the fields suite reads second partials of V and
 # of the Toda jet, first partials of H and the Ward coordinates, and the
 # metric's values.  cky_residual reads a two-form's values and first
-# derivatives, so the cky candidate and the flat-family members are
-# built one order lower, VERIFY_ORDER - 1; the candidate's form carries
-# first derivatives of the order-2 Ward coordinates.
+# derivatives, so the flat-family members are built at VERIFY_ORDER - 1,
+# where the candidate comes out: a two-form comes out one order below
+# its fields, as it carries first derivatives of the Ward coordinates.
 VERIFY_ORDER = 2
 
 DEFAULT_TOLS = {
@@ -319,7 +319,7 @@ def suite_fields(data, seed, tols, evaluation):
     r = fields.point[0]
     det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
     killing_det = np.abs(det - r * r) / (r * r)
-    om = tod.fundamental_form(fields, order=1).values()
+    om = tod.fundamental_form(fields).values()
     norm_sq = curvature.norm_squared(np.linalg.inv(gv), om)
     toda = harmonic.toda_residual(fields)
     v20, v10, v01, v02 = (V.partial(*p) for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
@@ -375,13 +375,7 @@ def suite_curvature(data, seed, tols, evaluation):
 
 def suite_rods(data, seed, tols, evaluation):
     junctions = _Worst("gl2z")
-    try:
-        reports = rods.gl2z_compatibility(data, tol=tols["gl2z"])
-    except RodDataError as exc:
-        junctions.push([str(exc)], gl2z=[math.inf])
-        reports, ok = (), False
-    else:
-        ok = all(rep.ok for rep in reports)
+    reports = rods.gl2z_compatibility(data, tol=tols["gl2z"])
     # measured on the exact level and sign, so that exact data reads its
     # true distance (tolerance 0), not a rounded one
     junctions.push(
@@ -392,7 +386,8 @@ def suite_rods(data, seed, tols, evaluation):
                         min(abs(rep.sign - 1), abs(rep.sign + 1))))
               for rep in reports])
     # the tolerance gl2z_compatibility applied: 0 on exact data
-    checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack}, good=ok,
+    checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack},
+                              good=all(rep.ok for rep in reports),
                               unread="no junction: single-nut data has no middle rod")
 
     conical = _Worst("conical")
@@ -434,8 +429,7 @@ def suite_cky(data, seed, tols, evaluation):
     if data.n == 1:
         return checks + candidate.checks(tols, unread=SINGLE_NUT) + [_decay_entry(data, tols)]
     pack = evaluation.pack
-    residual, xi = curvature.cky_residual(
-        pack, cky.tod_cky_candidate(evaluation.fields, order=VERIFY_ORDER - 1))
+    residual, xi = curvature.cky_residual(pack, cky.tod_cky_candidate(evaluation.fields))
     off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1)
     killing = curvature.killing_residual(pack, xi)
     # the builtin max(off, killing), NaN included
@@ -453,7 +447,7 @@ def _decay_entry(data, tols):
     """
     name = "decay_exponent"
     if data.n == 1:
-        return _skip(name, "single-nut norm check only")
+        return _skip(name, SINGLE_NUT)
     c, _, nuts = data.floats
     kappa = jets.ordered_sum(a_i * a_j * (z_j - z_i) ** 2
                              for i, (z_i, a_i) in enumerate(nuts)
@@ -577,17 +571,6 @@ def cmd_verify(args):
     return 1 if status == "fail" else 0
 
 
-def _branch_entry(branch):
-    return {
-        "n": branch.n,
-        "pattern": branch.pattern,
-        "status": branch.status,
-        "junction": branch.junction,
-        "certificate": branch.certificate,
-        "details": branch.details,
-    }
-
-
 def cmd_classify(args):
     _at_least("--nmax", args.nmax, 1)
     result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
@@ -597,8 +580,8 @@ def cmd_classify(args):
         "n_max": result.n_max,
         "l_bound": result.l_bound,
         "asymptotics": result.asymptotics,
-        "admissible": [_branch_entry(b) for b in result.survivors],
-        "branches": [_branch_entry(b) for b in result.branches],
+        "admissible": [vars(b) for b in result.survivors],
+        "branches": [vars(b) for b in result.branches],
         "summary": {"branches": len(result.branches),
                     "admissible": len(result.survivors)},
     })
@@ -643,14 +626,9 @@ def cmd_pd_scan(args):
     _at_least("--samples", args.samples, 1)
     _at_least("--seed", args.seed, 0)
     result = pd.pd_scan(args.case, samples=args.samples, seed=args.seed)
-    _write_report(args.out, {
-        "command": "pd scan",
-        "case": result.case,
-        "samples": result.samples,
-        "attempts": result.attempts,
-        "admissible": result.admissible,
-        "certificates": result.certificates,
-    }, result.seed)
+    fields = {"command": "pd scan", **vars(result)}
+    seed = fields.pop("seed")
+    _write_report(args.out, fields, seed)
     return 1 if result.admissible else 0
 
 

@@ -361,8 +361,10 @@ def libm(f, x, *args):
     of x's shape.  numpy's vectorised log, exp, pow and hypot can round
     differently from libm in the last bit, and return inf or 0 with a
     warning where the float call raises, so an array path that must give
-    every entry its own call's bits goes through here.  The first entry
-    that raises raises its own exception.
+    every entry its own call's bits goes through here; so does a float
+    division that must raise on a zero divisor (operator.truediv), where
+    numpy's returns inf or NaN.  The first entry that raises raises its
+    own exception.
     """
     if type(x) is not np.ndarray:
         return f(x, *args)

@@ -208,13 +208,13 @@ def tod_metric(fields):
     return JetMatrix.stack(("tau", "y", "rho", "zeta"), comp, fields.point)
 
 
-def fundamental_form(fields, order=None):
+def fundamental_form(fields):
     """The two-form (dtau + F dy) ^ dz + W rho^2 dx ^ dy as jets.
 
     Entries come out one order below the fields because they carry first
     derivatives of the Ward coordinates.
     """
-    m = fields.z.order - 1 if order is None else order
+    m = fields.z.order - 1
     z_r = fields.z.derivative(0).truncate(m)
     z_z = fields.z.derivative(1).truncate(m)
     x_r = fields.x.derivative(0).truncate(m)

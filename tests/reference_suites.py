@@ -65,7 +65,7 @@ def suite_fields(data, seed, tols, evaluation):
         v, h = V.at(k), H.at(k)
         terms = (v.partial(2, 0), v.partial(1, 0) / rho, v.partial(0, 2))
         scale = abs(h.partial(1, 0)) + abs(h.partial(0, 1))
-        om = tod.fundamental_form(f, order=1).values()
+        om = tod.fundamental_form(f).values()
         gi = np.linalg.inv(gv)
         norm_sq = float(curvature.norm_squared(gi, om))
         worst.push(
@@ -160,7 +160,7 @@ SUITES = {"fields": suite_fields, "curvature": suite_curvature, "cky": suite_cky
 
 def frame_components(fields, r, theta, st, ct):
     """cky._frame_components at one radius; fields are that point's own."""
-    Z = cky.tod_cky_candidate(fields, order=0).values()
+    Z = cky.tod_cky_candidate(fields).values()
     jac = np.zeros((4, 4))
     jac[0, 0] = 1.0
     jac[1, 1] = 1.0

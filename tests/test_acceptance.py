@@ -22,7 +22,7 @@ from todkit.errors import TodkitError
 
 import reference_potentials
 from fd import check_jet_against_fd
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods, skew_rods
 
 RADII = [100.0 * 100.0 ** (i / 4) for i in range(5)]
 
@@ -31,10 +31,6 @@ def _report(num, ok, label, detail):
     status = "PASS" if ok else "FAIL"
     print(f"\ncriterion {num:2d} [{status}] {label}: {detail}", flush=True)
     assert ok, f"criterion {num} {label}: {detail}"
-
-
-def eh_rods():
-    return tod.eh_rod_data(a=1.0)
 
 
 def tod_points(rng, data, count):
@@ -170,7 +166,7 @@ def test_criterion_04_algebraic_identities():
                 abs(h.partial(1, 0) + rho * v.partial(0, 1)) / scale,
                 abs(h.partial(0, 1) - rho * v.partial(1, 0)) / scale)
 
-            Z = cky.tod_cky_candidate(f, order=0).values()
+            Z = cky.tod_cky_candidate(f).values()
             gi = np.linalg.inv(gv)
             norm_sq = float(np.einsum("ab,cd,ac,bd->", Z, Z, gi, gi))
             z2 = f.z.value ** 2
@@ -288,7 +284,7 @@ def test_criterion_09_conformal_killing_forms():
     worst_cand = 0.0
     for rho, zeta in tod_points(rng, data, 20):
         f, pack = tod_pack(data, rho, zeta)
-        Z = cky.tod_cky_candidate(f, order=2)
+        Z = cky.tod_cky_candidate(f)
         res, xi = curvature.cky_residual(pack, Z)
         worst_cand = max(worst_cand, res)
         worst_cand = max(worst_cand,

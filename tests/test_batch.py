@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 import random
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,14 +14,9 @@ from todkit.errors import AxisEvaluationError, DegenerateMetricError
 from todkit.harmonic import RodData
 
 import reference_potentials
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods_exact, skew_rods
 
 ORDERS = [0, 1, 2, 3, 4]
-
-
-def exact_two_nut():
-    return RodData(c=Fraction(-1, 16), zs=(Fraction(-1, 4), Fraction(1, 4)),
-                   weights=(Fraction(1, 2), Fraction(1, 2)))
 
 
 def sixteen_nut():
@@ -62,7 +56,7 @@ def assert_point_of_batch(batch, point, k):
 
 
 CASES = [
-    pytest.param(exact_two_nut, (1e-3, 0.4, 1.7), id="two-nut-exact"),
+    pytest.param(eh_rods_exact, (1e-3, 0.4, 1.7), id="two-nut-exact"),
     pytest.param(skew_rods, (1e-3, 0.4, 1.7), id="skew-three-nut"),
     pytest.param(sixteen_nut, (0.4,), id="sixteen-nut"),
 ]
@@ -150,7 +144,7 @@ class TestBatchRejects:
         ([0.5, float("nan")], [0.0, 0.1]),
     ])
     def test_interior_check_first_failure(self, rho, zeta):
-        rods = exact_two_nut()
+        rods = eh_rods_exact()
         with pytest.raises(Exception) as batch:
             rods.interior_check(np.array(rho), np.array(zeta))
         for r, z in zip(rho, zeta):
@@ -164,7 +158,7 @@ class TestBatchRejects:
 
     def test_interior_check_passes_near_the_ball(self):
         # math.hypot decides, for the set as for one point
-        rods = exact_two_nut()
+        rods = eh_rods_exact()
         r_nut = 1e-6 * rods.min_gap
         rho = np.array([r_nut * (1 + 1e-15), r_nut, 0.5])
         rods.interior_check(rho, np.array([-0.25, -0.25, 0.0]))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from identities import hodge_star, wedge_pairing
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods, skew_rods
 from todkit import cky, curvature, harmonic, tod
 from todkit.cky import FlatCkyParams
 from todkit.errors import DomainError, RodDataError
@@ -15,10 +15,6 @@ from todkit.harmonic import RodData
 WP_RHO = math.sqrt(3) / 4
 
 RADII = [100.0 * 100.0 ** (i / 4) for i in range(5)]
-
-
-def eh_rods():
-    return tod.eh_rod_data(a=1.0)
 
 
 def normalized(zs, weights):
@@ -256,12 +252,20 @@ class TestDecay:
         assert not rep["degenerate"]
 
     def test_single_nut_degenerate(self):
-        rep = cky.cky_decay_check(
-            RodData(c=-1.0, zs=(0.6,), weights=(1.0,)), RADII)
-        assert rep["degenerate"]
-        assert rep["norm_only"]
-        assert rep["exponent"] is None
-        assert max(rep["relative_deviations"]) < 1e-12
+        # W vanishes identically: there is no fundamental form to fit
+        with pytest.raises(RodDataError, match="two nuts"):
+            cky.cky_decay_check(RodData(c=-1.0, zs=(0.6,), weights=(1.0,)), RADII)
+
+    @pytest.mark.parametrize("zs, weights, limited", [
+        ((-1.0, 0.2, 0.9), (0.2, 0.5, 0.3), True),
+        ((0.4, 1.0, 1.6), (0.25, 0.5, 0.25), False),
+        ((-0.25, 0.25), (0.5, 0.5), False),
+    ], ids=["skew", "symmetric", "two-nut"])
+    def test_chart_limited_is_scale_invariant(self, zs, weights, limited):
+        # under z -> alpha z, c -> alpha^2 c the moment scales as alpha^3
+        for k in range(-40, 41):
+            rods = normalized(tuple(4.0 ** k * z for z in zs), weights)
+            assert cky.chart_limited(rods) is limited
 
     def test_input_guards(self):
         rods = eh_rods()

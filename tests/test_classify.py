@@ -5,17 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods_exact, skew_rods
 from todkit import classify, rods as rodsmod, tod
 from todkit.errors import RodDataError
 from todkit.harmonic import RodData
 
 F = Fraction
-
-
-def eh_exact():
-    return RodData(c=F(-1, 16), zs=(F(-1, 4), F(1, 4)),
-                   weights=(F(1, 2), F(1, 2)))
 
 
 def perturbed_exact():
@@ -30,7 +25,7 @@ def steep_exact():
 
 class TestSlopeData:
     def test_eh_exact(self):
-        data = classify.slope_data(eh_exact())
+        data = classify.slope_data(eh_rods_exact())
         assert data.n == 2
         assert data.slopes == (F(-1), F(0), F(1))
         assert data.values == (F(1, 4), F(1, 4))
@@ -62,7 +57,7 @@ class TestSlopeData:
 
 class TestResiduals:
     def test_eh_all_ok(self):
-        reports = classify.regularity_residuals(classify.slope_data(eh_exact()))
+        reports = classify.regularity_residuals(classify.slope_data(eh_rods_exact()))
         assert len(reports) == 1
         rep = reports[0]
         assert rep.level == 2
@@ -129,7 +124,7 @@ class TestDegenerateCertificate:
 
     def test_rejects_other_data(self):
         with pytest.raises(RodDataError):
-            classify.verify_n1_degenerate(eh_exact())
+            classify.verify_n1_degenerate(eh_rods_exact())
 
 
 class TestSearch:

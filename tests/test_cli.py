@@ -668,6 +668,8 @@ def strict_json(text):
 # valid ALE data whose conical samples all underflow to NaN
 UNDERFLOW_DOC = {"c": -1e-300, "rods": [{"z": -1e-150, "a": 0.5},
                                         {"z": 1e-150, "a": 0.5}]}
+# valid ALE data whose junction level and conical samples overflow
+OVERFLOW_DOC = {"c": -1, "rods": [{"z": -1e307, "a": 0.5}, {"z": 1e307, "a": 0.5}]}
 
 
 class TestStrictJson:
@@ -687,16 +689,15 @@ class TestStrictJson:
         assert by_name["conical"]["measured"] == "NaN"
         assert by_name["conical"]["status"] == "fail"
 
-    def test_infinite_measured(self, tmp_path, capsys, monkeypatch):
-        def no_basis(rods, tol):
-            raise RodDataError("basis vectors are collinear")
-        monkeypatch.setattr(cli.rods, "gl2z_compatibility", no_basis)
-        path = write_rod_file(tmp_path, EH_DOC)
+    def test_infinite_measured(self, tmp_path, capsys):
+        # the junction level and the conical samples overflow
+        path = write_rod_file(tmp_path, OVERFLOW_DOC)
         code, out, _ = run(["verify", path, "--suite", "rods"], capsys)
         assert code == 1
         by_name = {ch["name"]: ch for ch in strict_json(out)["checks"]}
-        assert by_name["gl2z"]["measured"] == "Infinity"
-        assert by_name["gl2z"]["status"] == "fail"
+        for name in ("gl2z", "conical"):
+            assert by_name[name]["measured"] == "Infinity"
+            assert by_name[name]["status"] == "fail"
 
     @pytest.mark.parametrize("args", [
         ["verify", "ROD_FILE", "--suite", "all"],
@@ -733,6 +734,11 @@ CONE_TEXT = "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"
 MOMENT_TEXT = "nonzero centered third moment: polar chart is not the fast-rate chart"
 
 
+def shrunk(doc, alpha):
+    """doc with every nut position times alpha."""
+    return {**doc, "rods": [{**r, "z": r["z"] * alpha} for r in doc["rods"]]}
+
+
 def standard_cone(doc):
     """doc with c = -sum_{i<j} a_i a_j (z_j - z_i)^2, the standard cone."""
     nuts = [(r["z"], r["a"]) for r in doc["rods"]]
@@ -746,9 +752,12 @@ class TestDecayPreconditions:
     @pytest.mark.parametrize("doc, calls, location", [
         (SKEW_FILE_DOC, 0, CONE_TEXT),
         (standard_cone(SKEW_FILE_DOC), 0, MOMENT_TEXT),
+        # the moment, -1.6e-13 here, is compared on the scale of the nuts
+        (standard_cone(shrunk(SKEW_FILE_DOC, 1e-4)), 0, MOMENT_TEXT),
         (sixteen_nut_doc(random.Random(7)), 0, MOMENT_TEXT),
         (EH_DOC, 1, "r in [100, 10000]"),
-    ], ids=["skew", "skew-standard-cone", "sixteen-nut", "two-nut"])
+    ], ids=["skew", "skew-standard-cone", "skew-standard-cone-1e-4", "sixteen-nut",
+            "two-nut"])
     def test_fit_runs_only_where_reported(self, tmp_path, capsys, monkeypatch, suite,
                                           doc, calls, location):
         path = write_rod_file(tmp_path, doc)

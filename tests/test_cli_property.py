@@ -15,7 +15,8 @@ import warnings
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from todkit import cli
+from todkit import cli, rods
+from todkit.errors import RodDataError
 
 LADDER = (5e-324, 1e-300, 1e-160, 1e-150, 1e-8, 0.25, 1.0, 3.0, 1e8, 1e100,
           1e300, 1e307, 1.7e308)
@@ -62,3 +63,17 @@ def test_no_traceback(tmp_path_factory, doc, command):
     err = err.getvalue()
     assert err == "" or (err.startswith(("input error:", "evaluation error:"))
                          and err.count("\n") == 1)
+
+
+@SETTINGS
+@given(doc=rod_docs())
+def test_gl2z_reports_every_junction(tmp_path_factory, doc):
+    # verify's rods suite calls gl2z_compatibility with no handler: on any
+    # rod file that loads it reports each of the n - 1 junctions
+    path = tmp_path_factory.mktemp("rods") / "rods.json"
+    path.write_text(json.dumps(doc))
+    try:
+        data, _ = cli.load_rod_file(str(path))
+    except RodDataError:
+        return
+    assert len(rods.gl2z_compatibility(data, tol=cli.DEFAULT_TOLS["gl2z"])) == data.n - 1

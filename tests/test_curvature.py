@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from identities import hodge_star
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods, skew_rods
 from todkit import cky
 from todkit import curvature as cv
 from todkit import tod
@@ -17,13 +17,9 @@ from todkit.jets import Jet2
 from todkit.tod import JetMatrix
 
 
-def eh_rods():
-    return tod.eh_rod_data(a=1.0)
-
-
-def cky_candidate(fields, order=2):
-    z = fields.z.truncate(order)
-    om = tod.fundamental_form(fields, order=order)
+def cky_candidate(fields):
+    om = tod.fundamental_form(fields)
+    z = fields.z.truncate(om.jet.order)
     rows = [[z * om.entry(a, b) for b in range(4)] for a in range(4)]
     return JetMatrix.stack(om.coords, rows, om.base)
 
@@ -211,9 +207,9 @@ class TestConformalKillingYano:
         rods, pt = skew_rods(), (0.7, -0.4)
         f = tod.tod_fields(rods, *pt, order=4)
         pack = cv.curvature_pack(tod.tod_metric(f))
-        om = tod.fundamental_form(f, order=2)
+        om = tod.fundamental_form(f)
         res_plain, _ = cv.cky_residual(pack, om)
-        z2 = (f.z * f.z).truncate(2)
+        z2 = (f.z * f.z).truncate(om.jet.order)
         rows = [[z2 * om.entry(a, b) for b in range(4)] for a in range(4)]
         res_sq, _ = cv.cky_residual(pack, JetMatrix.stack(om.coords, rows, om.base))
         assert res_plain > 1e-2

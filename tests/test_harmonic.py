@@ -14,22 +14,9 @@ from todkit.harmonic import RodData
 
 from fd import check_jet_against_fd
 from identities import axis_g, axis_w, rod_index
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods, eh_rods_exact, skew_rods
 
 F = Fraction
-
-
-def eh_rods(gauge="symmetric"):
-    """Two equal nuts at +-1/4 with c = -1/16."""
-    return RodData(c=-1 / 16, zs=(-0.25, 0.25), weights=(0.5, 0.5), gauge=gauge)
-
-
-def eh_rods_exact():
-    return RodData(
-        c=Fraction(-1, 16),
-        zs=(Fraction(-1, 4), Fraction(1, 4)),
-        weights=(Fraction(1, 2), Fraction(1, 2)),
-    )
 
 
 def potentials(rods, rho, zeta, order=4):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from identities import axis_w, f_jump, zero_slope_jump
-from rod_fixtures import skew_rods
+from rod_fixtures import eh_rods_exact, skew_rods
 from todkit import harmonic
 from todkit import rods as rodmod
 from todkit import tod
@@ -17,10 +17,6 @@ from todkit.errors import RodDataError
 from todkit.harmonic import RodData
 
 F = Fraction
-
-
-def eh_exact():
-    return RodData(c=F(-1, 16), zs=(F(-1, 4), F(1, 4)), weights=(F(1, 2), F(1, 2)))
 
 
 def steep_exact():
@@ -74,13 +70,13 @@ NEAR_MISS = [pytest.param(F(1, 10**30), False, id="exact-near-miss"),
 
 class TestRodVectors:
     def test_benchmark_exact(self):
-        vecs = eh_exact().vectors
+        vecs = eh_rods_exact().vectors
         assert vecs == ((F(-1), F(-1)), (F(-1), F(0)), (F(-1), F(1)))
         v0, v1, v2 = vecs
         assert (v0[0] + v2[0], v0[1] + v2[1]) == (2 * v1[0], 2 * v1[1])
 
     def test_types_follow_data(self):
-        for v in eh_exact().vectors:
+        for v in eh_rods_exact().vectors:
             assert isinstance(v[0], Fraction)
         for v in skew_rods().vectors:
             assert isinstance(v[0], float)
@@ -107,7 +103,7 @@ class TestRodVectors:
         slopes_values = harmonic._slopes_values
         monkeypatch.setattr(harmonic, "_slopes_values",
                             lambda rods: calls.append(rods) or slopes_values(rods))
-        data = eh_exact()
+        data = eh_rods_exact()
         rodmod.conical_check(data)
         rodmod.gl2z_compatibility(data)
         rodmod.asymptotic_class(data)
@@ -120,8 +116,8 @@ class TestRodVectors:
 
 class TestJumps:
     def test_zero_slope_jump_benchmark(self):
-        assert zero_slope_jump(eh_exact(), 1) == F(2)
-        prof = eh_exact().profile
+        assert zero_slope_jump(eh_rods_exact(), 1) == F(2)
+        prof = eh_rods_exact().profile
         assert prof.f_constant(2) - prof.f_constant(0) == F(2)
 
     def test_slope_jump_exact(self):
@@ -140,7 +136,7 @@ class TestJumps:
 
     def test_jump_guards(self):
         with pytest.raises(RodDataError):
-            f_jump(eh_exact(), 1)
+            f_jump(eh_rods_exact(), 1)
         with pytest.raises(RodDataError):
             zero_slope_jump(steep_exact(), 1)
         with pytest.raises(RodDataError):
@@ -219,7 +215,7 @@ class TestConicalLimits:
 
 class TestJunctions:
     def test_benchmark_exact(self):
-        reports = rodmod.gl2z_compatibility(eh_exact())
+        reports = rodmod.gl2z_compatibility(eh_rods_exact())
         assert len(reports) == 1
         rep = reports[0]
         assert rep.ok
@@ -267,7 +263,7 @@ class TestJunctions:
 
 class TestAsymptoticClass:
     def test_benchmark_lens(self):
-        label = rodmod.asymptotic_class(eh_exact())
+        label = rodmod.asymptotic_class(eh_rods_exact())
         assert (label.p, label.q) == (2, 1)
         assert label.label == "L(2,1)"
         assert label.images == ((0, 1), (1, 0), (2, -1))

@@ -98,14 +98,16 @@ def test_huge_two_nut_passes(tmp_path, capsys, name):
 SIZE = {"tod_fields": lambda rods, rho, *args, **kwargs: np.size(rho),
         "tod_metric": lambda fields: np.size(fields.point[0]),
         "curvature_pack": lambda metric: np.size(metric.base[0]),
-        "tod_cky_candidate": lambda fields, **kwargs: np.size(fields.point[0]),
+        "tod_cky_candidate": lambda fields: np.size(fields.point[0]),
         "flat_cky": lambda params, r, *args, **kwargs: np.size(r)}
 
 
 def _spy(monkeypatch, module, name, fails=None, error=None, orders=None):
     """Record the point count of every call of module.name, and its jet
-    order (the default included) in the list orders if one is given; raise
-    error on the calls whose arguments fails accepts."""
+    order (the default included, and for a call with no order argument
+    the order its two-form comes out at, one below its fields) in the
+    list orders if one is given; raise error on the calls whose arguments
+    fails accepts."""
     real, counts = getattr(module, name), []
     signature = inspect.signature(real)
 
@@ -114,7 +116,8 @@ def _spy(monkeypatch, module, name, fails=None, error=None, orders=None):
         if orders is not None:
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
-            orders.append(call.arguments["order"])
+            orders.append(call.arguments["order"] if "order" in call.arguments
+                          else call.arguments["fields"].z.order - 1)
         if fails is not None and fails(*args, **kwargs):
             raise error
         return real(*args, **kwargs)
