@@ -17,8 +17,9 @@ def main():
     # Flat family: a two-parameter space of solutions, one member parallel.
     params = cky.FlatCkyParams(k1=0.6, k2=-0.8)
     r, theta = 1.7, 0.9
-    pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-    Z = cky.flat_cky(params, r, theta, order=2)
+    coframe = cky.flat_coframe(r, theta)
+    pack = curvature.connection(cky.flat_metric(coframe))
+    Z = cky.flat_cky(params, coframe)
     res, _ = curvature.cky_residual(pack, Z)
     print(f"flat member (k1, k2) = ({params.k1}, {params.k2}) at "
           f"(r, theta) = ({r}, {theta}):")
@@ -27,7 +28,7 @@ def main():
                               pack.ginv, pack.ginv))
     print(f"  |Z|^2 = {norm_sq:.12f} vs closed form "
           f"{cky.flat_norm_squared(params, r, theta):.12f}")
-    par = cky.flat_cky(cky.FlatCkyParams(k1=0.0, k2=1.0), r, theta, order=2)
+    par = cky.flat_cky(cky.FlatCkyParams(k1=0.0, k2=1.0), coframe)
     dpar = curvature.covariant_two_form_derivative(pack, par)
     print(f"  k1 = 0 member is parallel: |grad Z| = "
           f"{float(np.max(np.abs(dpar))):.2e}")

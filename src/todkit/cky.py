@@ -19,12 +19,15 @@ by a log-log fit in the asymptotic chart rho = r^2 sin t / 4,
 zeta = r^2 cos t / 4.
 
 The flat functions take r, theta (and the family constants) as numbers
-or as float arrays over a point set.  A tod.JetMatrix is one jet whose
-coefficients are (*points, 4, 4) arrays: the coframe is stacked once from
-its entry jets, one jet product gives every e^a_i e^b_j, and the metric
-and the wedges are sums and differences of its slices; the candidate is
-one product of z with the fundamental form.  Every entry runs the jet
-operations its scalar jet would, so each point keeps its bits.
+or as float arrays over a point set; flat_metric and flat_cky take the
+coframe flat_coframe builds there, and come out at its order.  A
+tod.JetMatrix is one jet whose coefficients are (*points, 4, 4) arrays:
+the coframe is stacked once from its entry jets, one jet product gives
+the metric's products e^a_i e^a_j and another the six wedges' products
+e^a_i e^b_j, and the metric and the wedges are sums and differences of
+their slices; the candidate is one product of z with the fundamental
+form.  Every entry runs the jet operations its scalar jet would, so
+each point keeps its bits.
 """
 
 from __future__ import annotations
@@ -94,64 +97,63 @@ def _each(jet, f):
     return jets._jet(jet.order, [f(np.asarray(c, dtype=float)) for c in jet.c])
 
 
-def _coframe_products(coframe):
-    """Every product e^a_i e^b_j of two coframe entries in one jet product:
-    a jet whose coefficients are (*points, 4, 4, 4, 4) arrays, [a, b, i, j]."""
-    e = coframe.jet
-    return (_each(e, lambda c: c[..., :, None, :, None])
-            * _each(e, lambda c: c[..., None, :, None, :]))
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def flat_metric(r, theta):
-    """Flat metric order-2 jets assembled from the coframe; positively oriented.
+def flat_metric(coframe):
+    """Flat metric jets assembled from the coframe, at its order;
+    positively oriented.
 
     g_ij = 0 + e^0_i e^0_j + ... + e^3_i e^3_j, summed over the coframe
     index in order.
     """
-    cf = flat_coframe(r, theta, 2)
-    products = _coframe_products(cf)
-    g = Jet2.const(0.0, 2)
+    e = coframe.jet
+    products = _each(e, lambda c: c[..., :, :, None]) * _each(e, lambda c: c[..., :, None, :])
+    g = Jet2.const(0.0, e.order)
     for a in range(4):
-        g = g + _each(products, lambda c: c[..., a, a, :, :])
-    return JetMatrix(CHART, g, cf.base, orientation=1)
+        g = g + _each(products, lambda c: c[..., a, :, :])
+    return JetMatrix(CHART, g, coframe.base, orientation=1)
+
+
+# the coframe index pairs (a, b) of the wedges e^a ^ e^b that
+# selfdual_basis adds pairwise, in the order it reads them
+_WEDGES = ((0, 1), (2, 3), (1, 2), (0, 3), (1, 3), (0, 2))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def selfdual_basis(coframe):
     """The three self-dual two-forms of the coframe, norm squared 4 each.
 
-    Every wedge e^a ^ e^b comes out of one product pass over the coframe:
-    (e^a ^ e^b)_ij = e^a_i e^b_j - e^a_j e^b_i.
+    The six wedges they add come out of one product pass over the
+    coframe: (e^a ^ e^b)_ij = e^a_i e^b_j - e^a_j e^b_i.
     """
-    products = _coframe_products(coframe)
+    e = coframe.jet
+    first, second = zip(*_WEDGES)
+    products = (_each(e, lambda c: c[..., first, :, None])
+                * _each(e, lambda c: c[..., second, None, :]))
     wedges = products - _each(products, lambda c: np.swapaxes(c, -1, -2))
 
-    def combine(m, n, sign):
-        pair = _each(wedges, lambda c: c[..., m[0], m[1], :, :]) \
-            + _each(wedges, lambda c: c[..., n[0], n[1], :, :]) * sign
+    def combine(m, sign):
+        pair = _each(wedges, lambda c: c[..., m, :, :]) \
+            + _each(wedges, lambda c: c[..., m + 1, :, :]) * sign
         return JetMatrix(coframe.coords, pair, coframe.base)
 
-    w1 = combine((0, 1), (2, 3), 1)
-    w2 = combine((1, 2), (0, 3), 1)
-    w3 = combine((1, 3), (0, 2), -1)
-    return w1, w2, w3
+    return combine(0, 1), combine(2, 1), combine(4, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def flat_cky(params, r, theta, order=2):
-    """The family member at points of the flat model, as a two-form jet."""
-    cf = flat_coframe(r, theta, order)
-    w1, _, w3 = selfdual_basis(cf)
-    rj = Jet2.seed(cf.base[0], 0, order)
-    tj = Jet2.seed(cf.base[1], 1, order)
+def flat_cky(params, coframe):
+    """The family member at the points of a flat coframe, as a two-form
+    jet at the coframe's order."""
+    w1, _, w3 = selfdual_basis(coframe)
+    order = coframe.jet.order
+    rj = Jet2.seed(coframe.base[0], 0, order)
+    tj = Jet2.seed(coframe.base[1], 1, order)
     rr = rj * rj
     k1 = harmonic._coordinate(params.k1)
     a1 = Jet2.const(harmonic._coordinate(params.k2), order) - rr * k1 * jets.cos(tj)
     a3 = rr * k1 * jets.sin(tj)
     form = (_each(a1, lambda c: c[..., None, None]) * w1.jet
             + _each(a3, lambda c: c[..., None, None]) * w3.jet)
-    return JetMatrix(CHART, form, cf.base)
+    return JetMatrix(CHART, form, coframe.base)
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -48,9 +48,11 @@ DECAY_RADII = tuple(100.0 * 100.0 ** (i / 4) for i in range(5))
 # 1/z to second order); the fields suite reads second partials of V and
 # of the Toda jet, first partials of H and the Ward coordinates, and the
 # metric's values.  cky_residual reads a two-form's values and first
-# derivatives, so the flat-family members are built at VERIFY_ORDER - 1,
-# where the candidate comes out: a two-form comes out one order below
-# its fields, as it carries first derivatives of the Ward coordinates.
+# derivatives, and a connection, which reads a metric's values and first
+# derivatives, so the flat-family members and their flat metric are built
+# on one coframe at VERIFY_ORDER - 1, where the candidate comes out: a
+# two-form comes out one order below its fields, as it carries first
+# derivatives of the Ward coordinates.
 VERIFY_ORDER = 2
 
 DEFAULT_TOLS = {
@@ -218,13 +220,14 @@ def _point_set_fields(data, points, order):
 class _Evaluation(NamedTuple):
     """A verify run's one evaluation, which every suite reads: the
     sampled points' locations (an object array of _loc strings), their
-    fields and metric, and their curvature pack (None when neither the
-    curvature nor the cky suite runs)."""
+    fields and metric, and their curvature pack, or only its connection
+    when the cky suite runs without the curvature suite (None when
+    neither runs)."""
 
     locations: np.ndarray
     fields: tod.TodFields
     metric: tod.JetMatrix
-    pack: curvature.CurvaturePack
+    pack: curvature.Connection
 
 
 def _flat_draws(rng):
@@ -239,18 +242,19 @@ def _evaluate(data, seed, names):
 
     25 points come from the seed, and the fields, curvature and cky
     suites all read them.  One tod_fields and one tod_metric at
-    VERIFY_ORDER run over the set, and one curvature_pack when the
-    curvature or cky suite is selected.  Returns the _Evaluation, or
-    None on single-nut data and for the rods suite alone, which sample
-    no points.
+    VERIFY_ORDER run over the set, then one curvature_pack when the
+    curvature suite is selected, or else one connection, all that the
+    cky suite reads, when that one is.  Returns the _Evaluation, or None
+    on single-nut data and for the rods suite alone, which sample no
+    points.
     """
     if data.n == 1 or names == ["rods"]:
         return None
     points = sample_interior(data, 25, np.random.default_rng(seed))
     fields = _point_set_fields(data, points, VERIFY_ORDER)
     metric = tod.tod_metric(fields)
-    pack = (curvature.curvature_pack(metric)
-            if "curvature" in names or "cky" in names else None)
+    pack = (curvature.curvature_pack(metric) if "curvature" in names
+            else curvature.connection(metric) if "cky" in names else None)
     locations = np.array([_loc(rho, zeta) for rho, zeta in points], dtype=object)
     return _Evaluation(locations, fields, metric, pack)
 
@@ -414,8 +418,11 @@ def suite_cky(data, seed, tols, evaluation):
     ang, r, theta = _flat_draws(np.random.default_rng(seed)).T
     # all eight family members in one pass
     params = FlatCkyParams(k1=jets.libm(math.cos, ang), k2=jets.libm(math.sin, ang))
-    pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-    Z = cky.flat_cky(params, r, theta, order=VERIFY_ORDER - 1)
+    # the residual and the norm read the connection and the form's first
+    # derivatives only: one order-1 coframe serves both
+    coframe = cky.flat_coframe(r, theta, VERIFY_ORDER - 1)
+    pack = curvature.connection(cky.flat_metric(coframe))
+    Z = cky.flat_cky(params, coframe)
     residual = curvature.cky_residual(pack, Z)[0]
     norm_sq = curvature.norm_squared(pack.ginv, Z.values())
     want = cky.flat_norm_squared(params, r, theta)

@@ -1,20 +1,21 @@
 """Curvature of a metric jet and the derived spectral checks.
 
 Everything is evaluated from tod.JetMatrix jets in the two essential
-coordinates, one jet per matrix with (*points, 4, 4) coefficient arrays
-(order 2 for a metric); derivatives along the Killing directions are
-structurally zero, so arrays are padded accordingly.  The matrix may
-hold a point set: every array then carries the point axes in front, and
-one pass evaluates the whole set: two-operand einsums ("...ab"
-subscripts) for the curvature contractions, broadcasts and transposed
-views where nothing is summed, stacked matrix products for the tensor
-norms (norm_squared raises one index per product) and batched LAPACK
-calls.  A single point is the same code with no point axis, and its
-scalars come back as floats.  Each point gets the bits of its own
-evaluation: the one contraction where numpy's einsum rounds differently
-once a point axis is added (the trace in cky_residual) is summed in a
-fixed order instead.  A point set that fails raises the exception and
-message of its first failing point.
+coordinates, one jet per matrix with (*points, 4, 4) coefficient arrays:
+connection reads a metric through first order, and curvature_pack,
+which starts from connection's fields, through second order.
+Derivatives along the Killing directions are structurally zero, so
+arrays are padded accordingly.  The matrix may hold a point set: every
+array then carries the point axes in front, and one pass evaluates the
+whole set: two-operand einsums ("...ab" subscripts) for the curvature
+contractions, broadcasts and transposed views where nothing is summed,
+stacked matrix products for the tensor norms (norm_squared raises one
+index per product) and batched LAPACK calls.  A single point is the
+same code with no point axis, and its scalars come back as floats.
+Each point gets the bits of its own evaluation: the one contraction
+where numpy's einsum rounds differently once a point axis is added (the
+trace in cky_residual) is summed in a fixed order instead.  A point set
+that fails raises the exception and message of its first failing point.
 
 Conventions: R^a_bcd = d_c Gamma^a_db - d_d Gamma^a_cb + ..., Ricci is
 the (a, bad) trace, the scalar Laplacian is minus the metric trace of
@@ -45,20 +46,33 @@ EPS = np.finfo(float).eps
 WEYL_FLOOR = 64.0
 
 @dataclass(frozen=True)
-class CurvaturePack:
+class Connection:
+    """A metric at its base points with its Levi-Civita connection.
+
+    dg holds d_c g_ab at [c, a, b], christoffel twice the first-kind
+    symbols, d_b g_dc + d_c g_db - d_d g_bc at [b, d, c], and gamma the
+    second-kind Gamma^a_bc at [a, b, c].  A CurvaturePack is a
+    Connection too, so the readers of these fields take either.
+    """
+
     coords: tuple
     base: tuple
     orientation: int
     g: np.ndarray
     ginv: np.ndarray
     dg: np.ndarray
+    christoffel: np.ndarray
     gamma: np.ndarray
+    sqrtg: float
+
+
+@dataclass(frozen=True)
+class CurvaturePack(Connection):
     dgamma: np.ndarray
     riemann: np.ndarray
     ricci: np.ndarray
     scalar: float
     weyl: np.ndarray
-    sqrtg: float
 
 
 def _float(x):
@@ -92,13 +106,14 @@ def _outer(A, a, B, b):
             * B[(...,) + tuple(slice(None) if i in b else None for i in out)])
 
 
-def curvature_pack(metric):
-    """Riemann, Ricci, scalar and Weyl at the base points of a metric jet.
+def connection(metric):
+    """The metric, its inverse, first derivatives and Christoffel symbols
+    at the base points of a metric jet.
 
-    Reads the metric's values, first and second derivatives only, so an
-    order-2 jet suffices and higher coefficients change nothing.  A
-    point set fails at its first point with an asymmetric metric or a
-    determinant that is not positive, with that point's own message.
+    Reads the metric's values and first derivatives only, so an order-1
+    jet suffices.  A point set fails at its first point with an
+    asymmetric metric or a determinant that is not positive, with that
+    point's own message.
     """
     g = metric.values()
     asym = np.asarray(np.max(np.abs(g - np.swapaxes(g, -1, -2)), axis=(-2, -1)))
@@ -111,18 +126,33 @@ def curvature_pack(metric):
         raise SignatureError(f"metric determinant {det.flat[k]} is not positive")
     ginv = np.linalg.inv(g)
     dg = _pad_first(metric.d1())
-    ddg = np.zeros(g.shape[:-2] + (4, 4, 4, 4))
-    ddg[..., 2:, 2:, :, :] = metric.d2()
-    dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, dg, ginv)
-
     christoffel = dg + _transpose(dg, "cdb", "bdc") - _transpose(dg, "dbc", "bdc")
     gamma = 0.5 * np.einsum("...ad,...bdc->...abc", ginv, christoffel)
+    return Connection(coords=metric.coords, base=metric.base, orientation=metric.orientation,
+                      g=g, ginv=ginv, dg=dg, christoffel=christoffel, gamma=gamma,
+                      sqrtg=_float(np.sqrt(det)))
+
+
+def curvature_pack(metric):
+    """The connection, with Riemann, Ricci, scalar and Weyl, at the base
+    points of a metric jet.
+
+    Reads the metric's values, first and second derivatives only, so an
+    order-2 jet suffices and higher coefficients change nothing.  Fails
+    as connection does.
+    """
+    conn = connection(metric)
+    g, ginv, gamma = conn.g, conn.ginv, conn.gamma
+    ddg = np.zeros(g.shape[:-2] + (4, 4, 4, 4))
+    ddg[..., 2:, 2:, :, :] = metric.d2()
+    dginv = -np.einsum("...ae,...cef,...fb->...cab", ginv, conn.dg, ginv)
+
     # the rank-4 arrays are summed in place, in the order of the written
     # sums, so that fewer of them are alive at once over a point set
     sym = ddg + _transpose(ddg, "ecdb", "ebdc")
     sym -= _transpose(ddg, "edbc", "ebdc")
     del ddg
-    dgamma = np.einsum("...ead,...bdc->...eabc", dginv, christoffel)
+    dgamma = np.einsum("...ead,...bdc->...eabc", dginv, conn.christoffel)
     dgamma += np.einsum("...ad,...ebdc->...eabc", ginv, sym)
     dgamma *= 0.5
     del sym
@@ -149,21 +179,8 @@ def curvature_pack(metric):
     gg -= _outer(g, "ad", g, "bc")
     gg *= (scalar / 6.0)[..., None, None, None, None]
     weyl += gg
-    return CurvaturePack(
-        coords=metric.coords,
-        base=metric.base,
-        orientation=metric.orientation,
-        g=g,
-        ginv=ginv,
-        dg=dg,
-        gamma=gamma,
-        dgamma=dgamma,
-        riemann=riemann,
-        ricci=ricci,
-        scalar=_float(scalar),
-        weyl=weyl,
-        sqrtg=_float(np.sqrt(det)),
-    )
+    return CurvaturePack(**vars(conn), dgamma=dgamma, riemann=riemann, ricci=ricci,
+                         scalar=_float(scalar), weyl=weyl)
 
 
 def _raise_all(gi, T):
@@ -357,7 +374,8 @@ def cky_residual(pack, form):
     Returns the invariant norm of the residual and the associated vector
     xi^a = (1/3) g^{ab} nabla^c Z_bc wired into the equation.  Reads the
     form's values and first derivatives only, so an order-1 form
-    suffices, and the pack's metric, inverse and Christoffel symbols.
+    suffices, and the metric, inverse and Christoffel symbols of pack, a
+    Connection or a CurvaturePack.
     """
     g, gi = pack.g, pack.ginv
     covd = covariant_two_form_derivative(pack, form)
@@ -384,7 +402,8 @@ def killing_residual(pack, xi_up):
 
     The components of xi_up are taken constant in this chart, which is
     the case of interest: candidate Killing fields built from the torus
-    directions.  Over a point set xi_up has shape (*points, 4).
+    directions.  Over a point set xi_up has shape (*points, 4).  pack is
+    a Connection or a CurvaturePack.
     """
     xi_up = np.asarray(xi_up, dtype=float)
     xi_low = _apply(pack.g, xi_up)

@@ -186,8 +186,12 @@ class Jet2:
         return self.c[0]
 
     def partial(self, i, j):
-        """Raw partial derivative d^{i+j} f / dx^i dy^j."""
-        return self.c[_POS[self.order][(i, j)]]
+        """Raw partial derivative d^{i+j} f / dx^i dy^j; ValueError above
+        the jet's order."""
+        try:
+            return self.c[_POS[self.order][(i, j)]]
+        except KeyError:
+            raise ValueError(f"order-{self.order} jet has no partial ({i}, {j})") from None
 
     def at(self, index):
         """The jet at one index of its coefficient arrays.

@@ -12,6 +12,11 @@ evaluation argument of ``cli.SUITES`` and ignores it, and the tests that
 run it replace ``cli._evaluate`` by one that evaluates nothing.
 ``frame_components`` is the matching one-radius reference for
 ``cky._frame_components``.
+
+The flat-family members are built here as ``cky`` built them before its
+flat functions took a coframe: each of ``flat_metric`` and ``flat_cky``
+stacks its own order-2 coframe and forms all 256 products e^a_i e^b_j
+per point, and every member gets a full ``curvature_pack``.
 """
 
 from __future__ import annotations
@@ -20,11 +25,52 @@ import math
 
 import numpy as np
 
-from todkit import cky, classify, curvature, harmonic, tod
-from todkit.cky import FlatCkyParams
+from todkit import cky, classify, curvature, harmonic, jets, tod
+from todkit.cky import CHART, FlatCkyParams, _each
 from todkit.cli import (SINGLE_NUT, _check, _decay_entry, _loc, _point_set_fields,
                         _skip, _Worst, sample_interior)
-from todkit.tod import TodFields
+from todkit.jets import Jet2
+from todkit.tod import JetMatrix, TodFields
+
+
+def _coframe_products(coframe):
+    """Every product e^a_i e^b_j of two coframe entries in one jet product:
+    a jet whose coefficients are (*points, 4, 4, 4, 4) arrays, [a, b, i, j]."""
+    e = coframe.jet
+    return (_each(e, lambda c: c[..., :, None, :, None])
+            * _each(e, lambda c: c[..., None, :, None, :]))
+
+
+def flat_metric(r, theta):
+    """The order-2 flat metric, summed from the diagonal slices of all
+    coframe products."""
+    cf = cky.flat_coframe(r, theta, 2)
+    products = _coframe_products(cf)
+    g = Jet2.const(0.0, 2)
+    for a in range(4):
+        g = g + _each(products, lambda c: c[..., a, a, :, :])
+    return JetMatrix(CHART, g, cf.base, orientation=1)
+
+
+def flat_cky(params, r, theta):
+    """The order-2 family member, its wedges differences of slices of all
+    coframe products."""
+    cf = cky.flat_coframe(r, theta, 2)
+    products = _coframe_products(cf)
+    wedges = products - _each(products, lambda c: np.swapaxes(c, -1, -2))
+
+    def combine(m, n, sign):
+        return (_each(wedges, lambda c: c[..., m[0], m[1], :, :])
+                + _each(wedges, lambda c: c[..., n[0], n[1], :, :]) * sign)
+
+    w1, w3 = combine((0, 1), (2, 3), 1), combine((1, 3), (0, 2), -1)
+    rj, tj = Jet2.seed(cf.base[0], 0, 2), Jet2.seed(cf.base[1], 1, 2)
+    rr = rj * rj
+    a1 = Jet2.const(params.k2, 2) - rr * params.k1 * jets.cos(tj)
+    a3 = rr * params.k1 * jets.sin(tj)
+    form = (_each(a1, lambda c: c[..., None, None]) * w1
+            + _each(a3, lambda c: c[..., None, None]) * w3)
+    return JetMatrix(CHART, form, cf.base)
 
 
 def fields_at(fields, k):
@@ -127,8 +173,8 @@ def suite_cky(data, seed, tols, evaluation):
         params = FlatCkyParams(k1=math.cos(ang), k2=math.sin(ang))
         r = float(rng.uniform(0.4, 3.0))
         theta = float(rng.uniform(0.25, math.pi - 0.25))
-        pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-        Z = cky.flat_cky(params, r, theta)
+        pack = curvature.curvature_pack(flat_metric(r, theta))
+        Z = flat_cky(params, r, theta)
         residual, _ = curvature.cky_residual(pack, Z)
         norm_sq = float(curvature.norm_squared(pack.ginv, Z.values()))
         want = cky.flat_norm_squared(params, r, theta)

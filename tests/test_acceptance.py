@@ -272,8 +272,9 @@ def test_criterion_09_conformal_killing_forms():
         params = cky.FlatCkyParams(k1=math.cos(phase), k2=math.sin(phase))
         r = float(rng.uniform(0.5, 3.0))
         theta = float(rng.uniform(0.2, math.pi - 0.2))
-        pack = curvature.curvature_pack(cky.flat_metric(r, theta))
-        Z = cky.flat_cky(params, r, theta, order=2)
+        coframe = cky.flat_coframe(r, theta)
+        pack = curvature.curvature_pack(cky.flat_metric(coframe))
+        Z = cky.flat_cky(params, coframe)
         res, _ = curvature.cky_residual(pack, Z)
         worst_flat = max(worst_flat, res)
         norm_sq = float(np.einsum("ab,cd,ac,bd->", Z.values(), Z.values(),

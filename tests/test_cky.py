@@ -25,7 +25,7 @@ def normalized(zs, weights):
 
 
 def flat_pack(r, theta):
-    return curvature.curvature_pack(cky.flat_metric(r, theta))
+    return curvature.curvature_pack(cky.flat_metric(cky.flat_coframe(r, theta)))
 
 
 def form_norm_sq(pack, Z):
@@ -56,7 +56,7 @@ def exterior_derivative(form):
 class TestCoframe:
     def test_metric_reconstruction(self):
         r, theta = 1.7, 0.8
-        g = cky.flat_metric(r, theta).values()
+        g = cky.flat_metric(cky.flat_coframe(r, theta)).values()
         st, ct = math.sin(theta), math.cos(theta)
         want = np.zeros((4, 4))
         want[0, 0] = r * r / 4
@@ -123,13 +123,13 @@ class TestFlatFamily:
             r = float(rng.uniform(0.4, 3.0))
             theta = float(rng.uniform(0.2, math.pi - 0.2))
             pack = flat_pack(r, theta)
-            Z = cky.flat_cky(params, r, theta)
+            Z = cky.flat_cky(params, cky.flat_coframe(r, theta))
             res, _ = curvature.cky_residual(pack, Z)
             assert res < 1e-12
 
     def test_parallel_member(self):
         pack = flat_pack(1.6, 1.2)
-        Z = cky.flat_cky(FlatCkyParams(k1=0.0, k2=0.9), 1.6, 1.2)
+        Z = cky.flat_cky(FlatCkyParams(k1=0.0, k2=0.9), cky.flat_coframe(1.6, 1.2))
         covd = curvature.covariant_two_form_derivative(pack, Z)
         assert np.max(np.abs(covd)) < 1e-12
 
@@ -143,7 +143,7 @@ class TestFlatFamily:
             r = float(rng.uniform(0.5, 4.0))
             theta = float(rng.uniform(0.3, math.pi - 0.3))
             pack = flat_pack(r, theta)
-            Z = cky.flat_cky(params, r, theta)
+            Z = cky.flat_cky(params, cky.flat_coframe(r, theta))
             got = form_norm_sq(pack, Z)
             want = cky.flat_norm_squared(params, r, theta)
             assert abs(got - want) < 1e-12 * max(abs(want), 1.0)

@@ -201,6 +201,27 @@ class TestConformalKillingYano:
             _, xi = cv.cky_residual(pack, cky_candidate(f))
             assert cv.killing_residual(pack, xi) < 1e-12
 
+    def test_residuals_read_the_connection_only(self):
+        # an order-1 metric's connection gives the residuals that the
+        # curvature pack of the full metric gives, to the bit
+        rods, pt = self.points[2]
+        f = tod.tod_fields(rods, *pt, order=4)
+        metric = tod.tod_metric(f)
+        conn = cv.connection(dataclasses.replace(metric, jet=metric.jet.truncate(1)))
+        pack = cv.curvature_pack(metric)
+        res, xi = cv.cky_residual(pack, cky_candidate(f))
+        got_res, got_xi = cv.cky_residual(conn, cky_candidate(f))
+        assert got_res.hex() == res.hex() and np.array_equal(got_xi, xi)
+        assert cv.killing_residual(conn, xi).hex() == cv.killing_residual(pack, xi).hex()
+
+    def test_jets_below_the_order_read_raise(self):
+        coframe = cky.flat_coframe(1.2, 0.8, 1)
+        with pytest.raises(ValueError, match=r"^order-1 jet has no partial \(1, 1\)$"):
+            cv.curvature_pack(cky.flat_metric(coframe))
+        form = cky.flat_cky(FlatCkyParams(k1=0.6, k2=0.8), cky.flat_coframe(1.2, 0.8, 0))
+        with pytest.raises(ValueError, match=r"^order-0 jet has no partial \(1, 0\)$"):
+            cv.cky_residual(cv.connection(cky.flat_metric(coframe)), form)
+
     def test_wrong_scalings_fail(self):
         # omega and z^2 omega are not solutions; guards against a residual
         # that is structurally zero
@@ -253,8 +274,9 @@ def tod_case(rods, rho, zeta):
 
 
 def flat_case(r, theta):
-    return (cv.curvature_pack(cky.flat_metric(r, theta)),
-            cky.flat_cky(FlatCkyParams(k1=0.6, k2=0.8), r, theta))
+    coframe = cky.flat_coframe(r, theta)
+    return (cv.curvature_pack(cky.flat_metric(coframe)),
+            cky.flat_cky(FlatCkyParams(k1=0.6, k2=0.8), coframe))
 
 
 CASES = {"eh": lambda: tod_case(eh_rods(), 0.9, 0.3),

@@ -109,10 +109,11 @@ def test_flat_family_matches_its_own_calls(members):
     params = FlatCkyParams(k1=np.cos(ang), k2=np.sin(ang))
 
     def layer(params, r, theta):
-        metric = cky.flat_metric(r, theta)
+        coframe = cky.flat_coframe(r, theta)
+        metric = cky.flat_metric(coframe)
         pack = curvature.curvature_pack(metric)
         omega = Jet2.seed(metric.base[0], 0, 2) * Jet2.seed(metric.base[1], 1, 2)
-        out = _layer(pack, omega, cky.flat_cky(params, r, theta))
+        out = _layer(pack, omega, cky.flat_cky(params, coframe))
         out["norm_squared"] = cky.flat_norm_squared(params, r, theta)
         return out
 
@@ -182,6 +183,6 @@ def test_flat_point_off_the_domain_in_the_middle(r, theta):
             first = exc
             break
     with pytest.raises(DomainError) as batch:
-        cky.flat_metric(np.array(r), np.array(theta))
+        cky.flat_coframe(np.array(r), np.array(theta))
     assert str(batch.value) == str(first)
     assert batch.value.value == first.value

@@ -67,6 +67,12 @@ class TestRingOps:
         with pytest.raises(SingularPointError):
             a / b
 
+    def test_partial_above_the_order(self):
+        x = Jet2.seed(3.0, 0, 1)
+        assert x.partial(1, 0) == 1
+        with pytest.raises(ValueError, match=r"^order-1 jet has no partial \(2, 0\)$"):
+            x.partial(2, 0)
+
     def test_pow(self):
         x = Jet2.seed(2.0, 0, 3)
         assert abs((x ** 5).value - 32.0) < 1e-12

@@ -18,6 +18,7 @@ import reference_suites
 from rod_fixtures import skew_rods
 from test_cli import run, sixteen_nut_doc, write_rod_file
 from todkit import cky, cli, tod
+from todkit.harmonic import RodData
 
 DOCS = {
     "two-nut-exact": {"c": "-1/16", "rods": [{"z": "-1/4", "a": "1/2"},
@@ -41,6 +42,23 @@ def test_report_matches_reference(tmp_path, capsys, monkeypatch, doc, suite, see
     for name, reference in reference_suites.SUITES.items():
         monkeypatch.setitem(cli.SUITES, name, reference)
     assert got == run(argv, capsys)
+
+
+def _entry(check):
+    return check["name"], check["status"], check["measured"].hex(), check["location"]
+
+
+def test_flat_entries_match_reference():
+    # the flat half reads no rod data, and on single-nut data the suite
+    # reads nothing after it; its one order-1 coframe and connection give
+    # the entries of the reference's order-2 members, all coframe
+    # products and a full curvature pack per member, to the bit
+    data = RodData(c=-0.25, zs=(0.0,), weights=(1.0,))
+    for seed in range(200):
+        got = cli.suite_cky(data, seed, cli.DEFAULT_TOLS, None)[:2]
+        want = reference_suites.suite_cky(data, seed, cli.DEFAULT_TOLS, None)[:2]
+        assert [_entry(c) for c in got] == [_entry(c) for c in want]
+        assert [c["name"] for c in got] == ["flat_family_residual", "flat_norm_formula"]
 
 
 @pytest.mark.parametrize("rods", [

@@ -98,16 +98,17 @@ def test_huge_two_nut_passes(tmp_path, capsys, name):
 SIZE = {"tod_fields": lambda rods, rho, *args, **kwargs: np.size(rho),
         "tod_metric": lambda fields: np.size(fields.point[0]),
         "curvature_pack": lambda metric: np.size(metric.base[0]),
+        "connection": lambda metric: np.size(metric.base[0]),
         "tod_cky_candidate": lambda fields: np.size(fields.point[0]),
-        "flat_cky": lambda params, r, *args, **kwargs: np.size(r)}
+        "flat_cky": lambda params, coframe: np.size(coframe.base[0])}
 
 
 def _spy(monkeypatch, module, name, fails=None, error=None, orders=None):
     """Record the point count of every call of module.name, and its jet
-    order (the default included, and for a call with no order argument
-    the order its two-form comes out at, one below its fields) in the
-    list orders if one is given; raise error on the calls whose arguments
-    fails accepts."""
+    order (the default included; for a call with no order argument the
+    order its two-form comes out at: its coframe's, or one below its
+    fields) in the list orders if one is given; raise error on the calls
+    whose arguments fails accepts."""
     real, counts = getattr(module, name), []
     signature = inspect.signature(real)
 
@@ -116,8 +117,10 @@ def _spy(monkeypatch, module, name, fails=None, error=None, orders=None):
         if orders is not None:
             call = signature.bind(*args, **kwargs)
             call.apply_defaults()
-            orders.append(call.arguments["order"] if "order" in call.arguments
-                          else call.arguments["fields"].z.order - 1)
+            given = call.arguments
+            orders.append(given["order"] if "order" in given
+                          else given["coframe"].jet.order if "coframe" in given
+                          else given["fields"].z.order - 1)
         if fails is not None and fails(*args, **kwargs):
             raise error
         return real(*args, **kwargs)
@@ -131,20 +134,23 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     fields = _spy(monkeypatch, tod, "tod_fields", orders=orders["tod_fields"])
     metrics = _spy(monkeypatch, tod, "tod_metric")
     packs = _spy(monkeypatch, curvature, "curvature_pack")
+    connections = _spy(monkeypatch, curvature, "connection")
     for name in ("tod_cky_candidate", "flat_cky"):
         _spy(monkeypatch, cky, name, orders=orders[name])
     path = write_rod_file(tmp_path, EH_DOC)
     assert _report(tmp_path, capsys, ["verify", path])[0] == 0
     # the one point set, then the conical and decay checks' own passes;
-    # one pack over the point set, and one over the eight flat-family
-    # members
+    # one pack over the point set, which starts from its connection, and
+    # a connection alone over the eight flat-family members
     assert fields[0] == 25 and len(fields) == 3
     assert metrics[0] == 25 and len(metrics) == 2
-    assert packs == [25, 8]
+    assert packs == [25]
+    assert connections == [25, 8]
     # no check reads a derivative above the second, and the two-forms'
     # residuals read first derivatives: the one pass is at order 2,
     # the conical and decay passes at order 1, the cky candidate and the
-    # flat members at order 1, and the decay check's candidate at order 0
+    # flat members at order 1, the order of the one coframe they are
+    # built on, and the decay check's candidate at order 0
     assert orders == {"tod_fields": [2, 1, 1], "tod_cky_candidate": [1, 0],
                       "flat_cky": [1]}
 
@@ -166,13 +172,24 @@ def test_single_suite_evaluates_each_point_once(tmp_path, capsys, monkeypatch, s
     assert list(zip(fields, orders)) == calls
 
 
+def test_cky_alone_builds_no_curvature_pack(tmp_path, capsys, monkeypatch):
+    # the cky suite reads the connection only: one over the point set and
+    # one over the eight flat-family members
+    packs = _spy(monkeypatch, curvature, "curvature_pack")
+    connections = _spy(monkeypatch, curvature, "connection")
+    path = write_rod_file(tmp_path, EH_DOC)
+    assert _report(tmp_path, capsys, ["verify", path, "--suite", "cky"])[0] == 0
+    assert packs == [] and connections == [25, 8]
+
+
 def test_cky_point_failure_ends_the_run(tmp_path, capsys, monkeypatch):
-    # a point whose curvature fails: the run prints the error the point
+    # a point whose connection fails: the run prints the error the point
     # gives and writes no report, as the suite-by-suite reference does at
     # that point, in the curvature suite's turn or, with --suite cky, in
-    # the cky suite's
+    # the cky suite's; curvature_pack starts from connection, so both
+    # paths meet the failure
     bad = cli.sample_interior(tod.eh_rod_data(), 25, np.random.default_rng(0))[-1][0]
-    _spy(monkeypatch, curvature, "curvature_pack",
+    _spy(monkeypatch, curvature, "connection",
          fails=lambda metric: np.isin(bad, metric.base[0]),
          error=SignatureError("metric determinant -1.0 is not positive"))
     path = write_rod_file(tmp_path, EH_DOC)

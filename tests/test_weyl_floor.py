@@ -107,7 +107,8 @@ def _verify_metric(tmp_path, doc):
 
 def _flat_metric():
     rng = np.random.default_rng(0)
-    return cky.flat_metric(rng.uniform(0.4, 3.0, 6), rng.uniform(0.25, np.pi - 0.25, 6))
+    return cky.flat_metric(cky.flat_coframe(rng.uniform(0.4, 3.0, 6),
+                                            rng.uniform(0.25, np.pi - 0.25, 6)))
 
 
 @pytest.mark.parametrize("make", [
