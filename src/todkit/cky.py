@@ -165,15 +165,15 @@ def flat_norm_squared(params, r, theta):
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def tod_cky_candidate(fields):
+def tod_cky_candidate(fields, form=None):
     """z times the fundamental form; |Z|^2 = 4 z^2 by the norm identity.
 
-    Like the form, which carries first derivatives of the Ward
-    coordinates, the candidate comes out one order below the fields, over
-    their points in one pass: cky_residual's order-1 candidate needs
-    order-2 fields.
+    form is tod.fundamental_form(fields), or None to build it here.  Like
+    the form, which carries first derivatives of the Ward coordinates,
+    the candidate comes out one order below the fields, over their points
+    in one pass: cky_residual's order-1 candidate needs order-2 fields.
     """
-    om = tod.fundamental_form(fields)
+    om = tod.fundamental_form(fields) if form is None else form
     z = fields.z.truncate(om.jet.order)
     return JetMatrix(om.coords, _each(z, lambda c: c[..., None, None]) * om.jet, om.base)
 
@@ -209,7 +209,14 @@ def _frame_components(fields, radii, theta, st, ct):
     return np.swapaxes(np.linalg.solve(Et, np.swapaxes(X, -1, -2)), -1, -2)
 
 
-def cky_decay_check(rods, radii, theta=1.0):
+def decay_points(rods, radii, theta=1.0):
+    """The (rho, zeta) arrays cky_decay_check samples: the chart points
+    rho = r^2 sin t / 4, zeta = center + r^2 cos t / 4 of each radius r."""
+    rr = np.multiply(radii, radii)
+    return rr * math.sin(theta) / 4.0, rods.nut_center + rr * math.cos(theta) / 4.0
+
+
+def cky_decay_check(rods, radii, theta=1.0, fields=None):
     """Decay of the candidate toward the matched flat family member.
 
     The member is matched at the largest radius from the two self-dual
@@ -227,7 +234,8 @@ def cky_decay_check(rods, radii, theta=1.0):
     constructed here); the report then carries chart_limited = True and
     the exponent measures the chart, not the tensor.  Single-nut data has
     no fundamental form to compare (W vanishes identically) and raises
-    RodDataError.
+    RodDataError.  fields are the order-1 fields at decay_points, or None
+    for one tod_fields pass over them here.
     """
     if rods.n == 1:
         raise RodDataError("decay fit needs at least two nuts")
@@ -241,11 +249,8 @@ def cky_decay_check(rods, radii, theta=1.0):
     if not 0 < theta < math.pi:
         raise DomainError("cky_decay_check", theta, "polar angle must avoid the axis")
     st, ct = math.sin(theta), math.cos(theta)
-    center = rods.nut_center
-    # every radius in one pass, on the chart points rho = r^2 sin t / 4,
-    # zeta = center + r^2 cos t / 4
-    rr = np.multiply(radii, radii)
-    fields = tod.tod_fields(rods, rr * st / 4.0, center + rr * ct / 4.0, order=1)
+    if fields is None:
+        fields = tod.tod_fields(rods, *decay_points(rods, radii, theta), order=1)
     frames = _frame_components(fields, radii, theta, st, ct)
     tail = frames[-1]
     r_max = radii[-1]

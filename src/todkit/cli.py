@@ -41,7 +41,7 @@ SCHEMA = "todkit-report-1"
 
 DECAY_RADII = tuple(100.0 * 100.0 ** (i / 4) for i in range(5))
 
-# The jet order of every point verify samples: no check reads a
+# The jet order of the 25 points verify samples: no check reads a
 # derivative above the second.  curvature_pack reads the metric's
 # values, first and second derivatives (ricci_ratio, weyl_spectrum,
 # lambda_z3, and conformal_factor, whose scalar_laplacian also reads
@@ -52,7 +52,12 @@ DECAY_RADII = tuple(100.0 * 100.0 ** (i / 4) for i in range(5))
 # derivatives, so the flat-family members and their flat metric are built
 # on one coframe at VERIFY_ORDER - 1, where the candidate comes out: a
 # two-form comes out one order below its fields, as it carries first
-# derivatives of the Ward coordinates.
+# derivatives of the Ward coordinates.  The conical heights and decay
+# radii share a second pass, at order 1 (_order1_fields): the conical
+# quotient reads first derivatives of the metric, and the decay fit the
+# values of its order-0 candidate.  One pass at order 2 over all three
+# point sets would cost more than the two: on 16 nuts, 3.57 ms against
+# 1.11 + 1.42 ms.
 VERIFY_ORDER = 2
 
 DEFAULT_TOLS = {
@@ -191,43 +196,47 @@ def _loc(rho, zeta):
 def sample_interior(data, count, rng):
     """count points off rng that pass data.interior_check, from the window
     rho in scale * [0.1, 10^0.45] and zeta within 0.75 scale of the nuts,
-    which must be finite."""
+    which must be finite: a (count, 2) array of (rho, zeta) rows.
+
+    The missing points are drawn in one batch, a row per draw, and
+    data.interior_mask screens it; later batches refill the rejected
+    draws.  The stream is read in the order, and each value has the bits,
+    of one draw at a time: u, then zeta, and rho = scale * 10.0 ** u, the
+    float power.
+    """
     lo = float(data.zs[0]) - 0.75 * data.scale
     hi = float(data.zs[-1]) + 0.75 * data.scale
     top = data.scale * 10.0 ** 0.45
     if not (math.isfinite(hi - lo) and math.isfinite(top)):
         raise RodDataError("sampling window must be finite, got "
                            f"rho up to {top!r} and zeta {lo!r}:{hi!r}")
-    points = []
+    points = np.empty((0, 2))
     while len(points) < count:
-        rho = data.scale * float(10.0 ** rng.uniform(-1.0, 0.45))
-        zeta = float(rng.uniform(lo, hi))
-        try:
-            data.interior_check(rho, zeta)
-        except TodkitError:
-            continue
-        points.append((rho, zeta))
+        draws = rng.uniform((-1.0, lo), (0.45, hi), size=(count - len(points), 2))
+        draws[:, 0] = data.scale * jets.libm(pow, np.full(len(draws), 10.0), draws[:, 0])
+        points = np.concatenate([points, draws[data.interior_mask(*draws.T)]])
     return points
 
 
-def _point_set_fields(data, points, order):
-    """tod_fields over sampled (rho, zeta) points in one pass; every
-    coefficient array holds one entry per point, in sampling order."""
-    rho, zeta = (np.array(x) for x in zip(*points))
-    return tod.tod_fields(data, rho, zeta, order=order)
-
-
 class _Evaluation(NamedTuple):
-    """A verify run's one evaluation, which every suite reads: the
-    sampled points' locations (an object array of _loc strings), their
-    fields and metric, and their curvature pack, or only its connection
-    when the cky suite runs without the curvature suite (None when
-    neither runs)."""
+    """A verify run's one evaluation per jet order, which the suites read.
+
+    At VERIFY_ORDER: the sampled points' locations (an object array of
+    _loc strings), their fields and metric, their fundamental form when
+    the fields or cky suite runs, and their curvature pack, or only its
+    connection when the cky suite runs without the curvature suite.  At
+    order 1: the fields of the conical heights and of the decay radii,
+    where the two share a pass (_order1_fields).  Each is None where it
+    is not evaluated here.
+    """
 
     locations: np.ndarray
     fields: tod.TodFields
     metric: tod.JetMatrix
+    form: tod.JetMatrix
     pack: curvature.Connection
+    conical: tod.TodFields
+    decay: tod.TodFields
 
 
 def _flat_draws(rng):
@@ -237,26 +246,50 @@ def _flat_draws(rng):
                        size=(8, 3))
 
 
+def _order1_fields(data, names):
+    """The order-1 fields of the conical heights and of the decay radii,
+    from one tod_fields call over both, conical heights first: (conical,
+    decay), where the run holds the rods and cky suites and the decay
+    fit runs.
+
+    Else, or if the pass raises, both are None, and each check evaluates
+    its own points: an error is then raised in its suite's turn, as it is
+    without the shared pass.
+    """
+    try:
+        if not ("rods" in names and "cky" in names) or _decay_skip(data):
+            return None, None
+        conical, decay = rods.conical_points(data), cky.decay_points(data, DECAY_RADII)
+        fields = tod.tod_fields(data, *map(np.concatenate, zip(conical, decay)), order=1)
+    except Exception:
+        return None, None
+    cut = conical[0].size
+    return fields.at(slice(None, cut)), fields.at(slice(cut, None))
+
+
 def _evaluate(data, seed, names):
-    """The one point set of a verify run, evaluated once.
+    """The point sets of a verify run, each evaluated once per jet order.
 
     25 points come from the seed, and the fields, curvature and cky
     suites all read them.  One tod_fields and one tod_metric at
-    VERIFY_ORDER run over the set, then one curvature_pack when the
-    curvature suite is selected, or else one connection, all that the
-    cky suite reads, when that one is.  Returns the _Evaluation, or None
-    on single-nut data and for the rods suite alone, which sample no
-    points.
+    VERIFY_ORDER run over the set, one fundamental_form for the fields
+    and cky suites, then one curvature_pack when the curvature suite is
+    selected, or else one connection, all that the cky suite reads, when
+    that one is.  The conical and decay points share one order-1 pass
+    (_order1_fields).  Returns the _Evaluation, or None on single-nut
+    data and for the rods suite alone, whose conical check then
+    evaluates its own points.
     """
     if data.n == 1 or names == ["rods"]:
         return None
     points = sample_interior(data, 25, np.random.default_rng(seed))
-    fields = _point_set_fields(data, points, VERIFY_ORDER)
+    fields = tod.tod_fields(data, *points.T, order=VERIFY_ORDER)
     metric = tod.tod_metric(fields)
+    form = tod.fundamental_form(fields) if "fields" in names or "cky" in names else None
     pack = (curvature.curvature_pack(metric) if "curvature" in names
             else curvature.connection(metric) if "cky" in names else None)
-    locations = np.array([_loc(rho, zeta) for rho, zeta in points], dtype=object)
-    return _Evaluation(locations, fields, metric, pack)
+    locations = np.array([_loc(rho, zeta) for rho, zeta in points.tolist()], dtype=object)
+    return _Evaluation(locations, fields, metric, form, pack, *_order1_fields(data, names))
 
 
 class _Worst:
@@ -301,7 +334,8 @@ SINGLE_NUT = "degenerate single-nut data"
 
 # Each suite takes the rod data, the seed, the tolerances and the run's
 # _Evaluation from _evaluate, which is None for the rods suite alone and
-# on single-nut data: the suites that sample points only read it.
+# on single-nut data: the suites that sample points only read it.  A
+# check whose shared order-1 fields are None evaluates its own points.
 
 
 def suite_fields(data, seed, tols, evaluation):
@@ -323,7 +357,7 @@ def suite_fields(data, seed, tols, evaluation):
     r = fields.point[0]
     det = gv[:, 0, 0] * gv[:, 1, 1] - gv[:, 0, 1] * gv[:, 0, 1]
     killing_det = np.abs(det - r * r) / (r * r)
-    om = tod.fundamental_form(fields).values()
+    om = evaluation.form.values()
     norm_sq = curvature.norm_squared(np.linalg.inv(gv), om)
     toda = harmonic.toda_residual(fields)
     v20, v10, v01, v02 = (V.partial(*p) for p in ((2, 0), (1, 0), (0, 1), (0, 2)))
@@ -395,8 +429,10 @@ def suite_rods(data, seed, tols, evaluation):
                               unread="no junction: single-nut data has no middle rod")
 
     conical = _Worst("conical")
+    # the shared order-1 fields, or None for the check's own pass
+    shared = evaluation.conical if evaluation else None
     try:
-        reports = rods.conical_check(data) if data.n > 1 else ()
+        reports = rods.conical_check(data, shared) if data.n > 1 else ()
     except ArithmeticError as exc:
         # a sample under- or overflowed as one float would: the check
         # fails, named by the error, and the other rod checks stand
@@ -435,37 +471,45 @@ def suite_cky(data, seed, tols, evaluation):
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
         return checks + candidate.checks(tols, unread=SINGLE_NUT) + [_decay_entry(data, tols)]
-    pack = evaluation.pack
-    residual, xi = curvature.cky_residual(pack, cky.tod_cky_candidate(evaluation.fields))
+    pack, Z = evaluation.pack, cky.tod_cky_candidate(evaluation.fields, evaluation.form)
+    residual, xi = curvature.cky_residual(pack, Z)
     off = np.max(np.abs(xi - np.array([1.0, 0, 0, 0])), axis=-1)
     killing = curvature.killing_residual(pack, xi)
     # the builtin max(off, killing), NaN included
     candidate.push(evaluation.locations, candidate_residual=residual,
                    candidate_killing=np.where(killing > off, killing, off))
-    return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
+    return checks + candidate.checks(tols) + [_decay_entry(data, tols, evaluation.decay)]
 
 
-def _decay_entry(data, tols):
-    """The two-form decay rate in the far field, or why it cannot be fitted.
+def _decay_skip(data):
+    """Why the decay fit does not run on data, or None where it runs.
 
-    Both preconditions, the standard cone and a zero centred third
-    moment (RodData.third_moment), are tested first, so the fit runs
-    only where its exponent is reported.
+    Its preconditions are the standard cone and a zero centred third
+    moment (RodData.third_moment); single-nut data has no fit.
     """
-    name = "decay_exponent"
     if data.n == 1:
-        return _skip(name, SINGLE_NUT)
+        return SINGLE_NUT
     c, _, nuts = data.floats
     kappa = jets.ordered_sum(a_i * a_j * (z_j - z_i) ** 2
                              for i, (z_i, a_i) in enumerate(nuts)
                              for z_j, a_j in nuts[i + 1:])
     if abs(c + kappa) > 1e-9 * kappa:
-        return _skip(name, "needs c = -sum a_i a_j (z_j - z_i)^2 "
-                           "(standard asymptotic cone)")
+        return "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"
     if cky.chart_limited(data):
-        return _skip(name, "nonzero centered third moment: polar chart "
-                           "is not the fast-rate chart")
-    report = cky.cky_decay_check(data, list(DECAY_RADII))
+        return "nonzero centered third moment: polar chart is not the fast-rate chart"
+
+
+def _decay_entry(data, tols, fields=None):
+    """The two-form decay rate in the far field, or why it cannot be fitted.
+
+    The preconditions (_decay_skip) are tested first, so the fit runs
+    only where its exponent is reported.  fields are the order-1 fields
+    at the fit's points, or None for the fit's own pass.
+    """
+    name = "decay_exponent"
+    if reason := _decay_skip(data):
+        return _skip(name, reason)
+    report = cky.cky_decay_check(data, list(DECAY_RADII), fields=fields)
     if report["exponent"] is None:
         return _skip(name, "deviation at rounding level at every radius")
     return _check(name, abs(report["exponent"] + 2.0), tols[name],

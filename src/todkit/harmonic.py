@@ -240,37 +240,29 @@ class RodData:
     def is_exact(self):
         return self.slack == 0
 
-    def interior_check(self, rho, zeta):
-        """Reject points on the axis, below rho = 1e-8 of the scale, or
-        inside a nut exclusion ball.
+    def _interior_limits(self):
+        """rho_min = 1e-8 of the scale, and the nut ball radius: 1e-6 of
+        the smallest nut gap (of the scale for one nut)."""
+        return 1e-8 * self.scale, 1e-6 * (self.min_gap if self.n > 1 else self.scale)
 
-        The ball radius is 1e-6 of the smallest nut gap (of the scale for
-        one nut), and math.hypot measures the distance.  Point arrays
-        raise at their first failing point in C order, with the message
-        that point gives on its own.  Either coordinate may be a number
-        when the other is an array.  On arrays np.hypot screens the
-        points, and math.hypot decides only those near a ball: the two
-        are each within an ulp of the true distance (subnormals
-        included), and the screen's margin is wider than both errors.
+    def interior_check(self, rho, zeta):
+        """Reject points on the axis, below rho_min, or inside a nut
+        exclusion ball (see _interior_limits).
+
+        math.hypot measures the distance to a nut.  Point arrays raise at
+        their first failing point in C order, with the message that point
+        gives on its own; interior_mask screens them.  Either coordinate
+        may be a number when the other is an array.
         """
-        rho_min = 1e-8 * self.scale
-        r_nut = 1e-6 * (self.min_gap if self.n > 1 else self.scale)
         if type(rho) is np.ndarray or type(zeta) is np.ndarray:
             # a number partners every point of an array
             rho, zeta = (x.astype(float, copy=False) for x in np.broadcast_arrays(rho, zeta))
-            zs = np.array([z for z, _ in self.floats.nuts]).reshape((-1,) + (1,) * rho.ndim)
-            with np.errstate(over="ignore"):
-                s = zeta - zs
-                near = np.hypot(rho, s) < r_nut * (1 + 2.0 ** -49) + 2.0 ** -1072
-            if near.any():
-                where = near.nonzero()
-                near[where] = jets.libm(math.hypot, np.broadcast_to(rho, s.shape)[where],
-                                        s[where]) < r_nut
-            bad = ~(rho > 0) | (rho < rho_min) | near.any(axis=0)
+            bad = ~self.interior_mask(rho, zeta)
             if bad.any():
                 k = bad.argmax()
                 self.interior_check(float(rho.flat[k]), float(zeta.flat[k]))
             return
+        rho_min, r_nut = self._interior_limits()
         if not rho > 0:
             raise AxisEvaluationError(f"rho = {rho} is not interior")
         if rho < rho_min:
@@ -279,6 +271,26 @@ class RodData:
             if math.hypot(float(rho), float(zeta) - z) < r_nut:
                 raise NutProximityError(
                     f"point within {r_nut} of nut at z = {self.zs[k]}")
+
+    def interior_mask(self, rho, zeta):
+        """Whether each point of the float arrays rho and zeta, of one
+        shape, passes interior_check.
+
+        np.hypot screens the points, and math.hypot decides only those
+        near a ball: the two are each within an ulp of the true distance
+        (subnormals included), and the screen's margin is wider than both
+        errors.
+        """
+        rho_min, r_nut = self._interior_limits()
+        zs = np.array([z for z, _ in self.floats.nuts]).reshape((-1,) + (1,) * rho.ndim)
+        with np.errstate(over="ignore"):
+            s = zeta - zs
+            near = np.hypot(rho, s) < r_nut * (1 + 2.0 ** -49) + 2.0 ** -1072
+        if near.any():
+            where = near.nonzero()
+            near[where] = jets.libm(math.hypot, np.broadcast_to(rho, s.shape)[where],
+                                    s[where]) < r_nut
+        return (rho > 0) & ~(rho < rho_min) & ~near.any(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -108,42 +108,54 @@ def gl2z_compatibility(rods, tol=1e-9):
 _LEVELS = 7
 
 
+def _heights(rods):
+    """The sample heights h = rho^2 of every rod: H, H/2, ... with
+    H = 0.04 min_gap^2."""
+    top = 4e-2 * rods.min_gap ** 2
+    return tuple(top * 0.5 ** k for k in range(_LEVELS))
+
+
+def conical_points(rods):
+    """The (rho, zeta) arrays conical_check samples, rod by rod: rho =
+    sqrt(h) for each height h, above one point of the rod (its middle,
+    or one span beyond the end nut of a semi-infinite rod)."""
+    zetas = [float(rods.profile._rod_point(i)) for i in range(len(rods.vectors))]
+    return (np.tile([math.sqrt(h) for h in _heights(rods)], len(zetas)),
+            np.repeat(zetas, _LEVELS))
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def conical_check(rods):
+def conical_check(rods, fields=None):
     """Extrapolated conical limits of all n+1 rods, in rod order; one means
     no defect.
 
     The quotient e^{-2nu} (S_rho^2 + S_zeta^2) / (4 S) with S the squared
-    length of the rod vector is sampled above one point of each rod (its
-    middle, or one span beyond the end nut of a semi-infinite rod) on
-    h = rho^2 = H, H/2, ... with H = 0.04 min_gap^2 and extrapolated to
-    the axis by Neville's scheme; the quotient is analytic in h so the
-    extrapolation converges fast.
+    length of the rod vector is sampled at conical_points, on h = rho^2 =
+    H, H/2, ... with H = 0.04 min_gap^2, and extrapolated to the axis by
+    Neville's scheme; the quotient is analytic in h so the extrapolation
+    converges fast.
     Heights relative to the nut spacing make the limit independent of
-    the homothety scale of the rod data.  All rods x levels points are
-    evaluated in one array pass, and the quotient's powers and division
-    go through ``jets.libm``; each sample keeps the bits, and each
-    failing point the error, of its own per-point evaluation.
+    the homothety scale of the rod data.  fields are the order-1 fields
+    at conical_points, or None for one tod_fields pass over them here.
+    The quotient's powers and division go through ``jets.libm``; each
+    sample keeps the bits, and each failing point the error, of its own
+    per-point evaluation.
     """
-    prof = rods.profile
-    vecs = rods.vectors
-    zetas = [float(prof._rod_point(i)) for i in range(len(vecs))]
-    top = 4e-2 * rods.min_gap ** 2
-    heights = tuple(top * 0.5 ** k for k in range(_LEVELS))
-    f = tod.tod_fields(rods, np.tile([math.sqrt(h) for h in heights], len(vecs)),
-                       np.repeat(zetas, _LEVELS), order=1)
-    g = tod.tod_metric(f)
-    v0, v1 = (np.repeat([float(v[k]) for v in vecs], _LEVELS) for k in (0, 1))
+    if fields is None:
+        fields = tod.tod_fields(rods, *conical_points(rods), order=1)
+    heights = _heights(rods)
+    g = tod.tod_metric(fields)
+    v0, v1 = (np.repeat([float(v[k]) for v in rods.vectors], _LEVELS) for k in (0, 1))
     # jets on the left: an array on the left would map over the jet
     S = g.entry(0, 0) * (v0 * v0) + g.entry(0, 1) * (2 * v0 * v1) \
         + g.entry(1, 1) * (v1 * v1)
     # libm's pow and the float division, which raise where numpy warns
     num = jets.libm(pow, S.partial(1, 0), 2) + jets.libm(pow, S.partial(0, 1), 2)
-    values = jets.libm(operator.truediv, num, 4.0 * S.value * f.e2nu.value).tolist()
+    values = jets.libm(operator.truediv, num, 4.0 * S.value * fields.e2nu.value).tolist()
     rows = [tuple(values[k:k + _LEVELS]) for k in range(0, len(values), _LEVELS)]
-    return tuple(ConicalReport(rod=i, zeta=zeta, limit=_neville_zero(heights, row),
-                               heights=heights, values=row)
-                 for i, (zeta, row) in enumerate(zip(zetas, rows)))
+    return tuple(ConicalReport(rod=i, zeta=float(fields.point[1][i * _LEVELS]),
+                               limit=_neville_zero(heights, row), heights=heights, values=row)
+                 for i, row in enumerate(rows))
 
 
 def _neville_zero(hs, ys):

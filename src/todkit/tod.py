@@ -65,6 +65,14 @@ class TodFields:
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
 
+    def at(self, part):
+        """The fields of the points that the slice part of a
+        one-dimensional point set selects, as that set's values."""
+        # the weight column a of the terms broadcasts over any points
+        return TodFields(*(f.at(part) for f in (self.W, self.e2nu, self.F, self.z, self.x)),
+                         self.rods, tuple(p[part] for p in self.point),
+                         (self.terms[0], *(t.at((slice(None), part)) for t in self.terms[1:])))
+
 
 @dataclass(frozen=True)
 class JetMatrix:

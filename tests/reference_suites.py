@@ -1,15 +1,18 @@
 """The point-by-point verify suites.
 
-Reference for the ``fields``, ``curvature`` and ``cky`` suites of
-``todkit.cli``, which read the metric, the curvature, the Weyl split and
-the Killing-Yano residuals of one point set, the 25 points of the seed,
-from one array pass, ``cli._evaluate``.  Here every suite samples those
-25 points itself, every point is read out of the point-set fields on its
-own (``fields_at``) and goes through the layer functions alone, one
-after the other, as the suites did before they took a point axis; the
-reports of the two must agree byte for byte.  Each suite takes the
-evaluation argument of ``cli.SUITES`` and ignores it, and the tests that
-run it replace ``cli._evaluate`` by one that evaluates nothing.
+Reference for the ``fields``, ``curvature``, ``rods`` and ``cky`` suites
+of ``todkit.cli``, which read the metric, the curvature, the Weyl split
+and the Killing-Yano residuals of one point set, the 25 points of the
+seed, from one array pass, and the conical heights and decay radii from
+one shared order-1 pass, both in ``cli._evaluate``.  Here every suite
+samples those 25 points itself, every point is read out of the
+point-set fields on its own (``fields_at``) and goes through the layer
+functions alone, one after the other, as the suites did before they took
+a point axis; the conical check and the decay fit (``decay_entry``) each
+evaluate their own points in their own ``tod_fields`` call.  The reports
+of the two must agree byte for byte.  Each suite takes the evaluation
+argument of ``cli.SUITES`` and ignores it, and the tests that run it
+replace ``cli._evaluate`` by one that evaluates nothing.
 ``frame_components`` is the matching one-radius reference for
 ``cky._frame_components``.
 
@@ -25,10 +28,10 @@ import math
 
 import numpy as np
 
-from todkit import cky, classify, curvature, harmonic, jets, tod
+from todkit import cky, classify, curvature, harmonic, jets, rods, tod
 from todkit.cky import CHART, FlatCkyParams, _each
-from todkit.cli import (SINGLE_NUT, _check, _decay_entry, _loc, _point_set_fields,
-                        _skip, _Worst, sample_interior)
+from todkit.cli import DECAY_RADII, SINGLE_NUT, _check, _loc, _skip, _Worst, sample_interior
+from todkit.errors import RodDataError
 from todkit.jets import Jet2
 from todkit.tod import JetMatrix, TodFields
 
@@ -101,9 +104,9 @@ def suite_fields(data, seed, tols, evaluation):
     rng = np.random.default_rng(seed)
     min_field, min_loc = math.inf, ""
     points = sample_interior(data, 25, rng)
-    fields = _point_set_fields(data, points, 3)
+    fields = tod.tod_fields(data, *points.T, order=3)
     V, H = harmonic.potentials(fields)
-    for k, (rho, zeta) in enumerate(points):
+    for k, (rho, zeta) in enumerate(points.tolist()):
         loc = _loc(rho, zeta)
         f = fields_at(fields, k)
         gv = tod.tod_metric(f).values()
@@ -140,8 +143,8 @@ def suite_curvature(data, seed, tols, evaluation):
     rng = np.random.default_rng(seed)
     c = float(data.c)
     points = sample_interior(data, 25, rng)
-    fields = _point_set_fields(data, points, 4)
-    for k, (rho, zeta) in enumerate(points):
+    fields = tod.tod_fields(data, *points.T, order=4)
+    for k, (rho, zeta) in enumerate(points.tolist()):
         loc = _loc(rho, zeta)
         f = fields_at(fields, k)
         pack = curvature.curvature_pack(tod.tod_metric(f))
@@ -185,10 +188,10 @@ def suite_cky(data, seed, tols, evaluation):
 
     candidate = _Worst("candidate_residual", "candidate_killing")
     if data.n == 1:
-        return checks + candidate.checks(tols, unread=SINGLE_NUT) + [_decay_entry(data, tols)]
+        return checks + candidate.checks(tols, unread=SINGLE_NUT) + [decay_entry(data, tols)]
     points = sample_interior(data, 25, np.random.default_rng(seed))
-    fields = _point_set_fields(data, points, 3)
-    for k, (rho, zeta) in enumerate(points):
+    fields = tod.tod_fields(data, *points.T, order=3)
+    for k, (rho, zeta) in enumerate(points.tolist()):
         f = fields_at(fields, k)
         pack = curvature.curvature_pack(tod.tod_metric(f))
         Z = cky.tod_cky_candidate(f)
@@ -198,10 +201,64 @@ def suite_cky(data, seed, tols, evaluation):
             candidate_killing=[max(
                 float(np.max(np.abs(xi - np.array([1.0, 0, 0, 0])))),
                 curvature.killing_residual(pack, xi))])
-    return checks + candidate.checks(tols) + [_decay_entry(data, tols)]
+    return checks + candidate.checks(tols) + [decay_entry(data, tols)]
 
 
-SUITES = {"fields": suite_fields, "curvature": suite_curvature, "cky": suite_cky}
+def suite_rods(data, seed, tols, evaluation):
+    junctions = _Worst("gl2z")
+    reports = rods.gl2z_compatibility(data, tol=tols["gl2z"])
+    junctions.push(
+        [f"junction {rep.middle}" + (" (singular basis)" if rep.singular else "")
+         for rep in reports],
+        gl2z=[math.inf if rep.singular else
+              float(max(rods.int_distance(rep.level),
+                        min(abs(rep.sign - 1), abs(rep.sign + 1))))
+              for rep in reports])
+    checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack},
+                              good=all(rep.ok for rep in reports),
+                              unread="no junction: single-nut data has no middle rod")
+    conical = _Worst("conical")
+    try:
+        # the conical heights in the check's own order-1 pass
+        reports = rods.conical_check(data) if data.n > 1 else ()
+    except ArithmeticError as exc:
+        conical.push([f"evaluation error: {exc}"], conical=[math.inf])
+        reports = ()
+    conical.push([f"rod {rep.rod}" for rep in reports],
+                 conical=[abs(rep.limit - 1.0) for rep in reports])
+    checks += conical.checks(tols, unread=SINGLE_NUT)
+    try:
+        label, good = rods.asymptotic_class(data).label, True
+    except RodDataError as exc:
+        label, good = str(exc), False
+    return checks + [_check("asymptotic_class", None, None, label, good)]
+
+
+def decay_entry(data, tols):
+    """The decay_exponent entry, its preconditions tested inline and the
+    fit's radii evaluated in the fit's own order-1 pass."""
+    name = "decay_exponent"
+    if data.n == 1:
+        return _skip(name, SINGLE_NUT)
+    c, _, nuts = data.floats
+    kappa = jets.ordered_sum(a_i * a_j * (z_j - z_i) ** 2
+                             for i, (z_i, a_i) in enumerate(nuts)
+                             for z_j, a_j in nuts[i + 1:])
+    if abs(c + kappa) > 1e-9 * kappa:
+        return _skip(name, "needs c = -sum a_i a_j (z_j - z_i)^2 "
+                           "(standard asymptotic cone)")
+    if cky.chart_limited(data):
+        return _skip(name, "nonzero centered third moment: polar chart "
+                           "is not the fast-rate chart")
+    report = cky.cky_decay_check(data, list(DECAY_RADII))
+    if report["exponent"] is None:
+        return _skip(name, "deviation at rounding level at every radius")
+    return _check(name, abs(report["exponent"] + 2.0), tols[name],
+                  f"r in [{DECAY_RADII[0]:g}, {DECAY_RADII[-1]:g}]")
+
+
+SUITES = {"fields": suite_fields, "curvature": suite_curvature, "rods": suite_rods,
+          "cky": suite_cky}
 
 
 def frame_components(fields, r, theta, st, ct):

@@ -764,7 +764,7 @@ class TestDecayPreconditions:
         fits = []
         fit = cli.cky.cky_decay_check
         monkeypatch.setattr(cli.cky, "cky_decay_check",
-                            lambda *args: fits.append(args) or fit(*args))
+                            lambda *args, **kwargs: fits.append(args) or fit(*args, **kwargs))
         _, out, _ = run(["verify", path, "--suite", suite], capsys)
         entry = {ch["name"]: ch for ch in json.loads(out)["checks"]}["decay_exponent"]
         assert len(fits) == calls

@@ -1,26 +1,30 @@
-"""The one evaluation pass of ``verify`` against the suite-by-suite reference.
+"""The evaluation passes of ``verify`` against the suite-by-suite reference.
 
 Every ``verify`` run samples one point set, the 25 points of the seed,
 and evaluates it in one pass, which the fields, curvature and cky suites
-all read.  On the extreme-scale files, the report (stdout, stderr, exit
+all read; the conical heights and the decay radii share one order-1
+pass.  On the extreme-scale files, the report (stdout, stderr, exit
 code and report file) must be the one of ``reference_suites``, whose
 suites sample and evaluate the same points at orders 3 and 4; the
-reference runs skip the pass.  Where that reference's order-4 curvature
-pass overflows or divides by zero and the order-2 evaluation does not,
-the run must print no evaluation error, and a ``--suite all`` run's
-checks must be the four single suites' checks.
+reference runs skip the passes.  Where that reference's order-4
+curvature pass overflows or divides by zero and the order-2 evaluation
+does not, the run must print no evaluation error, and a ``--suite all``
+run's checks must be the four single suites' checks.  Where the shared
+order-1 pass raises, each check evaluates its own points, and every
+error comes in the turn it comes in without the shared pass.
 """
 
 import inspect
 import json
+import random
 
 import numpy as np
 import pytest
 
 import reference_suites
 from rod_fixtures import skew_rods
-from test_cli import rod_doc, run, write_rod_file
-from todkit import cky, cli, curvature, tod
+from test_cli import rod_doc, run, sixteen_nut_doc, write_rod_file
+from todkit import cky, cli, curvature, rods, tod
 from todkit.errors import SignatureError
 
 # at 4^64 and beyond (and 4^-66 and below) the reference's order-4
@@ -99,7 +103,8 @@ SIZE = {"tod_fields": lambda rods, rho, *args, **kwargs: np.size(rho),
         "tod_metric": lambda fields: np.size(fields.point[0]),
         "curvature_pack": lambda metric: np.size(metric.base[0]),
         "connection": lambda metric: np.size(metric.base[0]),
-        "tod_cky_candidate": lambda fields: np.size(fields.point[0]),
+        "fundamental_form": lambda fields: np.size(fields.point[0]),
+        "tod_cky_candidate": lambda fields, form=None: np.size(fields.point[0]),
         "flat_cky": lambda params, coframe: np.size(coframe.base[0])}
 
 
@@ -133,30 +138,35 @@ def test_all_evaluates_each_point_once(tmp_path, capsys, monkeypatch):
     orders = {"tod_fields": [], "tod_cky_candidate": [], "flat_cky": []}
     fields = _spy(monkeypatch, tod, "tod_fields", orders=orders["tod_fields"])
     metrics = _spy(monkeypatch, tod, "tod_metric")
+    forms = _spy(monkeypatch, tod, "fundamental_form")
     packs = _spy(monkeypatch, curvature, "curvature_pack")
     connections = _spy(monkeypatch, curvature, "connection")
     for name in ("tod_cky_candidate", "flat_cky"):
         _spy(monkeypatch, cky, name, orders=orders[name])
     path = write_rod_file(tmp_path, EH_DOC)
     assert _report(tmp_path, capsys, ["verify", path])[0] == 0
-    # the one point set, then the conical and decay checks' own passes;
+    # the one point set, then one pass over the 21 conical heights and
+    # the 5 decay radii; one metric over the point set and one over the
+    # conical heights; one fundamental form over the point set, which the
+    # fields suite and the cky candidate read, and one in the decay fit;
     # one pack over the point set, which starts from its connection, and
     # a connection alone over the eight flat-family members
-    assert fields[0] == 25 and len(fields) == 3
-    assert metrics[0] == 25 and len(metrics) == 2
+    assert fields == [25, 26]
+    assert metrics == [25, 21]
+    assert forms == [25, 5]
     assert packs == [25]
     assert connections == [25, 8]
     # no check reads a derivative above the second, and the two-forms'
     # residuals read first derivatives: the one pass is at order 2,
-    # the conical and decay passes at order 1, the cky candidate and the
+    # the conical and decay pass at order 1, the cky candidate and the
     # flat members at order 1, the order of the one coframe they are
     # built on, and the decay check's candidate at order 0
-    assert orders == {"tod_fields": [2, 1, 1], "tod_cky_candidate": [1, 0],
+    assert orders == {"tod_fields": [2, 1], "tod_cky_candidate": [1, 0],
                       "flat_cky": [1]}
 
 
 # the (points, order) of each tod_fields call: one pass over the point
-# set, then the conical and decay checks' own passes
+# set, then the conical heights or the decay radii alone
 @pytest.mark.parametrize("suite, calls", [
     ("fields", [(25, 2)]),
     ("curvature", [(25, 2)]),
@@ -170,6 +180,109 @@ def test_single_suite_evaluates_each_point_once(tmp_path, capsys, monkeypatch, s
     path = write_rod_file(tmp_path, EH_DOC)
     _report(tmp_path, capsys, ["verify", path, "--suite", suite])
     assert list(zip(fields, orders)) == calls
+
+
+@pytest.mark.parametrize("suite, calls", [
+    ("all", [(25, 2), (119, 1)]),
+    ("cky", [(25, 2)]),
+    ("rods", [(119, 1)]),
+], ids=["all", "cky", "rods"])
+def test_chart_limited_data_evaluates_no_decay_radius(tmp_path, capsys, monkeypatch,
+                                                      suite, calls):
+    # the 16-nut file has a nonzero centred third moment, so the decay
+    # fit does not run: the order-1 pass holds the 17 x 7 conical heights
+    orders = []
+    fields = _spy(monkeypatch, tod, "tod_fields", orders=orders)
+    path = write_rod_file(tmp_path, sixteen_nut_doc(random.Random(7)))
+    _report(tmp_path, capsys, ["verify", path, "--suite", suite])
+    assert list(zip(fields, orders)) == calls
+
+
+@pytest.mark.parametrize("doc", [EH_DOC, rod_doc(skew_rods()),
+                                 sixteen_nut_doc(random.Random(7))],
+                         ids=["two-nut", "skew", "sixteen-nut"])
+def test_shared_slices_keep_their_bits(tmp_path, doc):
+    # the conical heights and decay radii in one order-1 pass, conical
+    # first: each check reads its slice with the bits of its own pass
+    data, _ = cli.load_rod_file(write_rod_file(tmp_path, doc))
+    sets = [rods.conical_points(data), cky.decay_points(data, cli.DECAY_RADII)]
+    rho, zeta = (np.concatenate(x) for x in zip(*sets))
+    fields = tod.tod_fields(data, rho, zeta, order=1)
+    cut = sets[0][0].size
+    assert repr(rods.conical_check(data, fields.at(slice(None, cut)))) == \
+        repr(rods.conical_check(data))
+    radii = list(cli.DECAY_RADII)
+    got = cky.cky_decay_check(data, radii, fields=fields.at(slice(cut, None)))
+    assert repr(got) == repr(cky.cky_decay_check(data, radii))
+
+
+def _separate_passes(monkeypatch):
+    # no shared order-1 pass: each check evaluates its own points
+    monkeypatch.setattr(cli, "_order1_fields", lambda *args: (None, None))
+
+
+def test_failing_shared_pass_falls_back(tmp_path, capsys, monkeypatch):
+    # an arithmetic error at a conical height: the shared pass raises, and
+    # then the conical check's own pass, in the rods suite's turn, which
+    # reports it as a located failure; the decay fit's own pass succeeds
+    low = rods.conical_points(tod.eh_rod_data())[0][0]
+    orders = []
+    fields = _spy(monkeypatch, tod, "tod_fields", orders=orders,
+                  fails=lambda data, rho, *args, **kwargs: np.isin(low, rho),
+                  error=OverflowError("injected"))
+    path = write_rod_file(tmp_path, EH_DOC)
+    got = _report(tmp_path, capsys, ["verify", path])
+    assert list(zip(fields, orders)) == [(25, 2), (26, 1), (21, 1), (5, 1)]
+    assert got[:3] == (1, "", "")
+    conical = {c["name"]: c for c in json.loads(got[3])["checks"]}["conical"]
+    assert (conical["status"], conical["location"]) == ("fail", "evaluation error: injected")
+    _separate_passes(monkeypatch)
+    assert got == _report(tmp_path, capsys, ["verify", path])
+
+
+# files whose checks raise: the two-nut file at 2^40 (a decay radius
+# falls below rho_min, so the shared pass raises) and the files of
+# test_cli's extreme-input tests
+ERROR_DOCS = {
+    "span-1e307": {"c": -1, "rods": [{"z": -1e307, "a": 0.5}, {"z": 1e307, "a": 0.5}]},
+    "nuts-1e-150": {"c": -1.0, "rods": [{"z": -1e-150, "a": 0.5}, {"z": 1e-150, "a": 0.5}]},
+    "huge-1e100": DOCS["huge-1e100"],
+    "gauge-1e5": dict(EH_DOC, gauge={"h_constant": 1e5}),
+    "two-nut-2^40": {"c": -0.0625 * 4.0 ** 40, "rods": [{"z": -0.25 * 2.0 ** 40, "a": 0.5},
+                                                        {"z": 0.25 * 2.0 ** 40, "a": 0.5}]},
+}
+OVERFLOW = "(34, 'Numerical result out of range')"
+BELOW = "rho = 2103.677462019741 below rho_min = 5497.55813888"
+# (exit code, stderr, the conical entry's location or None) per file and
+# suite, as verify gave them with a tod_fields call per check
+ERRORS = {
+    ("span-1e307", "all"): (1, "evaluation error: W = nan is not positive\n", None),
+    ("span-1e307", "rods"): (1, "", f"evaluation error: {OVERFLOW}"),
+    ("span-1e307", "cky"): (1, "evaluation error: W = nan is not positive\n", None),
+    ("nuts-1e-150", "all"): (1, "evaluation error: float division by zero\n", None),
+    ("nuts-1e-150", "rods"): (1, "", "evaluation error: float division by zero"),
+    ("nuts-1e-150", "cky"): (1, "evaluation error: float division by zero\n", None),
+    ("huge-1e100", "all"): (1, f"evaluation error: {OVERFLOW}\n", None),
+    ("huge-1e100", "rods"): (0, "", "rod 1"),
+    ("huge-1e100", "cky"): (1, f"evaluation error: {OVERFLOW}\n", None),
+    ("gauge-1e5", "all"): (1, "", "evaluation error: float division by zero"),
+    ("gauge-1e5", "rods"): (1, "", "evaluation error: float division by zero"),
+    ("gauge-1e5", "cky"): (1, "", None),
+    ("two-nut-2^40", "all"): (1, f"evaluation error: {BELOW}\n", None),
+    ("two-nut-2^40", "rods"): (0, "", "rod 1"),
+    ("two-nut-2^40", "cky"): (1, f"evaluation error: {BELOW}\n", None),
+}
+
+
+@pytest.mark.parametrize("name, suite", list(ERRORS), ids=[f"{n}-{s}" for n, s in ERRORS])
+def test_errors_keep_their_turn(tmp_path, capsys, monkeypatch, name, suite):
+    path = write_rod_file(tmp_path, ERROR_DOCS[name])
+    argv = ["verify", path, "--suite", suite]
+    got = _report(tmp_path, capsys, argv)
+    checks = {c["name"]: c for c in json.loads(got[3])["checks"]} if got[3] else {}
+    assert (got[0], got[2], checks.get("conical", {}).get("location")) == ERRORS[name, suite]
+    _separate_passes(monkeypatch)
+    assert got == _report(tmp_path, capsys, argv)
 
 
 def test_cky_alone_builds_no_curvature_pack(tmp_path, capsys, monkeypatch):
