@@ -3,9 +3,10 @@
 Subcommands: build samples the metric fields on a grid to CSV, verify
 runs the invariant suites against a rod file and emits a JSON report,
 classify prints the admissible-family search with certificates, and pd
-dispatches the quartic-root family checks and scans.  Each call builds
-only the parser branch its command line names (build_parser), and help
-and errors for a missing or unknown command use the full tree.
+dispatches the quartic-root family checks and scans.  The first main
+call of a process builds the whole argparse tree (build_parser), and
+every later call parses with that tree; main runs the command function
+that the tree names, looked up in this module at call time.
 
 Rod files are JSON: {"mode": "ale", "c": -0.0625, "rods": [{"z": -0.25,
 "a": 0.5}, {"z": 0.25, "a": 0.5}], "gauge": {"h_constant": "symmetric"}}.
@@ -13,15 +14,17 @@ Numbers may be decimal or p/q strings, which opt in to exact-rational
 evaluation where the receiving routine supports it.
 
 Exit codes: 0 all checks pass, 1 verification or evaluation failure,
-2 malformed input.  Reports are deterministic for a fixed input file and
-seed: keys are sorted, floats use shortest round-trip notation, and no
-timestamps or environment details are recorded.  All loops are serial,
-so thread count cannot reorder any reduction.
+2 malformed input or an --out path that cannot be written.  Reports are
+deterministic for a fixed input file and seed: keys are sorted, floats
+use shortest round-trip notation, and no timestamps or environment
+details are recorded.  All loops are serial, so thread count cannot
+reorder any reduction.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -185,8 +188,11 @@ def _emit(text, out):
     if out in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise RodDataError(f"cannot write {out}: {exc.strerror}")
 
 
 def _loc(rho, zeta):
@@ -697,123 +703,72 @@ def cmd_pd_selfdual(args):
 # argument plumbing
 
 
-def _add_out(parser):
+def _add_command(sub, name, help, func):
+    """A subcommand parser with its --out option, whose namespace names
+    func by its __name__, which main looks up at call time."""
+    parser = sub.add_parser(name, help=help)
     parser.add_argument("--out", default="-")
+    parser.set_defaults(func=func.__name__)
+    return parser
 
 
 def _add_roots(parser):
-    _add_out(parser)
     parser.add_argument("--roots", nargs=4, type=float)
     parser.add_argument("--case", choices=("a", "b"))
     parser.add_argument("--u", type=float)
     parser.add_argument("--v", type=float)
 
 
-def _add_build(sub, rest):
-    build = sub.add_parser("build", help="sample metric fields to CSV")
-    _add_out(build)
+def build_parser():
+    """The whole argparse tree of todkit.
+
+    Each command names its function (func) rather than holding it, so
+    that one tree can serve every command of a process (_parser) while
+    main looks the function up at call time, where a wrapper or a test
+    may have replaced it.
+    """
+    parser = argparse.ArgumentParser(
+        prog="todkit",
+        description="verification toolkit for toric half-flat instanton "
+                    "metrics built from rod data")
+    sub = parser.add_subparsers(dest="command", required=True)
+    build = _add_command(sub, "build", "sample metric fields to CSV", cmd_build)
     build.add_argument("rod_file")
     build.add_argument("--grid", default="20x20", help="rho x zeta counts")
     build.add_argument("--rho-range", default=None, metavar="LO:HI")
     build.add_argument("--zeta-range", default=None, metavar="LO:HI")
-    build.set_defaults(func=cmd_build)
-
-
-def _add_verify(sub, rest):
-    verify = sub.add_parser("verify", help="run invariant suites")
-    _add_out(verify)
+    verify = _add_command(sub, "verify", "run invariant suites", cmd_verify)
     verify.add_argument("rod_file")
     verify.add_argument("--suite", default="all",
                         choices=("fields", "curvature", "rods", "cky", "all"))
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument("--tol", action="append", default=[],
                         metavar="NAME=VALUE", help="override one tolerance")
-    verify.set_defaults(func=cmd_verify)
-
-
-def _add_classify(sub, rest):
-    cls = sub.add_parser("classify", help="admissible rod structure search")
-    _add_out(cls)
+    cls = _add_command(sub, "classify", "admissible rod structure search", cmd_classify)
     cls.add_argument("--nmax", type=int, default=4)
     cls.add_argument("--lmax", type=int, default=12)
     cls.add_argument("--asymptotics", default="ale", choices=("ale", "af"))
-    cls.set_defaults(func=cmd_classify)
-
-
-def _add_pd_check(sub, rest):
-    check = sub.add_parser("check", help="regularity of one root set")
-    _add_roots(check)
-    check.set_defaults(func=cmd_pd_check)
-
-
-def _add_pd_scan(sub, rest):
-    scan = sub.add_parser("scan", help="sampled non-regularity scan")
-    _add_out(scan)
+    pdsub = sub.add_parser("pd", help="quartic-root family checks").add_subparsers(
+        dest="pd_command", required=True)
+    _add_roots(_add_command(pdsub, "check", "regularity of one root set", cmd_pd_check))
+    scan = _add_command(pdsub, "scan", "sampled non-regularity scan", cmd_pd_scan)
     scan.add_argument("--case", required=True,
                       choices=("i", "ii", "iii", "a", "b"))
     scan.add_argument("--samples", type=int, default=1000)
     scan.add_argument("--seed", type=int, default=7)
-    scan.set_defaults(func=cmd_pd_scan)
-
-
-def _add_pd_selfdual(sub, rest):
-    selfdual = sub.add_parser("selfdual", help="palindromic root certificates")
-    _add_roots(selfdual)
-    selfdual.set_defaults(func=cmd_pd_selfdual)
-
-
-def _add_pd(sub, rest):
-    pdp = sub.add_parser("pd", help="quartic-root family checks")
-    _add_branches(pdp, "pd_command", rest, {
-        "check": _add_pd_check,
-        "scan": _add_pd_scan,
-        "selfdual": _add_pd_selfdual,
-    })
-
-
-def _add_branches(parser, dest, argv, adders):
-    """Subcommands of parser: only the branch that argv names next, or
-    every branch when argv names none (help, no command, a typo).
-
-    Each adder takes the subparsers action and the argv after its own
-    name.  A narrowed action lists every choice as its metavar, so that
-    its usage line reads as the full tree's; the full tree keeps
-    argparse's default metavar, which its invalid-choice and missing
-    command messages name.
-    """
-    if argv and argv[0] in adders:
-        sub = parser.add_subparsers(dest=dest, required=True,
-                                    metavar="{%s}" % ",".join(adders))
-        adders[argv[0]](sub, argv[1:])
-        return
-    sub = parser.add_subparsers(dest=dest, required=True)
-    for add in adders.values():
-        add(sub, ())
-
-
-def build_parser(argv=()):
-    """The parser for argv: at each level, only the subcommand argv names
-    is built, or the whole tree where argv names none, so that help and
-    a missing or unknown command read as with every branch."""
-    parser = argparse.ArgumentParser(
-        prog="todkit",
-        description="verification toolkit for toric half-flat instanton "
-                    "metrics built from rod data")
-    _add_branches(parser, "command", argv, {
-        "build": _add_build,
-        "verify": _add_verify,
-        "classify": _add_classify,
-        "pd": _add_pd,
-    })
+    _add_roots(_add_command(pdsub, "selfdual", "palindromic root certificates",
+                            cmd_pd_selfdual))
     return parser
 
 
+# built on the first main call, not at import
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[args.func](args)
     except RodDataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -247,6 +247,28 @@ class TestInputErrors:
         assert err.count("\n") == 1
 
 
+class TestUnwritableOut:
+    """An --out path that cannot be opened for writing is an input error."""
+
+    @pytest.mark.parametrize("args", [
+        ["build", "ROD", "--grid", "2x2"],
+        ["verify", "ROD", "--suite", "rods"],
+        ["classify", "--nmax", "2"],
+        ["pd", "scan", "--case", "i", "--samples", "5"],
+        ["pd", "check", "--roots", "0.2", "0.4", "2.0", "6.25"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("target, reason", [
+        ("", "Is a directory"), ("missing/out.json", "No such file or directory"),
+    ], ids=["directory", "missing-parent"])
+    def test_exit_two(self, tmp_path, capsys, args, target, reason):
+        out_path = tmp_path / target
+        argv = [write_rod_file(tmp_path, EH_DOC) if a == "ROD" else a for a in args]
+        code, out, err = run([*argv, "--out", str(out_path)], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"input error: cannot write {out_path}: {reason}\n"
+        assert "Traceback" not in err
+
+
 class TestWorst:
     def test_declared_order_and_ties(self):
         worst = cli._Worst("b", "a")

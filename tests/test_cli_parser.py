@@ -1,12 +1,13 @@
-"""The parser main builds for one command line against the full tree.
+"""The one parser tree main keeps per process, and dispatch by name.
 
-``cli.build_parser(argv)`` builds only the branch that argv names at
-each level, and the whole tree when argv names none.  On every command
-line below, both parsers must give the same exit code, stdout and
-stderr, and the same namespace where parsing succeeds.
+``cli.main`` parses every command line of a process with one tree,
+built on its first call.  Parsing the command lines below through that
+tree, one after the other in either order, must give what a freshly
+built tree gives for each line: the same exit code, stdout and stderr,
+and the same namespace where parsing succeeds.  main runs the command
+function the namespace names, as the module holds it at call time.
 """
 
-import argparse
 import contextlib
 import io
 
@@ -62,29 +63,37 @@ def _parse(parser, argv):
     return code, out.getvalue(), err.getvalue(), namespace
 
 
+@pytest.fixture(scope="module")
+def shared_parses():
+    """argv -> the results of parsing argv through main's one tree, as
+    the whole MATRIX passes through it in order and then reversed, so
+    that help, error and valid lines follow each other."""
+    parses = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("COLUMNS", "80")
+        for argv in MATRIX + MATRIX[::-1]:
+            parses.setdefault(tuple(argv), []).append(_parse(cli._parser(), argv))
+    return parses
+
+
 @pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
-def test_narrowed_parser_matches_full_tree(monkeypatch, argv):
+def test_reused_parser_matches_fresh_parser(monkeypatch, shared_parses, argv):
     monkeypatch.setenv("COLUMNS", "80")
-    assert _parse(cli.build_parser(argv), argv) == _parse(cli.build_parser(()), argv)
+    assert shared_parses[tuple(argv)] == [_parse(cli.build_parser(), argv)] * 2
 
 
-def _choices(parser):
-    """The subcommand names of each level the parser holds, outermost
-    first."""
-    levels = []
-    while parser is not None:
-        sub = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-        levels.append(list(sub[0].choices) if sub else [])
-        parser = next(iter(sub[0].choices.values())) if len(levels[-1]) == 1 else None
-    return levels
+def test_main_runs_the_command_by_name(monkeypatch, capsys):
+    argv = ["pd", "check", "--roots", "0.2", "0.4", "2.0", "6.25"]
+    assert cli.main(argv) == 0
+    report = capsys.readouterr().out
+    calls, original = [], cli.cmd_pd_check
 
+    def spy(args):
+        calls.append(args.out)
+        return original(args)
 
-@pytest.mark.parametrize("argv, levels", [
-    (["verify", ROD], [["verify"], []]),
-    (["pd", "scan", "--case", "i"], [["pd"], ["scan"], []]),
-    (["pd"], [["pd"], ["check", "scan", "selfdual"]]),
-    (["-h"], [["build", "verify", "classify", "pd"]]),
-    (["--out", "x", "build"], [["build", "verify", "classify", "pd"]]),
-])
-def test_only_the_named_branch_is_built(argv, levels):
-    assert _choices(cli.build_parser(argv)) == levels
+    # the tree main already built must reach the replacement
+    monkeypatch.setattr(cli, "cmd_pd_check", spy)
+    assert cli.main([*argv, "--out", "-"]) == 0
+    assert calls == ["-"]
+    assert capsys.readouterr().out == report

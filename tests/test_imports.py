@@ -63,8 +63,7 @@ def test_module_run_matches_in_process_run(tmp_path):
 @pytest.mark.parametrize("argv", [["-h"], ["verify", "two_nut.json", "--suite", "rods"]],
                          ids=["help", "verify-rods"])
 def test_module_run_reads_sys_argv(tmp_path, monkeypatch, argv):
-    # main() with no argv reads sys.argv, which builds the parser branch
-    # that the command names, or the whole tree for -h
+    # main() with no argv parses sys.argv with the process's one tree
     (tmp_path / "two_nut.json").write_text(json.dumps(TWO_NUT))
     monkeypatch.chdir(tmp_path)
     monkeypatch.setenv("COLUMNS", "80")
@@ -78,3 +77,11 @@ def test_module_run_reads_sys_argv(tmp_path, monkeypatch, argv):
             code = exc.code
     assert (done.returncode, done.stdout, done.stderr) == (code, out.getvalue(), "")
     assert code == 0 and out.getvalue()
+
+
+def test_unwritable_out_is_an_input_error(tmp_path):
+    (tmp_path / "two_nut.json").write_text(json.dumps(TWO_NUT))
+    done = _python("-m", "todkit.cli", "verify", "two_nut.json", "--out", str(tmp_path),
+                   cwd=tmp_path)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == f"input error: cannot write {tmp_path}: Is a directory\n"
