@@ -76,8 +76,10 @@ def shared_parses():
     return parses
 
 
+# The name is kept from when main parsed each line with a tree narrowed
+# to its command, so that the ids of these command lines stay stable.
 @pytest.mark.parametrize("argv", MATRIX, ids=" ".join)
-def test_reused_parser_matches_fresh_parser(monkeypatch, shared_parses, argv):
+def test_narrowed_parser_matches_full_tree(monkeypatch, shared_parses, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert shared_parses[tuple(argv)] == [_parse(cli.build_parser(), argv)] * 2
 
