@@ -563,7 +563,7 @@ def _at_least(flag, value, low):
         raise RodDataError(f"{flag} must be at least {low}, got {value}")
 
 
-_CSV_ROW = ",".join(["%.16e"] * 7)
+_CELLS = ",".join(["%.16e"] * 5)
 
 
 def cmd_build(args):
@@ -582,15 +582,19 @@ def cmd_build(args):
         (float(data.zs[0]) - 0.5 * scale, float(data.zs[-1]) + 0.5 * scale))
     c = float(data.c)
     # the whole grid in one pass, rho-major; each point's floats are the
-    # ones its own tod_fields call would give
-    rho = np.repeat(np.linspace(rho_lo, rho_hi, nr), nz)
-    zeta = np.tile(np.linspace(zeta_lo, zeta_hi, nz), nr)
-    f = tod.tod_fields(data, rho, zeta, order=0)
+    # ones its own tod_fields call would give.  Each axis value is
+    # formatted once; one iterator over the four field columns is shared
+    # by the rows, zeta cells first so zip stops at a row's end.  lambda
+    # is a Python float per point, so z^3's underflow or overflow raises
+    rho = np.linspace(rho_lo, rho_hi, nr)
+    zeta = np.linspace(zeta_lo, zeta_hi, nz)
+    f = tod.tod_fields(data, np.repeat(rho, nz), np.tile(zeta, nr), order=0)
+    values = zip(*(v.value.tolist() for v in (f.W, f.F, f.e2nu, f.z)))
+    cells = ["%.16e," % q for q in zeta.tolist()]
     lines = ["rho,zeta,W,F,e2nu,z,lambda"]
-    for row in zip(*(v.tolist() for v in (rho, zeta, f.W.value, f.F.value,
-                                           f.e2nu.value, f.z.value))):
-        lam = -2.0 * c / row[-1] ** 3
-        lines.append(_CSV_ROW % (*row, lam))
+    for head in ["%.16e," % r for r in rho.tolist()]:
+        for q, (w, ff, e, z) in zip(cells, values):
+            lines.append(head + q + _CELLS % (w, ff, e, z, -2.0 * c / z ** 3))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -13,6 +13,8 @@ import pytest
 from todkit import cli, tod
 from todkit.errors import RodDataError
 
+from test_batch import sixteen_nut
+
 EH_DOC = {
     "mode": "ale",
     "c": "-1/16",
@@ -140,6 +142,8 @@ TINY_DOC = {"c": -1e-300, "rods": [{"z": -1e-160, "a": 0.5},
                                    {"z": 1e-160, "a": 0.5}]}
 HUGE_DOC = {"c": -1e200, "rods": [{"z": -1e100, "a": 0.5},
                                   {"z": 1e100, "a": 0.5}]}
+CUBE_OVERFLOW_DOC = {"c": -1e206, "rods": [{"z": -1e103, "a": 0.5},
+                                           {"z": 1e103, "a": 0.5}]}
 SKEW_DOC = {"c": -0.3, "rods": [{"z": -1.0, "a": 0.2}, {"z": 0.2, "a": 0.5},
                                 {"z": 0.9, "a": 0.3}]}
 
@@ -147,20 +151,25 @@ SKEW_DOC = {"c": -0.3, "rods": [{"z": -1.0, "a": 0.2}, {"z": 0.2, "a": 0.5},
 class TestBatchedBuild:
     """build evaluates its grid in one pass, byte for byte as point by point."""
 
-    @pytest.mark.parametrize("doc, scale", [(EH_DOC, 1.0), (SKEW_DOC, 1.0),
-                                            (HUGE_DOC, 1e100)],
-                             ids=["two-nut", "skew", "huge"])
-    def test_csv_matches_point_loop(self, tmp_path, capsys, doc, scale):
+    # the single-row and single-column grids are where a loop that
+    # formats each axis value once could pair rows with the wrong columns
+    @pytest.mark.parametrize("doc, scale, grid", [
+        (EH_DOC, 1.0, (7, 9)), (SKEW_DOC, 1.0, (7, 9)), (HUGE_DOC, 1e100, (7, 9)),
+        (EH_DOC, 1.0, (1, 1)), (SKEW_DOC, 1.0, (1, 9)), (SKEW_DOC, 1.0, (9, 1)),
+        (rod_doc(sixteen_nut()), 8.0, (7, 9)),
+    ], ids=["two-nut", "skew", "huge", "two-nut-1x1", "skew-1x9", "skew-9x1",
+            "sixteen-nut"])
+    def test_csv_matches_point_loop(self, tmp_path, capsys, doc, scale, grid):
         path = write_rod_file(tmp_path, doc)
         rho_range = (0.05 * scale, 2.0 * scale)
         zeta_range = (-1.3 * scale, 1.1 * scale)
-        code, out, err = run(["build", path, "--grid", "7x9",
+        code, out, err = run(["build", path, "--grid", "%dx%d" % grid,
                               f"--rho-range={rho_range[0]!r}:{rho_range[1]!r}",
                               f"--zeta-range={zeta_range[0]!r}:{zeta_range[1]!r}"],
                              capsys)
         assert (code, err) == (0, "")
         data, _ = cli.load_rod_file(path)
-        assert out == per_point_csv(data, 7, 9, rho_range, zeta_range)
+        assert out == per_point_csv(data, *grid, rho_range, zeta_range)
 
     def test_underflow_is_one_evaluation_error(self, tmp_path, capsys):
         # z^3 underflows to 0 in the lambda column; no partial CSV, and
@@ -173,6 +182,21 @@ class TestBatchedBuild:
         assert code == 1
         assert out == ""
         assert err == "evaluation error: float division by zero\n"
+
+    def test_overflow_is_one_evaluation_error(self, tmp_path, capsys):
+        # z^3 overflows in the lambda column: the Python float power
+        # raises where numpy's would write inf with a warning
+        path = write_rod_file(tmp_path, CUBE_OVERFLOW_DOC)
+        out_path = tmp_path / "fields.csv"
+        for out_args in ([], ["--out", str(out_path)]):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run(["build", path, "--grid", "3x3", *out_args],
+                                     capsys)
+            assert caught == []
+            assert (code, out) == (1, "")
+            assert err == "evaluation error: (34, 'Numerical result out of range')\n"
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("args, message", [
         (["--rho-range=0:1"], "rho = 0.0 is not interior"),
