@@ -22,8 +22,9 @@ and the scans certify that no root pattern meets all the conditions.
 One kernel, _regularity_rows, decides corner regularity for a whole
 root array: float roots as float64 rows, exact (int or Fraction) roots
 as object rows, which keep exact vectors and coefficients and make
-every tolerance of the checks zero.  pd_regularity is its row 0 and
-pd_scan its blocks of sampled rows.
+every tolerance of the checks zero.  pd_regularity is its row 0; pd_scan
+draws its attempts to the count and certifies the kept rows in one pass
+per up to _BLOCK of them.
 """
 
 from __future__ import annotations
@@ -318,7 +319,7 @@ def _regularity_rows(roots, a0=1, slack=1):
     """Corner regularity of every row of a (k, 4) root array in one pass.
 
     The one implementation of the regularity conditions, for pd_scan's
-    float64 blocks (tolerance slack one) and for pd_regularity's single
+    float64 rows (tolerance slack one) and for pd_regularity's single
     row, which is object dtype when a root is exact (Fraction): the same
     operators then stay exact, and slack zero makes every tolerance zero.
     Returns a PdRegularity whose fields are arrays over the rows, NaN
@@ -440,8 +441,10 @@ _CERTIFICATES = {
           lambda reg, roots: reg.collinear_12 & (reg.epsbar > 1)),
 }
 
-# Attempts drawn and certified per array pass: bounds the scan's memory
-# whatever the sample count.
+# Scans draw attempts to the count, at most _BLOCK per draw, and certify
+# the kept rows in one pass per up to _BLOCK of them: fewer than _BLOCK
+# wait before a draw, so a pass takes fewer than 2 * _BLOCK rows, which
+# bounds the scan's memory whatever the sample count.
 _BLOCK = 2048
 
 
@@ -464,36 +467,47 @@ def pd_scan(case, samples=1000, seed=7):
     all-negative roots, and the opposite rod pair with eps (or epsbar)
     away from one in the palindromic cases.
 
-    Attempts are drawn in blocks of _BLOCK and certified as arrays, row
-    by row equal to drawing and certifying one attempt at a time.  The
-    blocks consume the Generator exactly as per-attempt draws would:
-    ``uniform(size=(k, 4))`` (k, 2 in case a) is k draws of 4 (or 2)
-    values, and case b's alternating scalar draws are the columns of
-    ``lo + (hi - lo) * random((k, 2))``.  Where numpy's array functions
-    round differently from the scalar ones (``prod ** 0.25``, and case
-    b's ``math.exp``), ``jets.libm`` gives each row libm's bits.
-    Attempts are counted up to the one that completes the requested
-    samples, at most 200 * samples + 1000.  A sample that breaks PdParams, the closed
-    forms or its certificate raises the error pd_regularity raises on
-    it, for the first such sample in draw order.
+    Attempts are drawn to the count: each draw, of at most _BLOCK
+    attempts, is sized from the samples still missing and the keep rate
+    seen so far, with 10 % and 32 attempts to spare so that one more draw
+    is rare.  A scan so draws about 10 % + 32 attempts beyond those it
+    counts, and up to about a quarter + 32 where its first draw keeps
+    fewer rows than its case's rate would give.  The kept rows are
+    certified as arrays in draw order, in one pass per up to _BLOCK kept
+    rows, row by row equal to drawing and certifying one attempt at a
+    time.  Any split into draws consumes the Generator exactly as
+    per-attempt draws would: ``uniform(size=(k, 4))`` (k, 2 in case a)
+    is k draws of 4 (or 2) values, and case b's alternating scalar draws
+    are the columns of ``lo + (hi - lo) * random((k, 2))``.
+    Where numpy's array functions round differently from the scalar ones
+    (``prod ** 0.25``, and case b's ``math.exp``), ``jets.libm`` gives
+    each row libm's bits.  Attempts are counted up to the one that
+    completes the requested samples, at most 200 * samples + 1000.  A
+    sample that breaks PdParams, the closed forms or its certificate
+    raises the error pd_regularity raises on it, for the first such
+    sample in draw order, before the attempt limit's error.
     """
     if case not in _CERTIFICATES:
         raise RodDataError(f"unknown scan case {case!r}")
     cert, holds = _CERTIFICATES[case]
     rng = np.random.default_rng(seed)
-    admissible = 0
-    certified = 0
-    attempts = 0
+    pending = []  # kept rows not yet certified, one array per draw
+    waiting = kept = admissible = attempts = 0
     limit = 200 * samples + 1000
-    while admissible + certified < samples:
-        if attempts == limit:
-            raise RodDataError("sampling failed to reach the requested count")
-        k = min(_BLOCK, limit - attempts)
+    while kept < samples and attempts < limit:
+        need = samples - kept
+        k = min(_BLOCK, limit - attempts,
+                math.ceil(1.1 * need * (attempts + 1) / (kept + 1)) + 32)
         roots, keep = _draw_roots(case, rng, k)
-        rows = np.flatnonzero(keep)[:samples - admissible - certified]
-        done = admissible + certified + len(rows) == samples
-        attempts += int(rows[-1]) + 1 if done else k
-        roots = roots[rows]
+        rows = np.flatnonzero(keep)[:need]
+        kept += len(rows)
+        waiting += len(rows)
+        attempts += int(rows[-1]) + 1 if kept == samples else k
+        pending.append(roots[rows])
+        if waiting < _BLOCK and kept < samples and attempts < limit:
+            continue
+        roots = np.concatenate(pending) if len(pending) > 1 else pending[0]
+        pending, waiting = [], 0
         reg, faults = _regularity_rows(roots)
         p1, p2, p3, p4 = roots.T
         params_ok = (p1 < p2) & (p2 < p3) & (p3 < p4) \
@@ -507,9 +521,10 @@ def pd_scan(case, samples=1000, seed=7):
             pd_regularity(PdParams(roots=bad))
             raise CertificateError(f"case {case}, roots {_roots_text(bad)}: certificate "
                                    f"'{cert}' does not hold")
-        regular = int(np.count_nonzero(reg.ok))
-        admissible += regular
-        certified += len(rows) - regular
+        admissible += int(np.count_nonzero(reg.ok))
+    if kept < samples:
+        raise RodDataError("sampling failed to reach the requested count")
+    certified = kept - admissible
     certificates = {cert: certified} if certified else {}
     return PdScanResult(case=case, samples=samples, attempts=attempts,
                         admissible=admissible, certificates=certificates,

@@ -1,10 +1,11 @@
 """The per-sample quartic-root scan: one draw, one PdParams, one
 pd_regularity and one certificate per attempt.
 
-Reference for ``pd.pd_scan``, which draws and certifies attempts in
-blocks of numpy arrays: both consume the same random stream with the same
-arithmetic, so their results must be equal, and a failing sample must
-raise the same error with the same message.
+Reference for ``pd.pd_scan``, whose attempts are drawn to the count as
+numpy arrays and certified in one pass per up to ``_BLOCK`` kept rows:
+both consume the same random stream with the same arithmetic, so their
+results must be equal, whatever the sizes of the draws, and a failing
+sample must raise the same error with the same message.
 """
 
 from __future__ import annotations

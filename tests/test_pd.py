@@ -288,10 +288,10 @@ class TestScans:
 class TestScanFailures:
     """A failing sample raises what the per-sample reference raises."""
 
-    @pytest.mark.parametrize("k", [1, 7, pd._BLOCK + 5])
-    def test_kth_sample_failure_names_its_roots(self, monkeypatch, k):
-        # eps above one breaks the case a certificate of the k-th sample
-        samples = pd._BLOCK + 10
+    @staticmethod
+    def _break_kth_certificate(monkeypatch, k):
+        """Set eps above one, which breaks the case a certificate, in the
+        k-th sample of both scans; returns the reference's call count."""
         rows, scalar = pd._regularity_rows, reference_scan.pd_regularity
         seen = [0]
 
@@ -314,6 +314,12 @@ class TestScanFailures:
 
         monkeypatch.setattr(pd, "_regularity_rows", broken_rows)
         monkeypatch.setattr(reference_scan, "pd_regularity", broken_scalar)
+        return calls
+
+    @pytest.mark.parametrize("k", [1, 7, pd._BLOCK + 5])
+    def test_kth_sample_failure_names_its_roots(self, monkeypatch, k):
+        samples = pd._BLOCK + 10
+        calls = self._break_kth_certificate(monkeypatch, k)
         with pytest.raises(CertificateError) as got:
             pd.pd_scan("a", samples=samples, seed=4)
         with pytest.raises(CertificateError) as want:
@@ -321,6 +327,36 @@ class TestScanFailures:
         assert calls[0] == k
         assert str(got.value) == str(want.value)
         assert "certificate 'rods 3 and 4 opposite, eps below 1'" in str(got.value)
+
+    def test_failure_before_the_attempt_limit(self, monkeypatch):
+        # both scans keep only their first three samples, the second of
+        # which breaks its certificate; the scan then reaches its attempt
+        # limit with that sample uncertified and must still raise its
+        # CertificateError, as the reference does at the sample itself,
+        # not the limit's RodDataError
+        draw, sample = pd._draw_roots, reference_scan._sample_roots
+        kept, sampled = [0], [0]
+
+        def three_draws(case, rng, k):
+            roots, keep = draw(case, rng, k)
+            keep[np.flatnonzero(keep)[max(0, 3 - kept[0]):]] = False
+            kept[0] += int(np.count_nonzero(keep))
+            return roots, keep
+
+        def three_samples(case, rng):
+            roots = sample(case, rng)
+            sampled[0] += roots is not None
+            return roots if sampled[0] <= 3 else None
+
+        monkeypatch.setattr(pd, "_draw_roots", three_draws)
+        monkeypatch.setattr(reference_scan, "_sample_roots", three_samples)
+        self._break_kth_certificate(monkeypatch, 2)
+        with pytest.raises(CertificateError) as got:
+            pd.pd_scan("a", samples=30, seed=4)
+        with pytest.raises(CertificateError) as want:
+            reference_scan.pd_scan("a", samples=30, seed=4)
+        assert kept[0] == 3
+        assert str(got.value) == str(want.value)
 
     def test_closed_form_disagreement(self, monkeypatch):
         real = pd._closed_forms
@@ -360,8 +396,43 @@ class TestScanFailures:
             pd.pd_scan("z", samples=10)
 
 
+def _spy_scan(monkeypatch):
+    """Record the attempts of every _draw_roots call and the rows of every
+    _regularity_rows call."""
+    drawn, certified = [], []
+    draw, rows = pd._draw_roots, pd._regularity_rows
+
+    def spy_draw(case, rng, k):
+        drawn.append(k)
+        return draw(case, rng, k)
+
+    def spy_rows(roots, *args):
+        certified.append(len(roots))
+        return rows(roots, *args)
+
+    monkeypatch.setattr(pd, "_draw_roots", spy_draw)
+    monkeypatch.setattr(pd, "_regularity_rows", spy_rows)
+    return drawn, certified
+
+
+class TestScanDraws:
+    @pytest.mark.parametrize("case, samples", [
+        ("i", 1000), ("ii", 550), ("iii", 850), ("a", 1000), ("b", 1250)])
+    def test_draws_only_what_it_needs(self, monkeypatch, case, samples):
+        drawn, certified = _spy_scan(monkeypatch)
+        for seed in (0, 51, 2 ** 31 - 1):
+            attempts = pd.pd_scan(case, samples, seed).attempts
+            assert max(drawn) <= pd._BLOCK
+            # the margin pd_scan documents: about a quarter at most beyond
+            # the attempts counted, plus 32
+            assert sum(drawn) <= 1.25 * attempts + 32
+            assert certified == [samples]
+            drawn.clear()
+            certified.clear()
+
+
 class TestScanMatchesReference:
-    """The block scan against the per-sample loop it replaced."""
+    """The array scan against the per-sample loop it replaced."""
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
     def test_seeds_and_sizes(self, case):
@@ -376,6 +447,20 @@ class TestScanMatchesReference:
         for seed in (0, 51, 2 ** 31 - 1):
             assert pd.pd_scan(case, samples, seed) == \
                 reference_scan.pd_scan(case, samples, seed)
+
+    @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
+    def test_draw_sizes_do_not_change_results(self, monkeypatch, case):
+        drawn, certified = _spy_scan(monkeypatch)
+        for seed in (0, 1, 2):
+            for samples in (1, 7, 300):
+                want = reference_scan.pd_scan(case, samples, seed)
+                for block in (1, 7, 64):
+                    monkeypatch.setattr(pd, "_BLOCK", block)
+                    assert pd.pd_scan(case, samples, seed) == want
+                    assert max(drawn) <= block
+                    assert max(certified) < 2 * block
+                    drawn.clear()
+                    certified.clear()
 
     @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
     def test_draws_match_reference_rows(self, case):
