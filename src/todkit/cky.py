@@ -23,7 +23,7 @@ or as float arrays over a point set; flat_metric and flat_cky take the
 coframe flat_coframe builds there, and come out at its order.  A
 tod.JetMatrix is one jet whose coefficients are (*points, 4, 4) arrays:
 the coframe is stacked once from its entry jets, one jet product gives
-the metric's products e^a_i e^a_j and another the six wedges' products
+the metric's products e^a_i e^a_j and another the four wedges' products
 e^a_i e^b_j, and the metric and the wedges are sums and differences of
 their slices; the candidate is one product of z with the fundamental
 form.  Every entry runs the jet operations its scalar jet would, so
@@ -115,14 +115,17 @@ def flat_metric(coframe):
 
 # the coframe index pairs (a, b) of the wedges e^a ^ e^b that
 # selfdual_basis adds pairwise, in the order it reads them
-_WEDGES = ((0, 1), (2, 3), (1, 2), (0, 3), (1, 3), (0, 2))
+_WEDGES = ((0, 1), (2, 3), (1, 3), (0, 2))
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def selfdual_basis(coframe):
-    """The three self-dual two-forms of the coframe, norm squared 4 each.
+    """The self-dual two-forms w1 = e^0^e^1 + e^2^e^3 and
+    w3 = e^1^e^3 - e^0^e^2 of the coframe, norm squared 4 each: the
+    basis forms that the family spans (w2 = e^1^e^2 + e^0^e^3 is not in
+    it).
 
-    The six wedges they add come out of one product pass over the
+    The four wedges they add come out of one product pass over the
     coframe: (e^a ^ e^b)_ij = e^a_i e^b_j - e^a_j e^b_i.
     """
     e = coframe.jet
@@ -136,14 +139,14 @@ def selfdual_basis(coframe):
             + _each(wedges, lambda c: c[..., m + 1, :, :]) * sign
         return JetMatrix(coframe.coords, pair, coframe.base)
 
-    return combine(0, 1), combine(2, 1), combine(4, -1)
+    return combine(0, 1), combine(2, -1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def flat_cky(params, coframe):
     """The family member at the points of a flat coframe, as a two-form
     jet at the coframe's order."""
-    w1, _, w3 = selfdual_basis(coframe)
+    w1, w3 = selfdual_basis(coframe)
     order = coframe.jet.order
     rj = Jet2.seed(coframe.base[0], 0, order)
     tj = Jet2.seed(coframe.base[1], 1, order)

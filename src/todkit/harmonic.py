@@ -12,16 +12,19 @@ cancellation-free branch log((R + |zeta|)/rho), so jets stay accurate
 both near the axis and far out.
 
 Every field at a point is a sum over the same per-nut jets R_i and
-artanh(s_i/R_i), s_i = zeta - z_i, and ``_nut_terms`` is the one place
-that evaluates them: all nuts in one array pass, as jets whose
+artanh(s_i/R_i), s_i = zeta - z_i.  ``_nut_terms`` is the one place that
+evaluates R_i (``_radius``), and ``_artanh`` the one place that
+evaluates artanh(s_i/R_i) from those terms, for the potentials and the
+Ward coordinate x only: all nuts in one array pass, as jets whose
 coefficient arrays carry a leading nut axis, shape (n, *points).
 ``_nut_sums`` sums that axis in nut order, bit for bit as a loop over
 the nuts would: over a point set as one np.add.reduce whose point axes
 run inside the nut axis, so that numpy adds whole nut rows one after the
 other, and for a single point, where numpy would sum the nut axis
 pairwise, by that loop.  ``tod.tod_fields`` keeps the per-nut jets in its
-``TodFields``, ``potentials`` reads V and H off those fields, and
-``ward_coords`` sums them into the Ward coordinates.  These, and
+``TodFields``, which computes the artanh jets on first read;
+``potentials`` reads V and H off those fields, and ``ward_coords`` sums
+the per-nut jets into the Ward coordinates.  These, and
 ``RodData.interior_check``, take rho and zeta either as numbers or as
 float arrays of one shape, one entry per point; a single point is the
 one-point case of the same arrays, and its jets come back with float
@@ -297,25 +300,33 @@ class RodData:
 # per-nut jets, the potentials and the Ward coordinates
 
 
-def _halflog_ratio(r, z, zeta):
-    """Jets of artanh(zeta/R) = (1/2) log((R+zeta)/(R-zeta)) and of R, branch-stable.
+def _radius(r, s):
+    """The jet of R = sqrt(rho^2 + s^2) from the jets r of rho and s."""
+    return jets.sqrt(r * r + s * s)
 
-    Evaluated as sign * log((R + sign * zeta)/r), sign the sign of zeta
-    (+1 at zeta = 0) at each entry of the array zeta.
+
+def _artanh(rho, s, R):
+    """Jets of artanh(s/R) = (1/2) log((R+s)/(R-s)) from the per-nut jets
+    s and R at the points rho, branch-stable.
+
+    Evaluated as sign * log((R + sign * s)/rho), sign the sign of s
+    (+1 at s = 0) at each entry of s's value.  Every operation is
+    elementwise, so any gather of the nuts or points gets the entries'
+    bits.
     """
-    R = jets.sqrt(r * r + z * z)
-    sign = np.where(zeta >= 0, 1.0, -1.0)
-    return jets.log((R + z * sign) / r) * sign, R
+    sign = np.where(s.value >= 0, 1.0, -1.0)
+    return jets.log((R + s * sign) / Jet2.seed(rho, 0, s.order)) * sign
 
 
 def _nut_terms(rods, rho, zeta, order):
-    """The per-nut jets (a, s, artanh(s/R), R), s = zeta - z_i, over a nut axis.
+    """The per-nut jets (a, s, R), s = zeta - z_i, over a nut axis.
 
     Every nut is evaluated in one array pass: the coefficient arrays of
-    s, artanh(s/R) and R have shape (n, *points), row i holding nut i,
-    and a is the weight column of shape (n, 1, ...), which broadcasts
-    against them.  A single point is the case points = ().  The one
-    per-nut evaluation; it needs rho > 0 at every point.
+    s and R have shape (n, *points), row i holding nut i, and a is the
+    weight column of shape (n, 1, ...), which broadcasts against them.
+    A single point is the case points = ().  The one per-nut
+    evaluation; it needs rho > 0 at every point.  _artanh gives the
+    per-nut artanh(s/R) from these terms where V, H or x is read.
     """
     rho = _coordinate(rho)
     bad = _first_nonpositive(rho)
@@ -325,10 +336,8 @@ def _nut_terms(rods, rho, zeta, order):
     zeta = _coordinate(zeta)
     zs, weights = np.array(rods.floats.nuts).T
     column = (-1,) + (1,) * max(np.ndim(rho), np.ndim(zeta))
-    shift = zeta - zs.reshape(column)
-    s = Jet2.seed(shift, 1, order)
-    at, R = _halflog_ratio(r, s, shift)
-    return weights.reshape(column), s, at, R
+    s = Jet2.seed(zeta - zs.reshape(column), 1, order)
+    return weights.reshape(column), s, _radius(r, s)
 
 
 def _nut_sums(summands, starts=None):
@@ -380,7 +389,8 @@ def potentials(fields):
     in nut order from the per-nut terms the fields hold, so no nut is
     evaluated twice.
     """
-    a, s, at, R = fields.terms
+    a, s, R = fields.terms
+    at = fields.artanh
     r = Jet2.seed(fields.point[0], 0, fields.z.order)
     return _nut_sums([(2 * R - 2 * s * at) * a, (s * R + r * r * at) * a],
                      starts=(0.0, fields.rods.floats.gauge))
@@ -393,8 +403,8 @@ def ward_coords(rods, rho, zeta, order=4):
     For rod sums these collapse to z = sum a_i R_i and
     x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
     """
-    a, _, at, R = _nut_terms(rods, rho, zeta, order)
-    return tuple(_nut_sums([R * a, at * a]))
+    a, s, R = _nut_terms(rods, rho, zeta, order)
+    return tuple(_nut_sums([R * a, _artanh(_coordinate(rho), s, R) * a]))
 
 
 def ward_inverse(rods, z_target, x_target, guess):

@@ -19,12 +19,17 @@ nuts, where the literal numerators lose all their digits; they also
 make W == 0 manifest for single-nut data.
 
 All nuts are evaluated in one array pass over a leading nut axis (see
-harmonic._nut_terms).  The nut sums A, B, C, x and P add that axis in
-nut order; K and M gather the pairs i < j (np.triu_indices, the order
-of a loop over i, then j) and run one product and one quotient over all
-of them, then add the pair axis in that order.  Every coefficient thus
-has the bits of the nut-by-nut loop, which tests/reference_fields.py
-keeps as the reference.
+harmonic._nut_terms).  The nut sums A, B, C and P add that axis in nut
+order; K and M gather the pairs i < j (np.triu_indices, the order of a
+loop over i, then j) and run one product and one quotient over all of
+them, then add the pair axis in that order.  None of them needs the
+Ward coordinate x = sum a_i artanh(s_i/R_i), whose per-nut logs are the
+dearest per-entry work of the pass, so TodFields sums it, the same way,
+only when a check first reads it (the potentials, the Toda residual and
+the fundamental form do; the metric, the conical check, build and the
+single-nut certificate do not).  Every coefficient thus has the bits of
+the nut-by-nut loop, which tests/reference_fields.py keeps as the
+reference.
 """
 
 from __future__ import annotations
@@ -47,29 +52,45 @@ class TodFields:
 
     point is (rho, zeta) as floats, or as float arrays of one shape whose
     entries are the points; every jet then carries one coefficient array
-    over the set.  terms are the per-nut jets (a, s, artanh(s/R), R) the
-    fields were summed from, over a leading nut axis: their coefficient
-    arrays have shape (n, *points) (see harmonic._nut_terms).  The fields
-    fix the metric (tod_metric), the potentials V and H
-    (harmonic.potentials), the Toda identity (harmonic.toda_residual) and
-    the fundamental form, so checks at a point read one TodFields instead
-    of evaluating their own.
+    over the set.  terms are the per-nut jets (a, s, R) the fields were
+    summed from, over a leading nut axis: their coefficient arrays have
+    shape (n, *points) (see harmonic._nut_terms).  The fields fix the
+    metric (tod_metric), the potentials V and H (harmonic.potentials),
+    the Toda identity (harmonic.toda_residual) and the fundamental form,
+    so checks at a point read one TodFields instead of evaluating their
+    own.  Only the last three read the Ward coordinate x and the per-nut
+    jets artanh(s/R) it sums, so those are computed from the terms on
+    first read and kept; a slice (at) computes its own, from its terms,
+    if something reads them.  Every operation is elementwise over the
+    points, so either way they have the bits of one pass.
     """
 
     W: Jet2
     e2nu: Jet2
     F: Jet2
     z: Jet2
-    x: Jet2
     rods: RodData = field(repr=False, default=None)
     point: tuple = None
     terms: tuple = field(repr=False, default=None)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def artanh(self):
+        """The per-nut jets artanh(s/R), with the nut axis of the terms."""
+        _, s, R = self.terms
+        return harmonic._artanh(self.point[0], s, R)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def x(self):
+        """The Ward coordinate x = sum a_i artanh(s_i/R_i), in nut order."""
+        return harmonic._nut_sums([self.artanh * self.terms[0]])[0]
 
     def at(self, part):
         """The fields of the points that the slice part of a
         one-dimensional point set selects, as that set's values."""
         # the weight column a of the terms broadcasts over any points
-        return TodFields(*(f.at(part) for f in (self.W, self.e2nu, self.F, self.z, self.x)),
+        return TodFields(*(f.at(part) for f in (self.W, self.e2nu, self.F, self.z)),
                          self.rods, tuple(p[part] for p in self.point),
                          (self.terms[0], *(t.at((slice(None), part)) for t in self.terms[1:])))
 
@@ -147,7 +168,8 @@ def _nut_pairs(n):
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
 def tod_fields(rods, rho, zeta, order=4):
-    """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
+    """Metric fields W, e^2nu, F and the Ward coordinate z as jets; the
+    Ward coordinate x follows on first read (TodFields.x).
 
     rho and zeta may be float arrays of one shape, or an array and a
     number that partners each of its points: the jets then carry one
@@ -159,12 +181,12 @@ def tod_fields(rods, rho, zeta, order=4):
     zeta = harmonic._coordinate(zeta)
     c, gamma, nuts = rods.floats
     terms = harmonic._nut_terms(rods, rho, zeta, order)
-    a, s, at, R = terms
+    a, s, R = terms
     # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
     # R^2 cancel exactly, leaving gap-squared weighted sums (with P) that
     # keep full relative precision in the far field
-    A, B, C, T, P = harmonic._nut_sums(
-        [R * a, Jet2.const(a, order) / R, (s / R) * a, at * a, (s * a) * R])
+    A, B, C, P = harmonic._nut_sums(
+        [R * a, Jet2.const(a, order) / R, (s / R) * a, (s * a) * R])
     if len(nuts) > 1:
         i, j = _nut_pairs(len(nuts))
         zs = np.array([z for z, _ in nuts])
@@ -185,8 +207,7 @@ def tod_fields(rods, rho, zeta, order=4):
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
     F = -(A * M + P * K + gamma * den) / den / c
-    return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods,
-                     point=(rho, zeta), terms=terms)
+    return TodFields(W=W, e2nu=e2nu, F=F, z=A, rods=rods, point=(rho, zeta), terms=terms)
 
 
 # the float semantics of tod_fields, on point sets too

@@ -8,12 +8,13 @@ and the pair sums loop over i < j, so the two must agree bit for bit.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from todkit import harmonic, jets
 from todkit.errors import AxisEvaluationError
 from todkit.jets import Jet2
-from todkit.tod import TodFields
 
 
 def halflog_ratio(r, z, zeta):
@@ -54,7 +55,8 @@ def nut_terms(rods, rho, zeta, order):
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
 def tod_fields(rods, rho, zeta, order=4, check_interior=True):
-    """Metric fields W, e^2nu, F and Ward coordinates z, x as jets.
+    """Metric fields W, e^2nu, F, Ward coordinates z, x and the per-nut
+    jets artanh(s_i/R_i) (a list in nut order), as attributes.
 
     rho and zeta may be float arrays of one shape: the jets then carry one
     coefficient per point, each bit-identical to that point's own call.
@@ -93,6 +95,6 @@ def tod_fields(rods, rho, zeta, order=4, check_interior=True):
     W = (A / c) * K / den
     e2nu = A * K * (1.0 / c)
     F = -(A * M + P * K + gamma * den) / den / c
-    return TodFields(W=W, e2nu=e2nu, F=F, z=A, x=T, rods=rods,
-                     point=(rho, zeta), terms=terms)
+    return SimpleNamespace(W=W, e2nu=e2nu, F=F, z=A, x=T, artanh=[at for _, _, at, _ in terms],
+                           rods=rods, point=(rho, zeta), terms=terms)
 

@@ -80,12 +80,12 @@ def fields_at(fields, k):
     """The fields at point k of a one-dimensional point set: float
     coefficients and per-nut rows, as the point's own tod_fields call
     gives them."""
-    a, s, artanh, R = fields.terms
+    a, s, R = fields.terms
     nut = (slice(None), k)
     return TodFields(W=fields.W.at(k), e2nu=fields.e2nu.at(k), F=fields.F.at(k),
-                     z=fields.z.at(k), x=fields.x.at(k), rods=fields.rods,
+                     z=fields.z.at(k), rods=fields.rods,
                      point=(float(fields.point[0][k]), float(fields.point[1][k])),
-                     terms=(a.reshape(-1), s.at(nut), artanh.at(nut), R.at(nut)))
+                     terms=(a.reshape(-1), s.at(nut), R.at(nut)))
 
 
 def suite_fields(data, seed, tols, evaluation):

@@ -94,6 +94,7 @@ class TestSelfdualBasis:
             assert np.max(np.abs(hodge_star(pack, v) - v)) < 1e-12
 
     def test_wedge_pairing(self):
+        # w1 and w3, the basis forms selfdual_basis builds
         r, theta = 0.8, 1.4
         cf = cky.flat_coframe(r, theta)
         basis = cky.selfdual_basis(cf)

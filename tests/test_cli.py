@@ -763,17 +763,53 @@ class TestStrictJson:
         assert strict_json(out)["schema"] == cli.SCHEMA
 
 
+def count_entries(monkeypatch, name):
+    """Spy on harmonic.<name>, whose second argument is the per-nut jet s:
+    the list returned gets the number of (nut, point) entries of each call."""
+    entries = []
+    helper = getattr(cli.harmonic, name)
+    monkeypatch.setattr(cli.harmonic, name,
+                        lambda *args: entries.append(np.size(args[1].value)) or helper(*args))
+    return entries
+
+
 class TestFieldsSuiteCost:
     def test_one_nut_pass_per_point(self, tmp_path, monkeypatch):
         # 25 points, each nut's sqrt and log evaluated once per point:
-        # count the (nut, point) entries of the heights each call gets
+        # count the (nut, point) entries each split helper gets
         data, _ = cli.load_rod_file(write_rod_file(tmp_path, EH_DOC))
-        pairs = []
-        halflog = cli.harmonic._halflog_ratio
-        monkeypatch.setattr(cli.harmonic, "_halflog_ratio",
-                            lambda *args: pairs.append(np.size(args[2])) or halflog(*args))
+        radii = count_entries(monkeypatch, "_radius")
+        logs = count_entries(monkeypatch, "_artanh")
         cli.suite_fields(data, 0, cli.DEFAULT_TOLS, cli._evaluate(data, 0, ["fields"]))
-        assert sum(pairs) == 25 * 2
+        assert sum(radii) == 25 * 2
+        assert sum(logs) == 25 * 2
+
+
+class TestArtanhEntries:
+    """The per-nut artanh jets, and the Ward coordinate x they sum, are
+    evaluated only at the points where a check reads x: the potentials,
+    the Toda residual and the fundamental form."""
+
+    @pytest.mark.parametrize("doc, args, entries", [
+        (EH_DOC, ["build", "ROD_FILE", "--grid", "4x3"], 0),
+        (sixteen_nut_doc(random.Random(7)), ["verify", "ROD_FILE", "--suite", "rods"], 0),
+        (EH_DOC, ["classify", "--nmax", "6"], 0),
+        # the sampled points and the decay radii, never the conical heights
+        (EH_DOC, ["verify", "ROD_FILE", "--suite", "all"], (25 + len(cli.DECAY_RADII)) * 2),
+        # chart-limited: the decay fit is skipped
+        (sixteen_nut_doc(random.Random(7)), ["verify", "ROD_FILE", "--suite", "all"], 25 * 16),
+    ], ids=["build", "verify-rods-16", "classify", "verify-all-2", "verify-all-16"])
+    def test_commands(self, tmp_path, capsys, monkeypatch, doc, args, entries):
+        path = write_rod_file(tmp_path, doc)
+        logs = count_entries(monkeypatch, "_artanh")
+        code, _, _ = run([path if a == "ROD_FILE" else a for a in args], capsys)
+        assert code in (0, 1)
+        assert sum(logs) == entries
+
+    def test_single_nut_certificate(self, monkeypatch):
+        logs = count_entries(monkeypatch, "_artanh")
+        assert cli.classify.verify_n1_degenerate()["degenerate"]
+        assert logs == []
 
 
 CONE_TEXT = "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"

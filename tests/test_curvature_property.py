@@ -167,7 +167,7 @@ def test_degenerate_field_in_the_middle():
     W = Jet2(2, [np.array([1.0, -3.0, 0.0])] + fields.W.c[1:])
     with pytest.raises(DegenerateMetricError) as batch:
         tod.tod_metric(TodFields(W=W, e2nu=fields.e2nu, F=fields.F, z=fields.z,
-                                 x=fields.x, rods=rods, point=fields.point))
+                                 rods=rods, point=fields.point))
     assert str(batch.value) == "W = -3.0 is not positive"
 
 

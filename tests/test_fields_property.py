@@ -5,7 +5,9 @@ nut axis and the nut pairs in loop order; ``reference_fields.tod_fields``
 gives each nut and each pair its own jet operations.  On random rod data
 (1 to 24 nuts, float and exact) and point sets near the axis, near
 nuts, far out and exactly at nut heights, every coefficient of W, e2nu,
-F, z and x, and of V and H, must carry the reference's bits.
+F, z and x, of the per-nut artanh(s_i/R_i) jets, and of V and H, must
+carry the reference's bits; so must those of the point-set slices that
+TodFields.at takes before and after x is first read.
 """
 
 import math
@@ -105,7 +107,14 @@ def test_fields_match_nut_by_nut_reference(rods, picks, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tod.tod_fields(rods, rho, zeta, order)
+        # x and the artanh jets are computed on first read: the tails of
+        # the set sliced from the fields before that read, then after it
+        tails = [got.at(slice(k, None)) for k in range(len(rho))]
         V, H = harmonic.potentials(got)
+        got.x
+        tails += [got.at(slice(k, None)) for k in range(len(rho))]
+        for tail in tails:
+            tail.x
         one = tod.tod_fields(rods, float(rho[0]), float(zeta[0]), order)
         one_vh = harmonic.potentials(one)
     want = reference_fields.tod_fields(rods, rho, zeta, order)
@@ -116,6 +125,17 @@ def test_fields_match_nut_by_nut_reference(rods, picks, order):
         # one point is the one-point case of the same code, with floats
         assert all(type(c) is float for c in getattr(one, name).c)
         _same_bits(getattr(one, name), getattr(want_one, name))
+    for i, at in enumerate(want.artanh):
+        for k in range(len(rho)):
+            _same_bits(got.artanh.at(i), at, k)
+        _same_bits(one.artanh.at(i), want_one.artanh[i])
+    for m, tail in enumerate(tails):
+        start = m % len(rho)
+        for k in range(start, len(rho)):
+            for name in FIELDS:
+                _same_bits(getattr(tail, name).at(k - start), getattr(want, name).at(k))
+            for i, at in enumerate(want.artanh):
+                _same_bits(tail.artanh.at((i, k - start)), at.at(k))
     for k in range(len(rho)):
         r, z = float(rho[k]), float(zeta[k])
         ref = (reference_potentials.build_v(rods, r, z, order),
