@@ -98,20 +98,15 @@ def slope_data(rods):
     values = tuple(F(v) for v in prof.values)
     gaps = tuple(F(rods.zs[i]) - F(rods.zs[i - 1]) for i in range(1, rods.n))
     levels = []
-    signs = []
-    vecs = rods.vectors
     for j in range(1, rods.n):
         if slopes[j] == 0:
             levels.append(2 * slopes[j + 1] * gaps[j - 1] / values[j - 1] - 2)
         else:
             levels.append((slopes[j - 1] + slopes[j + 1]) / slopes[j])
-        try:
-            _, beta = rodsmod.express_in_basis(vecs[j - 1], vecs[j], vecs[j + 1])
-            signs.append(F(-beta))
-        except RodDataError:
-            signs.append(None)
+    signs = tuple(None if rep.singular else F(rep.sign)
+                  for rep in rodsmod.gl2z_compatibility(rods))
     return SlopeData(n=rods.n, slopes=slopes, values=values, gaps=gaps,
-                     levels=tuple(levels), signs=tuple(signs))
+                     levels=tuple(levels), signs=signs)
 
 
 def regularity_residuals(data):
@@ -184,7 +179,8 @@ def verify_n1_degenerate(rods=None):
         rods = RodData(c=F(-1, 4), zs=(F(0),), weights=(F(1),))
     if rods.n != 1:
         raise RodDataError("certificate applies to single-nut data")
-    points = [(0.1 * 2.0 ** i, -2.0 + 4.0 * k / 5)
+    # zeta on [-2, 2] about the nut, whatever its position
+    points = [(0.1 * 2.0 ** i, float(rods.zs[0]) + (-2.0 + 4.0 * k / 5))
               for i in range(6) for k in range(6)]
     rho, zeta = np.array(points).T
     W = tod.tod_fields(rods, rho, zeta).W

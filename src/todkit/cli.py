@@ -350,12 +350,10 @@ def suite_fields(data, seed, tols, evaluation):
     if data.n == 1:
         cert = classify.verify_n1_degenerate(rods=data)
         found = "vanish" if cert["degenerate"] else "are not all zero"
-        return [{
-            "name": "w_identically_zero", "status": "fail",
-            "measured": cert["max_abs_w_jet"], "tolerance": None,
-            "location": f"W jets {found} on a grid of {cert['points']} points; "
-                        "single-nut data gives a degenerate metric",
-        }] + worst.checks(tols, unread=SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
+        return [_check("w_identically_zero", cert["max_abs_w_jet"], None,
+                       f"W jets {found} on a grid of {cert['points']} points; "
+                       "single-nut data gives a degenerate metric", good=False)
+                ] + worst.checks(tols, unread=SINGLE_NUT) + [_skip("positivity", SINGLE_NUT)]
 
     locations, fields = evaluation.locations, evaluation.fields
     V, H = harmonic.potentials(fields)
@@ -425,10 +423,7 @@ def suite_rods(data, seed, tols, evaluation):
     junctions.push(
         [f"junction {rep.middle}" + (" (singular basis)" if rep.singular else "")
          for rep in reports],
-        gl2z=[math.inf if rep.singular else
-              float(max(rods.int_distance(rep.level),
-                        min(abs(rep.sign - 1), abs(rep.sign + 1))))
-              for rep in reports])
+        gl2z=[float(rep.distance) for rep in reports])
     # the tolerance gl2z_compatibility applied: 0 on exact data
     checks = junctions.checks({"gl2z": tols["gl2z"] * data.slack},
                               good=all(rep.ok for rep in reports),
@@ -439,9 +434,10 @@ def suite_rods(data, seed, tols, evaluation):
     shared = evaluation.conical if evaluation else None
     try:
         reports = rods.conical_check(data, shared) if data.n > 1 else ()
-    except ArithmeticError as exc:
-        # a sample under- or overflowed as one float would: the check
-        # fails, named by the error, and the other rod checks stand
+    except (ArithmeticError, TodkitError) as exc:
+        # a sample under- or overflowed as one float would, or a height
+        # cannot be evaluated (below rho_min, say): the check fails, named
+        # by the error, and the other rod checks stand
         conical.push([f"evaluation error: {exc}"], conical=[math.inf])
         reports = ()
     conical.push([f"rod {rep.rod}" for rep in reports],
@@ -495,10 +491,7 @@ def _decay_skip(data):
     """
     if data.n == 1:
         return SINGLE_NUT
-    c, _, nuts = data.floats
-    kappa = jets.ordered_sum(a_i * a_j * (z_j - z_i) ** 2
-                             for i, (z_i, a_i) in enumerate(nuts)
-                             for z_j, a_j in nuts[i + 1:])
+    c, kappa = data.floats.c, jets.ordered_sum(data.pairs.w.tolist())
     if abs(c + kappa) > 1e-9 * kappa:
         return "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"
     if cky.chart_limited(data):

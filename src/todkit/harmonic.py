@@ -22,10 +22,12 @@ the nuts would: over a point set as one np.add.reduce whose point axes
 run inside the nut axis, so that numpy adds whole nut rows one after the
 other, and for a single point, where numpy would sum the nut axis
 pairwise, by that loop.  ``tod.tod_fields`` keeps the per-nut jets in its
-``TodFields``, which computes the artanh jets on first read;
-``potentials`` reads V and H off those fields, and ``ward_coords`` sums
-the per-nut jets into the Ward coordinates.  These, and
-``RodData.interior_check``, take rho and zeta either as numbers or as
+``TodFields``, which holds the Ward coordinates z and x (the latter
+summed on first read); ``potentials`` reads V and H off those fields,
+and ``toda_residual`` inverts (z, x) there.  The nut-pair weights
+a_i a_j (z_j - z_i)^2 behind K, M, the standard cone and the third
+moment are one table, ``RodData.pairs``.  ``tod.tod_fields`` and
+``RodData.interior_check`` take rho and zeta either as numbers or as
 float arrays of one shape, one entry per point; a single point is the
 one-point case of the same arrays, and its jets come back with float
 coefficients.  See ``jets`` for how array jets round.
@@ -36,19 +38,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from decimal import Context
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from . import jets
-from .errors import (
-    AxisEvaluationError,
-    InversionError,
-    NutProximityError,
-    RodDataError,
-)
+from .errors import AxisEvaluationError, NutProximityError, RodDataError
 from .jets import Jet2
 
 _EXACT = (int, Fraction)
@@ -94,6 +91,22 @@ class FloatRods(NamedTuple):
     c: float
     gauge: float      # the resolved H gauge constant
     nuts: tuple       # (z_i, a_i) pairs in nut order
+
+
+class NutPairs(NamedTuple):
+    """The nut pairs i < j and their float weights a_i a_j (z_j - z_i)^2."""
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+
+@cache
+def _pair_indices(n):
+    """The index arrays of the pairs i < j of n nuts, in the order of a
+    loop over i, then j (np.triu_indices); kept per n, since rod data is
+    built once per command."""
+    return np.triu_indices(n, 1)
 
 
 @dataclass(frozen=True)
@@ -228,16 +241,26 @@ class RodData:
                 / jets.ordered_sum(a for _, a in nuts))
 
     @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def pairs(self):
+        """The NutPairs table, computed once: the weights w = a_i a_j gap
+        gap, gap = z_j - z_i, from the float view, which K, M, the standard
+        cone and the third moment read.  Like float arithmetic, a weight
+        overflows silently to inf."""
+        i, j = _pair_indices(self.n)
+        zs, weights = np.array(self.floats.nuts).T
+        gap = zs[j] - zs[i]
+        return NutPairs(i, j, weights[i] * weights[j] * gap * gap)
+
+    @cached_property
+    @np.errstate(over="ignore", invalid="ignore")
     def third_moment(self):
         """The float centred third moment of the nuts,
-        sum_{i<j} a_i a_j (z_j - z_i)^2 (z_i + z_j - 2 zbar)."""
-        nuts, center = self.floats.nuts, self.nut_center
-        moment = 0.0
-        for i, (z_i, a_i) in enumerate(nuts):
-            for z_j, a_j in nuts[i + 1:]:
-                gap = z_j - z_i
-                moment += a_i * a_j * gap * gap * (z_i + z_j - 2.0 * center)
-        return moment
+        sum_{i<j} a_i a_j (z_j - z_i)^2 (z_i + z_j - 2 zbar), summed in
+        pair order from 0.0."""
+        i, j, w = self.pairs
+        zs = np.array([z for z, _ in self.floats.nuts])
+        return float(jets.ordered_sum((w * (zs[i] + zs[j] - 2.0 * self.nut_center)).tolist()))
 
     @property
     def is_exact(self):
@@ -325,15 +348,12 @@ def _nut_terms(rods, rho, zeta, order):
     s and R have shape (n, *points), row i holding nut i, and a is the
     weight column of shape (n, 1, ...), which broadcasts against them.
     A single point is the case points = ().  The one per-nut
-    evaluation; it needs rho > 0 at every point.  _artanh gives the
-    per-nut artanh(s/R) from these terms where V, H or x is read.
+    evaluation, for tod.tod_fields, whose points (floats or float
+    arrays, see _coordinate) have passed RodData.interior_check.
+    _artanh gives the per-nut artanh(s/R) from these terms where V, H or
+    x is read.
     """
-    rho = _coordinate(rho)
-    bad = _first_nonpositive(rho)
-    if bad is not None:
-        raise AxisEvaluationError(f"per-nut jets need rho > 0, got {bad}")
     r = Jet2.seed(rho, 0, order)
-    zeta = _coordinate(zeta)
     zs, weights = np.array(rods.floats.nuts).T
     column = (-1,) + (1,) * max(np.ndim(rho), np.ndim(zeta))
     s = Jet2.seed(zeta - zs.reshape(column), 1, order)
@@ -394,48 +414,6 @@ def potentials(fields):
     r = Jet2.seed(fields.point[0], 0, fields.z.order)
     return _nut_sums([(2 * R - 2 * s * at) * a, (s * R + r * r * at) * a],
                      starts=(0.0, fields.rods.floats.gauge))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def ward_coords(rods, rho, zeta, order=4):
-    """Jets of z = rho V_rho / 2 and x = -V_zeta / 2.
-
-    For rod sums these collapse to z = sum a_i R_i and
-    x = sum a_i artanh((zeta - z_i)/R_i), which is how they are built.
-    """
-    a, s, R = _nut_terms(rods, rho, zeta, order)
-    return tuple(_nut_sums([R * a, _artanh(_coordinate(rho), s, R) * a]))
-
-
-def ward_inverse(rods, z_target, x_target, guess):
-    """Invert (rho, zeta) -> (z, x) by Newton from a half-plane guess, to
-    1e-12 relative in at most 60 steps."""
-    rho, zeta = float(guess[0]), float(guess[1])
-    scale = max(abs(z_target), abs(x_target), 1.0)
-    last = math.inf
-    for _ in range(60):
-        if rho <= 0:
-            rho = 1e-12 * rods.scale
-        zj, xj = ward_coords(rods, rho, zeta, order=1)
-        dz = zj.value - z_target
-        dx = xj.value - x_target
-        last = max(abs(dz), abs(dx))
-        if last < 1e-12 * scale:
-            return rho, zeta
-        a, b = zj.partial(1, 0), zj.partial(0, 1)
-        c, d = xj.partial(1, 0), xj.partial(0, 1)
-        det = a * d - b * c
-        if det == 0:
-            raise InversionError(last, "singular Jacobian in ward_inverse")
-        step_r = (dz * d - b * dx) / det
-        step_z = (a * dx - dz * c) / det
-        # keep the iterate in the open half-plane
-        while rho - step_r <= 0:
-            step_r *= 0.5
-            step_z *= 0.5
-        rho -= step_r
-        zeta -= step_z
-    raise InversionError(last)
 
 
 @np.errstate(over="ignore", invalid="ignore")

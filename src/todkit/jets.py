@@ -36,7 +36,7 @@ argument.  The top power ``v ** order`` they divide by comes from
 only where ``pow`` overflows does ``_powers`` check entry by entry which
 failure comes first.  Where float arithmetic overflows silently to inf
 or NaN, numpy warns; ``tod.tod_fields``, ``harmonic.potentials`` and
-``harmonic.ward_coords`` evaluate under ``np.errstate`` to keep the float
+``harmonic.toda_residual`` evaluate under ``np.errstate`` to keep the float
 behaviour.  Keep the jet on the left of an array operand: ``ndarray op
 Jet2`` is numpy's elementwise operation over the jet, not a jet
 operation.

@@ -29,11 +29,17 @@ from .errors import RodDataError
 
 @dataclass(frozen=True)
 class JunctionReport:
-    """Solution of v_{j-1} = level v_j - sign v_{j+1} at middle rod j."""
+    """Solution of v_{j-1} = level v_j - sign v_{j+1} at middle rod j.
+
+    distance is how far the solution is from an integer level with sign
+    +-1, exact for exact data, and inf on a singular basis or for a NaN
+    sign.
+    """
 
     middle: int
     level: object
     sign: object
+    distance: object
     ok: bool
     singular: bool = False
 
@@ -85,8 +91,9 @@ def gl2z_compatibility(rods, tol=1e-9):
     """Junction reports for middle rods j = 1 .. n-1.
 
     A junction is compatible when v_{j-1} + eps v_{j+1} = l v_j has an
-    integer level l and eps in {-1, +1}; the solved real values are
-    reported either way.
+    integer level l and eps in {-1, +1}, that is when its distance is at
+    most tol (0 on exact data); the solved real values are reported
+    either way.
     """
     vecs = rods.vectors
     tol = tol * rods.slack
@@ -95,12 +102,13 @@ def gl2z_compatibility(rods, tol=1e-9):
         try:
             alpha, beta = express_in_basis(vecs[j - 1], vecs[j], vecs[j + 1])
         except RodDataError:
-            reports.append(JunctionReport(middle=j, level=None, sign=None,
-                                          ok=False, singular=True))
+            reports.append(JunctionReport(j, None, None, math.inf, False, singular=True))
             continue
         eps = -beta
-        ok = int_distance(alpha) <= tol and min(abs(eps - 1), abs(eps + 1)) <= tol
-        reports.append(JunctionReport(middle=j, level=alpha, sign=eps, ok=ok))
+        sign_gap = min(abs(eps - 1), abs(eps + 1))
+        # a NaN sign reads inf, as a level that is not finite does
+        distance = max(int_distance(alpha), sign_gap if sign_gap == sign_gap else math.inf)
+        reports.append(JunctionReport(j, alpha, eps, distance, distance <= tol))
     return tuple(reports)
 
 

@@ -20,13 +20,15 @@ make W == 0 manifest for single-nut data.
 
 All nuts are evaluated in one array pass over a leading nut axis (see
 harmonic._nut_terms).  The nut sums A, B, C and P add that axis in nut
-order; K and M gather the pairs i < j (np.triu_indices, the order of a
-loop over i, then j) and run one product and one quotient over all of
-them, then add the pair axis in that order.  None of them needs the
-Ward coordinate x = sum a_i artanh(s_i/R_i), whose per-nut logs are the
-dearest per-entry work of the pass, so TodFields sums it, the same way,
-only when a check first reads it (the potentials, the Toda residual and
-the fundamental form do; the metric, the conical check, build and the
+order.  K and M read the nut-pair table RodData.pairs, computed once per
+rod data: the pairs i < j as index arrays from np.triu_indices (the
+order of a loop over i, then j) and their weights a_i a_j (z_j - z_i)^2.
+They run one product R_i R_j and one quotient over all pairs, then add
+the pair axis in that order.  None of them needs the Ward coordinate
+x = sum a_i artanh(s_i/R_i), whose per-nut logs are the dearest
+per-entry work of the pass, so TodFields sums it, the same way, only
+when a check first reads it (the potentials, the Toda residual and the
+fundamental form do; the metric, the conical check, build and the
 single-nut certificate do not).  Every coefficient thus has the bits of
 the nut-by-nut loop, which tests/reference_fields.py keeps as the
 reference.
@@ -157,13 +159,6 @@ class JetMatrix:
 # ---------------------------------------------------------------------------
 
 
-@functools.cache
-def _nut_pairs(n):
-    """The nut pairs i < j as index arrays, in the order of a loop over i,
-    then j (np.triu_indices)."""
-    return np.triu_indices(n, 1)
-
-
 # float arithmetic overflows silently; on point arrays numpy would warn
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
@@ -179,7 +174,7 @@ def tod_fields(rods, rho, zeta, order=4):
     rods.interior_check(rho, zeta)
     rho = harmonic._coordinate(rho)
     zeta = harmonic._coordinate(zeta)
-    c, gamma, nuts = rods.floats
+    c, gamma, _ = rods.floats
     terms = harmonic._nut_terms(rods, rho, zeta, order)
     a, s, R = terms
     # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
@@ -187,13 +182,9 @@ def tod_fields(rods, rho, zeta, order=4):
     # keep full relative precision in the far field
     A, B, C, P = harmonic._nut_sums(
         [R * a, Jet2.const(a, order) / R, (s / R) * a, (s * a) * R])
-    if len(nuts) > 1:
-        i, j = _nut_pairs(len(nuts))
-        zs = np.array([z for z, _ in nuts])
-        weights = a.reshape(-1)
-        gap = zs[j] - zs[i]
-        weight = (weights[i] * weights[j] * gap * gap).reshape((-1,) + a.shape[1:])
-        pair = Jet2.const(weight, order) / (R.at(i) * R.at(j))
+    if rods.n > 1:
+        i, j, w = rods.pairs
+        pair = Jet2.const(w.reshape((-1,) + a.shape[1:]), order) / (R.at(i) * R.at(j))
         # K = 0 - pair_0 - pair_1 - ...: rounding is symmetric in sign, so
         # that is the pair sum negated, and 0.0 - keeps an exact zero +0.0
         # (summed apart from M, so that fewer pair-sized arrays are alive)

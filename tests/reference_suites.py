@@ -31,7 +31,7 @@ import numpy as np
 from todkit import cky, classify, curvature, harmonic, jets, rods, tod
 from todkit.cky import CHART, FlatCkyParams, _each
 from todkit.cli import DECAY_RADII, SINGLE_NUT, _check, _loc, _skip, _Worst, sample_interior
-from todkit.errors import RodDataError
+from todkit.errors import RodDataError, TodkitError
 from todkit.jets import Jet2
 from todkit.tod import JetMatrix, TodFields
 
@@ -221,7 +221,7 @@ def suite_rods(data, seed, tols, evaluation):
     try:
         # the conical heights in the check's own order-1 pass
         reports = rods.conical_check(data) if data.n > 1 else ()
-    except ArithmeticError as exc:
+    except (ArithmeticError, TodkitError) as exc:
         conical.push([f"evaluation error: {exc}"], conical=[math.inf])
         reports = ()
     conical.push([f"rod {rep.rod}" for rep in reports],

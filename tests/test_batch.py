@@ -122,17 +122,6 @@ class TestBatchMatchesPoints:
                     for b in range(4):
                         assert_point_of_batch(batch.entry(a, b), point.entry(a, b), k)
 
-    @pytest.mark.parametrize("order", ORDERS)
-    @pytest.mark.parametrize("make, radii", CASES[:2])
-    def test_ward_coords(self, make, radii, order):
-        rods = make()
-        rho, zeta = sample_points(rods, radii)
-        batch = harmonic.ward_coords(rods, rho, zeta, order=order)
-        for k in range(len(rho)):
-            point = harmonic.ward_coords(rods, float(rho[k]), float(zeta[k]), order=order)
-            for b, p in zip(batch, point):
-                assert_point_of_batch(b, p, k)
-
 
 class TestBatchRejects:
     """A point set fails at its first bad point, as a loop over it would."""
@@ -170,12 +159,6 @@ class TestBatchRejects:
         with pytest.raises(DegenerateMetricError) as batch:
             tod.tod_metric(f)
         assert str(batch.value) == "W = 0.0 is not positive"
-
-    def test_off_axis_without_interior_check(self):
-        rods = skew_rods()
-        rho = np.array([0.5, 0.2, -0.0])
-        with pytest.raises(AxisEvaluationError, match="got -0.0"):
-            harmonic.ward_coords(rods, rho, np.zeros(3))
 
 
 def first_point_error(call, rho, zeta):
@@ -215,17 +198,6 @@ class TestTwoDimensionalSets:
         with pytest.raises(type(first)) as batch:
             tod.tod_fields(rods, rho, zeta, order=1)
         assert str(batch.value) == str(first)
-
-    def test_ward_coords_first_failure(self):
-        rods = skew_rods()
-        rho = np.array([[0.5, 0.3], [0.2, -1.0]])
-        zeta = np.zeros((2, 2))
-        first = first_point_error(
-            lambda r, z: harmonic.ward_coords(rods, r, z, order=1), rho, zeta)
-        assert type(first) is AxisEvaluationError
-        with pytest.raises(AxisEvaluationError) as batch:
-            harmonic.ward_coords(rods, rho, zeta, order=1)
-        assert str(batch.value) == str(first) == "per-nut jets need rho > 0, got -1.0"
 
 
 class TestScalarPartner:

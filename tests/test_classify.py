@@ -41,6 +41,24 @@ class TestSlopeData:
         assert data.levels == (F(0),)
         assert data.signs == (F(3, 2),)
 
+    @pytest.mark.parametrize("make, calls", [
+        (eh_rods_exact, 1), (steep_exact, 2), (skew_rods, 2)], ids=["two-nut", "steep", "skew"])
+    def test_one_junction_solve(self, monkeypatch, make, calls):
+        # the signs are gl2z_compatibility's: its n - 1 solves and no more
+        solve = rodsmod.express_in_basis
+        seen = []
+        monkeypatch.setattr(rodsmod, "express_in_basis",
+                            lambda *args: seen.append(args) or solve(*args))
+        rods = make()
+        data = classify.slope_data(rods)
+        assert len(seen) == calls == rods.n - 1
+        assert data.signs == tuple(F(rep.sign) for rep in rodsmod.gl2z_compatibility(rods))
+
+    def test_singular_basis_has_no_sign(self):
+        rods = eh_rods_exact()
+        rods.__dict__["vectors"] = ((1, 0), (1, 1), (2, 2))
+        assert classify.slope_data(rods).signs == (None,)
+
     def test_float_signs_are_their_binary_values(self):
         rods = skew_rods()
         vecs = rods.vectors
@@ -125,6 +143,22 @@ class TestDegenerateCertificate:
     def test_rejects_other_data(self):
         with pytest.raises(RodDataError):
             classify.verify_n1_degenerate(eh_rods_exact())
+
+    @pytest.mark.parametrize("z", [0.6, -3.0, 1e100, -1e300])
+    def test_grid_follows_the_nut(self, monkeypatch, z):
+        # zeta spans [-2, 2] about the nut, so a far nut's jets stay in
+        # range; for a nut at 0 the grid is the one of the default data
+        seen = []
+        fields = tod.tod_fields
+        monkeypatch.setattr(tod, "tod_fields",
+                            lambda rods, rho, zeta, **kw: seen.append(zeta)
+                            or fields(rods, rho, zeta, **kw))
+        cert = classify.verify_n1_degenerate(RodData(c=-1.0, zs=(z,), weights=(1.0,)))
+        assert cert == {"degenerate": True, "max_abs_w_jet": 0.0, "points": 36}
+        classify.verify_n1_degenerate()
+        far, default = seen
+        assert default.tolist() == [-2.0 + 4.0 * k / 5 for _ in range(6) for k in range(6)]
+        assert far.tolist() == [z + x for x in default.tolist()]
 
 
 class TestSearch:

@@ -575,6 +575,48 @@ class TestVerify:
         assert checks["conical"]["measured"] == "Infinity"
         assert checks["conical"]["location"] == f"evaluation error: {error}"
 
+    @pytest.mark.parametrize("suite", ["rods", "all"])
+    def test_conical_height_below_rho_min_is_a_located_failure(self, tmp_path, capsys,
+                                                               suite):
+        # the heights sit at about 0.2 min_gap, below rho_min for a 1e-100
+        # gap: conical fails at that error, and gl2z and the asymptotic
+        # class are still measured
+        doc = {"c": -1.0, "rods": [{"z": 0.0, "a": 0.3}, {"z": 1e-100, "a": 0.3},
+                                   {"z": 1.0, "a": 0.4}]}
+        path = write_rod_file(tmp_path, doc)
+        code, out, err = run(["verify", path, "--suite", suite], capsys)
+        assert (code, err) == (1, "")
+        checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+        assert checks["conical"] == cli._check(
+            "conical", "Infinity", 1e-6,
+            "evaluation error: rho = 2e-101 below rho_min = 1e-08", good=False)
+        assert checks["gl2z"]["location"] == "junction 2"
+        assert checks["asymptotic_class"]["status"] == "fail"
+
+    def test_degenerate_conical_metric_is_a_located_failure(self, tmp_path, capsys):
+        # on nuts at -+1e-160 the conical heights' W underflows to 0: the
+        # rods suite still reports the junction and the lens label
+        path = write_rod_file(tmp_path, TINY_DOC)
+        code, out, err = run(["verify", path, "--suite", "rods"], capsys)
+        assert (code, err) == (1, "")
+        checks = [(ch["name"], ch["status"], ch["measured"], ch["location"])
+                  for ch in json.loads(out)["checks"]]
+        assert checks == [
+            ("gl2z", "pass", 0.0, "junction 1"),
+            ("conical", "fail", "Infinity", "evaluation error: W = 0.0 is not positive"),
+            ("asymptotic_class", "pass", None, "L(2,1)")]
+
+    @pytest.mark.parametrize("suite", ["fields", "all"])
+    def test_far_single_nut_certificate(self, tmp_path, capsys, suite):
+        # the certificate's grid follows the nut, so its jets stay in range
+        path = write_rod_file(tmp_path, {"c": -1.0, "rods": [{"z": 1e100, "a": 1.0}]})
+        code, out, err = run(["verify", path, "--suite", suite], capsys)
+        assert (code, err) == (1, "")
+        assert json.loads(out)["checks"][0] == cli._check(
+            "w_identically_zero", 0.0, None,
+            "W jets vanish on a grid of 36 points; single-nut data gives a "
+            "degenerate metric", good=False)
+
     def test_tol_override(self, tmp_path, capsys):
         path = write_rod_file(tmp_path, EH_DOC)
         code, out, _ = run(["verify", path, "--suite", "rods",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -122,6 +123,76 @@ class TestRodData:
             == harmonic.toda_residual(tod.tod_fields(twin, *point, order=2))
 
 
+def loop_pairs(rods):
+    """The nut pairs i < j and their weights as the loops over i, then j,
+    computed them before RodData held one table."""
+    nuts = rods.floats.nuts
+    pairs = []
+    for i, (z_i, a_i) in enumerate(nuts):
+        for j in range(i + 1, len(nuts)):
+            z_j, a_j = nuts[j]
+            gap = z_j - z_i
+            pairs.append((i, j, a_i * a_j * gap * gap))
+    return pairs
+
+
+def loop_third_moment(rods):
+    nuts, center = rods.floats.nuts, rods.nut_center
+    moment = 0.0
+    for i, (z_i, a_i) in enumerate(nuts):
+        for z_j, a_j in nuts[i + 1:]:
+            gap = z_j - z_i
+            moment += a_i * a_j * gap * gap * (z_i + z_j - 2.0 * center)
+    return moment
+
+
+def sixteen_nut():
+    rng = np.random.default_rng(5)
+    zs = np.cumsum(rng.uniform(0.5, 1.5, 16))
+    raw = rng.uniform(0.5, 1.5, 16)
+    return RodData(c=-1.0, zs=tuple(zs.tolist()), weights=tuple((raw / raw.sum()).tolist()),
+                   mode="general")
+
+
+class TestNutPairs:
+    """RodData.pairs and third_moment keep the bits of the pair loops."""
+
+    @pytest.mark.parametrize("make", [
+        eh_rods_exact, skew_rods, sixteen_nut,
+        lambda: RodData(c=-1.0, zs=(0.6,), weights=(1.0,)),
+        # the far-apart files of the decay fit: the third moment overflows
+        # silently to NaN on the skew one
+        lambda: RodData(c=-1.0, zs=(-1e154, 1e154), weights=(0.5, 0.5)),
+        lambda: RodData(c=-1.0, zs=(-1e154, 0.0, 2e154), weights=(0.2, 0.5, 0.3)),
+        # the weights themselves overflow to inf
+        lambda: RodData(c=-1.0, zs=(-1e200, 0.0, 1e200), weights=(0.2, 0.5, 0.3)),
+    ], ids=["two-nut", "skew", "sixteen-nut", "single-nut", "far-two-nut", "far-skew",
+            "overflowing"])
+    def test_table_is_the_loop(self, make):
+        rods = make()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            i, j, w = rods.pairs
+            moment = rods.third_moment
+        want = loop_pairs(rods)
+        assert list(zip(i.tolist(), j.tolist())) == [(a, b) for a, b, _ in want]
+        assert [x.hex() for x in w.tolist()] == [x.hex() for _, _, x in want]
+        assert type(moment) is float
+        assert moment.hex() == loop_third_moment(rods).hex()
+
+    def test_silent_overflow(self):
+        rods = RodData(c=-1.0, zs=(-1e154, 0.0, 2e154), weights=(0.2, 0.5, 0.3))
+        assert math.isnan(rods.third_moment)
+        rods = RodData(c=-1.0, zs=(-1e200, 0.0, 1e200), weights=(0.2, 0.5, 0.3))
+        assert rods.pairs.w.tolist()[1] == math.inf
+
+    def test_indices_are_shared_per_nut_count(self):
+        # rod data is built once per command; the index arrays are not
+        a, b = skew_rods(), RodData(c=-2.0, zs=(0.0, 1.0, 5.0), weights=(0.3, 0.3, 0.4))
+        assert a.pairs.i is b.pairs.i and a.pairs.j is b.pairs.j
+        assert a.pairs is a.pairs
+
+
 class TestSingleNut:
     """Worked values at (rho, zeta) = (3, 4), R = 5."""
 
@@ -237,7 +308,7 @@ class TestWard:
     def test_z_is_weighted_radii(self):
         rods = skew_rods()
         rho, zeta = 1.4, -0.3
-        zj, xj = harmonic.ward_coords(rods, rho, zeta, order=1)
+        zj = tod.tod_fields(rods, rho, zeta, order=1).z
         expected = sum(
             a * math.hypot(rho, zeta - z) for a, z in zip(rods.weights, rods.zs)
         )
@@ -247,24 +318,13 @@ class TestWard:
         rods = eh_rods()
         rho, zeta = 0.9, 0.4
         v = v_jet(rods, rho, zeta)
-        zj, xj = harmonic.ward_coords(rods, rho, zeta)
+        f = tod.tod_fields(rods, rho, zeta)
+        zj, xj = f.z, f.x
         assert abs(zj.value - rho * v.partial(1, 0) / 2) < 1e-12
         assert abs(xj.value + v.partial(0, 1) / 2) < 1e-12
         # first jets agree as well
         assert abs(zj.partial(1, 0) - (v.partial(1, 0) + rho * v.partial(2, 0)) / 2) < 1e-12
         assert abs(xj.partial(0, 1) + v.partial(0, 2) / 2) < 1e-12
-
-    def test_inverse_roundtrip(self):
-        rods = skew_rods()
-        rng = np.random.default_rng(9)
-        for _ in range(10):
-            rho = float(rng.uniform(0.2, 2.0))
-            zeta = float(rng.uniform(-1.5, 1.5))
-            zj, xj = harmonic.ward_coords(rods, rho, zeta, order=0)
-            guess = (rho * 1.3 + 0.1, zeta - 0.2)
-            r2, z2 = harmonic.ward_inverse(rods, zj.value, xj.value, guess)
-            assert abs(r2 - rho) < 1e-9
-            assert abs(z2 - zeta) < 1e-9
 
     def test_toda_residual(self):
         rods = eh_rods()

@@ -16,8 +16,6 @@ KEPT = {
                               "unit product; the acceptance run uses it",
     "tod.rescale": "the homothety c -> ac, z -> az that the scale-invariance "
                    "tests apply (ROADMAP items 2 and 11)",
-    "harmonic.ward_inverse": "the inverse of the Ward map, the paper's (z, x) "
-                             "chart; test_harmonic checks the round trip",
     "pd.pd_ale_limit": "the PD corner checked against the flat Hopf model; the "
                        "corrected asymptotic chart of ROADMAP item 4 follows it",
     "pd.pd_rod_vectors": "the scalar form of the rod vectors that "

@@ -10,7 +10,7 @@ import pytest
 
 from identities import axis_w, f_jump, zero_slope_jump
 from rod_fixtures import eh_rods_exact, skew_rods
-from todkit import harmonic
+from todkit import cli, harmonic
 from todkit import rods as rodmod
 from todkit import tod
 from todkit.errors import RodDataError
@@ -259,6 +259,58 @@ class TestJunctions:
         assert 0 < abs(rep.level + 2) < 1e-11
         assert 0 < abs(rep.sign - 1) < 1e-11
         assert rep.ok is ok
+
+
+def planted(vectors):
+    """The exact two-nut data with its rod vectors replaced by vectors."""
+    data = eh_rods_exact()
+    data.__dict__["vectors"] = vectors
+    return data
+
+
+def loop_distance(rep):
+    """The junction distance as suite_rods computed it from a report's
+    level and sign, before the reports carried it."""
+    if rep.singular:
+        return math.inf
+    return float(max(rodmod.int_distance(rep.level),
+                     min(abs(rep.sign - 1), abs(rep.sign + 1))))
+
+
+class TestJunctionDistance:
+    """JunctionReport.distance is the one junction solve that the gl2z
+    entry and ok read."""
+
+    @pytest.mark.parametrize("make", [
+        eh_rods_exact, lambda: tod.eh_rod_data(), perturbed_eh, steep_exact,
+        skew_rods, sixteen_nut_rods, lambda: tilted_eh(F(1, 10**30)),
+        lambda: tilted_eh(1e-12), lambda: planted(((1, 0), (1, 1), (2, 2))),
+    ], ids=["exact", "float", "perturbed", "steep", "skew", "sixteen-nut",
+            "exact-near-miss", "float-near-miss", "singular"])
+    def test_distance_is_the_measured_value(self, make):
+        data = make()
+        reports = rodmod.gl2z_compatibility(data)
+        assert [float(rep.distance) for rep in reports] == [loop_distance(rep) for rep in reports]
+        tol = 1e-9 * data.slack
+        for rep in reports:
+            # ok as it was decided from the level and the sign apart
+            assert rep.ok is (not rep.singular and rodmod.int_distance(rep.level) <= tol
+                              and min(abs(rep.sign - 1), abs(rep.sign + 1)) <= tol)
+        entry = cli.suite_rods(data, 0, cli.DEFAULT_TOLS, None)[0]
+        assert entry["name"] == "gl2z"
+        assert entry["measured"] == max(float(rep.distance) for rep in reports)
+        assert entry["status"] == ("pass" if all(rep.ok for rep in reports) else "fail")
+
+    def test_singular_basis(self):
+        (rep,) = rodmod.gl2z_compatibility(planted(((1, 0), (1, 1), (2, 2))))
+        assert (rep.singular, rep.ok, rep.distance) == (True, False, math.inf)
+
+    def test_nan_sign_is_infinitely_far(self):
+        # an infinite middle vector: the level solves to 0.0 and the sign
+        # to NaN, which must not pass on the level alone
+        (rep,) = rodmod.gl2z_compatibility(planted(((1, 0), (math.inf, 1), (0, 1))))
+        assert rep.level == 0.0 and math.isnan(rep.sign)
+        assert (rep.distance, rep.ok) == (math.inf, False)
 
 
 class TestAsymptoticClass:
