@@ -140,10 +140,24 @@ def load_rod_file(path):
 # report plumbing
 
 
+_AS_IS = frozenset((str, int, bool, type(None)))
+
+
 def _plain(value):
     """value as JSON data: Fractions and unknown objects as strings, and a
     NaN or an infinity as the string of its json token ("NaN",
-    "Infinity", "-Infinity"), since the bare token is not JSON."""
+    "Infinity", "-Infinity"), since the bare token is not JSON.
+
+    The exact built-in types, nearly every value of a report, are looked
+    up by type first; subclasses (np.float64, NamedTuples) take the
+    isinstance branches below, the Fraction ABC check first."""
+    kind = type(value)
+    if kind in _AS_IS:
+        return value
+    if kind is list or kind is tuple:
+        return [_plain(v) for v in value]
+    if kind is dict:
+        return {str(k): _plain(v) for k, v in value.items()}
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (float, np.floating)):
@@ -627,6 +641,7 @@ def cmd_verify(args):
 
 def cmd_classify(args):
     _at_least("--nmax", args.nmax, 1)
+    _at_least("--lmax", args.lmax, 0)
     result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
                                         asymptotics=args.asymptotics)
     _write_report(args.out, {

@@ -323,9 +323,9 @@ class RodData:
 # per-nut jets, the potentials and the Ward coordinates
 
 
-def _radius(r, s):
-    """The jet of R = sqrt(rho^2 + s^2) from the jets r of rho and s."""
-    return jets.sqrt(r * r + s * s)
+def _radius(rr, s):
+    """The jet of R = sqrt(rho^2 + s^2) from the jets rr of rho^2 and s."""
+    return jets.sqrt(rr + s * s)
 
 
 def _artanh(rho, s, R):
@@ -341,7 +341,7 @@ def _artanh(rho, s, R):
     return jets.log((R + s * sign) / Jet2.seed(rho, 0, s.order)) * sign
 
 
-def _nut_terms(rods, rho, zeta, order):
+def _nut_terms(rods, rr, zeta, order):
     """The per-nut jets (a, s, R), s = zeta - z_i, over a nut axis.
 
     Every nut is evaluated in one array pass: the coefficient arrays of
@@ -349,15 +349,15 @@ def _nut_terms(rods, rho, zeta, order):
     weight column of shape (n, 1, ...), which broadcasts against them.
     A single point is the case points = ().  The one per-nut
     evaluation, for tod.tod_fields, whose points (floats or float
-    arrays, see _coordinate) have passed RodData.interior_check.
+    arrays, see _coordinate) have passed RodData.interior_check; rr is
+    the jet of rho^2 there, the square of the rho seed.
     _artanh gives the per-nut artanh(s/R) from these terms where V, H or
     x is read.
     """
-    r = Jet2.seed(rho, 0, order)
     zs, weights = np.array(rods.floats.nuts).T
-    column = (-1,) + (1,) * max(np.ndim(rho), np.ndim(zeta))
+    column = (-1,) + (1,) * max(np.ndim(rr.value), np.ndim(zeta))
     s = Jet2.seed(zeta - zs.reshape(column), 1, order)
-    return weights.reshape(column), s, _radius(r, s)
+    return weights.reshape(column), s, _radius(rr, s)
 
 
 def _nut_sums(summands, starts=None):
@@ -406,13 +406,12 @@ def potentials(fields):
     """Jets of V and its conjugate H at the order and points of a tod.TodFields.
 
     V = sum a_i V0(rho, s_i) and H = gauge + sum a_i H0(rho, s_i), summed
-    in nut order from the per-nut terms the fields hold, so no nut is
-    evaluated twice.
+    in nut order from the per-nut terms and the rho^2 jet rr the fields
+    hold, so no nut is evaluated twice.
     """
     a, s, R = fields.terms
     at = fields.artanh
-    r = Jet2.seed(fields.point[0], 0, fields.z.order)
-    return _nut_sums([(2 * R - 2 * s * at) * a, (s * R + r * r * at) * a],
+    return _nut_sums([(2 * R - 2 * s * at) * a, (s * R + fields.rr * at) * a],
                      starts=(0.0, fields.rods.floats.gauge))
 
 

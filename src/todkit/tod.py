@@ -24,14 +24,18 @@ order.  K and M read the nut-pair table RodData.pairs, computed once per
 rod data: the pairs i < j as index arrays from np.triu_indices (the
 order of a loop over i, then j) and their weights a_i a_j (z_j - z_i)^2.
 They run one product R_i R_j and one quotient over all pairs, then add
-the pair axis in that order.  None of them needs the Ward coordinate
-x = sum a_i artanh(s_i/R_i), whose per-nut logs are the dearest
-per-entry work of the pass, so TodFields sums it, the same way, only
-when a check first reads it (the potentials, the Toda residual and the
-fundamental form do; the metric, the conical check, build and the
-single-nut certificate do not).  Every coefficient thus has the bits of
-the nut-by-nut loop, which tests/reference_fields.py keeps as the
-reference.
+the pair axis in that order.  tod_fields forms W and z at once; e^2nu,
+F and the sum P that only F reads follow from the kept sums when a
+check first reads them (the metric, the conical check and build do; the
+single-nut certificate, which reads W alone, does not).  None of them
+needs the Ward coordinate x = sum a_i artanh(s_i/R_i), whose per-nut
+logs are the dearest per-entry work of the pass, so TodFields sums it,
+the same way, only when a check first reads it (the potentials, the
+Toda residual and the fundamental form do; the metric, the conical
+check, build and the single-nut certificate do not).  rho^2 is the
+square of the rho seed jet, formed once per evaluation (TodFields.rr).
+Every coefficient thus has the bits of the nut-by-nut loop, which
+tests/reference_fields.py keeps as the reference.
 """
 
 from __future__ import annotations
@@ -60,20 +64,46 @@ class TodFields:
     metric (tod_metric), the potentials V and H (harmonic.potentials),
     the Toda identity (harmonic.toda_residual) and the fundamental form,
     so checks at a point read one TodFields instead of evaluating their
-    own.  Only the last three read the Ward coordinate x and the per-nut
-    jets artanh(s/R) it sums, so those are computed from the terms on
-    first read and kept; a slice (at) computes its own, from its terms,
-    if something reads them.  Every operation is elementwise over the
-    points, so either way they have the bits of one pass.
+    own.
+
+    W and the Ward coordinate z are computed at once, with the pair sums
+    K and M and the denominator den that W reads, and rr, the square of
+    the rho seed jet, which R, den, the metric, the fundamental form and
+    the potentials read.  e2nu and F (with the nut sum P that only F
+    reads) follow from those on first read, and so do the Ward
+    coordinate x and the per-nut jets artanh(s/R) it sums, which only
+    the potentials, the Toda residual and the fundamental form read; each
+    is kept once computed.  A slice (at) slices the stored jets and
+    computes its own lazy fields, from its terms, if something reads
+    them.  Every operation is elementwise over the points, so either way
+    they have the bits of one pass.
     """
 
     W: Jet2
-    e2nu: Jet2
-    F: Jet2
     z: Jet2
-    rods: RodData = field(repr=False, default=None)
-    point: tuple = None
-    terms: tuple = field(repr=False, default=None)
+    K: Jet2
+    M: Jet2
+    den: Jet2
+    rr: Jet2
+    rods: RodData = field(repr=False)
+    point: tuple
+    terms: tuple = field(repr=False)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def e2nu(self):
+        """e^2nu = A K / c, A being z."""
+        return self.z * self.K * (1.0 / self.rods.floats.c)
+
+    @functools.cached_property
+    @np.errstate(over="ignore", invalid="ignore")
+    def F(self):
+        """F = -(A M + P K + gauge den) / (c den), with P = sum a_i s_i R_i
+        summed in nut order."""
+        a, s, R = self.terms
+        (P,) = harmonic._nut_sums([(s * a) * R])
+        c, gamma, _ = self.rods.floats
+        return -(self.z * self.M + P * self.K + gamma * self.den) / self.den / c
 
     @functools.cached_property
     @np.errstate(over="ignore", invalid="ignore")
@@ -92,7 +122,8 @@ class TodFields:
         """The fields of the points that the slice part of a
         one-dimensional point set selects, as that set's values."""
         # the weight column a of the terms broadcasts over any points
-        return TodFields(*(f.at(part) for f in (self.W, self.e2nu, self.F, self.z)),
+        return TodFields(*(f.at(part) for f in (self.W, self.z, self.K, self.M, self.den,
+                                                self.rr)),
                          self.rods, tuple(p[part] for p in self.point),
                          (self.terms[0], *(t.at((slice(None), part)) for t in self.terms[1:])))
 
@@ -163,25 +194,28 @@ class JetMatrix:
 # where the per-point call does not
 @np.errstate(over="ignore", invalid="ignore")
 def tod_fields(rods, rho, zeta, order=4):
-    """Metric fields W, e^2nu, F and the Ward coordinate z as jets; the
-    Ward coordinate x follows on first read (TodFields.x).
+    """Metric field W and the Ward coordinate z as jets, with the sums
+    that e^2nu and F follow from on first read (TodFields.e2nu, .F), as
+    the Ward coordinate x does (TodFields.x).
 
     rho and zeta may be float arrays of one shape, or an array and a
     number that partners each of its points: the jets then carry one
     coefficient per point, each bit-identical to that point's own call.
-    Every point must pass rods.interior_check.
+    Every point must pass rods.interior_check.  The rho seed jet is
+    squared once, here: R, den and the TodFields read that rr.
     """
     rods.interior_check(rho, zeta)
     rho = harmonic._coordinate(rho)
     zeta = harmonic._coordinate(zeta)
-    c, gamma, _ = rods.floats
-    terms = harmonic._nut_terms(rods, rho, zeta, order)
+    c = rods.floats.c
+    r = Jet2.seed(rho, 0, order)
+    rr = r * r
+    terms = harmonic._nut_terms(rods, rr, zeta, order)
     a, s, R = terms
     # A^2 C / den + x rho^2 - H resummed over pairs: the terms of order
     # R^2 cancel exactly, leaving gap-squared weighted sums (with P) that
     # keep full relative precision in the far field
-    A, B, C, P = harmonic._nut_sums(
-        [R * a, Jet2.const(a, order) / R, (s / R) * a, (s * a) * R])
+    A, B, C = harmonic._nut_sums([R * a, Jet2.const(a, order) / R, (s / R) * a])
     if rods.n > 1:
         i, j, w = rods.pairs
         pair = Jet2.const(w.reshape((-1,) + a.shape[1:]), order) / (R.at(i) * R.at(j))
@@ -193,12 +227,11 @@ def tod_fields(rods, rho, zeta, order=4):
     else:
         K = Jet2.const(0.0, order)
         M = Jet2.const(0.0, order)
-    r = Jet2.seed(rho, 0, order)
-    den = B * B * (r * r) + C * C
+    den = B * B * rr + C * C
+    # W divides by den before anything else can raise
     W = (A / c) * K / den
-    e2nu = A * K * (1.0 / c)
-    F = -(A * M + P * K + gamma * den) / den / c
-    return TodFields(W=W, e2nu=e2nu, F=F, z=A, rods=rods, point=(rho, zeta), terms=terms)
+    return TodFields(W=W, z=A, K=K, M=M, den=den, rr=rr, rods=rods, point=(rho, zeta),
+                     terms=terms)
 
 
 # the float semantics of tod_fields, on point sets too
@@ -209,16 +242,16 @@ def tod_metric(fields):
     Needs W > 0 and e^2nu > 0; on a point set each check raises at its
     first failing point, with the message that point gives on its own.
     """
-    W, F, e2nu = fields.W, fields.F, fields.e2nu
+    W, e2nu = fields.W, fields.e2nu
     for name, jet in (("W", W), ("e^2nu", e2nu)):
         bad = harmonic._first_nonpositive(jet.value)
         if bad is not None:
             raise DegenerateMetricError(f"{name} = {bad} is not positive")
-    r = Jet2.seed(fields.point[0], 0, W.order)
+    F = fields.F
     zero = Jet2.const(0.0, W.order)
     g_tt = 1 / W
     g_ty = F / W
-    g_yy = W * (r * r) + F * F / W
+    g_yy = W * fields.rr + F * F / W
     comp = [
         [g_tt, g_ty, zero, zero],
         [g_ty, g_yy, zero, zero],
@@ -232,7 +265,9 @@ def fundamental_form(fields):
     """The two-form (dtau + F dy) ^ dz + W rho^2 dx ^ dy as jets.
 
     Entries come out one order below the fields because they carry first
-    derivatives of the Ward coordinates.
+    derivatives of the Ward coordinates; rho^2 is the fields' rr,
+    truncated, which keeps each coefficient's bits (the Leibniz product of
+    a coefficient reads no higher one).
     """
     m = fields.z.order - 1
     z_r = fields.z.derivative(0).truncate(m)
@@ -241,9 +276,7 @@ def fundamental_form(fields):
     x_z = fields.x.derivative(1).truncate(m)
     W = fields.W.truncate(m)
     F = fields.F.truncate(m)
-    rho = fields.point[0]
-    r = Jet2.seed(rho, 0, m)
-    rr = r * r
+    rr = fields.rr.truncate(m)
     w_tr = z_r
     w_tz = z_z
     w_yr = F * z_r - W * rr * x_r

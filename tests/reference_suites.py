@@ -82,8 +82,8 @@ def fields_at(fields, k):
     gives them."""
     a, s, R = fields.terms
     nut = (slice(None), k)
-    return TodFields(W=fields.W.at(k), e2nu=fields.e2nu.at(k), F=fields.F.at(k),
-                     z=fields.z.at(k), rods=fields.rods,
+    return TodFields(*(f.at(k) for f in (fields.W, fields.z, fields.K, fields.M, fields.den,
+                                         fields.rr)), rods=fields.rods,
                      point=(float(fields.point[0][k]), float(fields.point[1][k])),
                      terms=(a.reshape(-1), s.at(nut), R.at(nut)))
 

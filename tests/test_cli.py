@@ -673,6 +673,14 @@ class TestClassify:
         assert "vanishing W" in branch["certificate"]
         assert branch["details"]["degenerate"] is True
 
+    # a negative level bound is an input error that names the flag, before
+    # the search: at --nmax 1 no survivor reads it, at --nmax 6 one would
+    @pytest.mark.parametrize("nmax, lmax", [("1", "-5"), ("6", "-1")])
+    def test_negative_lmax(self, capsys, nmax, lmax):
+        code, out, err = run(["classify", "--nmax", nmax, "--lmax", lmax], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --lmax must be at least 0, got {lmax}\n"
+
     def test_af_lattice_is_informational(self, capsys):
         code, out, _ = run(["classify", "--nmax", "3",
                             "--asymptotics", "af"], capsys)
@@ -852,6 +860,40 @@ class TestArtanhEntries:
         logs = count_entries(monkeypatch, "_artanh")
         assert cli.classify.verify_n1_degenerate()["degenerate"]
         assert logs == []
+
+
+def count_reads(monkeypatch, *names):
+    """Spy on the lazy TodFields properties names: the list returned gets
+    the name at each read."""
+    reads = []
+    for name in names:
+        lazy = getattr(tod.TodFields, name)
+        monkeypatch.setattr(tod.TodFields, name, property(
+            lambda self, name=name, lazy=lazy:
+                reads.append(name) or lazy.__get__(self, tod.TodFields)))
+    return reads
+
+
+class TestLazyMetricFields:
+    """e^2nu and F are computed only where a check reads them: the metric
+    and build do, the single-nut certificate, which reads W alone, does
+    not."""
+
+    @pytest.mark.parametrize("doc, args, read", [
+        (EH_DOC, ["build", "ROD_FILE", "--grid", "4x3"], {"e2nu", "F"}),
+        (EH_DOC, ["classify", "--nmax", "6"], set()),
+    ], ids=["build", "classify"])
+    def test_commands(self, tmp_path, capsys, monkeypatch, doc, args, read):
+        path = write_rod_file(tmp_path, doc)
+        reads = count_reads(monkeypatch, "e2nu", "F")
+        code, _, _ = run([path if a == "ROD_FILE" else a for a in args], capsys)
+        assert code == 0
+        assert set(reads) == read
+
+    def test_single_nut_certificate(self, monkeypatch):
+        reads = count_reads(monkeypatch, "e2nu", "F")
+        assert cli.classify.verify_n1_degenerate()["degenerate"]
+        assert reads == []
 
 
 CONE_TEXT = "needs c = -sum a_i a_j (z_j - z_i)^2 (standard asymptotic cone)"

@@ -8,6 +8,7 @@ family, every array entry and float must carry the bits of that point's
 own call.  A set with one bad point raises that point's own exception.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -21,7 +22,7 @@ from todkit import cky, curvature, tod
 from todkit.cky import FlatCkyParams
 from todkit.errors import DegenerateMetricError, DomainError, SignatureError
 from todkit.jets import Jet2
-from todkit.tod import JetMatrix, TodFields
+from todkit.tod import JetMatrix
 
 # no explain phase: it imports libcst, which raises a DeprecationWarning
 SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=15,
@@ -166,8 +167,7 @@ def test_degenerate_field_in_the_middle():
                             order=2)
     W = Jet2(2, [np.array([1.0, -3.0, 0.0])] + fields.W.c[1:])
     with pytest.raises(DegenerateMetricError) as batch:
-        tod.tod_metric(TodFields(W=W, e2nu=fields.e2nu, F=fields.F, z=fields.z,
-                                 rods=rods, point=fields.point))
+        tod.tod_metric(dataclasses.replace(fields, W=W))
     assert str(batch.value) == "W = -3.0 is not positive"
 
 

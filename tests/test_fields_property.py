@@ -7,7 +7,7 @@ gives each nut and each pair its own jet operations.  On random rod data
 nuts, far out and exactly at nut heights, every coefficient of W, e2nu,
 F, z and x, of the per-nut artanh(s_i/R_i) jets, and of V and H, must
 carry the reference's bits; so must those of the point-set slices that
-TodFields.at takes before and after x is first read.
+TodFields.at takes before and after x, e2nu and F are first read.
 """
 
 import math
@@ -107,11 +107,14 @@ def test_fields_match_nut_by_nut_reference(rods, picks, order):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tod.tod_fields(rods, rho, zeta, order)
-        # x and the artanh jets are computed on first read: the tails of
-        # the set sliced from the fields before that read, then after it
+        # x, the artanh jets, e2nu and F are computed on first read: the
+        # tails of the set sliced from the fields before that read, then
+        # after it, and each tail's own read before and after the set's
         tails = [got.at(slice(k, None)) for k in range(len(rho))]
+        for tail in tails:
+            tail.e2nu, tail.F
         V, H = harmonic.potentials(got)
-        got.x
+        got.x, got.e2nu, got.F
         tails += [got.at(slice(k, None)) for k in range(len(rho))]
         for tail in tails:
             tail.x

@@ -15,7 +15,7 @@ KEPT = {
     "pd.PdParams.normalized": "builds PdParams from any four roots, scaled to "
                               "unit product; the acceptance run uses it",
     "tod.rescale": "the homothety c -> ac, z -> az that the scale-invariance "
-                   "tests apply (ROADMAP items 2 and 11)",
+                   "tests apply (ROADMAP item 2, step 2)",
     "pd.pd_ale_limit": "the PD corner checked against the flat Hopf model; the "
                        "corrected asymptotic chart of ROADMAP item 4 follows it",
     "pd.pd_rod_vectors": "the scalar form of the rod vectors that "
