@@ -140,37 +140,25 @@ def load_rod_file(path):
 # report plumbing
 
 
-_AS_IS = frozenset((str, int, bool, type(None)))
-
-
 def _plain(value):
     """value as JSON data: Fractions and unknown objects as strings, and a
     NaN or an infinity as the string of its json token ("NaN",
     "Infinity", "-Infinity"), since the bare token is not JSON.
 
-    The exact built-in types, nearly every value of a report, are looked
-    up by type first; subclasses (np.float64, NamedTuples) take the
-    isinstance branches below, the Fraction ABC check first."""
-    kind = type(value)
-    if kind in _AS_IS:
+    The types of nearly every report value are checked first; a Fraction,
+    whose isinstance check goes through its number ABC, falls through to
+    str with the unknown objects."""
+    if value is None or isinstance(value, (str, int)):
         return value
-    if kind is list or kind is tuple:
+    if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
-    if kind is dict:
+    if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else json.dumps(value)
     if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _plain(v) for k, v in value.items()}
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
     return str(value)
 
 

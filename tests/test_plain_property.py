@@ -1,13 +1,12 @@
-"""Property test: cli._plain's exact-type fast path keeps every report byte.
+"""Property test: the order of cli._plain's type checks keeps every report byte.
 
-``cli._plain`` looks up str, int, bool, None, list, tuple and dict by
-their exact type before its isinstance branches.  ``reference_plain``
-below is the form without that lookup, every value through the
-isinstance chain, the Fraction ABC check first.  On nested dicts, lists
-and tuples of strings, ints, bools, None, floats (NaN, the infinities
-and -0.0 included), numpy scalars, Fractions and a NamedTuple, and on
-dicts keyed by ints, floats and bools, the rendered reports must be
-equal.
+``cli._plain`` checks str, int, bool, None, list, tuple and dict first and
+sends a Fraction to str with the unknown objects, without an isinstance
+check against the Fraction ABC.  ``reference_plain`` below is the earlier
+chain, the Fraction check first.  On nested dicts, lists and tuples of
+strings, ints, bools, None, floats (NaN, the infinities and -0.0
+included), numpy scalars, Fractions and a NamedTuple, and on dicts keyed
+by ints, floats and bools, the rendered reports must be equal.
 """
 
 import json
@@ -27,7 +26,7 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def reference_plain(value):
-    """_plain without the exact-type lookup."""
+    """_plain with the Fraction check first."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (float, np.floating)):
