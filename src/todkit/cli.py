@@ -148,12 +148,12 @@ def _plain(value):
     The types of nearly every report value are checked first; a Fraction,
     whose isinstance check goes through its number ABC, falls through to
     str with the unknown objects."""
-    if value is None or isinstance(value, (str, int)):
+    if isinstance(value, (str, int)) or value is None:
         return value
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
     if isinstance(value, (float, np.floating)):
         value = float(value)
         return value if math.isfinite(value) else json.dumps(value)

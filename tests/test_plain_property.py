@@ -1,6 +1,6 @@
 """Property test: the order of cli._plain's type checks keeps every report byte.
 
-``cli._plain`` checks str, int, bool, None, list, tuple and dict first and
+``cli._plain`` checks str, int, bool, None, dict, list and tuple first and
 sends a Fraction to str with the unknown objects, without an isinstance
 check against the Fraction ABC.  ``reference_plain`` below is the earlier
 chain, the Fraction check first.  On nested dicts, lists and tuples of
