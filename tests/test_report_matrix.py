@@ -1,8 +1,9 @@
 """The checked-in report matrix (tools/report_matrix.py) holds for a slice.
 
-The slice is every rod file, the verify commands at seeds 0 and 1, and
-the build, classify and pd lines; ``python3 tools/report_matrix.py
---check`` runs the whole matrix, the benchmark commands included.
+The slice is every rod file, the verify and pd scan commands at seeds 0
+and 1, and the build, classify, pd check and pd selfdual lines;
+``python3 tools/report_matrix.py --check`` runs the whole matrix, the
+benchmark commands included.
 """
 
 import importlib.util
@@ -20,6 +21,8 @@ def test_slice_keeps_its_bytes():
     assert report_matrix.moved(got, want) == []
     # five suites at two seeds on each rod file
     assert sum(name.startswith("verify ") for name in got) == 10 * len(report_matrix.ROD_FILES)
+    # five cases at three sample counts and two seeds
+    assert sum(name.startswith("pd scan ") for name in got) == 30
 
 
 def test_a_moved_command_is_named():

@@ -10,8 +10,9 @@ fixed set of commands:
   apart, a single nut at 1e100, a 1e-100 gap, nut gaps whose squares
   overflow), 16-nut files and powers of two of the two-nut chart;
 - ``build`` on each of those files, ``classify`` at every ``--nmax``
-  up to 6 under both asymptotics, and ``pd check``, ``scan`` and
-  ``selfdual`` lines;
+  up to 6 under both asymptotics and at ``--lmax`` 0 and 1, ``pd
+  check`` and ``selfdual`` lines, and ``pd scan`` on all five cases at
+  ``--samples`` 1, 7 and 300 and seeds 0-11;
 - the 144 benchmark commands: the first 12 of each workload of
   ``perfbench/workloads.py`` at seeds 1-3.
 
@@ -110,14 +111,12 @@ PD_LINES = (
     ("pd", "check", "--case", "a", "--u", "0.3", "--v", "0.6"),
     ("pd", "selfdual", "--case", "a", "--u", "0.3", "--v", "0.6"),
     ("pd", "selfdual", "--case", "b", "--u", "-2.5", "--v", "0.7"),
-    *(("pd", "scan", "--case", case, "--samples", "300", "--seed", str(seed))
-      for case in workloads.PD_SAMPLES for seed in (0, 1)),
 )
 
 
 class Command(NamedTuple):
     """One todkit command: its argv, the --out file it writes (None for
-    stdout), and its verify seed (None for other commands)."""
+    stdout), and its verify or scan seed (None for other commands)."""
 
     argv: tuple
     out: str | None = None
@@ -143,7 +142,11 @@ def commands():
                 Command(("build", path, "--grid", "1x5", "--out", "fields.csv"), "fields.csv")]
     out += [Command(("classify", "--nmax", str(n), "--asymptotics", kind))
             for kind in ("ale", "af") for n in range(1, 7)]
+    out += [Command(("classify", "--nmax", "6", "--lmax", str(bound))) for bound in (0, 1)]
     out += [Command(argv) for argv in PD_LINES]
+    out += [Command(("pd", "scan", "--case", case, "--samples", str(samples),
+                     "--seed", str(seed)), seed=seed)
+            for case in workloads.PD_SAMPLES for samples in (1, 7, 300) for seed in SEEDS]
     for name, seed in itertools.product(workloads.WORKLOADS, BENCH_SEEDS):
         stream = workloads.prepare(name, seed, Path("bench") / f"{name}-{seed}")
         out += [Command(cmd.argv, str(cmd.out), bench=True)
