@@ -34,7 +34,7 @@ import numpy as np
 
 from . import rods as rodsmod
 from . import tod
-from .errors import RodDataError
+from .errors import LevelBoundError, RodDataError
 from .harmonic import RodData
 
 F = Fraction
@@ -332,7 +332,7 @@ def search_admissible(n_max=6, l_bound=12, asymptotics="ale"):
     survivors = tuple(b for b in branches if b.status == "admissible")
     for b in survivors:
         if b.details["level"] > l_bound:
-            raise RodDataError("surviving level exceeds the safety bound")
+            raise LevelBoundError(b.details["level"], l_bound)
     return ClassificationResult(n_max=n_max, l_bound=l_bound,
                                 asymptotics=asymptotics,
                                 branches=tuple(branches), survivors=survivors)

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import __version__, classify, cky, curvature, harmonic, jets, pd, rods, tod
 from .cky import FlatCkyParams
-from .errors import RodDataError, TodkitError
+from .errors import LevelBoundError, RodDataError, TodkitError
 from .harmonic import RodData
 
 SCHEMA = "todkit-report-1"
@@ -630,8 +630,12 @@ def cmd_verify(args):
 def cmd_classify(args):
     _at_least("--nmax", args.nmax, 1)
     _at_least("--lmax", args.lmax, 0)
-    result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
-                                        asymptotics=args.asymptotics)
+    try:
+        result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
+                                            asymptotics=args.asymptotics)
+    except LevelBoundError as exc:
+        raise RodDataError(f"--lmax {exc.bound} is below the surviving level {exc.level}") \
+            from None
     _write_report(args.out, {
         "command": "classify",
         "n_max": result.n_max,

@@ -34,6 +34,18 @@ class RodDataError(TodkitError):
     """Rod data failed validation (ordering, weights, sign of c)."""
 
 
+class LevelBoundError(RodDataError):
+    """A surviving family's level exceeds the level bound of a search.
+
+    Carries both, so that a caller can name its own flag for the bound.
+    """
+
+    def __init__(self, level, bound):
+        self.level = level
+        self.bound = bound
+        super().__init__(f"level bound {bound} is below the surviving level {level}")
+
+
 class InversionError(TodkitError):
     """Coordinate-map inversion failed: Newton stalled or the Jacobian is singular.
 

@@ -390,16 +390,38 @@ def _regularity_rows(roots, a0=1, slack=1):
 _SIGNS = {"i": (1, 1, 1, 1), "ii": (-1, -1, 1, 1), "iii": (-1, -1, -1, -1)}
 
 
+def _exchange(x, y):
+    """One compare-exchange step on two columns: (smaller, larger)."""
+    return np.minimum(x, y), np.maximum(x, y)
+
+
 def _draw_roots(case, rng, k):
     """k sampling attempts in stream order: a (k, 4) root array and the
-    mask of attempts that respect the rectangle and do not degenerate."""
+    mask of attempts that respect the rectangle and do not degenerate.
+
+    Each attempt is ordered and filtered by arithmetic on whole columns:
+    numpy's per-row sort and axis reductions cost tens of ns per row four
+    values wide, several times the elementwise work.  Every draw is
+    finite and nonzero (the exp of a finite uniform, times +-1), and on
+    such values np.minimum and np.maximum return exactly the floats
+    np.sort puts in each place, so the roots and the mask keep the bits
+    of a per-row sort and np.min over the gaps.
+    """
     if case in _SIGNS:
         mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(k, 4)))
-        vals = np.sort(mags * np.array(_SIGNS[case]), axis=1)
-        prod = np.abs(vals[:, 0] * vals[:, 1] * vals[:, 2] * vals[:, 3])
+        # the five compare-exchange steps of a four-input sorting network:
+        # exact, as the draws are finite and nonzero
+        v0, v1, v2, v3 = (mags * np.array(_SIGNS[case])).T
+        v0, v1 = _exchange(v0, v1)
+        v2, v3 = _exchange(v2, v3)
+        v0, v2 = _exchange(v0, v2)
+        v1, v3 = _exchange(v1, v3)
+        v1, v2 = _exchange(v1, v2)
+        prod = np.abs(v0 * v1 * v2 * v3)
         # libm's pow: the array np.power differs in the last bit
-        roots = vals / jets.libm(pow, prod, 0.25)[:, None]
-        keep = ~(np.min(np.diff(roots, axis=1), axis=1) < 1e-3)
+        roots = np.stack([v0, v1, v2, v3], axis=1) / jets.libm(pow, prod, 0.25)[:, None]
+        r0, r1, r2, r3 = roots.T
+        keep = ~(np.minimum(np.minimum(r1 - r0, r2 - r1), r3 - r2) < 1e-3)
         if case != "iii":
             # all-negative quadruples never pass this filter; they are
             # kept and rejected through their corner certificate instead
@@ -407,8 +429,7 @@ def _draw_roots(case, rng, k):
             keep &= ~(np.maximum(r[:, 1], r[:, 2]) * np.maximum(r[:, 0], r[:, 1]) >= 1)
         return roots, keep
     if case == "a":
-        u, v = np.sort(np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=(k, 2))),
-                       axis=1).T
+        u, v = _exchange(*np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=(k, 2))).T)
         keep = ~((v - u < 1e-3) | (1 / v - v < 1e-3))
         return np.stack([u, v, 1 / v, 1 / u], axis=1), keep
     # case b: math.exp, since np.exp differs from it in the last bit

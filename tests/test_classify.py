@@ -205,7 +205,7 @@ class TestSearch:
             classify.search_admissible(0)
         with pytest.raises(ValueError):
             classify.search_admissible(4, asymptotics="alf")
-        with pytest.raises(RodDataError):
+        with pytest.raises(RodDataError, match="level bound 1 is below the surviving level 2"):
             classify.search_admissible(4, l_bound=1)
 
 

@@ -681,6 +681,19 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == f"input error: --lmax must be at least 0, got {lmax}\n"
 
+    # a bound below the two-nut survivor's level 2 is an input error that
+    # names the flag, the bound and the level; the bound 2 holds
+    @pytest.mark.parametrize("lmax", ["0", "1"])
+    def test_lmax_below_surviving_level(self, capsys, lmax):
+        code, out, err = run(["classify", "--nmax", "6", "--lmax", lmax], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --lmax {lmax} is below the surviving level 2\n"
+
+    def test_lmax_at_surviving_level(self, capsys):
+        code, out, _ = run(["classify", "--nmax", "6", "--lmax", "2"], capsys)
+        assert code == 0
+        assert json.loads(out)["l_bound"] == 2
+
     def test_af_lattice_is_informational(self, capsys):
         code, out, _ = run(["classify", "--nmax", "3",
                             "--asymptotics", "af"], capsys)

@@ -465,15 +465,18 @@ class TestScanMatchesReference:
     @pytest.mark.parametrize("case", ["i", "ii", "iii", "a", "b"])
     def test_draws_match_reference_rows(self, case):
         # scan results are counts, which a last-bit change in a root
-        # rarely moves; the roots themselves must agree bit for bit
-        for seed in (0, 1):
-            roots, keep = pd._draw_roots(case, np.random.default_rng(seed), 2000)
-            rng = np.random.default_rng(seed)
-            want = [reference_scan._sample_roots(case, rng) for _ in range(2000)]
-            assert keep.tolist() == [w is not None for w in want]
-            got = [tuple(x.hex() for x in row) for row in roots[keep].tolist()]
-            assert got == [tuple(float(x).hex() for x in w)
-                           for w in want if w is not None]
+        # rarely moves; the roots themselves must agree bit for bit, and
+        # a compare-exchange step that is wrong or out of order puts some
+        # root in the wrong place
+        for seed in range(10):
+            for size in (1, 7, 2048):
+                roots, keep = pd._draw_roots(case, np.random.default_rng(seed), size)
+                rng = np.random.default_rng(seed)
+                want = [reference_scan._sample_roots(case, rng) for _ in range(size)]
+                assert keep.tolist() == [w is not None for w in want]
+                got = [tuple(x.hex() for x in row) for row in roots[keep].tolist()]
+                assert got == [tuple(float(x).hex() for x in w)
+                               for w in want if w is not None]
 
     def test_block_exp_equals_row_exp(self):
         rng = np.random.default_rng(0)
