@@ -634,8 +634,8 @@ def cmd_classify(args):
         result = classify.search_admissible(n_max=args.nmax, l_bound=args.lmax,
                                             asymptotics=args.asymptotics)
     except LevelBoundError as exc:
-        raise RodDataError(f"--lmax {exc.bound} is below the surviving level {exc.level}") \
-            from None
+        raise RodDataError(
+            f"--lmax {exc.bound} is below the surviving level {exc.level}") from None
     _write_report(args.out, {
         "command": "classify",
         "n_max": result.n_max,

@@ -409,8 +409,9 @@ def _draw_roots(case, rng, k):
     """
     if case in _SIGNS:
         mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(k, 4)))
-        # the five compare-exchange steps of a four-input sorting network:
-        # exact, as the draws are finite and nonzero
+        # the five compare-exchange steps of a four-input sorting network,
+        # whole columns at a time where np.sort's per-row machinery costs
+        # tens of ns per row; exact, as the draws are finite and nonzero
         v0, v1, v2, v3 = (mags * np.array(_SIGNS[case])).T
         v0, v1 = _exchange(v0, v1)
         v2, v3 = _exchange(v2, v3)
