@@ -184,7 +184,9 @@ def verify_n1_degenerate(rods=None):
               for i in range(6) for k in range(6)]
     rho, zeta = np.array(points).T
     W = tod.tod_fields(rods, rho, zeta).W
-    worst = max(float(np.max(np.abs(v))) for v in W.c)
+    # np.max keeps a NaN wherever it stands; the builtin max drops it
+    # unless it comes first
+    worst = float(np.max([np.max(np.abs(v)) for v in W.c]))
     return {"degenerate": worst == 0.0, "max_abs_w_jet": worst, "points": 36}
 
 

@@ -1,5 +1,6 @@
 """Exact classification: junction data, certificates, the surviving family."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,16 @@ class TestDegenerateCertificate:
     def test_rejects_other_data(self):
         with pytest.raises(RodDataError):
             classify.verify_n1_degenerate(eh_rods_exact())
+
+    @pytest.mark.parametrize("c", [-1e-307, -1e-320])
+    def test_nan_coefficient_is_not_zero(self, c):
+        # A/c overflows, so W = (A/c) K / den is NaN where inf meets the
+        # zero K: at c = -1e-307 in a few jet coefficients only, none of
+        # them the value term
+        cert = classify.verify_n1_degenerate(RodData(c=c, zs=(0.0,), weights=(1.0,)))
+        assert cert["degenerate"] is False
+        assert math.isnan(cert["max_abs_w_jet"])
+        assert cert["points"] == 36
 
     @pytest.mark.parametrize("z", [0.6, -3.0, 1e100, -1e300])
     def test_grid_follows_the_nut(self, monkeypatch, z):

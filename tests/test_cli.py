@@ -448,7 +448,10 @@ class TestVerify:
         # subnormal c: A/c overflows and W = inf * 0 is NaN on the grid
         ({"c": -1e-320, "rods": [{"z": 0.0, "a": 1.0}]}, "NaN",
          "W jets are not all zero on a grid of 36 points"),
-    ], ids=["exact", "subnormal-c"])
+        # tiny c: NaN in three coefficients of higher order only
+        ({"c": -1e-307, "rods": [{"z": 0.0, "a": 1.0}]}, "NaN",
+         "W jets are not all zero on a grid of 36 points"),
+    ], ids=["exact", "subnormal-c", "tiny-c"])
     def test_single_nut_location_follows_certificate(self, tmp_path, capsys,
                                                       doc, measured, found):
         path = write_rod_file(tmp_path, doc)

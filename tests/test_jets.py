@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -80,12 +81,12 @@ class TestRingOps:
 
 
 def plan_mul(a, b):
-    """Reference: the accumulating plan loop behind the generated product."""
+    """Reference: the accumulating plan loop behind both forms of the product."""
     out = []
     for terms in jets._mul_plan(a.order):
         s = 0
         for pa, pb, w in terms:
-            s += w * a.c[pa] * b.c[pb]
+            s = s + w * a.c[pa] * b.c[pb]
         out.append(s)
     return out
 
@@ -98,19 +99,46 @@ def plan_div(f, g):
         s = 0
         for ph, pg, w in plan[k]:
             if ph != k:
-                s += w * h[ph] * g.c[pg]
+                s = s + w * h[ph] * g.c[pg]
         h[k] = (f.c[k] - s) / g.c[0]
     return h
 
 
 def assert_identical(got, want):
-    """Same type and value per coefficient, and the same sign on zeros."""
+    """Same type and value per coefficient, and the same sign on zeros;
+    an array also has the same shape and dtype, and NaN where want has.
+
+    A NaN's sign bit is left out: it follows which operand the hardware
+    propagates, numpy's vector loops do not fix that order between array
+    sizes, and no output shows it.
+    """
     assert len(got) == len(want)
     for u, v in zip(got, want):
         assert type(u) is type(v)
-        assert u == v
-        if isinstance(v, float):
-            assert math.copysign(1.0, u) == math.copysign(1.0, v)
+        if isinstance(v, np.ndarray):
+            assert (u.shape, u.dtype) == (v.shape, v.dtype)
+            assert np.array_equal(u, v, equal_nan=True)
+            real = ~np.isnan(v)
+            assert np.array_equal(np.signbit(u[real]), np.signbit(v[real]))
+        elif v == v:
+            assert u == v
+            if isinstance(v, float):
+                assert math.copysign(1.0, u) == math.copysign(1.0, v)
+        else:
+            assert u != u
+
+
+SPECIALS = (-0.0, 0.0, math.inf, -math.inf, math.nan)
+
+
+def special_array(shape, rng):
+    """Normal draws with -0.0, 0.0, +-inf and NaN at a few entries."""
+    x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    for v, k in zip(SPECIALS, rng.integers(0, flat.size, len(SPECIALS))):
+        if rng.random() < 0.5:
+            flat[k] = v
+    return x
 
 
 def random_coefficients(kind, n, rng):
@@ -118,24 +146,97 @@ def random_coefficients(kind, n, rng):
         return [float(x) for x in rng.standard_normal(n)]
     if kind == "float64":
         return list(rng.standard_normal(n))
+    if kind == "points":
+        return [special_array(19, rng) for _ in range(n)]
+    if kind == "mixed":
+        # an array value term, then what Jet2.const, Jet2.seed and
+        # compose's delta hold: numbers of each type and arrays
+        numbers = [0, 1, 2, -0.0, 0.5, math.inf, math.nan, np.float64(-1.5)]
+        return [special_array(19, rng)] + [
+            special_array(19, rng) if rng.random() < 0.5
+            else numbers[rng.integers(len(numbers))] for _ in range(n - 1)]
     return [Fraction(int(p), int(q))
             for p, q in zip(rng.integers(-9, 10, n), rng.integers(1, 10, n))]
 
 
-class TestKernels:
-    """The generated straight-line kernels round exactly as the plan loops."""
+def operand_pairs(kind, order, rng):
+    """Pairs (a, b) of jets to multiply and divide, of the given kind."""
+    n = len(jets._pairs(order))
+    if kind == "nuts":
+        # a nut column (n, 1) against a nut-by-point array (n, points)
+        column = Jet2(order, [special_array((3, 1), rng) for _ in range(n)])
+        rows = Jet2(order, [special_array((3, 7), rng) for _ in range(n)])
+        return [(column, rows), (rows, column)]
+    a = Jet2(order, random_coefficients(kind, n, rng))
+    b = Jet2(order, random_coefficients(kind, n, rng))
+    if kind == "points":
+        # and one point: the coefficient axis stays numpy's inner loop
+        one = Jet2(order, [special_array(1, rng) for _ in range(n)])
+        return [(a, b), (b, a), (one, one)]
+    if kind != "mixed":
+        return [(a, b), (b, a)]
+    # the value term a number: delta against a jet, and against a constant
+    delta = Jet2(order, [0] + b.c[1:])
+    const = Jet2(order, [1.5] + [0] * (n - 1))
+    return [(a, b), (b, a), (a, delta), (delta, a), (const, delta)]
 
-    @pytest.mark.parametrize("kind", ["float", "float64", "fraction"])
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+
+class TestKernels:
+    """Both forms of the product, and the quotient, round exactly as the
+    plan loops."""
+
+    @pytest.mark.parametrize("kind", ["float", "float64", "fraction", "points",
+                                      "nuts", "mixed"])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
+    @np.errstate(over="ignore", invalid="ignore")
     def test_bit_identical_to_plan_loops(self, order, kind):
         rng = np.random.default_rng(order * 10 + len(kind))
-        n = len(jets._pairs(order))
         for _ in range(10):
-            a = Jet2(order, random_coefficients(kind, n, rng))
-            b = Jet2(order, random_coefficients(kind, n, rng))
-            b.c[0] = abs(b.c[0]) + 1
-            assert_identical((a * b).c, plan_mul(a, b))
-            assert_identical((a / b).c, plan_div(a, b))
+            for a, b in operand_pairs(kind, order, rng):
+                assert_identical((a * b).c, plan_mul(a, b))
+                g = Jet2(order, list(b.c))
+                g.c[0] = abs(g.c[0]) + 1
+                assert_identical((a / g).c, plan_div(a, g))
+
+    def test_selection(self):
+        # the gathered product serves order 3 and up where a value term is
+        # a float64 array of the whole product shape, within 2 ** 14 terms
+        def straight(a, b):
+            raise LookupError
+
+        def form(x, y):
+            try:
+                jets._gathered_mul(x.order, straight, x.c, y.c)
+            except LookupError:
+                return "straight"
+            return "gathered"
+
+        def seed(n, order=4):
+            return Jet2.seed(np.linspace(1.0, 2.0, n), 0, order)
+
+        points = seed(36)
+        gathered = [(points, points), (points, Jet2.const(0.0, 4)),
+                    (Jet2.const(1.5, 4), points), (points, Jet2(4, [0] + points.c[1:])),
+                    (seed(273, 3), seed(273, 3)), (seed(121), seed(121)),
+                    (Jet2(4, [np.ones((3, 1))] * 15), Jet2(4, [np.ones((3, 5))] * 15))]
+        straight_ = [(seed(274, 3), seed(274, 3)), (seed(122), seed(122)),
+                     (Jet2.seed(1.0, 0, 4), Jet2.seed(2.0, 1, 4)),
+                     # two number value terms, as compose2's powers have
+                     (Jet2.const(1, 4), Jet2(4, [0] + points.c[1:])),
+                     # value terms whose shapes hold neither the other
+                     (Jet2(4, [np.ones((3, 1))] * 15), Jet2(4, [np.ones((1, 5))] * 15)),
+                     # a coefficient wider than the value terms
+                     (points, Jet2(4, [1.0] + [np.ones((2, 36))] * 14)),
+                     (points, Jet2(4, [np.ones(36, int)] * 15)),
+                     # float64 with float32 arrays: numpy would upcast the stack
+                     (points, Jet2(4, [np.ones(36)] * 14 + [np.ones(36, np.float32)])),
+                     (points, Jet2(4, [Fraction(1, 3)] * 15)),
+                     (Jet2(4, [np.float64(2.0)] * 15), Jet2(4, [np.array(1.0)] * 15))]
+        assert [form(x, y) for x, y in gathered] == ["gathered"] * len(gathered)
+        assert [form(x, y) for x, y in straight_] == ["straight"] * len(straight_)
+        # orders 0-2 keep the generated product alone
+        assert [isinstance(jets._KERNELS[k][0], functools.partial)
+                for k in range(5)] == [False, False, False, True, True]
 
     def test_signed_zeros(self):
         a = Jet2(2, [-0.0, 1.0, -0.0, 0.5, -0.0, 2.0])
@@ -150,8 +251,15 @@ class TestKernels:
         assert math.copysign(1.0, quotient[0]) == -1.0
 
     def test_kernels_are_built_on_first_use(self):
-        probe = ("import todkit.jets as j; assert not j._KERNELS; "
-                 "x = j.Jet2.seed(1.0, 0, 3); x * x; assert list(j._KERNELS) == [3]")
+        # float jets and order-2 arrays build no gather table; an order-4
+        # array product builds order 4's alone
+        probe = ("import numpy as np, todkit.jets as j; "
+                 "assert not j._KERNELS and not j._GATHERS; "
+                 "x = j.Jet2.seed(1.0, 0, 3); x * x; "
+                 "assert list(j._KERNELS) == [3] and not j._GATHERS; "
+                 "y = j.Jet2.seed(np.ones(5), 0, 2); y * y; assert not j._GATHERS; "
+                 "z = j.Jet2.seed(np.ones(5), 0, 4); z * z; "
+                 "assert list(j._KERNELS) == [3, 2, 4] and list(j._GATHERS) == [4]")
         src = str(Path(jets.__file__).resolve().parents[1])
         subprocess.run([sys.executable, "-c", probe], check=True, timeout=60,
                        env={**os.environ, "PYTHONPATH": src})
@@ -233,7 +341,7 @@ class TestArrayCoefficients:
             c[rng.integers(0, self.POINTS, 4)] = -0.0
         return Jet2(order, coeffs)
 
-    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3, 4, 5, 6])
     def test_ring_ops_pointwise(self, order):
         rng = np.random.default_rng(40 + order)
         a, b = self.random_batch(order, rng), self.random_batch(order, rng)

@@ -7,8 +7,9 @@ fixed set of commands:
 - ``verify`` under each of the five suites at seeds 0-11, on rod files
   that cover the exact and float two-nut chart, the skew three-nut data,
   single nuts, other H gauges, extreme scales (nuts 1e-160 to 1e307
-  apart, a single nut at 1e100, a 1e-100 gap, nut gaps whose squares
-  overflow), 16-nut files and powers of two of the two-nut chart;
+  apart, a single nut at 1e100, a single nut with c = -1e-307, a 1e-100
+  gap, nut gaps whose squares overflow), 16-nut files and powers of two
+  of the two-nut chart;
 - ``build`` on each of those files, ``classify`` at every ``--nmax``
   up to 6 under both asymptotics and at ``--lmax`` 0 and 1, ``pd
   check`` and ``selfdual`` lines, and ``pd scan`` on all five cases at
@@ -95,6 +96,9 @@ ROD_FILES = {
     "huge-1e100": _nuts(-1e200, (-1e100, 0.5), (1e100, 0.5)),
     "span-1e307": _nuts(-1, (-1e307, 0.5), (1e307, 0.5)),
     "single-nut-1e100": _nuts(-1.0, (1e100, 1.0)),
+    # A/c overflows, and W is NaN in three jet coefficients but not in
+    # its value term
+    "single-nut-c-1e-307": _nuts(-1e-307, (0.0, 1.0)),
     "gap-1e-100": _nuts(-1.0, (0.0, 0.3), (1e-100, 0.3), (1.0, 0.4)),
     # nut gaps whose squares pass the float range, around the window
     # 1.34e154-2.68e154 where (z_j - z_i) ** 2 raises and a_i a_j gap gap
