@@ -53,12 +53,11 @@ terms of all coefficients in one gather from padded index and weight
 tables, and sums them in plan order with one ``np.add.reduce`` from 0.0.
 It costs a few numpy calls whatever the order, where the straight-line
 ``mul`` costs a few per term, so it serves order 3 and up when a value
-term is a float64 array, every coefficient is a float, an int or a
-float64 array, and the term array stays within 2 ** 14 entries (121
-points at order 4).  Everything else keeps the straight-line ``mul``:
-orders 0-2, coefficient lists with no array (floats, ``np.float64``,
-``Fraction``), other dtypes, and larger point sets.  Measured at 36
-points, an order-4 product takes about 30 us gathered and 75 us
+term is a float64 array and every coefficient is a float, an int or a
+float64 array that broadcasts to that value term's shape.  Everything
+else keeps the straight-line ``mul``: orders 0-2, coefficient lists
+with no array (floats, ``np.float64``, ``Fraction``) and other dtypes.
+Measured at 36 points, an order-4 product takes about 30 us gathered and 75 us
 straight-line, order 3 about 21 and 35 us; at order 2 the straight-line
 one already about ties (14 against 15 us), and at order 1 it wins (5
 against 12 us).  Quotients keep the straight-line ``div`` at every order.
@@ -177,15 +176,7 @@ class _Gathers(dict):
         return tables
 
 
-# The gathered product is the faster one from order 3 on while its
-# (terms, coefficients, *points) temporaries stay within 2 ** 14 entries,
-# 128 KiB of float64 (273 points at order 3, 121 at order 4).  Larger
-# temporaries are past malloc's default mmap threshold: measured under
-# glibc, each call then took fresh pages (74 minor faults per order-4
-# product at 200 points, none at 121) and lost to the straight-line form.
-_GATHER_ORDER = 3
-_GATHER_ENTRIES = 2 ** 14
-_FLOAT64 = np.dtype(np.float64)
+_GATHER_ORDER = 3  # the gathered product is the faster one from here on
 _KERNELS = _Kernels()
 _GATHERS = _Gathers()
 
@@ -194,13 +185,11 @@ def _rows(c, shape):
     """The coefficients c as one float64 array of shape (len(c), *shape),
     or None unless each is an int, a float or a float64 array that
     broadcasts to shape."""
-    if {(v.shape, v.dtype) if type(v) is np.ndarray else None
-            for v in c} == {(shape, _FLOAT64)}:
-        return np.array(c)
     rows = np.zeros((len(c),) + shape)
     for k, v in enumerate(c):
         if type(v) is np.ndarray:
-            if v.dtype != np.float64:
+            # numpy would drop the leading unit axes of a wider array
+            if v.dtype != np.float64 or v.ndim > len(shape):
                 return None
         elif type(v) is int:
             if not v:
@@ -209,7 +198,7 @@ def _rows(c, shape):
             return None
         try:
             rows[k] = v
-        except ValueError:  # v has a larger shape
+        except ValueError:  # v does not broadcast to shape
             return None
     return rows
 
@@ -246,12 +235,10 @@ def _gathered_mul(order, straight, a, b):
     shape = _product_shape(a[0], b[0])
     if shape is None:
         return straight(a, b)
-    pa, pb, w, pad = _GATHERS[order]
-    if pa.size * math.prod(shape) > _GATHER_ENTRIES:
-        return straight(a, b)
     A, B = _rows(a, shape), _rows(b, shape)
     if A is None or B is None:
         return straight(a, b)
+    pa, pb, w, pad = _GATHERS[order]
     terms = A[pa]
     terms *= w.reshape(w.shape + (1,) * len(shape))
     terms *= B[pb]

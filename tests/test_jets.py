@@ -200,7 +200,7 @@ class TestKernels:
 
     def test_selection(self):
         # the gathered product serves order 3 and up where a value term is
-        # a float64 array of the whole product shape, within 2 ** 14 terms
+        # a float64 array of the whole product shape
         def straight(a, b):
             raise LookupError
 
@@ -215,18 +215,20 @@ class TestKernels:
             return Jet2.seed(np.linspace(1.0, 2.0, n), 0, order)
 
         points = seed(36)
+        # coefficients with a leading unit axis past the value terms
+        unit_axis = (points, Jet2(4, [np.ones(36)] + [np.ones((1, 36))] * 14))
         gathered = [(points, points), (points, Jet2.const(0.0, 4)),
                     (Jet2.const(1.5, 4), points), (points, Jet2(4, [0] + points.c[1:])),
-                    (seed(273, 3), seed(273, 3)), (seed(121), seed(121)),
+                    (seed(300, 3), seed(300, 3)), (seed(1000), seed(1000)),
                     (Jet2(4, [np.ones((3, 1))] * 15), Jet2(4, [np.ones((3, 5))] * 15))]
-        straight_ = [(seed(274, 3), seed(274, 3)), (seed(122), seed(122)),
-                     (Jet2.seed(1.0, 0, 4), Jet2.seed(2.0, 1, 4)),
+        straight_ = [(Jet2.seed(1.0, 0, 4), Jet2.seed(2.0, 1, 4)),
                      # two number value terms, as compose2's powers have
                      (Jet2.const(1, 4), Jet2(4, [0] + points.c[1:])),
                      # value terms whose shapes hold neither the other
                      (Jet2(4, [np.ones((3, 1))] * 15), Jet2(4, [np.ones((1, 5))] * 15)),
                      # a coefficient wider than the value terms
                      (points, Jet2(4, [1.0] + [np.ones((2, 36))] * 14)),
+                     unit_axis,
                      (points, Jet2(4, [np.ones(36, int)] * 15)),
                      # float64 with float32 arrays: numpy would upcast the stack
                      (points, Jet2(4, [np.ones(36)] * 14 + [np.ones(36, np.float32)])),
@@ -234,6 +236,7 @@ class TestKernels:
                      (Jet2(4, [np.float64(2.0)] * 15), Jet2(4, [np.array(1.0)] * 15))]
         assert [form(x, y) for x, y in gathered] == ["gathered"] * len(gathered)
         assert [form(x, y) for x, y in straight_] == ["straight"] * len(straight_)
+        assert_identical((unit_axis[0] * unit_axis[1]).c, plan_mul(*unit_axis))
         # orders 0-2 keep the generated product alone
         assert [isinstance(jets._KERNELS[k][0], functools.partial)
                 for k in range(5)] == [False, False, False, True, True]
