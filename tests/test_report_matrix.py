@@ -21,8 +21,8 @@ def test_slice_keeps_its_bytes():
     assert report_matrix.moved(got, want) == []
     # five suites at two seeds on each rod file
     assert sum(name.startswith("verify ") for name in got) == 10 * len(report_matrix.ROD_FILES)
-    # five cases at three sample counts and two seeds
-    assert sum(name.startswith("pd scan ") for name in got) == 30
+    # five cases at four sample counts (1, 7, 300 and the benchmark count) and two seeds
+    assert sum(name.startswith("pd scan ") for name in got) == 40
 
 
 def test_a_moved_command_is_named():

@@ -12,8 +12,11 @@ fixed set of commands:
   of the two-nut chart;
 - ``build`` on each of those files, ``classify`` at every ``--nmax``
   up to 6 under both asymptotics and at ``--lmax`` 0 and 1, ``pd
-  check`` and ``selfdual`` lines, and ``pd scan`` on all five cases at
-  ``--samples`` 1, 7 and 300 and seeds 0-11;
+  check`` and ``selfdual`` lines (two of them on roots whose quartic
+  coefficients overflow), and ``pd scan`` on all five cases at
+  ``--samples`` 1, 7 and 300 and at the case's benchmark count
+  (``workloads.PD_SAMPLES``: several draws and one certification pass),
+  at seeds 0-11;
 - the 144 benchmark commands: the first 12 of each workload of
   ``perfbench/workloads.py`` at seeds 1-3.
 
@@ -115,6 +118,9 @@ PD_LINES = (
     ("pd", "check", "--case", "a", "--u", "0.3", "--v", "0.6"),
     ("pd", "selfdual", "--case", "a", "--u", "0.3", "--v", "0.6"),
     ("pd", "selfdual", "--case", "b", "--u", "-2.5", "--v", "0.7"),
+    # a2 = p3 p4 + ... overflows, so no slope is finite
+    ("pd", "check", "--roots", "1e-300", "1e-10", "1e10", "1e300"),
+    ("pd", "selfdual", "--roots", "1e-300", "1e-10", "1e10", "1e300"),
 )
 
 
@@ -150,7 +156,8 @@ def commands():
     out += [Command(argv) for argv in PD_LINES]
     out += [Command(("pd", "scan", "--case", case, "--samples", str(samples),
                      "--seed", str(seed)), seed=seed)
-            for case in workloads.PD_SAMPLES for samples in (1, 7, 300) for seed in SEEDS]
+            for case, count in workloads.PD_SAMPLES.items()
+            for samples in (1, 7, 300, count) for seed in SEEDS]
     for name, seed in itertools.product(workloads.WORKLOADS, BENCH_SEEDS):
         stream = workloads.prepare(name, seed, Path("bench") / f"{name}-{seed}")
         out += [Command(cmd.argv, str(cmd.out), bench=True)
