@@ -419,8 +419,9 @@ def _draw_roots(case, rng, k):
         v1, v3 = _exchange(v1, v3)
         v1, v2 = _exchange(v1, v2)
         prod = np.abs(v0 * v1 * v2 * v3)
-        # libm's pow: the array np.power differs in the last bit
-        roots = np.stack([v0, v1, v2, v3], axis=1) / jets.libm(pow, prod, 0.25)[:, None]
+        # the fourth root as two square roots, each correctly rounded
+        # (IEEE 754), so each entry has the bits of math.sqrt(math.sqrt(p))
+        roots = np.stack([v0, v1, v2, v3], axis=1) / np.sqrt(np.sqrt(prod))[:, None]
         r0, r1, r2, r3 = roots.T
         keep = ~(np.minimum(np.minimum(r1 - r0, r2 - r1), r3 - r2) < 1e-3)
         if case != "iii":
@@ -433,11 +434,11 @@ def _draw_roots(case, rng, k):
         u, v = _exchange(*np.exp(rng.uniform(math.log(0.05), math.log(0.95), size=(k, 2))).T)
         keep = ~((v - u < 1e-3) | (1 / v - v < 1e-3))
         return np.stack([u, v, 1 / v, 1 / u], axis=1), keep
-    # case b: math.exp, since np.exp differs from it in the last bit
+    # case b: one np.exp over the (k, 2) block, as in the cases above,
+    # whose last bit may follow the host's SIMD path
     lo = np.array([math.log(1.05), math.log(0.02)])
     hi = np.array([math.log(20.0), math.log(0.95)])
-    draws = lo + (hi - lo) * rng.random((k, 2))
-    u, v = jets.libm(math.exp, draws.T)
+    u, v = np.exp(lo + (hi - lo) * rng.random((k, 2))).T
     u = -u
     keep = ~((np.abs(u) * v >= 1 - 1e-6) | (v - 1 / u < 1e-3) | (1 / v - v < 1e-3))
     return np.stack([u, 1 / u, v, 1 / v], axis=1), keep
@@ -501,13 +502,16 @@ def pd_scan(case, samples=1000, seed=7):
     per-attempt draws would: ``uniform(size=(k, 4))`` (k, 2 in case a)
     is k draws of 4 (or 2) values, and case b's alternating scalar draws
     are the columns of ``lo + (hi - lo) * random((k, 2))``.
-    Where numpy's array functions round differently from the scalar ones
-    (``prod ** 0.25``, and case b's ``math.exp``), ``jets.libm`` gives
-    each row libm's bits.  Attempts are counted up to the one that
-    completes the requested samples, at most 200 * samples + 1000.  A
-    sample that breaks PdParams, the closed forms or its certificate
-    raises the error pd_regularity raises on it, for the first such
-    sample in draw order, before the attempt limit's error.
+    No draw calls a Python function per entry: the fourth root that
+    normalises cases i-iii is two square roots, each correctly rounded
+    (IEEE 754), so a row has the bits of ``math.sqrt(math.sqrt(p))``,
+    and every case takes ``exp`` from numpy's elementwise ``np.exp``,
+    whose last bit may follow the host's SIMD path (on one host, a block
+    and its rows give the same bits).  Attempts are counted up to the
+    one that completes the requested samples, at most 200 * samples +
+    1000.  A sample that breaks PdParams, the closed forms or its
+    certificate raises the error pd_regularity raises on it, for the
+    first such sample in draw order, before the attempt limit's error.
     """
     if case not in _CERTIFICATES:
         raise RodDataError(f"unknown scan case {case!r}")

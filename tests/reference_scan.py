@@ -28,7 +28,7 @@ def _sample_roots(case, rng):
         mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=4))
         vals = sorted(s * m for s, m in zip(signs, mags))
         prod = abs(vals[0] * vals[1] * vals[2] * vals[3])
-        roots = tuple(v / prod ** 0.25 for v in vals)
+        roots = tuple(v / math.sqrt(math.sqrt(prod)) for v in vals)
         gaps = min(roots[i + 1] - roots[i] for i in range(3))
         if gaps < 1e-3:
             return None
@@ -43,8 +43,10 @@ def _sample_roots(case, rng):
             return None
         return (u, v, 1 / v, 1 / u)
     if case == "b":
-        u = -math.exp(rng.uniform(math.log(1.05), math.log(20.0)))
-        v = math.exp(rng.uniform(math.log(0.02), math.log(0.95)))
+        draws = [rng.uniform(math.log(1.05), math.log(20.0)),
+                 rng.uniform(math.log(0.02), math.log(0.95))]
+        u, v = np.exp(draws).tolist()
+        u = -u
         if abs(u) * v >= 1 - 1e-6 or v - 1 / u < 1e-3 or 1 / v - v < 1e-3:
             return None
         return (u, 1 / u, v, 1 / v)

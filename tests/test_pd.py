@@ -479,19 +479,29 @@ class TestScanMatchesReference:
                                for w in want if w is not None]
 
     def test_block_exp_equals_row_exp(self):
+        # the draws' np.exp over a whole block against np.exp of each row:
+        # the magnitudes of cases i-iii and a, then case b's block
         rng = np.random.default_rng(0)
-        for width, hi in ((4, 20.0), (2, 0.95)):
-            block = rng.uniform(math.log(0.05), math.log(hi), size=(20000, width))
+        blocks = [rng.uniform(math.log(0.05), math.log(hi), size=(20000, width))
+                  for width, hi in ((4, 20.0), (2, 0.95))]
+        lo = np.array([math.log(1.05), math.log(0.02)])
+        hi = np.array([math.log(20.0), math.log(0.95)])
+        blocks.append(lo + (hi - lo) * rng.random((20000, 2)))
+        for block in blocks:
             rows = np.array([np.exp(row) for row in block])
             assert np.array_equal(np.exp(block).view(np.int64), rows.view(np.int64))
 
-    def test_fourth_root_equals_scalar_power(self):
-        # the scan takes Python float powers; the per-sample loop took
-        # np.float64 powers of the same products
+    def test_fourth_root_equals_scalar_square_roots(self):
+        # the scan's column fourth root, two np.sqrt calls, against two
+        # math.sqrt calls per row: both are correctly rounded, so the bits
+        # agree, here also at the products of the draw range's ends
         rng = np.random.default_rng(1)
         mags = np.exp(rng.uniform(math.log(0.05), math.log(20.0), size=(20000, 4)))
         prod = mags[:, 0] * mags[:, 1] * mags[:, 2] * mags[:, 3]
-        assert [x ** 0.25 for x in prod.tolist()] == [p ** 0.25 for p in prod]
+        ends = [0.05 ** 4, 20.0 ** 4]
+        prod = np.concatenate([prod, ends, np.nextafter(ends, 0), np.nextafter(ends, np.inf)])
+        got = [x.hex() for x in np.sqrt(np.sqrt(prod)).tolist()]
+        assert got == [math.sqrt(math.sqrt(p)).hex() for p in prod.tolist()]
 
 
 class TestCornerLimit:
