@@ -776,10 +776,12 @@ def main(argv=None):
     except RodDataError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (TodkitError, ArithmeticError, np.linalg.LinAlgError) as exc:
+    except (TodkitError, ArithmeticError, np.linalg.LinAlgError, MemoryError) as exc:
         # ArithmeticError: valid but extreme rod data can under- or
         # overflow a float power deep in the jet arithmetic; LinAlgError:
-        # a singular metric, or a Weyl block whose entries overflowed
+        # a singular metric, or a Weyl block whose entries overflowed;
+        # MemoryError: numpy cannot allocate an array, such as the point
+        # arrays of an oversized build grid
         print(f"evaluation error: {exc}", file=sys.stderr)
         return 1
 

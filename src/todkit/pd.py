@@ -53,7 +53,9 @@ def _roots_text(roots):
 class PdParams:
     """Root data of the structure function, roots increasing, product one,
     no double root (F' nonzero at every root); slack (see
-    harmonic.tolerance_slack) makes exact roots compare exactly."""
+    harmonic.tolerance_slack) makes exact roots compare exactly.  Float
+    roots whose coefficients or F' at p1, p2 or p3 overflow raise
+    OverflowError."""
 
     roots: tuple
     a0: object = 1
@@ -70,7 +72,17 @@ class PdParams:
         prod = self.roots[0] * self.roots[1] * self.roots[2] * self.roots[3]
         if not abs(prod - 1) <= 1e-8 * self.slack:
             raise RodDataError("root product must be one")
-        if _double_root([self.quartic_prime(x) for x in self.roots[:3]]):
+        a = self.coefficients
+        slopes = [_quartic_prime(a, x) for x in self.roots[:3]]
+        if self.slack:
+            # float roots far apart overflow a coefficient or a slope (a
+            # NaN slope would fail the closed forms); exact roots never do
+            names = ("a0", "a1", "a2", "a3", "F'(p1)", "F'(p2)", "F'(p3)")
+            for name, x in zip(names, (*a, *slopes)):
+                if not math.isfinite(x):
+                    raise OverflowError(f"{name} = {x} is not finite for roots "
+                                        f"{_roots_text(self.roots)}")
+        if _double_root(slopes):
             raise _double_root_error(self.roots, _roots_text(self.roots))
 
     @classmethod

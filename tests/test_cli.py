@@ -198,6 +198,20 @@ class TestBatchedBuild:
             assert err == "evaluation error: (34, 'Numerical result out of range')\n"
         assert not out_path.exists()
 
+    def test_allocation_failure_is_an_evaluation_error(self, tmp_path, capsys, monkeypatch):
+        # an oversized grid, such as 100000x100000 (1e10 points), fails
+        # in numpy's allocation; a small grid stands in for it here
+        message = ("Unable to allocate 74.5 GiB for an array with shape "
+                   "(10000000000,) and data type float64")
+
+        def fail(*args, **kwargs):
+            raise MemoryError(message)
+        monkeypatch.setattr(tod, "tod_fields", fail)
+        path = write_rod_file(tmp_path, EH_DOC)
+        code, out, err = run(["build", path, "--grid", "3x3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"evaluation error: {message}\n"
+
     @pytest.mark.parametrize("args, message", [
         (["--rho-range=0:1"], "rho = 0.0 is not interior"),
         (["--grid", "3x3", "--rho-range=1e-8:1", "--zeta-range=-0.2500000001:0.25"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -61,6 +62,30 @@ class TestParams:
     def test_leading_coefficient_guard(self):
         with pytest.raises(RodDataError):
             pd.PdParams(SPOT, a0=-1.0)
+
+    @pytest.mark.parametrize("roots, name", [
+        ((1e-300, 1e-10, 1e10, 1e300), "a2"),
+        ((1e-200, 1e-100, 1e100, 1e200), "F'(p3)"),
+        ((-1e300, -1e-10, 1e-290, 1.0), "F'(p1)")])
+    def test_overflow_names_what_is_not_finite(self, roots, name):
+        with pytest.raises(OverflowError, match=rf"^{re.escape(name)} = -?inf is not finite"):
+            pd.PdParams(roots)
+
+    @pytest.mark.parametrize("command", ["check", "selfdual"])
+    def test_overflow_is_an_evaluation_error(self, command, capsys):
+        argv = ["pd", command, "--roots", "1e-300", "1e-10", "1e10", "1e300"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("evaluation error: a2 = inf is not finite for roots")
+        assert "disagrees" not in err
+
+    def test_exact_roots_far_apart_stay_exact(self):
+        big = F(10) ** 300
+        params = pd.PdParams((1 / big, F(1, 10 ** 10), F(10 ** 10), big))
+        assert params.is_exact
+        # a2 is about p3 p4 = 1e310, past the float range
+        assert params.coefficients[2] > 10 ** 309
+        assert pd.pd_regularity(params).ok is False
 
     def test_normalized_rescales(self):
         params = pd.PdParams.normalized((1.0, 2.0, 3.0, 4.0))
