@@ -518,11 +518,11 @@ def pd_scan(case, samples=1000, seed=7):
     normalises cases i-iii is two square roots, each correctly rounded
     (IEEE 754), so a row has the bits of ``math.sqrt(math.sqrt(p))``,
     and every case takes ``exp`` from numpy's elementwise ``np.exp``,
-    whose last bit may follow the host's SIMD path (on one host, a block
-    and its rows give the same bits).  Attempts are counted up to the
-    one that completes the requested samples, at most 200 * samples +
-    1000.  A sample that breaks PdParams, the closed forms or its
-    certificate raises the error pd_regularity raises on it, for the
+    whose last bit may follow the host's SIMD path (tests/test_pd.py
+    holds a block's bits equal to its rows').  Attempts are counted up
+    to the one that completes the requested samples, at most 200 *
+    samples + 1000.  A sample that breaks PdParams, the closed forms or
+    its certificate raises the error pd_regularity raises on it, for the
     first such sample in draw order, before the attempt limit's error.
     """
     if case not in _CERTIFICATES:
